@@ -73,7 +73,7 @@ class RunConfig:
     eval_every: int = 100
 
     def __post_init__(self):
-        self.encoder_config()        # re-raises structural violations
+        enc = self.encoder_config()  # re-raises structural violations
         if self.batch < 1 or self.iterations < 0 or self.warmup_iterations < 0:
             raise ValueError("batch/iteration counts out of range")
         if not 0.0 <= self.tau <= 1.0:
@@ -82,6 +82,17 @@ class RunConfig:
             raise ValueError("lambda_ema must lie in [0, 1)")
         if self.temperature <= 0.0 or self.crop < 32:
             raise ValueError("temperature must be positive, crop >= 32")
+        if self.crop % enc.patch:
+            raise ValueError(f"crop {self.crop} is not a multiple of the "
+                             f"patch size {enc.patch}")
+        grid = self.crop // enc.patch
+        for i, ratio in enumerate(self.sr_ratios):
+            if i:
+                grid = (grid + 1) // 2           # stride-2 patch merge
+            if grid % ratio:
+                raise ValueError(
+                    f"crop {self.crop} gives stage {i} a {grid}x{grid} token "
+                    f"grid, which sr_ratios[{i}] = {ratio} does not divide")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(channels=self.channels, depths=self.depths,

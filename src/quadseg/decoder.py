@@ -8,6 +8,10 @@ mask, (phi_t, phi_st) for the target mask -- through a linear + ReLU fuse
 layer and a linear classifier.  Source-free inference feeds (phi_t, phi_t)
 into the target head, which by the encoder's degeneracy property equals
 the paired forward with the target image in both slots.
+
+Features are [..., N, C] with leading batch dims.  The paired decoder
+stacks the streams on a new leading axis and, with shared heads, runs
+both domain heads as one stacked fuse.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, trunc_normal
+from .encoder import EncoderConfig, to_grid, to_tokens, trunc_normal
 from .tensor import (
     ShapeError,
     Tensor,
     concat,
+    gather,
     matmul,
     relu,
-    reshape,
     softmax_lastdim,
+    stack,
     transpose,
     upsample_bilinear,
 )
@@ -80,7 +85,7 @@ def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
                        stage_feats: list[Tensor],
                        dims: list[tuple[int, int]]) -> Tensor:
     """Map each per-stage token tensor to embed_dim channels, upsample all to
-    the stage-0 grid and concatenate: [h0*w0, num_stages*embed_dim]."""
+    the stage-0 grid and concatenate: [..., h0*w0, num_stages*embed_dim]."""
     if len(stage_feats) != enc_cfg.num_stages or len(dims) != enc_cfg.num_stages:
         raise ShapeError(
             f"expected {enc_cfg.num_stages} stage features, got {len(stage_feats)}")
@@ -89,17 +94,15 @@ def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
     for i, (f, (h, w)) in enumerate(zip(stage_feats, dims)):
         u = matmul(f, params[f"dec.unify{i}.w"]) + params[f"dec.unify{i}.b"]
         if (h, w) != (h0, w0):
-            ce = u.shape[-1]
-            s = transpose(reshape(u, (h, w, ce)), (2, 0, 1))
-            s = upsample_bilinear(s, h0, w0)
-            u = reshape(transpose(s, (1, 2, 0)), (h0 * w0, ce))
+            u = to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
+                                            channels_last=True))
         pieces.append(u)
     return concat(pieces, axis=-1)
 
 
 def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
                      phi_a: Tensor, phi_b: Tensor) -> Tensor:
-    """Concatenate two phi maps and classify: [h0*w0, num_classes] logits."""
+    """Concatenate two phi maps and classify: [..., h0*w0, num_classes] logits."""
     if phi_a.shape != phi_b.shape:
         raise ShapeError(f"phi shapes disagree: {phi_a.shape} vs {phi_b.shape}")
     x = concat([phi_a, phi_b], axis=-1)
@@ -110,62 +113,59 @@ def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
     return matmul(x, params[f"dec.{head}.cls.w"]) + params[f"dec.{head}.cls.b"]
 
 
-def _head_name(dec_cfg: DecoderConfig, domain: str) -> str:
-    if dec_cfg.share_heads:
-        return "head"
-    return "head_src" if domain == "src" else "head_tgt"
-
-
 def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                 feats: dict, dims: list[tuple[int, int]],
                 use_cross_src: bool = True, use_cross_tgt: bool = True):
-    """Produce both domain logit maps plus the augmented (pre-fuse) target
-    features used by the prototype machinery.
-
-    Returns ``(logits_s, logits_t, aug_t)`` with logits of shape
-    [h0*w0, num_classes] and ``aug_t`` of shape [h0*w0, 2*num_stages*embed_dim].
-    The cross toggles substitute a stream's own self map for its cross map,
-    which is the ablation that disables cross-attention features per domain.
-    """
-    phi_s = unify_and_upsample(params, enc_cfg, feats["s"], dims)
-    phi_t = unify_and_upsample(params, enc_cfg, feats["t"], dims)
-    phi_ts = unify_and_upsample(params, enc_cfg, feats["ts"], dims) \
-        if use_cross_src else phi_s
-    phi_st = unify_and_upsample(params, enc_cfg, feats["st"], dims) \
-        if use_cross_tgt else phi_t
-    aug_t = concat([phi_t, phi_st], axis=-1)
-    logits_s = fuse_and_predict(params, dec_cfg, _head_name(dec_cfg, "src"),
-                                phi_s, phi_ts)
-    logits_t = fuse_and_predict(params, dec_cfg, _head_name(dec_cfg, "tgt"),
-                                phi_t, phi_st)
+    """Both domain logit maps [..., h0*w0, num_classes] plus the augmented
+    (pre-fuse) target features [..., h0*w0, 2*num_stages*embed_dim] used by
+    the prototype machinery: ``(logits_s, logits_t, aug_t)``.  The cross
+    toggles substitute a stream's own self map for its cross map, which is
+    the ablation that disables cross-attention features per domain."""
+    names = [n for n, on in (("s", True), ("t", True), ("ts", use_cross_src),
+                             ("st", use_cross_tgt)) if on]
+    phi = unify_and_upsample(
+        params, enc_cfg,
+        [stack([feats[n][i] for n in names]) for i in range(len(dims))], dims)
+    row = {n: k for k, n in enumerate(names)}
+    # the (source, target) heads fuse self maps with cross maps
+    own = gather(phi, (row["s"], row["t"]))
+    cross = gather(phi, (row.get("ts", row["s"]), row.get("st", row["t"])))
+    if dec_cfg.share_heads:
+        logits = fuse_and_predict(params, dec_cfg, "head", own, cross)
+        logits_s, logits_t = gather(logits, 0), gather(logits, 1)
+    else:
+        logits_s = fuse_and_predict(params, dec_cfg, "head_src",
+                                    gather(own, 0), gather(cross, 0))
+        logits_t = fuse_and_predict(params, dec_cfg, "head_tgt",
+                                    gather(own, 1), gather(cross, 1))
+    aug_t = concat([gather(own, 1), gather(cross, 1)], axis=-1)
     return logits_s, logits_t, aug_t
 
 
 def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                   feats: list[Tensor], dims: list[tuple[int, int]]):
-    """Source-free path: fuse (phi_t, phi_t) through the target head.
-
-    Returns ``(logits, aug)`` shaped like the target outputs of
-    ``decode_pair``.
-    """
+    """Source-free path: the one-stream case of ``decode_pair``, fusing
+    (phi_t, phi_t) through the target head.  Returns ``(logits, aug)``
+    shaped like the target outputs of ``decode_pair``."""
     phi = unify_and_upsample(params, enc_cfg, feats, dims)
-    logits = fuse_and_predict(params, dec_cfg, _head_name(dec_cfg, "tgt"), phi, phi)
+    head = "head" if dec_cfg.share_heads else "head_tgt"
+    logits = fuse_and_predict(params, dec_cfg, head, phi, phi)
     return logits, concat([phi, phi], axis=-1)
 
 
 def logits_to_grid(logits: Tensor, h: int, w: int,
                    out_h: int | None = None, out_w: int | None = None) -> Tensor:
-    """[h*w, K] token logits -> [K, H, W] map, optionally upsampled."""
-    k = logits.shape[-1]
-    g = transpose(reshape(logits, (h, w, k)), (2, 0, 1))
+    """[..., h*w, K] token logits -> [..., K, H, W] map, optionally upsampled."""
+    n = len(logits.shape) + 1
+    g = transpose(to_grid(logits, h, w), (*range(n - 3), n - 1, n - 3, n - 2))
     if out_h is not None and (out_h, out_w) != (h, w):
         g = upsample_bilinear(g, out_h, out_w)
     return g
 
 
 def mask_probs(logits_grid: Tensor) -> Tensor:
-    """Softmax over the class axis of a [K, H, W] logit map."""
-    k, h, w = logits_grid.shape
-    t = transpose(logits_grid, (1, 2, 0))
-    p = softmax_lastdim(t)
-    return transpose(p, (2, 0, 1))
+    """Softmax over the class axis of a [..., K, H, W] logit map."""
+    n = len(logits_grid.shape)
+    lead = tuple(range(n - 3))
+    p = softmax_lastdim(transpose(logits_grid, (*lead, n - 2, n - 1, n - 3)))
+    return transpose(p, (*lead, n - 1, n - 3, n - 2))

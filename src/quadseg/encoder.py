@@ -23,12 +23,17 @@ into both slots then collapses the four streams onto one.  Stages shrink
 the token grid with a 4x4 non-overlapping patch embedding up front and
 overlapped 3x3 stride-2 convolutions in between, so stage i runs on an
 (H / 2^(i+2)) x (W / 2^(i+2)) token grid.
+
+Tokens are [..., N, C] with leading batch dims.  Blocks and patch merges
+stack the four streams on a new leading axis, so each layer is one op over
+every stream and batch item.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,11 +42,13 @@ from .tensor import (
     Tensor,
     conv2d,
     depthwise_conv2d,
+    gather,
     gelu,
     layer_norm,
     matmul,
     reshape,
     softmax_lastdim,
+    stack,
     transpose,
 )
 
@@ -52,13 +59,13 @@ __all__ = [
     "patch_embed",
     "sequence_reduce",
     "attention",
-    "emsa",
-    "emca",
     "mix_ffn",
     "quad_block",
     "patch_merge",
     "encoder_forward",
     "encoder_forward_single",
+    "to_grid",
+    "to_tokens",
 ]
 
 
@@ -164,28 +171,28 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
 # token / spatial plumbing
 # ---------------------------------------------------------------------------
 
-def _to_spatial(tokens: Tensor, h: int, w: int) -> Tensor:
-    """[h*w, C] row-major tokens -> [C, h, w]."""
-    c = tokens.shape[-1]
-    return transpose(reshape(tokens, (h, w, c)), (2, 0, 1))
+def to_grid(tokens: Tensor, h: int, w: int) -> Tensor:
+    """[..., h*w, C] row-major tokens -> [..., h, w, C] (a free reshape)."""
+    return reshape(tokens, tokens.shape[:-2] + (h, w, tokens.shape[-1]))
 
 
-def _to_tokens(x: Tensor) -> Tensor:
-    """[C, h, w] -> [h*w, C]."""
-    c, h, w = x.shape
-    return reshape(transpose(x, (1, 2, 0)), (h * w, c))
+def to_tokens(x: Tensor) -> Tensor:
+    """[..., h, w, C] -> [..., h*w, C]."""
+    return reshape(x, x.shape[:-3] + (x.shape[-3] * x.shape[-2], x.shape[-1]))
 
 
 def patch_embed(params: dict, img: Tensor, patch: int) -> tuple[Tensor, int, int]:
-    """Fold non-overlapping ``patch`` x ``patch`` pixels into one token each,
-    then apply the learned linear projection.  Returns (tokens, h, w)."""
-    cin, hh, ww = img.shape
+    """Fold non-overlapping ``patch`` x ``patch`` pixels of img [..., Cin, H, W]
+    into one token each, then apply the learned linear projection.  Returns
+    (tokens [..., h*w, C], h, w)."""
+    *lead, cin, hh, ww = img.shape
     if hh % patch or ww % patch:
         raise ShapeError(f"image {hh}x{ww} not divisible by patch {patch}")
     h, w = hh // patch, ww // patch
-    x = reshape(img, (cin, h, patch, w, patch))
-    x = transpose(x, (1, 3, 0, 2, 4))                 # [h, w, Cin, p, p]
-    x = reshape(x, (h * w, cin * patch * patch))
+    k = len(lead)
+    x = reshape(img, (*lead, cin, h, patch, w, patch))
+    x = transpose(x, (*range(k), k + 1, k + 3, k, k + 2, k + 4))  # [.., h, w, Cin, p, p]
+    x = reshape(x, (*lead, h * w, cin * patch * patch))
     tokens = matmul(x, params["embed.w"]) + params["embed.b"]
     return tokens, h, w
 
@@ -193,10 +200,9 @@ def patch_embed(params: dict, img: Tensor, patch: int) -> tuple[Tensor, int, int
 def patch_merge(params: dict, prefix: str, tokens: Tensor,
                 h: int, w: int) -> tuple[Tensor, int, int]:
     """Overlapped downsampling between stages: 3x3 stride-2 convolution."""
-    x = _to_spatial(tokens, h, w)
-    y = conv2d(x, params[f"{prefix}.w"], stride=2, padding=1)
-    y = y + reshape(params[f"{prefix}.b"], (-1, 1, 1))
-    return _to_tokens(y), (h + 1) // 2, (w + 1) // 2
+    y = conv2d(to_grid(tokens, h, w), params[f"{prefix}.w"], stride=2,
+               padding=1, channels_last=True)
+    return to_tokens(y) + params[f"{prefix}.b"], (h + 1) // 2, (w + 1) // 2
 
 
 def sequence_reduce(params: dict, prefix: str, tokens: Tensor,
@@ -204,59 +210,53 @@ def sequence_reduce(params: dict, prefix: str, tokens: Tensor,
     """Shrink the key/value sequence by folding ratio x ratio token tiles and
     projecting back to C channels.  The projection is learned and applied
     even at ratio 1."""
-    c = tokens.shape[-1]
+    *lead, _, c = tokens.shape
+    x = tokens
     if ratio > 1:
         if h % ratio or w % ratio:
             raise ShapeError(f"token grid {h}x{w} not divisible by ratio {ratio}")
-        x = reshape(tokens, (h // ratio, ratio, w // ratio, ratio, c))
-        x = transpose(x, (0, 2, 1, 3, 4))
-        x = reshape(x, ((h // ratio) * (w // ratio), ratio * ratio * c))
-    else:
-        x = tokens
+        k = len(lead)
+        x = reshape(x, (*lead, h // ratio, ratio, w // ratio, ratio, c))
+        x = transpose(x, (*range(k), k, k + 2, k + 1, k + 3, k + 4))
+        x = reshape(x, (*lead, (h // ratio) * (w // ratio), ratio * ratio * c))
     return matmul(x, params[f"{prefix}.wsr"]) + params[f"{prefix}.bsr"]
 
 
 def attention(params: dict, prefix: str, q_tokens: Tensor, kv_tokens: Tensor,
-              h: int, w: int, heads: int, ratio: int) -> Tensor:
-    """Efficient multi-head attention.  Self-attention is the special case
-    ``q_tokens is kv_tokens``; cross-attention reads queries from one stream
-    and keys/values from another.  The key/value path is sequence-reduced."""
-    n, c = q_tokens.shape
-    dh = c // heads
+              h: int, w: int, heads: int, ratio: int, route=None) -> Tensor:
+    """Efficient multi-head attention over [..., N, C] tokens.  Self-attention
+    is the special case ``q_tokens is kv_tokens``; cross-attention reads
+    queries from one stream and keys/values from another.  The key/value
+    path is sequence-reduced.  ``route = (q_rows, kv_rows)`` pairs rows of the
+    leading axis after the projections: output row i attends with query row
+    ``q_rows[i]`` over key/value row ``kv_rows[i]``."""
+    *lead, n, c = q_tokens.shape
+    dh, k = c // heads, len(lead)
+    keep = tuple(range(k))
     q = matmul(q_tokens, params[f"{prefix}.wq"]) + params[f"{prefix}.bq"]
     red = sequence_reduce(params, prefix, kv_tokens, h, w, ratio)
-    k = matmul(red, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"]
+    kk = matmul(red, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"]
     v = matmul(red, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"]
-    nr = k.shape[0]
-    q = transpose(reshape(q, (n, heads, dh)), (1, 0, 2))       # [heads, N, dh]
-    k = transpose(reshape(k, (nr, heads, dh)), (1, 0, 2))
-    v = transpose(reshape(v, (nr, heads, dh)), (1, 0, 2))
-    scores = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
-    out = matmul(softmax_lastdim(scores), v)                   # [heads, N, dh]
-    out = reshape(transpose(out, (1, 0, 2)), (n, c))
+    nr = red.shape[-2]
+    q = transpose(reshape(q, (*lead, n, heads, dh)), (*keep, k + 1, k, k + 2))
+    kt = transpose(reshape(kk, (*lead, nr, heads, dh)), (*keep, k + 1, k + 2, k))
+    v = transpose(reshape(v, (*lead, nr, heads, dh)), (*keep, k + 1, k, k + 2))
+    if route is not None:
+        q_rows, kv_rows = route
+        q, kt, v = gather(q, q_rows), gather(kt, kv_rows), gather(v, kv_rows)
+    scores = matmul(q, kt) * (1.0 / math.sqrt(dh))      # [..., heads, N, Nr]
+    out = matmul(softmax_lastdim(scores), v)             # [..., heads, N, dh]
+    out = transpose(out, (*keep, k + 1, k, k + 2))
+    out = reshape(out, out.shape[:-2] + (c,))
     return matmul(out, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
-
-
-def emsa(params: dict, prefix: str, x: Tensor, h: int, w: int,
-         heads: int, ratio: int) -> Tensor:
-    """Efficient multi-head self-attention (queries = keys = values source)."""
-    return attention(params, prefix, x, x, h, w, heads, ratio)
-
-
-def emca(params: dict, prefix: str, x_query: Tensor, x_kv: Tensor,
-         h: int, w: int, heads: int, ratio: int) -> Tensor:
-    """Efficient multi-head cross-attention (queries from one stream,
-    keys/values from the other)."""
-    return attention(params, prefix, x_query, x_kv, h, w, heads, ratio)
 
 
 def mix_ffn(params: dict, prefix: str, tokens: Tensor, h: int, w: int) -> Tensor:
     """Expand -> depthwise 3x3 over the token grid -> GELU -> project."""
     x = matmul(tokens, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"]
-    s = _to_spatial(x, h, w)
-    s = depthwise_conv2d(s, params[f"{prefix}.dw"], stride=1, padding=1)
-    s = s + reshape(params[f"{prefix}.bdw"], (-1, 1, 1))
-    x = gelu(_to_tokens(s))
+    s = depthwise_conv2d(to_grid(x, h, w), params[f"{prefix}.dw"],
+                         stride=1, padding=1, channels_last=True)
+    x = gelu(to_tokens(s) + params[f"{prefix}.bdw"])
     return matmul(x, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
 
 
@@ -264,102 +264,100 @@ def mix_ffn(params: dict, prefix: str, tokens: Tensor, h: int, w: int) -> Tensor
 # the quadruple block
 # ---------------------------------------------------------------------------
 
+_STREAMS = ("s", "t", "ts", "st")
+_ROUTE = ((0, 1, 1, 0), (0, 1, 0, 1))  # rows of (LN(f_s), LN(f_t)) per stream
+
+
 def _ln(params: dict, prefix: str, x: Tensor) -> Tensor:
     return layer_norm(x, params[f"{prefix}.g"], params[f"{prefix}.b"])
+
+
+def _sublayers(params: dict, pre: str, q_in: Tensor, kv_in: Tensor,
+               residual: Tensor, h: int, w: int, heads: int, ratio: int,
+               route=None) -> Tensor:
+    """Residual attention, then residual Mix-FFN."""
+    hat = attention(params, f"{pre}.attn", q_in, kv_in, h, w, heads, ratio,
+                    route) + residual
+    return mix_ffn(params, f"{pre}.ffn", hat, h, w) + hat
 
 
 def quad_block(params: dict, cfg: EncoderConfig, stage: int, layer: int,
                f_s: Tensor, f_t: Tensor, f_ts: Tensor, f_st: Tensor,
                h: int, w: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """One encoder block updating all four streams (see module docstring)."""
+    """One encoder block updating all four streams (see module docstring);
+    with shared weights they run stacked and LN/Q/K/V see f_s, f_t once."""
     heads, ratio = cfg.heads[stage], cfg.sr_ratios[stage]
-
-    def run(attn_pre, ffn_pre, q_in, kv_in, residual):
-        a = attention(params, attn_pre, q_in, kv_in, h, w, heads, ratio)
-        hat = a + residual
-        return mix_ffn(params, ffn_pre, hat, h, w) + hat
-
     if cfg.share_branch_weights:
         b = f"s{stage}.b{layer}.all"
-        ns = _ln(params, f"{b}.ln", f_s)
-        nt = _ln(params, f"{b}.ln", f_t)
-        return (run(f"{b}.attn", f"{b}.ffn", ns, ns, f_s),
-                run(f"{b}.attn", f"{b}.ffn", nt, nt, f_t),
-                run(f"{b}.attn", f"{b}.ffn", nt, ns, f_ts),
-                run(f"{b}.attn", f"{b}.ffn", ns, nt, f_st))
+        n = _ln(params, f"{b}.ln", stack([f_s, f_t]))
+        out = _sublayers(params, b, n, n, stack([f_s, f_t, f_ts, f_st]),
+                         h, w, heads, ratio, _ROUTE)
+        return tuple(gather(out, i) for i in range(len(_STREAMS)))
 
     b = f"s{stage}.b{layer}"
-    ns = _ln(params, f"{b}.s.ln", f_s)
-    nt = _ln(params, f"{b}.t.ln", f_t)
+    ns, nt = _ln(params, f"{b}.s.ln", f_s), _ln(params, f"{b}.t.ln", f_t)
     return (
-        run(f"{b}.s.attn", f"{b}.s.ffn", ns, ns, f_s),
-        run(f"{b}.t.attn", f"{b}.t.ffn", nt, nt, f_t),
-        run(f"{b}.ts.attn", f"{b}.ts.ffn",
-            _ln(params, f"{b}.ts.ln_q", f_t), _ln(params, f"{b}.ts.ln_kv", f_s), f_ts),
-        run(f"{b}.st.attn", f"{b}.st.ffn",
-            _ln(params, f"{b}.st.ln_q", f_s), _ln(params, f"{b}.st.ln_kv", f_t), f_st),
+        _sublayers(params, f"{b}.s", ns, ns, f_s, h, w, heads, ratio),
+        _sublayers(params, f"{b}.t", nt, nt, f_t, h, w, heads, ratio),
+        _sublayers(params, f"{b}.ts", _ln(params, f"{b}.ts.ln_q", f_t),
+                   _ln(params, f"{b}.ts.ln_kv", f_s), f_ts, h, w, heads, ratio),
+        _sublayers(params, f"{b}.st", _ln(params, f"{b}.st.ln_q", f_s),
+                   _ln(params, f"{b}.st.ln_kv", f_t), f_st, h, w, heads, ratio),
     )
 
 
+def _run_stages(cfg: EncoderConfig, x, h: int, w: int, merge, block):
+    """Stage loop from embedded tokens ``x``: ``merge(prefix, x, h, w)`` joins
+    stages, ``block(stage, layer, x, h, w)`` is one block.  Returns the
+    per-stage outputs and (h, w) token grids."""
+    outs, dims = [], []
+    for i in range(cfg.num_stages):
+        if i > 0:
+            x, h, w = merge(f"s{i}.merge", x, h, w)
+        if h < 1 or w < 1:
+            raise ShapeError(f"stage {i} token grid collapsed to {h}x{w}")
+        for l in range(cfg.depths[i]):
+            x = block(i, l, x, h, w)
+        outs.append(x)
+        dims.append((h, w))
+    return outs, dims
+
+
 def encoder_forward(params: dict, cfg: EncoderConfig, img_s: Tensor, img_t: Tensor):
-    """Run the paired encoder.
+    """Run the paired encoder on images [..., Cin, H, W].
 
     Returns ``(feats, dims)`` where ``feats`` maps stream name (``"s"``,
-    ``"t"``, ``"ts"``, ``"st"``) to the list of per-stage token tensors and
-    ``dims`` is the list of per-stage (h, w) token grids.  The cross streams
-    start from the *other* domain's embedded tokens: f_ts^0 is the embedded
-    target, f_st^0 the embedded source.
+    ``"t"``, ``"ts"``, ``"st"``) to the list of per-stage token tensors
+    [..., h*w, C] and ``dims`` is the list of per-stage (h, w) token grids.
+    The cross streams start from the *other* domain's embedded tokens:
+    f_ts^0 is the embedded target, f_st^0 the embedded source.
     """
     if img_s.shape != img_t.shape:
         raise ShapeError(f"paired images disagree: {img_s.shape} vs {img_t.shape}")
     tok_s, h, w = patch_embed(params, img_s, cfg.patch)
     tok_t, _, _ = patch_embed(params, img_t, cfg.patch)
-    f_s, f_t, f_ts, f_st = tok_s, tok_t, tok_t, tok_s
-    feats = {"s": [], "t": [], "ts": [], "st": []}
-    dims: list[tuple[int, int]] = []
-    for i in range(cfg.num_stages):
-        if i > 0:
-            pre = f"s{i}.merge"
-            f_s, h2, w2 = patch_merge(params, pre, f_s, h, w)
-            f_t, _, _ = patch_merge(params, pre, f_t, h, w)
-            f_ts, _, _ = patch_merge(params, pre, f_ts, h, w)
-            f_st, _, _ = patch_merge(params, pre, f_st, h, w)
-            h, w = h2, w2
-        if h < 1 or w < 1:
-            raise ShapeError(f"stage {i} token grid collapsed to {h}x{w}")
-        for l in range(cfg.depths[i]):
-            f_s, f_t, f_ts, f_st = quad_block(params, cfg, i, l,
-                                              f_s, f_t, f_ts, f_st, h, w)
-        feats["s"].append(f_s)
-        feats["t"].append(f_t)
-        feats["ts"].append(f_ts)
-        feats["st"].append(f_st)
-        dims.append((h, w))
-    return feats, dims
+
+    def merge(prefix, streams, h, w):      # one convolution over the stack
+        y, h2, w2 = patch_merge(params, prefix, stack(streams), h, w)
+        return tuple(gather(y, i) for i in range(len(streams))), h2, w2
+
+    outs, dims = _run_stages(
+        cfg, (tok_s, tok_t, tok_t, tok_s), h, w, merge,
+        lambda i, l, streams, h, w: quad_block(params, cfg, i, l, *streams, h, w))
+    return {name: [o[k] for o in outs] for k, name in enumerate(_STREAMS)}, dims
 
 
 def encoder_forward_single(params: dict, cfg: EncoderConfig, img: Tensor):
-    """Source-free single-stream forward (self-attention path only).
-
-    With shared branch weights this equals every stream of
-    ``encoder_forward(params, cfg, img, img)`` exactly; without sharing it
-    follows the target branch.
-    """
+    """Source-free single-stream forward: the one-stream case of
+    ``encoder_forward``.  With shared branch weights this equals every
+    stream of ``encoder_forward(params, cfg, img, img)`` exactly; without
+    sharing it follows the target branch."""
     tok, h, w = patch_embed(params, img, cfg.patch)
-    f = tok
-    feats: list[Tensor] = []
-    dims: list[tuple[int, int]] = []
-    for i in range(cfg.num_stages):
-        if i > 0:
-            f, h, w = patch_merge(params, f"s{i}.merge", f, h, w)
-        for l in range(cfg.depths[i]):
-            b = (f"s{i}.b{l}.all" if cfg.share_branch_weights
-                 else f"s{i}.b{l}.t")
-            n = _ln(params, f"{b}.ln", f)
-            a = attention(params, f"{b}.attn", n, n, h, w,
-                          cfg.heads[i], cfg.sr_ratios[i])
-            hat = a + f
-            f = mix_ffn(params, f"{b}.ffn", hat, h, w) + hat
-        feats.append(f)
-        dims.append((h, w))
-    return feats, dims
+    branch = "all" if cfg.share_branch_weights else "t"
+
+    def block(i, l, f, h, w):
+        pre = f"s{i}.b{l}.{branch}"
+        n = _ln(params, f"{pre}.ln", f)
+        return _sublayers(params, pre, n, n, f, h, w, cfg.heads[i], cfg.sr_ratios[i])
+
+    return _run_stages(cfg, tok, h, w, partial(patch_merge, params), block)

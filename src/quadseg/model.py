@@ -27,10 +27,10 @@ __all__ = ["PairOutput", "init_model_params", "forward_pair",
 
 
 @dataclass
-class PairOutput:
-    logits_s: Tensor        # [num_classes, H, W]
-    logits_t: Tensor        # [num_classes, H, W]
-    aug_t: Tensor           # [h0*w0, 2*num_stages*embed_dim] pre-fuse target feats
+class PairOutput:               # leading batch dims of the images carry through
+    logits_s: Tensor        # [..., num_classes, H, W]
+    logits_t: Tensor        # [..., num_classes, H, W]
+    aug_t: Tensor           # [..., h0*w0, 2*num_stages*embed_dim] pre-fuse target feats
     grid: tuple[int, int]   # stage-0 token grid (h0, w0)
 
 
@@ -49,7 +49,7 @@ def forward_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     tok_s, tok_t, aug_t = decode_pair(params, enc_cfg, dec_cfg, feats, dims,
                                       use_cross_src, use_cross_tgt)
     h0, w0 = dims[0]
-    hh, ww = img_s.shape[1], img_s.shape[2]
+    hh, ww = img_s.shape[-2:]
     return PairOutput(
         logits_s=logits_to_grid(tok_s, h0, w0, hh, ww),
         logits_t=logits_to_grid(tok_t, h0, w0, hh, ww),
@@ -60,11 +60,11 @@ def forward_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
 
 def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
                             dec_cfg: DecoderConfig, img: Tensor):
-    """Predict a target mask from the target image alone: single-stream
-    encoder, target head fused on (phi_t, phi_t).  Returns
-    ``(logits [K,H,W], aug [h0*w0, 2*num_stages*embed_dim], grid)``."""
+    """Predict a target mask from the target image [..., 3, H, W] alone:
+    single-stream encoder, target head fused on (phi_t, phi_t).  Returns
+    ``(logits [..., K, H, W], aug [..., h0*w0, 2*num_stages*C_e], grid)``."""
     feats, dims = encoder_forward_single(params, enc_cfg, img)
     tok, aug = decode_single(params, enc_cfg, dec_cfg, feats, dims)
     h0, w0 = dims[0]
-    hh, ww = img.shape[1], img.shape[2]
+    hh, ww = img.shape[-2:]
     return logits_to_grid(tok, h0, w0, hh, ww), aug, (h0, w0)

@@ -76,7 +76,8 @@ def init_disc_params(cfg: DiscConfig, rng: np.random.Generator) -> dict[str, Ten
 
 
 def discriminator_forward(params: dict, cfg: DiscConfig, probs: Tensor) -> Tensor:
-    """Mask probabilities [C, H, W] -> patch logits [1, H', W'].
+    """Mask probabilities [..., C, H, W] -> patch logits [..., 1, H', W'];
+    leading dims are a batch.
 
     Leaky-ReLU between layers, none after the last.  Raises a shape error
     when the input is smaller than the stack's receptive stride chain.

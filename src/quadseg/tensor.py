@@ -12,6 +12,7 @@ deterministic, so identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
+    "stack",
+    "gather",
     "tsum",
     "tmean",
     "softmax_lastdim",
@@ -323,6 +326,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
 
         def bwd(g):
+            if ad.ndim > 2 and bd.ndim == 2:
+                # a weight shared by every leading index: one gemm per side
+                k, n = bd.shape
+                ga = (g.reshape(-1, n) @ bd.T).reshape(ad.shape)
+                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
+                return (ga, gb)
             ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
             gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
             return (ga, gb)
@@ -368,6 +377,40 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                          for piece in np.split(g, splits, axis=axis))
         return bwd
     return _emit(out, tuple(parts), build, "concat")
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Join equal-shaped tensors along a new leading axis."""
+    out = np.stack([p.data for p in parts])
+
+    def build():
+        n = len(parts)
+
+        def bwd(g):
+            return tuple(g[i] for i in range(n))
+        return bwd
+    return _emit(out, tuple(parts), build, "stack")
+
+
+def gather(a: Tensor, index) -> Tensor:
+    """Pick along axis 0: an int drops the axis, a sequence of ints keeps it
+    and may repeat rows.  The backward rule scatter-adds into the rows."""
+    rows = index if isinstance(index, int) else list(index)
+    out = a.data[rows]
+
+    def build():
+        shape = a.shape
+
+        def bwd(g):
+            ga = np.zeros(shape)
+            if isinstance(rows, int):
+                ga[rows] = g
+            else:
+                for j, i in enumerate(rows):         # repeated rows accumulate
+                    ga[i] += g[j]
+            return (ga,)
+        return bwd
+    return _emit(out, (a,), build, "gather")
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -521,93 +564,144 @@ def _conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Direct cross-correlation: x [C_in,H,W], w [C_out,C_in,kh,kw]."""
-    cin, h_in, w_in = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
+# Convolution and resampling compute on [M, H, W, C] arrays (channels last,
+# the token layout); channel-first callers are moved to and from it inside
+# the op, at no tape cost.  Every leading dim is a batch, and each item is
+# computed on its own (per-item gemms, a fixed tap order), so an item's
+# output does not depend on how many items share the call.
+
+def _as_last(data: np.ndarray, channels_last: bool) -> np.ndarray:
+    """[M, H, W, C] view of a [..., H, W, C] or [..., C, H, W] array."""
+    flat = data.reshape((-1,) + data.shape[-3:])
+    return flat if channels_last else np.moveaxis(flat, 1, -1)
+
+
+def _from_last(data: np.ndarray, channels_last: bool) -> np.ndarray:
+    return data if channels_last else np.moveaxis(data, -1, -3)
+
+
+def _pad(xb: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the spatial axes of [M, H, W, C] (cheaper than np.pad)."""
+    m, h, w, c = xb.shape
+    xp = np.zeros((m, h + 2 * padding, w + 2 * padding, c))
+    xp[:, padding:padding + h, padding:padding + w] = xb
+    return xp
+
+
+def _tap(xp: np.ndarray, i: int, j: int, stride: int, h_out: int,
+         w_out: int) -> np.ndarray:
+    """View of the padded input that kernel tap (i, j) reads: [M, Ho, Wo, C]."""
+    return xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
+
+
+def _crop(gpad: np.ndarray, padding: int) -> np.ndarray:
+    hp, wp = gpad.shape[1:3]
+    return gpad[:, padding:hp - padding, padding:wp - padding]
+
+
+def _conv_dims(x: Tensor, kh: int, kw: int, stride: int, padding: int,
+               channels_last: bool, opname: str):
+    """(lead dims, C, H, W, Ho, Wo) of a convolution input."""
+    if channels_last:
+        *lead, h_in, w_in, c = x.shape
+    else:
+        *lead, c, h_in, w_in = x.shape
     h_out = _conv_out_size(h_in, kh, stride, padding)
     w_out = _conv_out_size(w_in, kw, stride, padding)
     if h_out < 1 or w_out < 1:
         raise ShapeError(
-            f"conv2d output would be {h_out}x{w_out} for input {x.shape}, "
-            f"kernel {w.shape}, stride {stride}, padding {padding}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
+            f"{opname} output would be {h_out}x{w_out} for input {x.shape}, "
+            f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
+    return tuple(lead), c, h_in, w_in, h_out, w_out
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
+           channels_last: bool = False) -> Tensor:
+    """Direct cross-correlation with w [C_out, C_in, kh, kw] over
+    x [..., C_in, H, W], or x [..., H, W, C_in] with ``channels_last``."""
+    cout, cin_w, kh, kw = w.shape
+    lead, cin, h_in, w_in, h_out, w_out = _conv_dims(
+        x, kh, kw, stride, padding, channels_last, "conv2d")
+    if cin != cin_w:
+        raise ShapeError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
+    xp = _pad(_as_last(x.data, channels_last), padding)
+    m = xp.shape[0]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                     # [Cin,Ho,Wo,kh,kw]
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, cin * kh * kw)
-    wmat = w.data.reshape(cout, cin * kh * kw)
-    out = (cols @ wmat.T).T.reshape(cout, h_out, w_out)
+    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    cols = win.reshape(m, h_out * w_out, kh * kw * cin)  # (kh, kw, Cin) columns
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = np.matmul(cols, wmat.T).reshape(lead + (h_out, w_out, cout))
 
     def build():
         need_x = _tracked(x)
-        cols_saved = np.ascontiguousarray(cols)
-        hp, wp = xp.shape[1], xp.shape[2]
 
         def bwd(g):
-            g2 = g.reshape(cout, h_out * w_out)
-            gw = (g2 @ cols_saved).reshape(cout, cin, kh, kw)
+            g2 = _as_last(g, channels_last).reshape(m, h_out * w_out, cout)
+            gw = np.tensordot(g2, cols, axes=([0, 1], [0, 1]))
+            gw = np.ascontiguousarray(
+                gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
             gx = None
             if need_x:
-                gcols = (g2.T @ wmat).reshape(h_out, w_out, cin, kh, kw)
-                gcols = gcols.transpose(2, 3, 4, 0, 1)   # [Cin,kh,kw,Ho,Wo]
-                gpad = np.zeros((cin, hp, wp))
+                gcols = np.matmul(g2, wmat).reshape(m, h_out, w_out, kh, kw, cin)
+                gpad = np.zeros(xp.shape)
                 for i in range(kh):
                     for j in range(kw):
-                        gpad[:, i:i + stride * h_out:stride,
-                             j:j + stride * w_out:stride] += gcols[:, i, j]
-                gx = gpad[:, padding:hp - padding, padding:wp - padding] \
-                    if padding else gpad
-                gx = np.ascontiguousarray(gx)
+                        view = _tap(gpad, i, j, stride, h_out, w_out)
+                        view += gcols[:, :, :, i, j]
+                gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, cin))
+                gx = np.ascontiguousarray(_from_last(gx, channels_last))
             return (gx, gw)
         return bwd
-    return _emit(out, (x, w), build, "conv2d")
+    return _emit(_from_last(out, channels_last), (x, w), build, "conv2d")
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
-    """Per-channel convolution: x [C,H,W], w [C,kh,kw]."""
-    c, h_in, w_in = x.shape
+def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
+                     channels_last: bool = False) -> Tensor:
+    """Per-channel convolution with w [C, kh, kw] over x [..., C, H, W], or
+    x [..., H, W, C] with ``channels_last``."""
     cw, kh, kw = w.shape
+    lead, c, h_in, w_in, h_out, w_out = _conv_dims(
+        x, kh, kw, stride, padding, channels_last, "depthwise")
     if c != cw:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape}, weight {w.shape}")
-    h_out = _conv_out_size(h_in, kh, stride, padding)
-    w_out = _conv_out_size(w_in, kw, stride, padding)
-    if h_out < 1 or w_out < 1:
-        raise ShapeError(f"depthwise output would be {h_out}x{w_out}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                     # [C,Ho,Wo,kh,kw]
-    out = np.einsum("chwij,cij->chw", win, w.data, optimize=True)
+    xp = _pad(_as_last(x.data, channels_last), padding)
+    wt = w.data.transpose(1, 2, 0)                       # [kh, kw, C]
+    out = np.zeros((xp.shape[0], h_out, w_out, c))
+    for i in range(kh):
+        for j in range(kw):
+            out += _tap(xp, i, j, stride, h_out, w_out) * wt[i, j]
+    out = out.reshape(lead + (h_out, w_out, c))
 
     def build():
         need_x = _tracked(x)
-        win_saved = win
-        hp, wp = xp.shape[1], xp.shape[2]
-        wd = w.data
 
         def bwd(g):
-            gw = np.einsum("chwij,chw->cij", win_saved, g, optimize=True)
+            g4 = _as_last(g, channels_last)
+            gw = np.empty((kh, kw, c))
+            gpad = np.zeros(xp.shape) if need_x else None
+            for i in range(kh):
+                for j in range(kw):
+                    gw[i, j] = np.einsum("mhwc,mhwc->c",
+                                         _tap(xp, i, j, stride, h_out, w_out), g4)
+                    if need_x:
+                        view = _tap(gpad, i, j, stride, h_out, w_out)
+                        view += g4 * wt[i, j]
             gx = None
             if need_x:
-                gpad = np.zeros((c, hp, wp))
-                for i in range(kh):
-                    for j in range(kw):
-                        gpad[:, i:i + stride * h_out:stride,
-                             j:j + stride * w_out:stride] += g * wd[:, i, j][:, None, None]
-                gx = gpad[:, padding:hp - padding, padding:wp - padding] \
-                    if padding else gpad
-                gx = np.ascontiguousarray(gx)
-            return (gx, gw)
+                gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, c))
+                gx = np.ascontiguousarray(_from_last(gx, channels_last))
+            return (gx, np.ascontiguousarray(gw.transpose(2, 0, 1)))
         return bwd
-    return _emit(out, (x, w), build, "depthwise_conv2d")
+    return _emit(_from_last(out, channels_last), (x, w), build, "depthwise_conv2d")
 
 
+@lru_cache(maxsize=256)
 def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic bilinear interpolation matrix, half-pixel-centers.
 
     Used by the autodiff upsample op and by plain-array resampling in the
-    label machinery, so both share one interpolation convention.
+    label machinery, so both share one interpolation convention.  Cached
+    per size pair and returned read-only.
     """
     m = np.zeros((n_out, n_in))
     scale = n_in / n_out
@@ -619,21 +713,35 @@ def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(m, (rows, lo), 1.0 - t)
     np.add.at(m, (rows, hi), t)
+    m.flags.writeable = False
     return m
 
 
-def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of x [C,H,W] with the half-pixel-centers convention."""
-    c, h, w = x.shape
+def upsample_bilinear(x: Tensor, out_h: int, out_w: int,
+                      channels_last: bool = False) -> Tensor:
+    """Bilinear resize of x [..., C, H, W], or x [..., H, W, C] with
+    ``channels_last``, under the half-pixel-centers convention."""
+    if channels_last:
+        *lead, h, w, c = x.shape
+    else:
+        *lead, c, h, w = x.shape
     if out_h < h or out_w < w:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
     ay = interp_matrix(h, out_h)                         # [outH, H]
     ax = interp_matrix(w, out_w)                         # [outW, W]
-    out = np.einsum("pi,ciw,qw->cpq", ay, x.data, ax, optimize=True)
+    if channels_last:
+        # resample W on [W, C] slices, then H on [H, outW*C] slices
+        xw = np.matmul(ax, x.data).reshape(*lead, h, out_w * c)
+        out = np.matmul(ay, xw).reshape(*lead, out_h, out_w, c)
+    else:
+        out = np.matmul(np.matmul(ay, x.data), ax.T)
 
     def build():
         def bwd(g):
-            return (np.einsum("pi,cpq,qw->ciw", ay, g, ax, optimize=True),)
+            if channels_last:
+                gw = np.matmul(ay.T, g.reshape(*lead, out_h, out_w * c))
+                return (np.matmul(ax.T, gw.reshape(*lead, h, out_w, c)),)
+            return (np.matmul(np.matmul(ay.T, g), ax),)
         return bwd
     return _emit(out, (x,), build, "upsample_bilinear")
 

@@ -58,9 +58,10 @@ from .objectives import (
     gen_adv_loss,
     init_disc_params,
     seg_cross_entropy,
+    total_loss,
 )
 from .pnm import write_pgm
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, gather
 
 __all__ = ["warmup", "adapt", "evaluate", "predict_mask",
            "source_val_iou", "target_val_iou", "LOG_HEADER"]
@@ -206,6 +207,10 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
         params = init_model_params(enc, dec, _rng(cfg.seed, _RNG_INIT, 0))
     else:
         data = load_checkpoint(resume)
+        if data.step > cfg.warmup_iterations:
+            raise CheckpointError(
+                f"checkpoint {resume!r} is at step {data.step}, past "
+                f"warmup_iterations = {cfg.warmup_iterations}")
         _check_architecture(parse_config(data.config_text), cfg)
         params = _restore_params(data, cfg)
         opt.load_state(_opt_state(data.tensors, critic=False), data.step)
@@ -220,15 +225,16 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
         rng = _rng(cfg.seed, _RNG_WARMUP, step)
         batch = rng.choice(len(src), size=min(cfg.batch, len(src)),
                            replace=False)
+        samples = [augment(src[int(i)], rng, crop=cfg.crop) for i in batch]
         with Tape() as tape:
             for p in params.values():
                 tape.watch(p)
+            logits, _, _ = infer_target_sourcefree(
+                params, enc, dec, Tensor(np.stack([s.image for s in samples])))
             acc = Tensor(0.0)
-            for i in batch:
-                s = augment(src[int(i)], rng, crop=cfg.crop)
-                logits, _, _ = infer_target_sourcefree(params, enc, dec,
-                                                       Tensor(s.image))
-                loss, _ = seg_cross_entropy(logits, s.label.astype(int),
+            for b, s in enumerate(samples):
+                loss, _ = seg_cross_entropy(gather(logits, b),
+                                            s.label.astype(int),
                                             class_weights=weights)
                 acc = acc + loss
             total = (1.0 / len(batch)) * acc
@@ -357,65 +363,63 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         rng = _rng(cfg.seed, _RNG_ADAPT, step)
         picks = rng.choice(len(pairset.pairs), size=cfg.batch,
                            replace=len(pairset.pairs) < cfg.batch)
+        batch = []
+        for k in picks:
+            si, tj = pairset.pairs[int(k)]
+            s = augment(src[si], rng, crop=cfg.crop)
+            batch.append((s, *_augment_target(tgt[tj], plabels[tj], rng,
+                                              cfg.crop)))
+        n = len(batch)
         gtape = Tape()
         l_s = l_t = g_term = Tensor(0.0)
-        probs_pairs: list = []
         ema_batch: list = []
         with gtape:
             for p in params.values():
                 gtape.watch(p)
-            for k in picks:
-                si, tj = pairset.pairs[int(k)]
-                s = augment(src[si], rng, crop=cfg.crop)
-                t_img, pl = _augment_target(tgt[tj], plabels[tj], rng,
-                                            cfg.crop)
-                out = forward_pair(params, enc, dec, Tensor(s.image),
-                                   Tensor(t_img), cfg.use_cross_src,
-                                   cfg.use_cross_tgt)
-                loss_s, _ = seg_cross_entropy(out.logits_s,
+            out = forward_pair(params, enc, dec,
+                               Tensor(np.stack([s.image for s, _, _ in batch])),
+                               Tensor(np.stack([t for _, t, _ in batch])),
+                               cfg.use_cross_src, cfg.use_cross_tgt)
+            for b, (s, _, pl) in enumerate(batch):
+                loss_s, _ = seg_cross_entropy(gather(out.logits_s, b),
                                               s.label.astype(int),
                                               class_weights=weights)
                 l_s = l_s + loss_s
                 if cfg.self_training:
-                    feats = out.aug_t.data
+                    feats = out.aug_t.data[b]
                     if correcting:
                         pl = correct_pseudo_labels(pl, feats, out.grid, bank,
                                                    cfg.temperature, cfg.tau)
-                    loss_t, _ = seg_cross_entropy(out.logits_t, pl.hard(),
-                                                  valid=pl.valid,
+                    loss_t, _ = seg_cross_entropy(gather(out.logits_t, b),
+                                                  pl.hard(), valid=pl.valid,
                                                   class_weights=weights)
                     l_t = l_t + loss_t
                     if correcting:
                         gh, gw = out.grid
                         ema_batch.append((feats, _grid_probs(pl.probs, gh, gw)))
-                if cfg.adversarial:
-                    probs_pairs.append((mask_probs(out.logits_s),
-                                        mask_probs(out.logits_t)))
+            if cfg.adversarial:
+                probs_s = mask_probs(out.logits_s)
+                probs_t = mask_probs(out.logits_t)
         d_val = ""
         if cfg.adversarial:
+            # source masks play the real role, target masks the fake role
             with Tape() as dtape:
                 for p in disc.values():
                     dtape.watch(p)
-                d_acc = Tensor(0.0)
-                for ps, pt in probs_pairs:
-                    d_real = discriminator_forward(disc, disc_cfg,
-                                                   Tensor(ps.data.copy()))
-                    d_fake = discriminator_forward(disc, disc_cfg,
-                                                   Tensor(pt.data.copy()))
-                    d_acc = d_acc + disc_loss(d_real, d_fake)
-                d_total = (1.0 / len(probs_pairs)) * d_acc
+                d_total = disc_loss(
+                    discriminator_forward(disc, disc_cfg, probs_s.detach()),
+                    discriminator_forward(disc, disc_cfg, probs_t.detach()))
                 dtape.backward(d_total)
             d_grads = {name: dtape.grad(p) for name, p in disc.items()}
             d_opt.step(disc, d_grads)
             d_val = d_total.item()
             with gtape:
-                for _, pt in probs_pairs:
-                    g_term = g_term + gen_adv_loss(
-                        discriminator_forward(disc, disc_cfg, pt))
+                # patch means over the batch, summed like the other terms
+                g_term = float(n) * gen_adv_loss(
+                    discriminator_forward(disc, disc_cfg, probs_t))
         with gtape:
-            n = float(len(picks))
-            total = (1.0 / n) * l_s + (cfg.beta1 / n) * l_t \
-                + (cfg.beta2 / n) * g_term
+            total = (1.0 / n) * total_loss(l_s, l_t, g_term,
+                                           cfg.beta1, cfg.beta2)
             gtape.backward(total)
         grads = {name: gtape.grad(p) for name, p in params.items()}
         lr = g_opt.step(params, grads)
@@ -425,10 +429,10 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 if proto is not None:
                     ema_update(bank, c, proto)
         periodic = step % cfg.eval_every == 0 or step == cfg.iterations
-        log.row(step, l_s=l_s.item() / len(picks),
-                l_t=l_t.item() / len(picks) if cfg.self_training else "",
+        log.row(step, l_s=l_s.item() / n,
+                l_t=l_t.item() / n if cfg.self_training else "",
                 d=d_val,
-                g=g_term.item() / len(picks) if cfg.adversarial else "",
+                g=g_term.item() / n if cfg.adversarial else "",
                 lr=f"{lr:.8g}",
                 tgt_iou=_mean_iou(params, cfg, tgt_val) if periodic else "")
     tensors = {**params, **g_opt.state_tensors()}

@@ -69,6 +69,23 @@ def test_apply_overrides_wins_over_base():
         apply_overrides(RunConfig(), {"lr": "banana"})
 
 
+def test_crop_must_fold_at_every_stage():
+    """Every stage's token grid must be divisible by its sr_ratio: crop 48
+    passes the >= 32 bound but gives stage 0 a 12x12 grid, which the
+    default ratio 8 cannot fold."""
+    with pytest.raises(ValueError, match=r"crop 48 .* stage 0 .*sr_ratios\[0\]"):
+        RunConfig(crop=48)
+    with pytest.raises(ValueError, match="crop 40"):
+        parse_config("crop = 40")
+    with pytest.raises(ValueError, match="patch size"):
+        RunConfig(crop=66)
+    with pytest.raises(ValueError, match=r"stage 1 .*sr_ratios\[1\]"):
+        RunConfig(crop=48, sr_ratios=(4, 4, 1, 1))
+    assert RunConfig(crop=96).crop == 96
+    # odd grids are fine where the ratio is 1: 48 -> 12, 6, 3, 2 tokens
+    assert RunConfig(crop=48, sr_ratios=(4, 2, 1, 1)).crop == 48
+
+
 def test_builder_configs_mirror_run_config():
     cfg = RunConfig()
     enc, dec, disc = cfg.encoder_config(), cfg.decoder_config(), \
@@ -272,6 +289,18 @@ def test_eval_never_reads_source_images(chain, tmp_path):
     finally:
         os.rename(hidden, os.path.join(chain["data"], "source"))
     assert rc == 0
+
+
+def test_warmup_resume_past_schedule_rejected(chain, tmp_path):
+    """A checkpoint whose step is past warmup_iterations must not be
+    re-saved under the shorter schedule's step."""
+    from quadseg.checkpoint import CheckpointError
+    from quadseg.train import warmup
+    cfg = parse_config("warmup_iterations = 2\neval_every = 2")
+    out = str(tmp_path / "resumed.ckpt")
+    with pytest.raises(CheckpointError, match="step 4"):
+        warmup(cfg, chain["data"], out, resume=chain["wck"])
+    assert not os.path.exists(out)
 
 
 def test_missing_checkpoint_exits_one(chain, capsys):

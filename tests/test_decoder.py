@@ -154,6 +154,73 @@ def test_fuse_gradient():
 
 
 # ---------------------------------------------------------------------------
+# stacked batch forward
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_batch_equals_separate_forwards():
+    """A batch-2 forward is bit-identical to two batch-1 forwards, paired and
+    source-free."""
+    params = _desk_params(30)
+    rng = np.random.default_rng(31)
+    img_s, img_t = rng.random((2, 3, 64, 64)), rng.random((2, 3, 64, 64))
+    out = forward_pair(params, DESK_ENC, DESK_DEC, Tensor(img_s), Tensor(img_t))
+    free, aug, _ = infer_target_sourcefree(params, DESK_ENC, DESK_DEC,
+                                           Tensor(img_t))
+    assert out.logits_s.shape == (2, 2, 64, 64)
+    assert out.aug_t.shape == (2, 256, 8 * DESK_DEC.embed_dim)
+    for b in range(2):
+        one = forward_pair(params, DESK_ENC, DESK_DEC, Tensor(img_s[b]),
+                           Tensor(img_t[b]))
+        np.testing.assert_array_equal(out.logits_s.data[b], one.logits_s.data)
+        np.testing.assert_array_equal(out.logits_t.data[b], one.logits_t.data)
+        np.testing.assert_array_equal(out.aug_t.data[b], one.aug_t.data)
+        free_one, aug_one, _ = infer_target_sourcefree(
+            params, DESK_ENC, DESK_DEC, Tensor(img_t[b]))
+        np.testing.assert_array_equal(free.data[b], free_one.data)
+        np.testing.assert_array_equal(aug.data[b], aug_one.data)
+
+
+def test_sourcefree_equals_degenerate_pair_at_batch_2():
+    params = _desk_params(32)
+    img = Tensor(np.random.default_rng(33).random((2, 3, 64, 64)))
+    paired = forward_pair(params, DESK_ENC, DESK_DEC, img, img)
+    logits, aug, grid = infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img)
+    assert float(np.abs(paired.logits_t.data - logits.data).max()) == 0.0
+    np.testing.assert_array_equal(aug.data, paired.aug_t.data)
+    assert grid == paired.grid
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_batched_pair_gradient(shared):
+    """Finite differences through a batch-2 paired forward, w.r.t. weights
+    on the stacked paths: patch merge, attention, Mix-FFN, decoder fuse."""
+    enc = EncoderConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
+                        sr_ratios=(2, 1), share_branch_weights=shared)
+    dec = DecoderConfig(embed_dim=4)
+    rng = np.random.default_rng(34)
+    params = init_model_params(enc, dec, rng)
+    for p in params.values():
+        p.data += rng.normal(scale=0.3, size=p.data.shape)
+    img_s, img_t = Tensor(rng.random((2, 3, 16, 16))), Tensor(rng.random((2, 3, 16, 16)))
+    w_s = Tensor(rng.normal(size=(2, 2, 16, 16)))
+    w_t = Tensor(rng.normal(size=(2, 2, 16, 16)))
+    branch = "all" if shared else "ts"
+    for name in ("s1.merge.w", f"s0.b0.{branch}.attn.wsr",
+                 f"s1.b0.{branch}.attn.wq", f"s0.b0.{branch}.ffn.dw",
+                 "dec.unify1.w", "dec.head.fuse.w"):
+        def loss(t, name=name):
+            trial = dict(params)
+            trial[name] = t
+            out = forward_pair(trial, enc, dec, img_s, img_t)
+            return tsum(out.logits_s * w_s) + tsum(out.logits_t * w_t)
+        coords = rng.choice(params[name].size, size=4, replace=False)
+        err = finite_diff_check(loss, params[name].copy(),
+                                coords=[int(c) for c in coords])
+        assert err < 1e-6, name
+
+
+# ---------------------------------------------------------------------------
 # checkpoint round-trip
 # ---------------------------------------------------------------------------
 

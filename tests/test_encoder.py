@@ -136,15 +136,21 @@ def test_attention_permutation_equivariance_at_unit_ratio():
     np.testing.assert_allclose(out_p[inv], out, atol=1e-12)
 
 
-def test_emsa_is_emca_with_shared_input():
-    from quadseg.encoder import emca, emsa
+def test_self_attention_is_cross_attention_with_shared_input():
+    """EMSA(x) (one tensor in both slots) equals EMCA(x, x') for an equal
+    but distinct key/value tensor, and equals the routed stacked form."""
     rng = np.random.default_rng(41)
     c = 4
     p = _attn_params(rng, c, 1)
     x = Tensor(rng.normal(size=(16, c)))
+    self_out = attention(p, "a", x, x, 4, 4, 1, 1).data
     np.testing.assert_array_equal(
-        emsa(p, "a", x, 4, 4, 1, 1).data,
-        emca(p, "a", x, x, 4, 4, 1, 1).data)
+        self_out, attention(p, "a", x, Tensor(x.data.copy()), 4, 4, 1, 1).data)
+    pair = Tensor(np.stack([x.data, x.data]))
+    routed = attention(p, "a", pair, pair, 4, 4, 1, 1,
+                       route=((0, 1, 1, 0), (0, 1, 0, 1))).data
+    for row in routed:
+        np.testing.assert_array_equal(row, self_out)
 
 
 def test_attention_gradient():

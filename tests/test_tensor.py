@@ -11,6 +11,7 @@ from quadseg.tensor import (
     conv2d,
     depthwise_conv2d,
     finite_diff_check,
+    gather,
     gelu,
     layer_norm,
     leaky_relu,
@@ -21,6 +22,7 @@ from quadseg.tensor import (
     set_fault_injection,
     softmax_lastdim,
     softplus,
+    stack,
     tmean,
     transpose,
     tsum,
@@ -379,3 +381,107 @@ def test_fault_injection_is_caught():
     finally:
         set_fault_injection(False)
     assert err > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# batched convolution / resampling and the stream-stacking ops
+# ---------------------------------------------------------------------------
+
+
+def _weighted(op, out_shape, seed):
+    """tsum(op(t) * w) for a fixed random w, so every output element carries
+    its own weight in the gradient check."""
+    w = Tensor(np.random.default_rng(seed).normal(size=out_shape))
+    return lambda t: tsum(op(t) * w)
+
+
+def test_grad_conv2d_batched_both_inputs():
+    rng = np.random.default_rng(40)
+    w = Tensor(rng.normal(size=(2, 3, 3, 3)))
+    x = Tensor(rng.normal(size=(2, 2, 3, 5, 5)))
+    _check(_weighted(lambda t: conv2d(t, w, stride=2, padding=1),
+                     (2, 2, 2, 3, 3), 41), (2, 2, 3, 5, 5), 42)
+    _check(_weighted(lambda t: conv2d(x, t, stride=2, padding=1),
+                     (2, 2, 2, 3, 3), 43), (2, 3, 3, 3), 44)
+
+
+def test_grad_conv2d_channels_last_both_inputs():
+    rng = np.random.default_rng(45)
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    x = Tensor(rng.normal(size=(2, 6, 6, 3)))
+    _check(_weighted(lambda t: conv2d(t, w, stride=2, padding=1,
+                                      channels_last=True), (2, 3, 3, 4), 46),
+           (2, 6, 6, 3), 47)
+    _check(_weighted(lambda t: conv2d(x, t, stride=2, padding=1,
+                                      channels_last=True), (2, 3, 3, 4), 48),
+           (4, 3, 3, 3), 49)
+
+
+def test_grad_depthwise_batched_and_channels_last():
+    rng = np.random.default_rng(50)
+    w = Tensor(rng.normal(size=(3, 3, 3)))
+    x = Tensor(rng.normal(size=(2, 4, 4, 3)))
+    _check(_weighted(lambda t: depthwise_conv2d(t, w), (2, 3, 4, 4), 51),
+           (2, 3, 4, 4), 52)
+    _check(_weighted(lambda t: depthwise_conv2d(t, w, channels_last=True),
+                     (2, 4, 4, 3), 53), (2, 4, 4, 3), 54)
+    _check(_weighted(lambda t: depthwise_conv2d(x, t, channels_last=True),
+                     (2, 4, 4, 3), 55), (3, 3, 3), 56)
+
+
+def test_grad_upsample_batched_and_channels_last():
+    _check(_weighted(lambda t: upsample_bilinear(t, 6, 8), (2, 3, 6, 8), 57),
+           (2, 3, 3, 4), 58)
+    _check(_weighted(lambda t: upsample_bilinear(t, 6, 8, channels_last=True),
+                     (2, 6, 8, 3), 59), (2, 3, 4, 3), 60)
+
+
+def test_grad_gather_and_stack():
+    # repeated rows must scatter-add their gradients back
+    _check(_weighted(lambda t: gather(t, (0, 1, 1, 0, 2)), (5, 4), 61), (3, 4), 62)
+    _check(_weighted(lambda t: gather(t, 1), (4,), 63), (3, 4), 64)
+    other = Tensor(np.random.default_rng(65).normal(size=(2, 3)))
+    _check(_weighted(lambda t: stack([t, other, t]), (3, 2, 3), 66), (2, 3), 67)
+
+
+def test_channels_last_matches_channels_first():
+    rng = np.random.default_rng(70)
+    x = rng.normal(size=(2, 3, 6, 6))
+    xl = Tensor(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))
+    w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+    dw = Tensor(rng.normal(size=(3, 3, 3)))
+    pairs = [
+        (conv2d(Tensor(x), w, 2, 1), conv2d(xl, w, 2, 1, channels_last=True)),
+        (depthwise_conv2d(Tensor(x), dw),
+         depthwise_conv2d(xl, dw, channels_last=True)),
+        (upsample_bilinear(Tensor(x), 12, 9),
+         upsample_bilinear(xl, 12, 9, channels_last=True)),
+    ]
+    for first, last in pairs:
+        np.testing.assert_allclose(first.data, last.data.transpose(0, 3, 1, 2),
+                                   rtol=0, atol=1e-13)
+
+
+def test_batched_ops_are_per_item_bitwise():
+    """An item's output must not depend on how many items share the call:
+    the stacked forward relies on it for exact stream degeneracy."""
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(3, 2, 8, 8, 4))
+    w = Tensor(rng.normal(size=(5, 4, 3, 3)))
+    dw = Tensor(rng.normal(size=(4, 3, 3)))
+    ops = [lambda t: conv2d(t, w, 2, 1, channels_last=True),
+           lambda t: depthwise_conv2d(t, dw, channels_last=True),
+           lambda t: upsample_bilinear(t, 16, 16, channels_last=True)]
+    for op in ops:
+        full = op(Tensor(x)).data
+        for i in range(3):
+            for j in range(2):
+                np.testing.assert_array_equal(full[i, j], op(Tensor(x[i, j])).data)
+
+
+def test_interp_matrix_is_cached_read_only():
+    from quadseg.tensor import interp_matrix
+    m = interp_matrix(4, 16)
+    assert interp_matrix(4, 16) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
