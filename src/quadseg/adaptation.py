@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pnm import read_f64, read_pgm, write_f64, write_pgm
-from .tensor import Tensor, interp_matrix
+from .tensor import interp_matrix
 from .decoder import mask_probs
-from .model import infer_target_sourcefree
+from .model import infer_target_sourcefree, stack_chunks
 
 __all__ = [
     "PrototypeBank",
@@ -176,15 +176,15 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
 
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
                          tau: float = 0.9) -> list[PseudoLabels]:
-    """Source-free inference over ``images`` ([3, H, W] arrays); valid where
-    the max class probability reaches ``tau``."""
+    """Source-free inference over ``images`` (same-sized [3, H, W] arrays,
+    run in chunks); valid where the max class probability reaches ``tau``."""
     out = []
-    for img in images:
-        logits, _, _ = infer_target_sourcefree(params, enc_cfg, dec_cfg,
-                                               Tensor(img))
-        probs = mask_probs(logits).data
-        out.append(PseudoLabels(probs=probs, valid=probs.max(axis=0) >= tau,
-                                provenance="warm-up"))
+    for chunk in stack_chunks(images):
+        logits = infer_target_sourcefree(params, enc_cfg, dec_cfg, chunk)[0]
+        for probs in mask_probs(logits).data:
+            out.append(PseudoLabels(probs=probs,
+                                    valid=probs.max(axis=0) >= tau,
+                                    provenance="warm-up"))
     return out
 
 

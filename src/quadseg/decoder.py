@@ -26,7 +26,7 @@ from .tensor import (
     Tensor,
     concat,
     gather,
-    matmul,
+    linear,
     relu,
     softmax_lastdim,
     stack,
@@ -92,7 +92,7 @@ def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
     h0, w0 = dims[0]
     pieces = []
     for i, (f, (h, w)) in enumerate(zip(stage_feats, dims)):
-        u = matmul(f, params[f"dec.unify{i}.w"]) + params[f"dec.unify{i}.b"]
+        u = linear(f, params[f"dec.unify{i}.w"], params[f"dec.unify{i}.b"])
         if (h, w) != (h0, w0):
             u = to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
                                             channels_last=True))
@@ -101,16 +101,22 @@ def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
 
 
 def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
-                     phi_a: Tensor, phi_b: Tensor) -> Tensor:
-    """Concatenate two phi maps and classify: [..., h0*w0, num_classes] logits."""
-    if phi_a.shape != phi_b.shape:
-        raise ShapeError(f"phi shapes disagree: {phi_a.shape} vs {phi_b.shape}")
-    x = concat([phi_a, phi_b], axis=-1)
-    x = relu(matmul(x, params[f"dec.{head}.fuse.w"]) + params[f"dec.{head}.fuse.b"])
+                     phi_a: Tensor, phi_b: Tensor | None = None) -> Tensor:
+    """Concatenate two phi maps and classify: [..., h0*w0, num_classes] logits.
+    With ``phi_b`` None, ``phi_a`` is the concatenation already built."""
+    if phi_b is not None:
+        if phi_a.shape != phi_b.shape:
+            raise ShapeError(f"phi shapes disagree: {phi_a.shape} vs {phi_b.shape}")
+        phi_a = concat([phi_a, phi_b], axis=-1)
+
+    def layer(name, x):
+        pre = f"dec.{head}.{name}"
+        return linear(x, params[f"{pre}.w"], params[f"{pre}.b"])
+
+    x = relu(layer("fuse", phi_a))
     if dec_cfg.extra_hidden:
-        x = relu(matmul(x, params[f"dec.{head}.hidden.w"])
-                 + params[f"dec.{head}.hidden.b"])
-    return matmul(x, params[f"dec.{head}.cls.w"]) + params[f"dec.{head}.cls.b"]
+        x = relu(layer("hidden", x))
+    return layer("cls", x)
 
 
 def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
@@ -127,19 +133,17 @@ def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
         params, enc_cfg,
         [stack([feats[n][i] for n in names]) for i in range(len(dims))], dims)
     row = {n: k for k, n in enumerate(names)}
-    # the (source, target) heads fuse self maps with cross maps
-    own = gather(phi, (row["s"], row["t"]))
-    cross = gather(phi, (row.get("ts", row["s"]), row.get("st", row["t"])))
+    # the (source, target) heads fuse self maps with cross maps; row 1 of
+    # the joined maps is also the augmented target feature
+    joined = concat([gather(phi, (row["s"], row["t"])),
+                     gather(phi, (row.get("ts", row["s"]),
+                                  row.get("st", row["t"])))], axis=-1)
+    aug_t = gather(joined, 1)
     if dec_cfg.share_heads:
-        logits = fuse_and_predict(params, dec_cfg, "head", own, cross)
-        logits_s, logits_t = gather(logits, 0), gather(logits, 1)
-    else:
-        logits_s = fuse_and_predict(params, dec_cfg, "head_src",
-                                    gather(own, 0), gather(cross, 0))
-        logits_t = fuse_and_predict(params, dec_cfg, "head_tgt",
-                                    gather(own, 1), gather(cross, 1))
-    aug_t = concat([gather(own, 1), gather(cross, 1)], axis=-1)
-    return logits_s, logits_t, aug_t
+        logits = fuse_and_predict(params, dec_cfg, "head", joined)
+        return gather(logits, 0), gather(logits, 1), aug_t
+    return (fuse_and_predict(params, dec_cfg, "head_src", gather(joined, 0)),
+            fuse_and_predict(params, dec_cfg, "head_tgt", aug_t), aug_t)
 
 
 def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
@@ -147,10 +151,10 @@ def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     """Source-free path: the one-stream case of ``decode_pair``, fusing
     (phi_t, phi_t) through the target head.  Returns ``(logits, aug)``
     shaped like the target outputs of ``decode_pair``."""
-    phi = unify_and_upsample(params, enc_cfg, feats, dims)
+    # phi itself is freed once the join is built
+    aug = concat([unify_and_upsample(params, enc_cfg, feats, dims)] * 2, axis=-1)
     head = "head" if dec_cfg.share_heads else "head_tgt"
-    logits = fuse_and_predict(params, dec_cfg, head, phi, phi)
-    return logits, concat([phi, phi], axis=-1)
+    return fuse_and_predict(params, dec_cfg, head, aug), aug
 
 
 def logits_to_grid(logits: Tensor, h: int, w: int,

@@ -31,7 +31,6 @@ every stream and batch item.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,9 +44,9 @@ from .tensor import (
     gather,
     gelu,
     layer_norm,
-    matmul,
+    linear,
+    multi_head_attention,
     reshape,
-    softmax_lastdim,
     stack,
     transpose,
 )
@@ -193,7 +192,7 @@ def patch_embed(params: dict, img: Tensor, patch: int) -> tuple[Tensor, int, int
     x = reshape(img, (*lead, cin, h, patch, w, patch))
     x = transpose(x, (*range(k), k + 1, k + 3, k, k + 2, k + 4))  # [.., h, w, Cin, p, p]
     x = reshape(x, (*lead, h * w, cin * patch * patch))
-    tokens = matmul(x, params["embed.w"]) + params["embed.b"]
+    tokens = linear(x, params["embed.w"], params["embed.b"])
     return tokens, h, w
 
 
@@ -219,7 +218,7 @@ def sequence_reduce(params: dict, prefix: str, tokens: Tensor,
         x = reshape(x, (*lead, h // ratio, ratio, w // ratio, ratio, c))
         x = transpose(x, (*range(k), k, k + 2, k + 1, k + 3, k + 4))
         x = reshape(x, (*lead, (h // ratio) * (w // ratio), ratio * ratio * c))
-    return matmul(x, params[f"{prefix}.wsr"]) + params[f"{prefix}.bsr"]
+    return linear(x, params[f"{prefix}.wsr"], params[f"{prefix}.bsr"])
 
 
 def attention(params: dict, prefix: str, q_tokens: Tensor, kv_tokens: Tensor,
@@ -230,34 +229,22 @@ def attention(params: dict, prefix: str, q_tokens: Tensor, kv_tokens: Tensor,
     path is sequence-reduced.  ``route = (q_rows, kv_rows)`` pairs rows of the
     leading axis after the projections: output row i attends with query row
     ``q_rows[i]`` over key/value row ``kv_rows[i]``."""
-    *lead, n, c = q_tokens.shape
-    dh, k = c // heads, len(lead)
-    keep = tuple(range(k))
-    q = matmul(q_tokens, params[f"{prefix}.wq"]) + params[f"{prefix}.bq"]
+    def proj(m, x):
+        return linear(x, params[f"{prefix}.w{m}"], params[f"{prefix}.b{m}"])
+
+    q = proj("q", q_tokens)
     red = sequence_reduce(params, prefix, kv_tokens, h, w, ratio)
-    kk = matmul(red, params[f"{prefix}.wk"]) + params[f"{prefix}.bk"]
-    v = matmul(red, params[f"{prefix}.wv"]) + params[f"{prefix}.bv"]
-    nr = red.shape[-2]
-    q = transpose(reshape(q, (*lead, n, heads, dh)), (*keep, k + 1, k, k + 2))
-    kt = transpose(reshape(kk, (*lead, nr, heads, dh)), (*keep, k + 1, k + 2, k))
-    v = transpose(reshape(v, (*lead, nr, heads, dh)), (*keep, k + 1, k, k + 2))
-    if route is not None:
-        q_rows, kv_rows = route
-        q, kt, v = gather(q, q_rows), gather(kt, kv_rows), gather(v, kv_rows)
-    scores = matmul(q, kt) * (1.0 / math.sqrt(dh))      # [..., heads, N, Nr]
-    out = matmul(softmax_lastdim(scores), v)             # [..., heads, N, dh]
-    out = transpose(out, (*keep, k + 1, k, k + 2))
-    out = reshape(out, out.shape[:-2] + (c,))
-    return matmul(out, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+    return proj("o", multi_head_attention(q, proj("k", red), proj("v", red),
+                                          heads, route))
 
 
 def mix_ffn(params: dict, prefix: str, tokens: Tensor, h: int, w: int) -> Tensor:
     """Expand -> depthwise 3x3 over the token grid -> GELU -> project."""
-    x = matmul(tokens, params[f"{prefix}.w1"]) + params[f"{prefix}.b1"]
+    x = linear(tokens, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     s = depthwise_conv2d(to_grid(x, h, w), params[f"{prefix}.dw"],
                          stride=1, padding=1, channels_last=True)
     x = gelu(to_tokens(s) + params[f"{prefix}.bdw"])
-    return matmul(x, params[f"{prefix}.w2"]) + params[f"{prefix}.b2"]
+    return linear(x, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,17 @@ from .encoder import (
 )
 from .tensor import Tensor
 
-__all__ = ["PairOutput", "init_model_params", "forward_pair",
-           "infer_target_sourcefree"]
+__all__ = ["PairOutput", "INFER_CHUNK", "init_model_params", "forward_pair",
+           "infer_target_sourcefree", "stack_chunks"]
+
+# Images per forward in the whole-corpus inference loops (pseudo-labels,
+# prototype bank).  Every op computes each batch item on its own, so the
+# results do not depend on it.  A larger chunk saves more per-op dispatch,
+# but the decoder's transient (~1.5 MB per 64x64 image, mostly the
+# [phi, phi] map) grows with it, and the pseudo-label pass runs while the
+# last warm-up step's tape is still resident: at 5 images a warm-up's peak
+# memory passed that of the one-image loop this replaced.
+INFER_CHUNK = 3
 
 
 @dataclass
@@ -68,3 +77,10 @@ def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
     h0, w0 = dims[0]
     hh, ww = img.shape[-2:]
     return logits_to_grid(tok, h0, w0, hh, ww), aug, (h0, w0)
+
+
+def stack_chunks(images: list):
+    """Same-sized [3, H, W] arrays as [n, 3, H, W] input Tensors of at most
+    ``INFER_CHUNK`` images each, in order."""
+    for i in range(0, len(images), INFER_CHUNK):
+        yield Tensor(np.stack(images[i:i + INFER_CHUNK]))

@@ -24,6 +24,8 @@ __all__ = [
     "Tape",
     "tensor",
     "matmul",
+    "linear",
+    "multi_head_attention",
     "add",
     "sub",
     "mul",
@@ -57,8 +59,11 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the verify command's self-test that the gradient checker catches faults.
 _FAULT_INJECTION = False
 
-# Finite checks on every forward op; cheap at desk scale and turns numeric
-# blowups into immediate hard errors as required.
+# Finite checks on every op that computes new values; cheap at desk scale
+# and turns numeric blowups into immediate hard errors.  Ops that only move
+# values (reshape, transpose, concat, stack, gather, neg) skip the check:
+# their output is finite whenever their inputs are, so a bad value still
+# raises at the op that made it.
 FINITE_CHECKS = True
 
 
@@ -79,7 +84,7 @@ def _as_array(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if FINITE_CHECKS and not np.isfinite(arr).all():
         raise FloatingPointError(f"{opname}: non-finite values in forward output")
 
 
@@ -225,10 +230,9 @@ class Tape:
             for pid, part in zip(node.parents, parts):
                 if pid < 0 or part is None:
                     continue
-                if grads[pid] is None:
-                    grads[pid] = part.copy() if part.base is not None else part
-                else:
-                    grads[pid] = grads[pid] + part
+                # parts may be views of g or of each other: accumulation is
+                # out of place and no rule writes into its incoming gradient
+                grads[pid] = part if grads[pid] is None else grads[pid] + part
         self.grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
@@ -246,13 +250,19 @@ def _tracked(t: Tensor) -> bool:
 
 
 def _emit(out_data: np.ndarray, parents: Sequence[Tensor], backward_builder,
-          opname: str) -> Tensor:
+          opname: str, computes: bool = True) -> Tensor:
     """Wrap op output; record on the active tape only if any parent is tracked.
 
     ``backward_builder`` is called lazily (only when recording) and must
-    return the backward closure.
+    return the backward closure.  It decides there, with ``_tracked``,
+    which parents need a gradient part; the closure returns None for the
+    rest.  The closure may hold arrays and shapes but never a Tensor: a
+    Tensor holds its tape, and the tape <-> closure cycle would outlive the
+    step until the cyclic GC runs.  ``computes`` is False for ops that only
+    move values, which skip the finite check.
     """
-    _check_finite(out_data, opname)
+    if computes:
+        _check_finite(out_data, opname)
     if _ACTIVE_TAPE is None or not any(_tracked(p) for p in parents):
         return Tensor(out_data)
     return _ACTIVE_TAPE._record(out_data, parents, backward_builder())
@@ -278,10 +288,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def build():
+        need_a, need_b = _tracked(a), _tracked(b)
         ashape, bshape = a.shape, b.shape
 
         def bwd(g):
-            return (_unbroadcast(g, ashape), _unbroadcast(g, bshape))
+            return (_unbroadcast(g, ashape) if need_a else None,
+                    _unbroadcast(g, bshape) if need_b else None)
         return bwd
     return _emit(out, (a, b), build, "add")
 
@@ -290,10 +302,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def build():
+        need_a, need_b = _tracked(a), _tracked(b)
         ashape, bshape = a.shape, b.shape
 
         def bwd(g):
-            return (_unbroadcast(g, ashape), _unbroadcast(-g, bshape))
+            return (_unbroadcast(g, ashape) if need_a else None,
+                    _unbroadcast(-g, bshape) if need_b else None)
         return bwd
     return _emit(out, (a, b), build, "sub")
 
@@ -302,41 +316,83 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def build():
-        ad, bd = a.data, b.data
+        # each part needs the other operand's values
+        ad = a.data if _tracked(b) else None
+        bd = b.data if _tracked(a) else None
+        ashape, bshape = a.shape, b.shape
 
         def bwd(g):
-            return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
+            return (None if bd is None else _unbroadcast(g * bd, ashape),
+                    None if ad is None else _unbroadcast(g * ad, bshape))
         return bwd
     return _emit(out, (a, b), build, "mul")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _emit(-a.data, (a,), lambda: (lambda g: (-g,)), "neg")
+    return _emit(-a.data, (a,), lambda: (lambda g: (-g,)), "neg",
+                 computes=False)
+
+
+def _check_matmul(a: Tensor, b: Tensor, opname: str) -> None:
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"{opname} needs >=2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"{opname} inner dims disagree: {a.shape} @ {b.shape}")
+
+
+def _matmul_grads(g: np.ndarray, ad, bd, ashape: tuple, bshape: tuple):
+    """(ga, gb) of ``a @ b`` from the output gradient.  ``bd`` is passed
+    only when ga is wanted and ``ad`` only when gb is; a part whose operand
+    is None is skipped and returned as None."""
+    ga = gb = None
+    if len(ashape) > 2 and len(bshape) == 2:
+        # a weight shared by every leading index: one gemm per side
+        k, n = bshape
+        if bd is not None:
+            ga = (g.reshape(-1, n) @ bd.T).reshape(ashape)
+        if ad is not None:
+            gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, gb
+    if bd is not None:
+        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ashape)
+    if ad is not None:
+        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bshape)
+    return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading batch dims broadcast."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
+    _check_matmul(a, b, "matmul")
     out = np.matmul(a.data, b.data)
 
     def build():
-        ad, bd = a.data, b.data
+        ad = a.data if _tracked(b) else None
+        bd = b.data if _tracked(a) else None
+        ashape, bshape = a.shape, b.shape
+        return lambda g: _matmul_grads(g, ad, bd, ashape, bshape)
+    return _emit(out, (a, b), build, "matmul")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one op: x [..., K], w [K, N], b [N].  Bit-identical
+    to ``matmul(x, w) + b``, values and gradients."""
+    _check_matmul(x, w, "linear")
+    if w.data.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear weight {w.shape} / bias {b.shape} mismatch")
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def build():
+        xd = x.data if _tracked(w) else None
+        wd = w.data if _tracked(x) else None
+        need_b = _tracked(b)
+        xshape, wshape, bshape = x.shape, w.shape, b.shape
 
         def bwd(g):
-            if ad.ndim > 2 and bd.ndim == 2:
-                # a weight shared by every leading index: one gemm per side
-                k, n = bd.shape
-                ga = (g.reshape(-1, n) @ bd.T).reshape(ad.shape)
-                gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
-                return (ga, gb)
-            ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape)
-            gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape)
-            return (ga, gb)
+            gx, gw = _matmul_grads(g, xd, wd, xshape, wshape)
+            return (gx, gw, _unbroadcast(g, bshape) if need_b else None)
         return bwd
-    return _emit(out, (a, b), build, "matmul")
+    return _emit(out, (x, w, b), build, "linear")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -349,7 +405,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         def bwd(g):
             return (g.reshape(orig),)
         return bwd
-    return _emit(out, (a,), build, "reshape")
+    return _emit(out, (a,), build, "reshape", computes=False)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -362,7 +418,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         def bwd(g):
             return (np.ascontiguousarray(g.transpose(inv)),)
         return bwd
-    return _emit(out, (a,), build, "transpose")
+    return _emit(out, (a,), build, "transpose", computes=False)
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -376,7 +432,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             return tuple(np.ascontiguousarray(piece)
                          for piece in np.split(g, splits, axis=axis))
         return bwd
-    return _emit(out, tuple(parts), build, "concat")
+    return _emit(out, tuple(parts), build, "concat", computes=False)
 
 
 def stack(parts: Sequence[Tensor]) -> Tensor:
@@ -389,7 +445,7 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
         def bwd(g):
             return tuple(g[i] for i in range(n))
         return bwd
-    return _emit(out, tuple(parts), build, "stack")
+    return _emit(out, tuple(parts), build, "stack", computes=False)
 
 
 def gather(a: Tensor, index) -> Tensor:
@@ -402,15 +458,22 @@ def gather(a: Tensor, index) -> Tensor:
         shape = a.shape
 
         def bwd(g):
-            ga = np.zeros(shape)
             if isinstance(rows, int):
+                ga = np.zeros(shape)
                 ga[rows] = g
-            else:
-                for j, i in enumerate(rows):         # repeated rows accumulate
-                    ga[i] += g[j]
-            return (ga,)
+                return (ga,)
+            return (_scatter_rows(g, rows, shape[0]),)
         return bwd
-    return _emit(out, (a,), build, "gather")
+    return _emit(out, (a,), build, "gather", computes=False)
+
+
+def _scatter_rows(g: np.ndarray, rows: list, n: int) -> np.ndarray:
+    """Backward of picking ``rows`` along axis 0 of an n-row array:
+    repeated rows accumulate, in row order."""
+    ga = np.zeros((n,) + g.shape[1:])
+    for j, i in enumerate(rows):
+        ga[i] += g[j]
+    return ga
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -557,6 +620,78 @@ def softplus(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                         route=None) -> Tensor:
+    """Scaled dot-product attention as one op: queries q [..., N, C] over
+    keys and values k, v [..., Nr, C], with C split into ``heads`` heads.
+    Returns [..., N, C].
+
+    ``route = (q_rows, kv_rows)`` pairs rows of the leading axis: output
+    row i attends with query row ``q_rows[i]`` over key/value row
+    ``kv_rows[i]``; rows may repeat, and their gradients accumulate.  The
+    arithmetic is that of the composed head split, gather, matmul, scale,
+    softmax, matmul and head merge, so values and gradients match those
+    ops bit for bit.
+    """
+    *lead, n, c = q.shape
+    if c % heads or k.shape[-1] != c or k.shape != v.shape \
+            or k.shape[:-2] != tuple(lead):
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, heads {heads}")
+    nr, dh, nl = k.shape[-2], c // heads, len(lead)
+    keep = tuple(range(nl))
+    split = (*keep, nl + 1, nl, nl + 2)      # [.., M, h, dh] <-> [.., h, M, dh]
+    k_split = (*keep, nl + 1, nl + 2, nl)    # [.., Nr, h, dh] -> [.., h, dh, Nr]
+    qh = np.ascontiguousarray(q.data.reshape(*lead, n, heads, dh).transpose(split))
+    kt = np.ascontiguousarray(k.data.reshape(*lead, nr, heads, dh).transpose(k_split))
+    vh = np.ascontiguousarray(v.data.reshape(*lead, nr, heads, dh).transpose(split))
+    q_rows = kv_rows = None
+    if route is not None:
+        q_rows, kv_rows = list(route[0]), list(route[1])
+        qh, kt, vh = qh[q_rows], kt[kv_rows], vh[kv_rows]
+    scale = 1.0 / math.sqrt(dh)
+    scores = np.matmul(qh, kt) * scale                    # [.., h, N, Nr]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    o = np.matmul(s, vh)                                  # [.., h, N, dh]
+    out = np.ascontiguousarray(o.transpose(split)).reshape(o.shape[:-3] + (n, c))
+
+    def build():
+        need_q, need_k, need_v = _tracked(q), _tracked(k), _tracked(v)
+        k_merge = tuple(np.argsort(k_split))
+        shape = tuple(lead)
+
+        def merge(gh, rows, perm, like):
+            # undo the gather (scatter-add), then the head split
+            if gh is None:
+                return None
+            if rows is not None:
+                gh = _scatter_rows(gh, rows, shape[0])
+            return np.ascontiguousarray(gh.transpose(perm)).reshape(like)
+
+        def bwd(g):
+            go = np.ascontiguousarray(
+                g.reshape(g.shape[:-1] + (heads, dh)).transpose(split))
+            gv = np.matmul(s.swapaxes(-1, -2), go) if need_v else None
+            gq = gk = None
+            if need_q or need_k:
+                gs = np.matmul(go, vh.swapaxes(-1, -2))
+                gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+                if need_q:
+                    gq = np.matmul(gz, kt.swapaxes(-1, -2))
+                if need_k:
+                    gk = np.matmul(qh.swapaxes(-1, -2), gz)
+            return (merge(gq, q_rows, split, shape + (n, c)),
+                    merge(gk, kv_rows, k_merge, shape + (nr, c)),
+                    merge(gv, kv_rows, split, shape + (nr, c)))
+        return bwd
+    return _emit(out, (q, k, v), build, "multi_head_attention")
+
+
+# ---------------------------------------------------------------------------
 # convolution / resampling
 # ---------------------------------------------------------------------------
 
@@ -634,16 +769,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
 
     def build():
         need_x = _tracked(x)
+        wcols = cols if _tracked(w) else None
+        pshape = xp.shape
 
         def bwd(g):
             g2 = _as_last(g, channels_last).reshape(m, h_out * w_out, cout)
-            gw = np.tensordot(g2, cols, axes=([0, 1], [0, 1]))
-            gw = np.ascontiguousarray(
-                gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-            gx = None
+            gx = gw = None
+            if wcols is not None:
+                gw = np.tensordot(g2, wcols, axes=([0, 1], [0, 1]))
+                gw = np.ascontiguousarray(
+                    gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
             if need_x:
                 gcols = np.matmul(g2, wmat).reshape(m, h_out, w_out, kh, kw, cin)
-                gpad = np.zeros(xp.shape)
+                gpad = np.zeros(pshape)
                 for i in range(kh):
                     for j in range(kw):
                         view = _tap(gpad, i, j, stride, h_out, w_out)
@@ -674,15 +812,18 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
 
     def build():
         need_x = _tracked(x)
+        xw = xp if _tracked(w) else None
+        pshape = xp.shape
 
         def bwd(g):
             g4 = _as_last(g, channels_last)
-            gw = np.empty((kh, kw, c))
-            gpad = np.zeros(xp.shape) if need_x else None
+            gw = np.empty((kh, kw, c)) if xw is not None else None
+            gpad = np.zeros(pshape) if need_x else None
             for i in range(kh):
                 for j in range(kw):
-                    gw[i, j] = np.einsum("mhwc,mhwc->c",
-                                         _tap(xp, i, j, stride, h_out, w_out), g4)
+                    if xw is not None:
+                        gw[i, j] = np.einsum("mhwc,mhwc->c",
+                                             _tap(xw, i, j, stride, h_out, w_out), g4)
                     if need_x:
                         view = _tap(gpad, i, j, stride, h_out, w_out)
                         view += g4 * wt[i, j]
@@ -690,7 +831,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
             if need_x:
                 gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, c))
                 gx = np.ascontiguousarray(_from_last(gx, channels_last))
-            return (gx, np.ascontiguousarray(gw.transpose(2, 0, 1)))
+            if gw is not None:
+                gw = np.ascontiguousarray(gw.transpose(2, 0, 1))
+            return (gx, gw)
         return bwd
     return _emit(_from_last(out, channels_last), (x, w), build, "depthwise_conv2d")
 

@@ -47,9 +47,11 @@ from .dataset import (
 )
 from .decoder import mask_probs
 from .model import (
+    INFER_CHUNK,
     forward_pair,
     infer_target_sourcefree,
     init_model_params,
+    stack_chunks,
 )
 from .objectives import (
     AdamW,
@@ -248,11 +250,15 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                     serialize_config(cfg), cfg.warmup_iterations)
     plabel_dir = ckpt_out + ".plabels"
     train_ids = split_target_ids(root)[0]
-    images = [load_sample(root, "target", i, with_label=False).image
-              for i in train_ids]
-    for i, pl in zip(train_ids,
-                     warmup_pseudo_labels(params, enc, dec, images, cfg.tau)):
-        save_pseudo_labels(plabel_dir, i, pl)
+    # a chunk at a time, so the corpus's images and labels are never all
+    # resident beside the last step's tape
+    for k in range(0, len(train_ids), INFER_CHUNK):
+        ids = train_ids[k:k + INFER_CHUNK]
+        images = [load_sample(root, "target", i, with_label=False).image
+                  for i in ids]
+        for i, pl in zip(ids, warmup_pseudo_labels(params, enc, dec, images,
+                                                   cfg.tau)):
+            save_pseudo_labels(plabel_dir, i, pl)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
             "target_val_iou": _mean_iou(params, cfg, tgt_val)}
@@ -306,11 +312,12 @@ def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
                                 2 * enc.num_stages * cfg.embed_dim,
                                 lam=cfg.lambda_ema)
 
-    def batches():
-        for img, pl in zip(images, plabels):
-            _, aug, (gh, gw) = infer_target_sourcefree(params, enc, dec,
-                                                       Tensor(img))
-            yield aug.data, _grid_probs(pl.probs, gh, gw)
+    def batches():                  # one (feats, probs) pair per image
+        labels = iter(plabels)
+        for chunk in stack_chunks(images):
+            _, aug, (gh, gw) = infer_target_sourcefree(params, enc, dec, chunk)
+            for feats in aug.data:
+                yield feats, _grid_probs(next(labels).probs, gh, gw)
 
     initialize_bank(bank, batches())
     return bank

@@ -255,6 +255,39 @@ def test_warmup_validity_thresholds():
     np.testing.assert_allclose(pl_all.probs.sum(axis=0), 1.0, atol=1e-12)
 
 
+def test_chunked_inference_matches_per_image():
+    """Pseudo-labels and the initial prototype bank, computed INFER_CHUNK
+    images per forward with a ragged last chunk, equal the one-image-per-
+    forward results bit for bit."""
+    from quadseg.config import RunConfig
+    from quadseg.decoder import mask_probs
+    from quadseg.model import INFER_CHUNK, infer_target_sourcefree, init_model_params
+    from quadseg.tensor import Tensor
+    from quadseg.train import _grid_probs, _init_bank
+
+    cfg = RunConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
+                    sr_ratios=(2, 1), embed_dim=8, crop=32)
+    enc, dec = cfg.encoder_config(), cfg.decoder_config()
+    params = init_model_params(enc, dec, np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    images = [rng.random((3, 32, 32)) for _ in range(2 * INFER_CHUNK + 1)]
+    plabels = warmup_pseudo_labels(params, enc, dec, images, tau=0.6)
+    assert len(plabels) == len(images)
+    feats = []
+    for img, pl in zip(images, plabels):
+        logits, aug, grid = infer_target_sourcefree(params, enc, dec, Tensor(img))
+        probs = mask_probs(logits).data
+        np.testing.assert_array_equal(pl.probs, probs)
+        np.testing.assert_array_equal(pl.valid, probs.max(axis=0) >= 0.6)
+        feats.append((aug.data, _grid_probs(pl.probs, *grid)))
+    bank = _init_bank(params, cfg, images, plabels)
+    want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
+                                lam=cfg.lambda_ema)
+    initialize_bank(want, feats)
+    np.testing.assert_array_equal(bank.eta, want.eta)
+    np.testing.assert_array_equal(bank.weight, want.weight)
+
+
 def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(2, 8, 8))

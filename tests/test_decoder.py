@@ -1,5 +1,8 @@
 """Decoder heads, model assembly, source-free path, checkpoint round-trip."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,14 @@ from quadseg.decoder import (
 )
 from quadseg.encoder import EncoderConfig
 from quadseg.model import forward_pair, infer_target_sourcefree, init_model_params
-from quadseg.tensor import ShapeError, Tensor, finite_diff_check, tsum
+from quadseg.objectives import (
+    DiscConfig,
+    discriminator_forward,
+    gen_adv_loss,
+    init_disc_params,
+    seg_cross_entropy,
+)
+from quadseg.tensor import ShapeError, Tape, Tensor, finite_diff_check, gather, tsum
 
 DESK_ENC = EncoderConfig()
 DESK_DEC = DecoderConfig()
@@ -218,6 +228,66 @@ def test_batched_pair_gradient(shared):
         err = finite_diff_check(loss, params[name].copy(),
                                 coords=[int(c) for c in coords])
         assert err < 1e-6, name
+
+
+def _paired_step(params, disc, seed, wrap=None):
+    """A batch-2 paired forward and backward through the segmentation loss
+    and the critic, as in one adaptation step.  ``wrap`` may replace each
+    recorded backward rule before the sweep.  Returns the tape."""
+    rng = np.random.default_rng(seed)
+    img_s, img_t = rng.random((2, 3, 32, 32)), rng.random((2, 3, 32, 32))
+    labels = rng.integers(0, 2, size=(2, 32, 32))
+    with Tape() as tape:
+        for p in params.values():
+            tape.watch(p)
+        out = forward_pair(params, DESK_ENC, DESK_DEC, Tensor(img_s), Tensor(img_t))
+        loss = gen_adv_loss(discriminator_forward(
+            disc, DiscConfig(), mask_probs(out.logits_t)))
+        for b in range(2):
+            loss = loss + seg_cross_entropy(gather(out.logits_s, b), labels[b])[0]
+        if wrap is not None:
+            for node in tape.nodes:
+                if node.backward_fn is not None:
+                    node.backward_fn = wrap(node.backward_fn)
+        tape.backward(loss)
+    return tape
+
+
+def _read_only_input(rule):
+    def bwd(g):
+        if isinstance(g, np.ndarray):        # numpy scalars are immutable
+            g = g.view()
+            g.flags.writeable = False
+        return rule(g)
+    return bwd
+
+
+def test_backward_rules_never_write_their_incoming_gradient():
+    """Tape.backward stores parts that are views of other gradients without
+    copying, which is sound only while no rule writes into its input."""
+    params = _desk_params(40)
+    disc = init_disc_params(DiscConfig(), np.random.default_rng(41))
+    plain = _paired_step(params, disc, 42)
+    want = {name: plain.grad(p).copy() for name, p in params.items()}
+    guarded = _paired_step(params, disc, 42, wrap=_read_only_input)
+    for name, p in params.items():
+        np.testing.assert_array_equal(guarded.grad(p), want[name])
+
+
+def test_finished_tape_is_freed_by_reference_counting():
+    """No backward closure may hold a Tensor: a Tensor holds its tape, and
+    the cycle would keep a whole step alive until the cyclic GC runs."""
+    params = _desk_params(43)
+    disc = init_disc_params(DiscConfig(), np.random.default_rng(44))
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(_paired_step(params, disc, 45))
+        for p in params.values():
+            p.node = p.tape = None
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

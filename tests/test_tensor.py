@@ -1,5 +1,7 @@
 """Autodiff engine: forward oracles, backward closures, tape mechanics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,11 @@ from quadseg.tensor import (
     gelu,
     layer_norm,
     leaky_relu,
+    linear,
     log_softmax_lastdim,
     matmul,
+    multi_head_attention,
+    neg,
     relu,
     reshape,
     set_fault_injection,
@@ -485,3 +490,141 @@ def test_interp_matrix_is_cached_read_only():
     assert interp_matrix(4, 16) is m
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# fused primitives: linear and multi_head_attention
+# ---------------------------------------------------------------------------
+
+
+def _composed_linear(x, w, b):
+    return matmul(x, w) + b
+
+
+def _composed_attention(q, k, v, heads, route=None):
+    """The op sequence multi_head_attention replaces, kept as its oracle."""
+    *lead, n, c = q.shape
+    nr, dh, nl = k.shape[-2], c // heads, len(lead)
+    keep = tuple(range(nl))
+    qh = transpose(reshape(q, (*lead, n, heads, dh)), (*keep, nl + 1, nl, nl + 2))
+    kt = transpose(reshape(k, (*lead, nr, heads, dh)), (*keep, nl + 1, nl + 2, nl))
+    vh = transpose(reshape(v, (*lead, nr, heads, dh)), (*keep, nl + 1, nl, nl + 2))
+    if route is not None:
+        qh, kt, vh = gather(qh, route[0]), gather(kt, route[1]), gather(vh, route[1])
+    scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
+    out = matmul(softmax_lastdim(scores), vh)
+    out = transpose(out, (*keep, nl + 1, nl, nl + 2))
+    return reshape(out, out.shape[:-2] + (c,))
+
+
+_ROUTE = ((0, 1, 1, 0), (0, 1, 0, 1))
+# (lead dims, N, Nr, C, heads, route)
+_ATTN_CASES = [((), 5, 3, 4, 1, None), ((), 6, 6, 6, 3, None),
+               ((2,), 4, 2, 6, 2, None), ((2, 3), 4, 4, 4, 2, _ROUTE),
+               ((3,), 3, 2, 4, 1, ((2, 0, 2), (1, 1, 0))),
+               ((2,), 3, 2, 4, 2, ((0, 0, 1, 0), (1, 0, 1, 1)))]
+
+
+def _attn_inputs(case, seed):
+    lead, n, nr, c, _, _ = case
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(*lead, m, c)) for m in (n, nr, nr)]
+
+
+def test_grad_linear_batched_and_2d():
+    rng = np.random.default_rng(80)
+    for shape in ((4, 5), (2, 3, 5)):
+        x, w, b = (Tensor(rng.normal(size=s)) for s in (shape, (5, 3), (3,)))
+        out_shape = shape[:-1] + (3,)
+        _check(_weighted(lambda t: linear(t, w, b), out_shape, 81), shape, 82)
+        _check(_weighted(lambda t: linear(x, t, b), out_shape, 83), (5, 3), 84)
+        _check(_weighted(lambda t: linear(x, w, t), out_shape, 85), (3,), 86)
+
+
+@pytest.mark.parametrize("case", _ATTN_CASES)
+def test_grad_multi_head_attention(case):
+    lead, n, nr, c, heads, route = case
+    arrays = [Tensor(a) for a in _attn_inputs(case, 87)]
+    out_shape = ((len(route[0]),) + lead[1:] if route else lead) + (n, c)
+    for i, arr in enumerate(arrays):
+        def op(t, i=i):
+            args = list(arrays)
+            args[i] = t
+            return multi_head_attention(*args, heads, route)
+        _check(_weighted(op, out_shape, 88 + i), arr.shape, 91 + i)
+
+
+def _fused_vs_composed(fused, composed, inputs, seed):
+    """Forward values and every input gradient, bit for bit."""
+    results = []
+    for fn in (fused, composed):
+        with Tape() as tape:
+            ts = [tape.watch(Tensor(a.copy())) for a in inputs]
+            out = fn(*ts)
+            w = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+            tape.backward(tsum(out * w))
+            results.append([out.data] + [tape.grad(t) for t in ts])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fused_primitives_match_composed_ops_bitwise():
+    rng = np.random.default_rng(95)
+    for shape in ((6, 5), (2, 3, 5), (2, 2, 3, 5)):
+        inputs = [rng.normal(size=shape), rng.normal(size=(5, 4)),
+                  rng.normal(size=(4,))]
+        _fused_vs_composed(linear, _composed_linear, inputs, 96)
+    for case in _ATTN_CASES:
+        heads, route = case[4], case[5]
+        _fused_vs_composed(
+            lambda q, k, v: multi_head_attention(q, k, v, heads, route),
+            lambda q, k, v: _composed_attention(q, k, v, heads, route),
+            _attn_inputs(case, 97), 98)
+
+
+def test_fused_primitive_shape_errors():
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
+    q = Tensor(np.zeros((4, 6)))
+    with pytest.raises(ShapeError):
+        multi_head_attention(q, q, q, 4)                     # 6 channels, 4 heads
+    with pytest.raises(ShapeError):
+        multi_head_attention(q, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 2)
+
+
+# ---------------------------------------------------------------------------
+# finite checks and backward bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def test_nan_input_raises_at_first_computing_op():
+    """Ops that only move values pass a NaN through; the first op that
+    computes values raises."""
+    x = np.ones((2, 4, 3))
+    x[1, 2, 0] = np.nan
+    t = Tensor(x)
+    moved = transpose(reshape(t, (2, 3, 4)), (0, 2, 1))
+    moved = neg(gather(stack([concat([moved, moved], axis=1)]), 0))
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.zeros(2))
+    with pytest.raises(FloatingPointError, match="^linear"):
+        linear(moved, w, b)
+
+
+def test_backward_skips_untracked_parents():
+    """Constants get no gradient part; tracked parents still do."""
+    rng = np.random.default_rng(99)
+    c = Tensor(rng.normal(size=(3, 3)))
+    with Tape() as tape:
+        x = tape.watch(Tensor(rng.normal(size=(3, 3))))
+        cases = [
+            (x + c, (True, False)), (c - x, (False, True)),
+            (x * c, (True, False)), (matmul(c, x), (False, True)),
+            (linear(x, c, Tensor(np.zeros(3))), (True, False, False)),
+            (conv2d(reshape(x, (1, 3, 3)), Tensor(rng.normal(size=(2, 1, 2, 2)))),
+             (True, False)),
+            (depthwise_conv2d(reshape(x, (1, 3, 3)), Tensor(rng.normal(size=(1, 3, 3)))),
+             (True, False)),
+        ]
+        for out, wanted in cases:
+            parts = out.node.backward_fn(np.ones(out.shape))
+            assert tuple(p is not None for p in parts) == wanted
