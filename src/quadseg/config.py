@@ -73,6 +73,12 @@ class RunConfig:
     eval_every: int = 100
 
     def __post_init__(self):
+        # each would otherwise fail late: a ZeroDivisionError at the first
+        # training step, a model that predicts only background, or a reshape
+        # error deep in Mix-FFN
+        for name in ("eval_every", "embed_dim", "ffn_expand"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         enc = self.encoder_config()  # re-raises structural violations
         if self.batch < 1 or self.iterations < 0 or self.warmup_iterations < 0:
             raise ValueError("batch/iteration counts out of range")

@@ -1,13 +1,18 @@
 """All-MLP decoder over the four-stream feature pyramid.
 
-Every stage of a stream is linearly unified to ``embed_dim`` channels,
-bilinearly upsampled to the stage-0 grid (H/4 x W/4) and concatenated into
-a per-stream map phi of 4 * embed_dim channels.  A domain head then fuses
-the self map with its cross counterpart -- (phi_s, phi_ts) for the source
-mask, (phi_t, phi_st) for the target mask -- through a linear + ReLU fuse
-layer and a linear classifier.  Source-free inference feeds (phi_t, phi_t)
-into the target head, which by the encoder's degeneracy property equals
-the paired forward with the target image in both slots.
+Every stage of a stream is linearly unified to ``embed_dim`` channels at
+its own resolution.  A domain head fuses the self maps with their cross
+counterparts -- (s, ts) for the source mask, (t, st) for the target mask
+-- through a linear + ReLU fuse layer and a linear classifier.  In the
+paper's terms the fuse input is [phi_a, phi_b], where phi is the stream's
+stages bilinearly upsampled to the stage-0 grid (H/4 x W/4) and
+concatenated (``unify_and_upsample``).  Upsampling and the fuse are both
+linear, so the fuse projects each stage before upsampling it
+(``tensor.pyramid_fuse``) and phi is never built on the training or
+inference path; ``augmented_features`` builds [phi_a, phi_b] off the tape
+for the prototype machinery.  Source-free inference feeds (t, t) into the
+target head, which by the encoder's degeneracy property equals the paired
+forward with the target image in both slots.
 
 Features are [..., N, C] with leading batch dims.  The paired decoder
 stacks the streams on a new leading axis and, with shared heads, runs
@@ -27,6 +32,7 @@ from .tensor import (
     concat,
     gather,
     linear,
+    pyramid_fuse,
     relu,
     softmax_lastdim,
     stack,
@@ -38,6 +44,7 @@ __all__ = [
     "DecoderConfig",
     "init_decoder_params",
     "unify_and_upsample",
+    "augmented_features",
     "fuse_and_predict",
     "decode_pair",
     "decode_single",
@@ -81,80 +88,102 @@ def init_decoder_params(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     return p
 
 
+def _unify(params: dict, enc_cfg: EncoderConfig, stage_feats: list[Tensor],
+           dims: list[tuple[int, int]]) -> list[Tensor]:
+    """Map each per-stage token tensor to embed_dim channels, each at its
+    own resolution: [..., h_i*w_i, embed_dim] per stage."""
+    if len(stage_feats) != enc_cfg.num_stages or len(dims) != enc_cfg.num_stages:
+        raise ShapeError(
+            f"expected {enc_cfg.num_stages} stage features, got {len(stage_feats)}")
+    return [linear(f, params[f"dec.unify{i}.w"], params[f"dec.unify{i}.b"])
+            for i, f in enumerate(stage_feats)]
+
+
+def _upsample_concat(maps: list[Tensor], dims: list[tuple[int, int]]) -> Tensor:
+    """Upsample per-stage maps to the stage-0 grid and concatenate them."""
+    h0, w0 = dims[0]
+    return concat([u if (h, w) == (h0, w0) else
+                   to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
+                                               channels_last=True))
+                   for u, (h, w) in zip(maps, dims)], axis=-1)
+
+
 def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
                        stage_feats: list[Tensor],
                        dims: list[tuple[int, int]]) -> Tensor:
     """Map each per-stage token tensor to embed_dim channels, upsample all to
-    the stage-0 grid and concatenate: [..., h0*w0, num_stages*embed_dim]."""
-    if len(stage_feats) != enc_cfg.num_stages or len(dims) != enc_cfg.num_stages:
-        raise ShapeError(
-            f"expected {enc_cfg.num_stages} stage features, got {len(stage_feats)}")
-    h0, w0 = dims[0]
-    pieces = []
-    for i, (f, (h, w)) in enumerate(zip(stage_feats, dims)):
-        u = linear(f, params[f"dec.unify{i}.w"], params[f"dec.unify{i}.b"])
-        if (h, w) != (h0, w0):
-            u = to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
-                                            channels_last=True))
-        pieces.append(u)
-    return concat(pieces, axis=-1)
+    the stage-0 grid and concatenate: phi [..., h0*w0, num_stages*embed_dim]."""
+    return _upsample_concat(_unify(params, enc_cfg, stage_feats, dims), dims)
+
+
+def augmented_features(maps: tuple[list, list],
+                       dims: list[tuple[int, int]]) -> np.ndarray:
+    """The augmented features [phi_a, phi_b] [..., h0*w0,
+    2*num_stages*embed_dim] of a head's (self, cross) per-stage unified
+    maps, as a plain array: built off the tape, for the prototype
+    machinery only."""
+    return np.concatenate(
+        [_upsample_concat([Tensor(u) for u in m], dims).data for m in maps],
+        axis=-1)
 
 
 def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
-                     phi_a: Tensor, phi_b: Tensor | None = None) -> Tensor:
-    """Concatenate two phi maps and classify: [..., h0*w0, num_classes] logits.
-    With ``phi_b`` None, ``phi_a`` is the concatenation already built."""
-    if phi_b is not None:
-        if phi_a.shape != phi_b.shape:
-            raise ShapeError(f"phi shapes disagree: {phi_a.shape} vs {phi_b.shape}")
-        phi_a = concat([phi_a, phi_b], axis=-1)
-
-    def layer(name, x):
-        pre = f"dec.{head}.{name}"
-        return linear(x, params[f"{pre}.w"], params[f"{pre}.b"])
-
-    x = relu(layer("fuse", phi_a))
+                     self_maps: list[Tensor], cross_maps: list[Tensor],
+                     dims: list[tuple[int, int]]) -> Tensor:
+    """Fuse per-stage self and cross maps [..., h_i*w_i, embed_dim] and
+    classify: [..., h0*w0, num_classes] logits.  The fuse projects every
+    stage at its own resolution before upsampling it, which equals the
+    fuse layer over the concatenated [phi_a, phi_b]."""
+    pre = f"dec.{head}"
+    x = relu(pyramid_fuse([*self_maps, *cross_maps], params[f"{pre}.fuse.w"],
+                          params[f"{pre}.fuse.b"], [*dims, *dims], *dims[0]))
     if dec_cfg.extra_hidden:
-        x = relu(layer("hidden", x))
-    return layer("cls", x)
+        x = relu(linear(x, params[f"{pre}.hidden.w"], params[f"{pre}.hidden.b"]))
+    return linear(x, params[f"{pre}.cls.w"], params[f"{pre}.cls.b"])
 
 
 def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                 feats: dict, dims: list[tuple[int, int]],
                 use_cross_src: bool = True, use_cross_tgt: bool = True):
-    """Both domain logit maps [..., h0*w0, num_classes] plus the augmented
-    (pre-fuse) target features [..., h0*w0, 2*num_stages*embed_dim] used by
-    the prototype machinery: ``(logits_s, logits_t, aug_t)``.  The cross
-    toggles substitute a stream's own self map for its cross map, which is
-    the ablation that disables cross-attention features per domain."""
+    """Both domain logit maps [..., h0*w0, num_classes] plus the target
+    head's (self, cross) per-stage unified maps as plain arrays, from which
+    ``augmented_features`` builds [phi_t, phi_st]: ``(logits_s, logits_t,
+    maps_t)``.  The cross toggles substitute a stream's own self map for
+    its cross map, which is the ablation that disables cross-attention
+    features per domain."""
     names = [n for n, on in (("s", True), ("t", True), ("ts", use_cross_src),
                              ("st", use_cross_tgt)) if on]
-    phi = unify_and_upsample(
-        params, enc_cfg,
-        [stack([feats[n][i] for n in names]) for i in range(len(dims))], dims)
+    units = _unify(params, enc_cfg,
+                   [stack([feats[n][i] for n in names]) for i in range(len(dims))],
+                   dims)
     row = {n: k for k, n in enumerate(names)}
-    # the (source, target) heads fuse self maps with cross maps; row 1 of
-    # the joined maps is also the augmented target feature
-    joined = concat([gather(phi, (row["s"], row["t"])),
-                     gather(phi, (row.get("ts", row["s"]),
-                                  row.get("st", row["t"])))], axis=-1)
-    aug_t = gather(joined, 1)
+    # (source, target) rows of the self and of the cross maps
+    self_rows = (row["s"], row["t"])
+    cross_rows = (row.get("ts", row["s"]), row.get("st", row["t"]))
+    maps_t = ([u.data[self_rows[1]] for u in units],
+              [u.data[cross_rows[1]] for u in units])
+
+    def pick(rows):
+        return [gather(u, rows) for u in units]
+
     if dec_cfg.share_heads:
-        logits = fuse_and_predict(params, dec_cfg, "head", joined)
-        return gather(logits, 0), gather(logits, 1), aug_t
-    return (fuse_and_predict(params, dec_cfg, "head_src", gather(joined, 0)),
-            fuse_and_predict(params, dec_cfg, "head_tgt", aug_t), aug_t)
+        logits = fuse_and_predict(params, dec_cfg, "head", pick(self_rows),
+                                  pick(cross_rows), dims)
+        return gather(logits, 0), gather(logits, 1), maps_t
+    return (*(fuse_and_predict(params, dec_cfg, h, pick(a), pick(c), dims)
+              for h, a, c in zip(("head_src", "head_tgt"), self_rows, cross_rows)),
+            maps_t)
 
 
 def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                   feats: list[Tensor], dims: list[tuple[int, int]]):
     """Source-free path: the one-stream case of ``decode_pair``, fusing
-    (phi_t, phi_t) through the target head.  Returns ``(logits, aug)``
+    (phi_t, phi_t) through the target head.  Returns ``(logits, maps)``
     shaped like the target outputs of ``decode_pair``."""
-    # phi itself is freed once the join is built
-    aug = concat([unify_and_upsample(params, enc_cfg, feats, dims)] * 2, axis=-1)
+    units = _unify(params, enc_cfg, feats, dims)
     head = "head" if dec_cfg.share_heads else "head_tgt"
-    return fuse_and_predict(params, dec_cfg, head, aug), aug
+    maps = [u.data for u in units]
+    return fuse_and_predict(params, dec_cfg, head, units, units, dims), (maps, maps)
 
 
 def logits_to_grid(logits: Tensor, h: int, w: int,

@@ -28,10 +28,11 @@ __all__ = ["PairOutput", "INFER_CHUNK", "init_model_params", "forward_pair",
 # Images per forward in the whole-corpus inference loops (pseudo-labels,
 # prototype bank).  Every op computes each batch item on its own, so the
 # results do not depend on it.  A larger chunk saves more per-op dispatch,
-# but the decoder's transient (~1.5 MB per 64x64 image, mostly the
-# [phi, phi] map) grows with it, and the pseudo-label pass runs while the
-# last warm-up step's tape is still resident: at 5 images a warm-up's peak
-# memory passed that of the one-image loop this replaced.
+# but every forward transient grows with it, and the pseudo-label pass runs
+# while the last warm-up step's tape is still resident: at 5 images a
+# warm-up's peak memory passed that of the one-image loop this replaced
+# (measured when the fuse still built a [phi, phi] map per image; the
+# prototype-bank pass still builds it, ~1.5 MB per 64x64 image).
 INFER_CHUNK = 3
 
 
@@ -39,8 +40,14 @@ INFER_CHUNK = 3
 class PairOutput:               # leading batch dims of the images carry through
     logits_s: Tensor        # [..., num_classes, H, W]
     logits_t: Tensor        # [..., num_classes, H, W]
-    aug_t: Tensor           # [..., h0*w0, 2*num_stages*embed_dim] pre-fuse target feats
-    grid: tuple[int, int]   # stage-0 token grid (h0, w0)
+    maps_t: tuple[list, list]   # target head's (self, cross) unified maps,
+                                # arrays [..., h_i*w_i, embed_dim] per stage
+    dims: list[tuple[int, int]]     # token grid per stage
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """Stage-0 token grid (h0, w0), the grid of the augmented features."""
+        return self.dims[0]
 
 
 def init_model_params(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
@@ -55,15 +62,15 @@ def forward_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                  use_cross_src: bool = True,
                  use_cross_tgt: bool = True) -> PairOutput:
     feats, dims = encoder_forward(params, enc_cfg, img_s, img_t)
-    tok_s, tok_t, aug_t = decode_pair(params, enc_cfg, dec_cfg, feats, dims,
-                                      use_cross_src, use_cross_tgt)
+    tok_s, tok_t, maps_t = decode_pair(params, enc_cfg, dec_cfg, feats, dims,
+                                       use_cross_src, use_cross_tgt)
     h0, w0 = dims[0]
     hh, ww = img_s.shape[-2:]
     return PairOutput(
         logits_s=logits_to_grid(tok_s, h0, w0, hh, ww),
         logits_t=logits_to_grid(tok_t, h0, w0, hh, ww),
-        aug_t=aug_t,
-        grid=(h0, w0),
+        maps_t=maps_t,
+        dims=dims,
     )
 
 
@@ -71,12 +78,14 @@ def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
                             dec_cfg: DecoderConfig, img: Tensor):
     """Predict a target mask from the target image [..., 3, H, W] alone:
     single-stream encoder, target head fused on (phi_t, phi_t).  Returns
-    ``(logits [..., K, H, W], aug [..., h0*w0, 2*num_stages*C_e], grid)``."""
+    ``(logits [..., K, H, W], maps, dims)``: the head's (self, cross)
+    per-stage unified maps, here the same arrays twice, and the token grid
+    per stage."""
     feats, dims = encoder_forward_single(params, enc_cfg, img)
-    tok, aug = decode_single(params, enc_cfg, dec_cfg, feats, dims)
+    tok, maps = decode_single(params, enc_cfg, dec_cfg, feats, dims)
     h0, w0 = dims[0]
     hh, ww = img.shape[-2:]
-    return logits_to_grid(tok, h0, w0, hh, ww), aug, (h0, w0)
+    return logits_to_grid(tok, h0, w0, hh, ww), maps, dims
 
 
 def stack_chunks(images: list):

@@ -47,6 +47,7 @@ __all__ = [
     "conv2d",
     "depthwise_conv2d",
     "upsample_bilinear",
+    "pyramid_fuse",
     "interp_matrix",
     "finite_diff_check",
     "set_fault_injection",
@@ -860,33 +861,121 @@ def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+def _upsample_last(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of x [..., H, W, C] to [..., out_h, out_w, C]."""
+    *lead, h, w, c = x.shape
+    # resample W on [W, C] slices, then H on [H, outW*C] slices
+    xw = np.matmul(interp_matrix(w, out_w), x).reshape(*lead, h, out_w * c)
+    return np.matmul(interp_matrix(h, out_h), xw).reshape(*lead, out_h, out_w, c)
+
+
+def _upsample_last_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Backward of ``_upsample_last`` from [..., outH, outW, C] to an
+    [..., h, w, C] input."""
+    *lead, out_h, out_w, c = g.shape
+    gw = np.matmul(interp_matrix(h, out_h).T, g.reshape(*lead, out_h, out_w * c))
+    return np.matmul(interp_matrix(w, out_w).T, gw.reshape(*lead, h, out_w, c))
+
+
 def upsample_bilinear(x: Tensor, out_h: int, out_w: int,
                       channels_last: bool = False) -> Tensor:
     """Bilinear resize of x [..., C, H, W], or x [..., H, W, C] with
     ``channels_last``, under the half-pixel-centers convention."""
     if channels_last:
-        *lead, h, w, c = x.shape
+        h, w = x.shape[-3:-1]
     else:
-        *lead, c, h, w = x.shape
+        h, w = x.shape[-2:]
     if out_h < h or out_w < w:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
-    ay = interp_matrix(h, out_h)                         # [outH, H]
-    ax = interp_matrix(w, out_w)                         # [outW, W]
     if channels_last:
-        # resample W on [W, C] slices, then H on [H, outW*C] slices
-        xw = np.matmul(ax, x.data).reshape(*lead, h, out_w * c)
-        out = np.matmul(ay, xw).reshape(*lead, out_h, out_w, c)
+        out = _upsample_last(x.data, out_h, out_w)
     else:
+        ay = interp_matrix(h, out_h)                     # [outH, H]
+        ax = interp_matrix(w, out_w)                     # [outW, W]
         out = np.matmul(np.matmul(ay, x.data), ax.T)
 
     def build():
         def bwd(g):
             if channels_last:
-                gw = np.matmul(ay.T, g.reshape(*lead, out_h, out_w * c))
-                return (np.matmul(ax.T, gw.reshape(*lead, h, out_w, c)),)
+                return (_upsample_last_grad(g, h, w),)
             return (np.matmul(np.matmul(ay.T, g), ax),)
         return bwd
     return _emit(out, (x,), build, "upsample_bilinear")
+
+
+def pyramid_fuse(parts: Sequence[Tensor], w: Tensor, b: Tensor,
+                 grids: Sequence[tuple[int, int]], out_h: int,
+                 out_w: int) -> Tensor:
+    """Project feature maps on several token grids and sum them on one:
+    ``sum_k upsample(parts[k] @ w_k) + b`` as one op.
+
+    ``parts[k]`` is [..., h_k*w_k, C_k] on the token grid ``grids[k]``, all
+    with the same leading dims; ``w_k`` is its row block of w
+    [sum_k C_k, N], in part order; b is [N].  The output is
+    [..., out_h*out_w, N].  Parts on the same grid are summed, in part
+    order, before that grid's one bilinear upsample (none on the output
+    grid); the grids are then summed in order of first appearance and b
+    is added once.  Bilinear resampling and the per-token projection
+    commute, so this equals projecting the upsampled, concatenated parts
+    with w -- with each part projected at its own resolution.
+    """
+    if len(parts) != len(grids) or not parts:
+        raise ShapeError(f"pyramid_fuse: {len(parts)} parts for {len(grids)} grids")
+    lead = parts[0].shape[:-2]
+    widths = [p.shape[-1] for p in parts]
+    if w.data.ndim != 2 or w.shape[0] != sum(widths) or b.shape != w.shape[1:]:
+        raise ShapeError(f"pyramid_fuse weight {w.shape} / bias {b.shape} "
+                         f"do not fit parts of widths {widths}")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (p, (h, wd)) in enumerate(zip(parts, grids)):
+        if p.shape != (*lead, h * wd, widths[k]):
+            raise ShapeError(f"pyramid_fuse part {k} {p.shape} is not "
+                             f"[{lead}, {h}*{wd}, C] like part 0")
+        if h > out_h or wd > out_w:
+            raise ShapeError(f"pyramid_fuse grid {h}x{wd} exceeds {out_h}x{out_w}")
+        groups.setdefault((h, wd), []).append(k)
+    bounds = np.cumsum([0, *widths])
+    n = w.shape[1]
+    out = None
+    for (h, wd), ks in groups.items():
+        acc = np.matmul(parts[ks[0]].data, w.data[bounds[ks[0]]:bounds[ks[0] + 1]])
+        for k in ks[1:]:
+            acc += np.matmul(parts[k].data, w.data[bounds[k]:bounds[k + 1]])
+        if (h, wd) != (out_h, out_w):
+            acc = _upsample_last(acc.reshape(*lead, h, wd, n), out_h, out_w
+                                 ).reshape(*lead, out_h * out_w, n)
+        if out is None:
+            out = acc
+        else:
+            out += acc
+    out += b.data
+
+    def build():
+        # per part: its values if w needs a gradient, its weight block if
+        # the part itself does
+        xs = [p.data if _tracked(w) else None for p in parts]
+        ws = [w.data[bounds[k]:bounds[k + 1]] if _tracked(p) else None
+              for k, p in enumerate(parts)]
+        need_b = _tracked(b)
+        shapes = [p.shape for p in parts]
+        wshape, bshape = w.shape, b.shape
+
+        def bwd(g):
+            gparts: list = [None] * len(shapes)
+            gw = np.empty(wshape) if xs[0] is not None else None
+            for (h, wd), ks in groups.items():
+                gg = g
+                if (h, wd) != (out_h, out_w):
+                    gg = _upsample_last_grad(g.reshape(*lead, out_h, out_w, n),
+                                             h, wd).reshape(*lead, h * wd, n)
+                for k in ks:
+                    gparts[k], gwk = _matmul_grads(gg, xs[k], ws[k], shapes[k],
+                                                   (widths[k], n))
+                    if gwk is not None:
+                        gw[bounds[k]:bounds[k + 1]] = gwk
+            return (*gparts, gw, _unbroadcast(g, bshape) if need_b else None)
+        return bwd
+    return _emit(out, (*parts, w, b), build, "pyramid_fuse")
 
 
 # ---------------------------------------------------------------------------

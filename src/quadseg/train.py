@@ -45,7 +45,7 @@ from .dataset import (
     read_scene_specs,
     split_target_ids,
 )
-from .decoder import mask_probs
+from .decoder import augmented_features, mask_probs
 from .model import (
     INFER_CHUNK,
     forward_pair,
@@ -315,8 +315,9 @@ def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
     def batches():                  # one (feats, probs) pair per image
         labels = iter(plabels)
         for chunk in stack_chunks(images):
-            _, aug, (gh, gw) = infer_target_sourcefree(params, enc, dec, chunk)
-            for feats in aug.data:
+            _, maps, dims = infer_target_sourcefree(params, enc, dec, chunk)
+            gh, gw = dims[0]
+            for feats in augmented_features(maps, dims):
                 yield feats, _grid_probs(next(labels).probs, gh, gw)
 
     initialize_bank(bank, batches())
@@ -387,14 +388,17 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                Tensor(np.stack([s.image for s, _, _ in batch])),
                                Tensor(np.stack([t for _, t, _ in batch])),
                                cfg.use_cross_src, cfg.use_cross_tgt)
+            # [phi_t, phi_st], read only by the label correction
+            aug_t = augmented_features(out.maps_t, out.dims) if correcting \
+                else None
             for b, (s, _, pl) in enumerate(batch):
                 loss_s, _ = seg_cross_entropy(gather(out.logits_s, b),
                                               s.label.astype(int),
                                               class_weights=weights)
                 l_s = l_s + loss_s
                 if cfg.self_training:
-                    feats = out.aug_t.data[b]
                     if correcting:
+                        feats = aug_t[b]
                         pl = correct_pseudo_labels(pl, feats, out.grid, bank,
                                                    cfg.temperature, cfg.tau)
                     loss_t, _ = seg_cross_entropy(gather(out.logits_t, b),

@@ -18,7 +18,12 @@ import time
 import numpy as np
 
 from .adaptation import PrototypeBank, ema_update, ssim
-from .decoder import DecoderConfig, mask_probs, unify_and_upsample
+from .decoder import (
+    DecoderConfig,
+    augmented_features,
+    mask_probs,
+    unify_and_upsample,
+)
 from .encoder import EncoderConfig, encoder_forward
 from .model import forward_pair, infer_target_sourcefree, init_model_params
 from .objectives import (
@@ -119,8 +124,9 @@ def shape_chain_suite(seed: int = 1) -> list[str]:
     if phi.shape != (256, 4 * ce):
         bad.append(f"phi shape {phi.shape} != (256, {4 * ce})")
     out = forward_pair(params, _DESK_ENC, _DESK_DEC, img_s, img_t)
-    if out.aug_t.shape != (256, 8 * ce):
-        bad.append(f"augmented features {out.aug_t.shape} != (256, {8 * ce})")
+    aug_t = augmented_features(out.maps_t, out.dims)
+    if aug_t.shape != (256, 8 * ce):
+        bad.append(f"augmented features {aug_t.shape} != (256, {8 * ce})")
     for lg in (out.logits_s, out.logits_t):
         if lg.shape != (2, 64, 64):
             bad.append(f"logit map {lg.shape} != (2, 64, 64)")

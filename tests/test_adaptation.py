@@ -260,7 +260,7 @@ def test_chunked_inference_matches_per_image():
     images per forward with a ragged last chunk, equal the one-image-per-
     forward results bit for bit."""
     from quadseg.config import RunConfig
-    from quadseg.decoder import mask_probs
+    from quadseg.decoder import augmented_features, mask_probs
     from quadseg.model import INFER_CHUNK, infer_target_sourcefree, init_model_params
     from quadseg.tensor import Tensor
     from quadseg.train import _grid_probs, _init_bank
@@ -275,11 +275,12 @@ def test_chunked_inference_matches_per_image():
     assert len(plabels) == len(images)
     feats = []
     for img, pl in zip(images, plabels):
-        logits, aug, grid = infer_target_sourcefree(params, enc, dec, Tensor(img))
+        logits, maps, dims = infer_target_sourcefree(params, enc, dec, Tensor(img))
         probs = mask_probs(logits).data
         np.testing.assert_array_equal(pl.probs, probs)
         np.testing.assert_array_equal(pl.valid, probs.max(axis=0) >= 0.6)
-        feats.append((aug.data, _grid_probs(pl.probs, *grid)))
+        feats.append((augmented_features(maps, dims),
+                      _grid_probs(pl.probs, *dims[0])))
     bank = _init_bank(params, cfg, images, plabels)
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)

@@ -86,6 +86,16 @@ def test_crop_must_fold_at_every_stage():
     assert RunConfig(crop=48, sr_ratios=(4, 2, 1, 1)).crop == 48
 
 
+@pytest.mark.parametrize("name", ["eval_every", "embed_dim", "ffn_expand"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_counts_below_one_rejected(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got {value}$"):
+        RunConfig(**{name: value})
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1"):
+        parse_config(f"{name} = {value}\n")
+    assert getattr(parse_config(f"{name} = 1\n"), name) == 1
+
+
 def test_builder_configs_mirror_run_config():
     cfg = RunConfig()
     enc, dec, disc = cfg.encoder_config(), cfg.decoder_config(), \

@@ -1,6 +1,7 @@
 """Decoder heads, model assembly, source-free path, checkpoint round-trip."""
 
 import gc
+import types
 import weakref
 
 import numpy as np
@@ -13,13 +14,16 @@ from quadseg.checkpoint import (
 )
 from quadseg.decoder import (
     DecoderConfig,
+    augmented_features,
+    decode_pair,
+    decode_single,
     fuse_and_predict,
     init_decoder_params,
     logits_to_grid,
     mask_probs,
     unify_and_upsample,
 )
-from quadseg.encoder import EncoderConfig
+from quadseg.encoder import EncoderConfig, encoder_forward, encoder_forward_single
 from quadseg.model import forward_pair, infer_target_sourcefree, init_model_params
 from quadseg.objectives import (
     DiscConfig,
@@ -28,7 +32,17 @@ from quadseg.objectives import (
     init_disc_params,
     seg_cross_entropy,
 )
-from quadseg.tensor import ShapeError, Tape, Tensor, finite_diff_check, gather, tsum
+from quadseg.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    concat,
+    finite_diff_check,
+    gather,
+    linear,
+    relu,
+    tsum,
+)
 
 DESK_ENC = EncoderConfig()
 DESK_DEC = DecoderConfig()
@@ -52,7 +66,8 @@ def test_phi_shape_desk_config():
     params = _desk_params(1)
     out = forward_pair(params, DESK_ENC, DESK_DEC, _img(2), _img(3))
     assert out.grid == (16, 16)
-    assert out.aug_t.shape == (256, 8 * DESK_DEC.embed_dim)
+    assert augmented_features(out.maps_t, out.dims).shape \
+        == (256, 8 * DESK_DEC.embed_dim)
     assert out.logits_s.shape == (2, 64, 64)
     assert out.logits_t.shape == (2, 64, 64)
 
@@ -61,7 +76,8 @@ def test_phi_shape_32px_input():
     params = _desk_params(4)
     out = forward_pair(params, DESK_ENC, DESK_DEC, _img(5, 32), _img(6, 32))
     assert out.grid == (8, 8)
-    assert out.aug_t.shape == (64, 8 * DESK_DEC.embed_dim)
+    assert augmented_features(out.maps_t, out.dims).shape \
+        == (64, 8 * DESK_DEC.embed_dim)
 
 
 def test_zero_features_give_zero_phi():
@@ -97,8 +113,9 @@ def test_zero_classifier_uniform_softmax():
     params["dec.head.cls.w"] = Tensor(np.zeros((64, 2)))
     params["dec.head.cls.b"] = Tensor(np.zeros(2))
     rng = np.random.default_rng(11)
-    phi = Tensor(rng.normal(size=(16, 4 * DESK_DEC.embed_dim)))
-    logits = fuse_and_predict(params, DESK_DEC, "head", phi, phi)
+    dims = [(4, 4), (2, 2), (1, 1), (1, 1)]
+    maps = [Tensor(rng.normal(size=(h * w, DESK_DEC.embed_dim))) for h, w in dims]
+    logits = fuse_and_predict(params, DESK_DEC, "head", maps, maps, dims)
     probs = mask_probs(logits_to_grid(logits, 4, 4))
     np.testing.assert_allclose(probs.data, 0.5, atol=1e-15)
 
@@ -114,10 +131,11 @@ def test_sourcefree_equals_degenerate_pair_exactly():
     params = _desk_params(15)
     img = _img(16)
     paired = forward_pair(params, DESK_ENC, DESK_DEC, img, img)
-    logits, aug, grid = infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img)
+    logits, maps, dims = infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img)
     np.testing.assert_array_equal(logits.data, paired.logits_t.data)
-    np.testing.assert_array_equal(aug.data, paired.aug_t.data)
-    assert grid == paired.grid
+    np.testing.assert_array_equal(augmented_features(maps, dims),
+                                  augmented_features(paired.maps_t, paired.dims))
+    assert dims == paired.dims
 
 
 def test_sourcefree_deterministic():
@@ -155,12 +173,62 @@ def test_fuse_gradient():
                         sr_ratios=(1, 1))
     rng = np.random.default_rng(25)
     params = init_decoder_params(enc, dec, rng)
-    phi_b = Tensor(rng.normal(size=(4, 2 * dec.embed_dim)))
+    dims = [(2, 2), (1, 1)]
+    selfs = [Tensor(rng.normal(size=(h * w, dec.embed_dim))) for h, w in dims]
+    crosses = [Tensor(rng.normal(size=(h * w, dec.embed_dim))) for h, w in dims]
     weight = Tensor(rng.normal(size=(4, 2)))
-    err = finite_diff_check(
-        lambda t: tsum(fuse_and_predict(params, dec, "head", t, phi_b) * weight),
-        Tensor(rng.normal(size=(4, 2 * dec.embed_dim))))
-    assert err < 1e-6
+    for k in range(len(dims)):      # a stage on the output grid, one upsampled
+        def loss(t, k=k):
+            trial = list(selfs)
+            trial[k] = t
+            return tsum(fuse_and_predict(params, dec, "head", trial, crosses,
+                                         dims) * weight)
+        assert finite_diff_check(loss, selfs[k].copy()) < 1e-6
+
+
+def _composed_head(params, dec, feats, dims, head, self_name, cross_name):
+    """The concat-then-fuse head: both phi maps upsampled and joined, then
+    the fuse layer, hidden layer and classifier.  Kept as the oracle of the
+    fused head."""
+    pre = f"dec.{head}"
+    joined = concat([unify_and_upsample(params, DESK_ENC, feats[n], dims)
+                     for n in (self_name, cross_name)], axis=-1)
+    x = relu(linear(joined, params[f"{pre}.fuse.w"], params[f"{pre}.fuse.b"]))
+    if dec.extra_hidden:
+        x = relu(linear(x, params[f"{pre}.hidden.w"], params[f"{pre}.hidden.b"]))
+    return linear(x, params[f"{pre}.cls.w"], params[f"{pre}.cls.b"])
+
+
+def _assert_close(got, want):
+    assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+
+@pytest.mark.parametrize("extra_hidden,share_heads,cross_src,cross_tgt", [
+    (False, True, True, True), (True, True, False, True),
+    (False, False, True, False), (True, False, False, False)])
+def test_fused_head_matches_concat_then_fuse(extra_hidden, share_heads,
+                                             cross_src, cross_tgt):
+    """Paired and source-free heads against the composed head to 1e-12
+    relative; the augmented features equal [phi_t, phi_cross] exactly."""
+    dec = DecoderConfig(extra_hidden=extra_hidden, share_heads=share_heads)
+    rng = np.random.default_rng(35)
+    params = init_model_params(DESK_ENC, dec, rng)
+    img_s, img_t = Tensor(rng.random((2, 3, 32, 32))), Tensor(rng.random((2, 3, 32, 32)))
+    feats, dims = encoder_forward(params, DESK_ENC, img_s, img_t)
+    tok_s, tok_t, maps_t = decode_pair(params, DESK_ENC, dec, feats, dims,
+                                       cross_src, cross_tgt)
+    src, tgt = ("head", "head") if share_heads else ("head_src", "head_tgt")
+    cross_s, cross_t = "ts" if cross_src else "s", "st" if cross_tgt else "t"
+    _assert_close(tok_s, _composed_head(params, dec, feats, dims, src, "s", cross_s))
+    _assert_close(tok_t, _composed_head(params, dec, feats, dims, tgt, "t", cross_t))
+    np.testing.assert_array_equal(
+        augmented_features(maps_t, dims),
+        concat([unify_and_upsample(params, DESK_ENC, feats[n], dims)
+                for n in ("t", cross_t)], axis=-1).data)
+    single, dims = encoder_forward_single(params, DESK_ENC, img_t)
+    tok, _ = decode_single(params, DESK_ENC, dec, single, dims)
+    _assert_close(tok, _composed_head(params, dec, {"t": single}, dims, tgt,
+                                      "t", "t"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +243,34 @@ def test_stacked_batch_equals_separate_forwards():
     rng = np.random.default_rng(31)
     img_s, img_t = rng.random((2, 3, 64, 64)), rng.random((2, 3, 64, 64))
     out = forward_pair(params, DESK_ENC, DESK_DEC, Tensor(img_s), Tensor(img_t))
-    free, aug, _ = infer_target_sourcefree(params, DESK_ENC, DESK_DEC,
-                                           Tensor(img_t))
+    free, maps, dims = infer_target_sourcefree(params, DESK_ENC, DESK_DEC,
+                                               Tensor(img_t))
+    aug_t = augmented_features(out.maps_t, out.dims)
+    aug = augmented_features(maps, dims)
     assert out.logits_s.shape == (2, 2, 64, 64)
-    assert out.aug_t.shape == (2, 256, 8 * DESK_DEC.embed_dim)
+    assert aug_t.shape == (2, 256, 8 * DESK_DEC.embed_dim)
     for b in range(2):
         one = forward_pair(params, DESK_ENC, DESK_DEC, Tensor(img_s[b]),
                            Tensor(img_t[b]))
         np.testing.assert_array_equal(out.logits_s.data[b], one.logits_s.data)
         np.testing.assert_array_equal(out.logits_t.data[b], one.logits_t.data)
-        np.testing.assert_array_equal(out.aug_t.data[b], one.aug_t.data)
-        free_one, aug_one, _ = infer_target_sourcefree(
+        np.testing.assert_array_equal(aug_t[b],
+                                      augmented_features(one.maps_t, one.dims))
+        free_one, maps_one, _ = infer_target_sourcefree(
             params, DESK_ENC, DESK_DEC, Tensor(img_t[b]))
         np.testing.assert_array_equal(free.data[b], free_one.data)
-        np.testing.assert_array_equal(aug.data[b], aug_one.data)
+        np.testing.assert_array_equal(aug[b], augmented_features(maps_one, dims))
 
 
 def test_sourcefree_equals_degenerate_pair_at_batch_2():
     params = _desk_params(32)
     img = Tensor(np.random.default_rng(33).random((2, 3, 64, 64)))
     paired = forward_pair(params, DESK_ENC, DESK_DEC, img, img)
-    logits, aug, grid = infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img)
+    logits, maps, dims = infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img)
     assert float(np.abs(paired.logits_t.data - logits.data).max()) == 0.0
-    np.testing.assert_array_equal(aug.data, paired.aug_t.data)
-    assert grid == paired.grid
+    np.testing.assert_array_equal(augmented_features(maps, dims),
+                                  augmented_features(paired.maps_t, paired.dims))
+    assert dims == paired.dims
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -288,6 +360,51 @@ def test_finished_tape_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _holds_tensor(obj, seen) -> bool:
+    """Whether a Tensor is reachable from ``obj`` through closure cells,
+    defaults, tuples, lists and dicts."""
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        return True
+    if isinstance(obj, (tuple, list)):
+        items = list(obj)
+    elif isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, types.FunctionType):
+        items = list(obj.__defaults__ or ())
+        for cell in obj.__closure__ or ():
+            try:
+                items.append(cell.cell_contents)
+            except ValueError:          # a cell not yet filled
+                pass
+    else:
+        return False
+    return any(_holds_tensor(item, seen) for item in items)
+
+
+def test_no_backward_closure_holds_a_tensor():
+    """Audit every rule of a batch-2 paired forward through the critic and
+    a source-free forward: a closure holding a Tensor (say, a parameter)
+    forms a parameter -> tape cycle that reference counting cannot free,
+    which the test above cannot see once it clears the leaves."""
+    params = _desk_params(46)
+    disc = init_disc_params(DiscConfig(), np.random.default_rng(47))
+    rng = np.random.default_rng(48)
+    img_s, img_t = Tensor(rng.random((2, 3, 32, 32))), Tensor(rng.random((2, 3, 32, 32)))
+    with Tape() as tape:
+        for p in [*params.values(), *disc.values()]:
+            tape.watch(p)
+        out = forward_pair(params, DESK_ENC, DESK_DEC, img_s, img_t)
+        discriminator_forward(disc, DiscConfig(), mask_probs(out.logits_t))
+        infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img_t)
+    rules = [n.backward_fn for n in tape.nodes if n.backward_fn is not None]
+    assert len(rules) > 250
+    leaky = [f.__qualname__ for f in rules if _holds_tensor(f, set())]
+    assert leaky == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from quadseg.tensor import (
     matmul,
     multi_head_attention,
     neg,
+    pyramid_fuse,
     relu,
     reshape,
     set_fault_injection,
@@ -593,6 +594,98 @@ def test_fused_primitive_shape_errors():
 
 
 # ---------------------------------------------------------------------------
+# pyramid_fuse: per-part projection, then upsample and sum
+# ---------------------------------------------------------------------------
+
+# (lead dims, part grids, part widths, output grid, N); the second half of
+# each grid list repeats the first, like a head's self and cross stages
+_FUSE_CASES = [((2,), [(4, 4), (2, 2), (1, 1), (4, 4), (2, 2), (1, 1)],
+                (3, 2, 2, 3, 1, 2), (4, 4), 5),
+               ((), [(2, 3), (1, 2)], (2, 3), (3, 5), 2)]
+
+
+def _fuse_inputs(case, seed):
+    lead, grids, widths, _, n = case
+    rng = np.random.default_rng(seed)
+    parts = [rng.normal(size=(*lead, h * w, c)) for (h, w), c in zip(grids, widths)]
+    return parts + [rng.normal(size=(sum(widths), n)), rng.normal(size=(n,))]
+
+
+def _composed_fuse(grids, out_h, out_w):
+    """Upsample every part to the output grid, concatenate, then ``linear``:
+    the op sequence pyramid_fuse replaces, kept as its oracle."""
+    def fuse(*args):
+        *parts, w, b = args
+        ups = []
+        for p, (h, wd) in zip(parts, grids):
+            lead = p.shape[:-2]
+            g = upsample_bilinear(reshape(p, (*lead, h, wd, p.shape[-1])),
+                                  out_h, out_w, channels_last=True)
+            ups.append(reshape(g, (*lead, out_h * out_w, p.shape[-1])))
+        return linear(concat(ups, axis=-1), w, b)
+    return fuse
+
+
+@pytest.mark.parametrize("case", _FUSE_CASES)
+def test_grad_pyramid_fuse(case):
+    """Every part (several grids, self and cross parts on one grid), the
+    weight and the bias against central differences."""
+    lead, grids, _, (oh, ow), n = case
+    arrays = [Tensor(a) for a in _fuse_inputs(case, 100)]
+    for i, arr in enumerate(arrays):
+        def op(t, i=i):
+            args = list(arrays)
+            args[i] = t
+            return pyramid_fuse(args[:-2], args[-2], args[-1], grids, oh, ow)
+        _check(_weighted(op, (*lead, oh * ow, n), 101 + i), arr.shape, 111 + i)
+
+
+@pytest.mark.parametrize("case", _FUSE_CASES)
+def test_pyramid_fuse_matches_upsample_concat_linear(case):
+    """Values and every input gradient agree with the composed ops to
+    1e-12 relative; only the order of the linear steps differs."""
+    _, grids, _, (oh, ow), _ = case
+    inputs = _fuse_inputs(case, 102)
+    results = []
+    for fn in (lambda *a: pyramid_fuse(a[:-2], a[-2], a[-1], grids, oh, ow),
+               _composed_fuse(grids, oh, ow)):
+        with Tape() as tape:
+            ts = [tape.watch(Tensor(a.copy())) for a in inputs]
+            out = fn(*ts)
+            w = Tensor(np.random.default_rng(103).normal(size=out.shape))
+            tape.backward(tsum(out * w))
+            results.append([out.data] + [tape.grad(t) for t in ts])
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pyramid_fuse_is_per_item_bitwise():
+    _, grids, _, (oh, ow), _ = _FUSE_CASES[0]
+    *parts, w, b = _fuse_inputs(((3, 2), *_FUSE_CASES[0][1:]), 104)
+    w, b = Tensor(w), Tensor(b)
+    full = pyramid_fuse([Tensor(p) for p in parts], w, b, grids, oh, ow).data
+    for i in range(3):
+        for j in range(2):
+            one = pyramid_fuse([Tensor(p[i, j]) for p in parts], w, b, grids, oh, ow)
+            np.testing.assert_array_equal(full[i, j], one.data)
+
+
+def test_pyramid_fuse_shape_errors():
+    p4, p2 = Tensor(np.zeros((16, 3))), Tensor(np.zeros((4, 3)))
+    w, b = Tensor(np.zeros((6, 2))), Tensor(np.zeros(2))
+    pyramid_fuse([p4, p2], w, b, [(4, 4), (2, 2)], 4, 4)
+    bad = [([p4, p2], Tensor(np.zeros((5, 2))), b, [(4, 4), (2, 2)], 4, 4),
+           ([p4, p2], w, Tensor(np.zeros(3)), [(4, 4), (2, 2)], 4, 4),
+           ([p4, p2], w, b, [(4, 4), (4, 4)], 4, 4),          # 4 tokens, 4x4 grid
+           ([p4, p2], w, b, [(4, 4)], 4, 4),
+           ([p4, p2], w, b, [(4, 4), (2, 2)], 2, 2),          # would shrink
+           ([p4, Tensor(np.zeros((1, 4, 3)))], w, b, [(4, 4), (2, 2)], 4, 4)]
+    for args in bad:
+        with pytest.raises(ShapeError):
+            pyramid_fuse(*args)
+
+
+# ---------------------------------------------------------------------------
 # finite checks and backward bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -624,6 +717,9 @@ def test_backward_skips_untracked_parents():
              (True, False)),
             (depthwise_conv2d(reshape(x, (1, 3, 3)), Tensor(rng.normal(size=(1, 3, 3)))),
              (True, False)),
+            (pyramid_fuse([x, c], Tensor(rng.normal(size=(6, 3))),
+                          Tensor(np.zeros(3)), [(3, 1), (3, 1)], 3, 1),
+             (True, False, False, False)),
         ]
         for out, wanted in cases:
             parts = out.node.backward_fn(np.ones(out.shape))
