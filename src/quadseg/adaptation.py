@@ -119,7 +119,6 @@ class PseudoLabels:
 
     probs: np.ndarray             # [K, H, W], sums to 1 per pixel
     valid: np.ndarray             # [H, W] bool, max prob >= tau
-    provenance: str = "warm-up"   # "warm-up" | "corrected"
 
     def hard(self) -> np.ndarray:
         return self.probs.argmax(axis=0).astype(np.uint8)
@@ -170,8 +169,7 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
     kw_full = _upsample_channels(kw_grid, hh, ww)
     p = kw_full * labels.probs
     p /= p.sum(axis=0, keepdims=True)
-    return PseudoLabels(probs=p, valid=p.max(axis=0) >= tau,
-                        provenance="corrected")
+    return PseudoLabels(probs=p, valid=p.max(axis=0) >= tau)
 
 
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
@@ -183,8 +181,7 @@ def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
         logits = infer_target_sourcefree(params, enc_cfg, dec_cfg, chunk)[0]
         for probs in mask_probs(logits).data:
             out.append(PseudoLabels(probs=probs,
-                                    valid=probs.max(axis=0) >= tau,
-                                    provenance="warm-up"))
+                                    valid=probs.max(axis=0) >= tau))
     return out
 
 
@@ -207,7 +204,7 @@ def load_pseudo_labels(directory: str, sample_id: int, num_classes: int,
     rest = (1.0 - conf) / (num_classes - 1)
     for c in range(num_classes):
         probs[c] = np.where(hard == c, conf, rest)
-    return PseudoLabels(probs=probs, valid=conf >= tau, provenance="warm-up")
+    return PseudoLabels(probs=probs, valid=conf >= tau)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,6 @@ class PairSet:
 
     pairs: list = field(default_factory=list)    # (source_id, target_id)
     sims: list = field(default_factory=list)
-    origins: list = field(default_factory=list)  # "s" | "t" | "both"
 
 
 def pair_two_way(src_gray: list, tgt_gray: list, window: int = 8) -> PairSet:
@@ -280,17 +276,12 @@ def pair_two_way(src_gray: list, tgt_gray: list, window: int = 8) -> PairSet:
     for i, a in enumerate(src_gray):
         for j, b in enumerate(tgt_gray):
             sim[i, j] = ssim(a, b, window)
-    chosen: dict[tuple[int, int], str] = {}
-    for i in range(ns):
-        chosen[(i, int(sim[i].argmax()))] = "s"
-    for j in range(nt):
-        key = (int(sim[:, j].argmax()), j)
-        chosen[key] = "both" if key in chosen else "t"
+    chosen = {(i, int(sim[i].argmax())) for i in range(ns)}
+    chosen |= {(int(sim[:, j].argmax()), j) for j in range(nt)}
     out = PairSet()
     for (i, j) in sorted(chosen):
         out.pairs.append((i, j))
         out.sims.append(float(sim[i, j]))
-        out.origins.append(chosen[(i, j)])
     return out
 
 
@@ -319,5 +310,4 @@ def read_pairs(path: str, src_paths: list, tgt_paths: list) -> PairSet:
                 raise ValueError(f"{path}:{ln}: unknown image path")
             out.pairs.append((s_idx[sp], t_idx[tp]))
             out.sims.append(float(sv))
-            out.origins.append("file")
     return out

@@ -79,7 +79,11 @@ class RunConfig:
         for name in ("eval_every", "embed_dim", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        enc = self.encoder_config()  # re-raises structural violations
+        # re-raise structural violations now, not when warmup or adapt
+        # first builds the part
+        enc = self.encoder_config()
+        self.decoder_config()
+        self.disc_config()
         if self.batch < 1 or self.iterations < 0 or self.warmup_iterations < 0:
             raise ValueError("batch/iteration counts out of range")
         if not 0.0 <= self.tau <= 1.0:
@@ -99,6 +103,16 @@ class RunConfig:
                 raise ValueError(
                     f"crop {self.crop} gives stage {i} a {grid}x{grid} token "
                     f"grid, which sr_ratios[{i}] = {ratio} does not divide")
+        # the critic scores crop x crop masks, and each of its layers
+        # (kernel 4, stride 2, padding 1) floors the side to half
+        side = self.crop
+        for i in range(len(self.disc_channels)):
+            side //= 2
+            if side < 1:
+                raise ValueError(
+                    f"crop {self.crop} is too small for a "
+                    f"{len(self.disc_channels)}-layer critic: layer {i} "
+                    f"would output 0x0 (disc_channels = {self.disc_channels})")
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(channels=self.channels, depths=self.depths,

@@ -17,11 +17,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .config import format_kv_lines, parse_kv_lines
-from .pnm import read_pgm, read_ppm, write_pgm, write_ppm
+from .pnm import decode_ppm, read_pgm, read_ppm, read_ppm_raw, write_pgm, write_ppm
 from .tensor import interp_matrix
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "label_path",
     "list_image_ids",
     "load_sample",
+    "Corpus",
+    "load_corpus",
     "split_target_ids",
     "TRAIN_COUNT",
     "VAL_COUNT",
@@ -246,10 +249,12 @@ def generate_sample(spec: SceneSpec, sample_id: int) -> Sample:
 
 
 def generate_domain(spec: SceneSpec, n: int,
-                    start_id: int = 0) -> list[Sample]:
+                    start_id: int = 0) -> Iterator[Sample]:
+    """Samples ``start_id`` .. ``start_id + n - 1``, generated one at a time
+    as they are read; ``n`` is checked on the call."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [generate_sample(spec, i) for i in range(start_id, start_id + n)]
+    return (generate_sample(spec, i) for i in range(start_id, start_id + n))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +335,58 @@ def list_image_ids(root: str, domain: str) -> list[int]:
                   if name.endswith(".ppm"))
 
 
+def _read_label(root: str, domain: str, sample_id: int) -> np.ndarray:
+    return read_pgm(label_path(root, domain, sample_id)) > 127
+
+
 def load_sample(root: str, domain: str, sample_id: int,
                 with_label: bool = True) -> Sample:
     img = read_ppm(image_path(root, domain, sample_id))
-    label = None
-    if with_label:
-        label = read_pgm(label_path(root, domain, sample_id)) > 127
+    label = _read_label(root, domain, sample_id) if with_label else None
     return Sample(image=img, label=label, id=sample_id)
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """One domain's images held as their 8-bit PPM rasters.
+
+    Indexing or iterating yields float64 ``Sample``s decoded on the read by
+    ``pnm.decode_ppm``, bit-identical to ``load_sample``; a float image
+    lives only as long as its reader keeps it.  Rasters and labels are
+    read-only and shared by every ``Sample`` decoded from them.
+    """
+
+    ids: list[int]
+    rasters: list[np.ndarray]      # uint8 [3, H, W]
+    maxvals: list[int]
+    labels: list[np.ndarray | None]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> Sample:
+        return Sample(image=decode_ppm(self.rasters[k], self.maxvals[k]),
+                      label=self.labels[k], id=self.ids[k])
+
+    def __iter__(self) -> Iterator[Sample]:
+        return (self[k] for k in range(len(self)))
+
+
+def load_corpus(root: str, domain: str, ids,
+                with_label: bool = True) -> Corpus:
+    """Read every image ``ids`` names (with its label) into a ``Corpus``."""
+    ids = list(ids)
+    rasters, maxvals, labels = [], [], []
+    for i in ids:
+        raster, maxval = read_ppm_raw(image_path(root, domain, i))
+        rasters.append(raster)
+        maxvals.append(maxval)
+        label = None
+        if with_label:
+            label = _read_label(root, domain, i)
+            label.flags.writeable = False
+        labels.append(label)
+    return Corpus(ids, rasters, maxvals, labels)
 
 
 def _write_sample(root: str, domain: str, s: Sample,

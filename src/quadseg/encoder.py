@@ -90,6 +90,10 @@ class EncoderConfig:
         n = len(self.channels)
         if not (len(self.depths) == len(self.heads) == len(self.sr_ratios) == n):
             raise ValueError("channels/depths/heads/sr_ratios lengths disagree")
+        for name in ("channels", "heads", "sr_ratios"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must all be >= 1, "
+                                 f"got {getattr(self, name)}")
         for c, h in zip(self.channels, self.heads):
             if c % h:
                 raise ValueError(f"channels {c} not divisible by heads {h}")

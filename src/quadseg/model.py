@@ -4,6 +4,8 @@ inference, with segmentation losses applied at full image resolution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -28,11 +30,11 @@ __all__ = ["PairOutput", "INFER_CHUNK", "init_model_params", "forward_pair",
 # Images per forward in the whole-corpus inference loops (pseudo-labels,
 # prototype bank).  Every op computes each batch item on its own, so the
 # results do not depend on it.  A larger chunk saves more per-op dispatch,
-# but every forward transient grows with it, and the pseudo-label pass runs
-# while the last warm-up step's tape is still resident: at 5 images a
-# warm-up's peak memory passed that of the one-image loop this replaced
-# (measured when the fuse still built a [phi, phi] map per image; the
-# prototype-bank pass still builds it, ~1.5 MB per 64x64 image).
+# but every forward transient grows with it: at 5 images a warm-up's peak
+# memory passed that of the one-image loop this replaced (measured when the
+# last step's whole tape stayed resident through the pseudo-label pass and
+# the fuse still built a [phi, phi] map per image; the prototype-bank pass
+# still builds it, ~1.5 MB per 64x64 image).
 INFER_CHUNK = 3
 
 
@@ -88,8 +90,10 @@ def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
     return logits_to_grid(tok, h0, w0, hh, ww), maps, dims
 
 
-def stack_chunks(images: list):
+def stack_chunks(images: Iterable[np.ndarray]):
     """Same-sized [3, H, W] arrays as [n, 3, H, W] input Tensors of at most
-    ``INFER_CHUNK`` images each, in order."""
-    for i in range(0, len(images), INFER_CHUNK):
-        yield Tensor(np.stack(images[i:i + INFER_CHUNK]))
+    ``INFER_CHUNK`` images each, in order.  ``images`` is read a chunk at a
+    time, so a generator never has more than one chunk resident."""
+    it = iter(images)
+    while chunk := list(islice(it, INFER_CHUNK)):
+        yield Tensor(np.stack(chunk))

@@ -35,7 +35,6 @@ __all__ = [
     "seg_cross_entropy",
     "disc_loss",
     "gen_adv_loss",
-    "adversarial_losses",
     "total_loss",
     "lr_schedule",
     "AdamW",
@@ -62,7 +61,8 @@ class DiscConfig:
 
     def __post_init__(self):
         if not self.channels or self.channels[-1] != 1:
-            raise ValueError("discriminator channels must end in 1")
+            raise ValueError("discriminator channels must end in 1 (the "
+                             f"patch logit), got {self.channels}")
 
 
 def init_disc_params(cfg: DiscConfig, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -144,12 +144,6 @@ def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
 def gen_adv_loss(d_fake: Tensor) -> Tensor:
     """Non-saturating generator term: push D(fake) toward real."""
     return tmean(softplus(-d_fake))
-
-
-def adversarial_losses(d_source: Tensor, d_target: Tensor):
-    """Both adversarial objectives from one pair of discriminator outputs;
-    source masks play the real role, target masks the fake role."""
-    return disc_loss(d_source, d_target), gen_adv_loss(d_target)
 
 
 def total_loss(l_seg_s: Tensor, l_seg_t: Tensor, g_loss: Tensor,

@@ -17,8 +17,8 @@ import os
 
 import numpy as np
 
-__all__ = ["PnmError", "read_ppm", "write_ppm", "read_pgm", "write_pgm",
-           "read_f64", "write_f64"]
+__all__ = ["PnmError", "read_ppm_raw", "decode_ppm", "read_ppm", "write_ppm",
+           "read_pgm", "write_pgm", "read_f64", "write_f64"]
 
 _WS = b" \t\n\r\x0b\x0c"
 
@@ -91,11 +91,21 @@ def _read_raster(path: str, magic: bytes, channels: int):
     return data, width, height, maxval
 
 
+def read_ppm_raw(path: str) -> tuple[np.ndarray, int]:
+    """P6 file -> (read-only uint8 raster [3, H, W], maxval), undecoded."""
+    data, w, h, maxval = _read_raster(path, b"P6", 3)
+    return data.reshape(h, w, 3).transpose(2, 0, 1), maxval
+
+
+def decode_ppm(raster: np.ndarray, maxval: int) -> np.ndarray:
+    """uint8 raster [3, H, W] -> float64 image in [0, 1]; the one decoding
+    rule behind ``read_ppm`` and every in-memory 8-bit corpus."""
+    return raster.astype(np.float64) / maxval
+
+
 def read_ppm(path: str) -> np.ndarray:
     """P6 file -> float64 image [3, H, W] in [0, 1]."""
-    data, w, h, maxval = _read_raster(path, b"P6", 3)
-    img = data.reshape(h, w, 3).transpose(2, 0, 1)
-    return img.astype(np.float64) / maxval
+    return decode_ppm(*read_ppm_raw(path))
 
 
 def write_ppm(path: str, img: np.ndarray) -> None:

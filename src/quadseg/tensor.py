@@ -20,6 +20,7 @@ from scipy.special import erf
 
 __all__ = [
     "ShapeError",
+    "TapeError",
     "Tensor",
     "Tape",
     "tensor",
@@ -73,6 +74,11 @@ def set_fault_injection(enabled: bool) -> None:
     _FAULT_INJECTION = bool(enabled)
 
 
+class TapeError(RuntimeError):
+    """A tape read past its single sweep: swept twice, or asked for the
+    gradient of an op output, which the sweep has already dropped."""
+
+
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
 
@@ -91,7 +97,8 @@ def _check_finite(arr: np.ndarray, opname: str) -> None:
 
 class _Node:
     """One recorded operation: parent node ids plus a rule mapping the
-    output gradient to per-parent gradients (None for untracked parents)."""
+    output gradient to per-parent gradients (None for untracked parents).
+    A watched leaf has no parents and no rule."""
 
     __slots__ = ("idx", "parents", "backward_fn")
 
@@ -170,7 +177,7 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 class Tape:
-    """Append-only record of one forward pass.
+    """Append-only record of one forward pass, swept backward once.
 
     Usage::
 
@@ -180,11 +187,17 @@ class Tape:
             loss = forward(...)
             tape.backward(loss)
             g = tape.grad(p)
+
+    The sweep releases the tape as it goes: each rule, with the arrays it
+    captured, and each op output's gradient are dropped once used, so
+    afterwards the tape holds only the watched leaves' gradients.  A second
+    ``backward`` raises ``TapeError``; record a fresh tape instead.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
         self.grads: list[np.ndarray | None] = []
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE_TAPE
@@ -216,18 +229,28 @@ class Tape:
 
     def backward(self, root: Tensor) -> None:
         """Reverse sweep from a scalar root; gradients accumulate additively
-        across fan-out."""
+        across fan-out.  Every rule is dropped when the sweep reaches its
+        node, and every op output's gradient once its rule has run."""
+        if self.swept:
+            raise TapeError("tape was already swept; record a fresh tape "
+                            "for each backward")
         if root.tape is not self or root.node is None:
             raise ValueError("backward root is not tracked on this tape")
         if root.shape != ():
             raise ValueError(f"backward root must be scalar, got shape {root.shape}")
+        self.swept = True
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
         grads[root.node.idx] = np.ones((), dtype=np.float64)
         for node in reversed(self.nodes):
-            g = grads[node.idx]
-            if g is None or node.backward_fn is None:
+            rule = node.backward_fn
+            if rule is None:                    # a watched leaf
                 continue
-            parts = node.backward_fn(g)
+            node.backward_fn = None
+            g = grads[node.idx]
+            if g is None:
+                continue
+            grads[node.idx] = None
+            parts = rule(g)
             for pid, part in zip(node.parents, parts):
                 if pid < 0 or part is None:
                     continue
@@ -237,9 +260,12 @@ class Tape:
         self.grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
-        """Accumulated gradient for a tracked tensor (zeros if unused)."""
+        """Accumulated gradient for a watched leaf (zeros if unused)."""
         if t.tape is not self or t.node is None:
             raise ValueError("tensor is not tracked on this tape")
+        if t.node.parents:
+            raise TapeError("only watched leaves keep a gradient; the sweep "
+                            "drops every op output's")
         g = self.grads[t.node.idx] if self.grads else None
         if g is None:
             return np.zeros(t.shape, dtype=np.float64)

@@ -41,6 +41,7 @@ from .dataset import (
     image_path,
     iou,
     list_image_ids,
+    load_corpus,
     load_sample,
     read_scene_specs,
     split_target_ids,
@@ -103,10 +104,6 @@ def _grid_probs(probs: np.ndarray, gh: int, gw: int) -> np.ndarray:
     k, h, w = probs.shape
     pooled = probs.reshape(k, gh, h // gh, gw, w // gw).mean(axis=(2, 4))
     return pooled.reshape(k, gh * gw).T
-
-
-def _load_domain(root: str, domain: str, ids, with_label: bool):
-    return [load_sample(root, domain, i, with_label=with_label) for i in ids]
 
 
 def _restore_params(data, cfg: RunConfig) -> dict[str, Tensor]:
@@ -175,8 +172,7 @@ def _mean_iou(params, cfg, samples) -> float:
 
 def target_val_iou(params: dict, cfg: RunConfig, root: str) -> float:
     _, val_ids = split_target_ids(root)
-    return _mean_iou(params, cfg,
-                     _load_domain(root, "target", val_ids, with_label=True))
+    return _mean_iou(params, cfg, load_corpus(root, "target", val_ids))
 
 
 def source_val_iou(params: dict, cfg: RunConfig, root: str) -> float:
@@ -217,10 +213,8 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
         params = _restore_params(data, cfg)
         opt.load_state(_opt_state(data.tensors, critic=False), data.step)
         start = data.step
-    src = _load_domain(root, "source", list_image_ids(root, "source"),
-                       with_label=True)
-    tgt_val = _load_domain(root, "target", split_target_ids(root)[1],
-                           with_label=True)
+    src = load_corpus(root, "source", list_image_ids(root, "source"))
+    tgt_val = load_corpus(root, "target", split_target_ids(root)[1])
     weights = _class_weights(cfg)
     log = _Log(log_path)
     for step in range(start + 1, cfg.warmup_iterations + 1):
@@ -250,8 +244,7 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                     serialize_config(cfg), cfg.warmup_iterations)
     plabel_dir = ckpt_out + ".plabels"
     train_ids = split_target_ids(root)[0]
-    # a chunk at a time, so the corpus's images and labels are never all
-    # resident beside the last step's tape
+    # a chunk at a time, so the corpus's float images are never all resident
     for k in range(0, len(train_ids), INFER_CHUNK):
         ids = train_ids[k:k + INFER_CHUNK]
         images = [load_sample(root, "target", i, with_label=False).image
@@ -291,19 +284,17 @@ def _augment_target(s: Sample, pl: PseudoLabels, rng: np.random.Generator,
                   * channel[:, None, None], 0.0, 1.0)
     return (np.ascontiguousarray(img),
             PseudoLabels(probs=np.ascontiguousarray(probs),
-                         valid=np.ascontiguousarray(valid),
-                         provenance=pl.provenance))
+                         valid=np.ascontiguousarray(valid)))
 
 
-def _load_or_make_plabels(params, cfg, root, warmup_ckpt, train_ids):
+def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt):
     plabel_dir = warmup_ckpt + ".plabels"
     if os.path.isdir(plabel_dir):
         return [load_pseudo_labels(plabel_dir, i, cfg.num_classes, cfg.tau)
-                for i in train_ids]
-    images = [load_sample(root, "target", i, with_label=False).image
-              for i in train_ids]
+                for i in tgt.ids]
     return warmup_pseudo_labels(params, cfg.encoder_config(),
-                                cfg.decoder_config(), images, cfg.tau)
+                                cfg.decoder_config(),
+                                (s.image for s in tgt), cfg.tau)
 
 
 def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
@@ -347,14 +338,13 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                   warmup=cfg.warmup_steps, total=cfg.iterations)
 
     train_ids, val_ids = split_target_ids(root)
-    src = _load_domain(root, "source", list_image_ids(root, "source"),
-                       with_label=True)
-    tgt = _load_domain(root, "target", train_ids, with_label=False)
-    tgt_val = _load_domain(root, "target", val_ids, with_label=True)
-    plabels = _load_or_make_plabels(params, cfg, root, warmup_ckpt, train_ids)
+    src = load_corpus(root, "source", list_image_ids(root, "source"))
+    tgt = load_corpus(root, "target", train_ids, with_label=False)
+    tgt_val = load_corpus(root, "target", val_ids)
+    plabels = _load_or_make_plabels(params, cfg, warmup_ckpt, tgt)
 
     if pairs_path is not None and os.path.exists(pairs_path):
-        src_paths = [image_path(root, "source", s.id) for s in src]
+        src_paths = [image_path(root, "source", i) for i in src.ids]
         tgt_paths = [image_path(root, "target", i) for i in train_ids]
         pairset = read_pairs(pairs_path, src_paths, tgt_paths)
     else:
@@ -362,7 +352,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                [to_grayscale(s.image) for s in tgt])
 
     correcting = cfg.label_correction and cfg.self_training
-    bank = (_init_bank(params, cfg, [s.image for s in tgt], plabels)
+    bank = (_init_bank(params, cfg, (s.image for s in tgt), plabels)
             if correcting else None)
 
     weights = _class_weights(cfg)

@@ -154,7 +154,6 @@ def test_correction_pulls_toward_exact_prototype():
     feats = np.array([[1.0, 0.0]])
     labels = _labels_from_conf(np.array([[1]]), np.array([[0.6]]))
     out = correct_pseudo_labels(labels, feats, (1, 1), bank)
-    assert out.provenance == "corrected"
     assert out.probs[:, 0, 0].argmax() == 0
     np.testing.assert_allclose(out.probs.sum(axis=0), 1.0, atol=1e-9)
 
@@ -178,7 +177,6 @@ def test_correction_never_mutates_warmup_probs():
     correct_pseudo_labels(labels, np.array([[1.0, 0.0], [0.9, 0.1]]),
                           (1, 2), bank)
     np.testing.assert_array_equal(labels.probs, before)
-    assert labels.provenance == "warm-up"
 
 
 def _two_cluster_case(seed, n_side=20, flip_frac=0.2, flip_conf=0.7):
@@ -398,7 +396,6 @@ def test_pairing_singletons():
     rng = np.random.default_rng(11)
     ps = pair_two_way([rng.random((8, 8))], [rng.random((8, 8))])
     assert ps.pairs == [(0, 0)]
-    assert ps.origins == ["both"]
 
 
 def test_pairing_identity_corpus():
@@ -435,7 +432,7 @@ def test_pairing_rejects_empty():
 
 
 def test_pairs_tsv_roundtrip(tmp_path):
-    ps = PairSet(pairs=[(0, 1), (1, 0)], sims=[0.25, 0.75], origins=["s", "t"])
+    ps = PairSet(pairs=[(0, 1), (1, 0)], sims=[0.25, 0.75])
     sp = ["source/images/0000.ppm", "source/images/0001.ppm"]
     tp = ["target/images/0000.ppm", "target/images/0001.ppm"]
     path = str(tmp_path / "pairs.tsv")

@@ -96,6 +96,32 @@ def test_counts_below_one_rejected(name, value):
     assert getattr(parse_config(f"{name} = 1\n"), name) == 1
 
 
+def test_critic_and_heads_rejected_at_construction():
+    """Configs that used to fail only once adapt started or the critic ran
+    its first forward, or with a ZeroDivisionError, now raise a ValueError
+    naming the field, through RunConfig and parse_config alike."""
+    cases = [
+        ({"disc_channels": (8, 16)}, "disc_channels = 8,16",
+         r"must end in 1 .*\(8, 16\)"),
+        ({"disc_channels": (8,) * 6 + (1,)}, "disc_channels = 8,8,8,8,8,8,1",
+         r"crop 64 is too small for a 7-layer critic: layer 6"),
+        ({"heads": (0, 1, 2, 4)}, "heads = 0,1,2,4",
+         r"^heads must all be >= 1, got \(0, 1, 2, 4\)$"),
+        ({"sr_ratios": (8, 4, 0, 1)}, "sr_ratios = 8,4,0,1",
+         r"^sr_ratios must all be >= 1"),
+    ]
+    for fields, text, match in cases:
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**fields)
+        with pytest.raises(ValueError, match=match):
+            parse_config(text + "\n")
+    # six layers take a 64 crop down to a 1x1 patch map, which is allowed
+    assert len(parse_config("disc_channels = 8,8,8,8,8,1\n").disc_channels) == 6
+    with pytest.raises(ValueError, match="crop 32 is too small"):
+        RunConfig(crop=32, sr_ratios=(2, 2, 1, 1),
+                  disc_channels=(8, 8, 8, 8, 8, 1))
+
+
 def test_builder_configs_mirror_run_config():
     cfg = RunConfig()
     enc, dec, disc = cfg.encoder_config(), cfg.decoder_config(), \

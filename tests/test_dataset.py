@@ -1,9 +1,13 @@
-"""Scene generation, rasterization oracles, augmentation, IoU, and PNM I/O."""
+"""Scene generation, rasterization oracles, augmentation, IoU, PNM I/O and
+the 8-bit corpus."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadseg.dataset import (
     SceneSpec,
@@ -15,6 +19,7 @@ from quadseg.dataset import (
     label_path,
     line_label,
     list_image_ids,
+    load_corpus,
     load_sample,
     read_scene_specs,
     segment_distance,
@@ -29,6 +34,7 @@ from quadseg.pnm import (
     read_f64,
     read_pgm,
     read_ppm,
+    read_ppm_raw,
     write_f64,
     write_pgm,
     write_ppm,
@@ -332,6 +338,122 @@ def test_pnm_errors_carry_offsets(tmp_path):
         assert ei.value.offset >= 0
 
 
+# -- property-based: random headers and rasters ------------------------------
+
+_WS_BYTES = b" \t\n\r\x0b\x0c"
+# a comment runs to end of line and may hold any other byte
+_COMMENT = st.binary(max_size=12).map(
+    lambda b: b"#" + bytes(c for c in b if c not in b"\r\n") + b"\n")
+# a separator between header tokens: whitespace bytes and comments, at
+# least one of either
+_SEP = st.lists(st.one_of(st.sampled_from([bytes([c]) for c in _WS_BYTES]),
+                          _COMMENT), min_size=1, max_size=4).map(b"".join)
+
+
+@st.composite
+def _pnm_files(draw, maxval=st.integers(1, 255)):
+    """(file bytes, magic, raster [H, W, C] uint8, maxval, header length,
+    offset of the magic)."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    channels = 3 if magic == b"P6" else 1
+    w, h, mv = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(maxval)
+    raw = np.frombuffer(draw(st.binary(min_size=w * h * channels,
+                                       max_size=w * h * channels)),
+                        dtype=np.uint8).reshape(h, w, channels)
+    raster = (raw.astype(np.int64) % (mv + 1)).astype(np.uint8)
+    lead = draw(st.one_of(st.just(b""), _SEP))
+    header = (lead + magic + draw(_SEP) + str(w).encode() + draw(_SEP)
+              + str(h).encode() + draw(_SEP) + str(mv).encode()
+              + draw(st.sampled_from([bytes([c]) for c in _WS_BYTES])))
+    return header + raster.tobytes(), magic, raster, mv, len(header), len(lead)
+
+
+def _read_blob(blob: bytes, magic: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.pnm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        if magic == b"P6":
+            return read_ppm_raw(path), read_ppm(path)
+        return read_pgm(path), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pnm_files())
+def test_pnm_random_files_round_trip(case):
+    """Any well-formed P5/P6 file, whatever its header's whitespace and
+    comment runs, reads back to its raster; ``read_ppm`` is that raster over
+    maxval, bit for bit."""
+    blob, magic, raster, mv, _, _ = case
+    got, decoded = _read_blob(blob, magic)
+    if magic == b"P5":
+        np.testing.assert_array_equal(got, raster[:, :, 0])
+        return
+    rgb, maxval = got
+    assert rgb.dtype == np.uint8 and maxval == mv
+    np.testing.assert_array_equal(rgb, raster.transpose(2, 0, 1))
+    want = raster.transpose(2, 0, 1).astype(np.float64) / mv
+    assert decoded.dtype == np.float64
+    assert decoded.tobytes() == want.tobytes()
+
+
+def _rejects(blob: bytes, magic: bytes, needle: str) -> None:
+    with pytest.raises(PnmError) as ei:
+        _read_blob(blob, magic)
+    assert needle in str(ei.value)
+    assert 0 <= ei.value.offset <= len(blob)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(), st.integers(1, 40))
+def test_pnm_truncated_raster_rejected(case, cut):
+    blob, magic, _, _, header, _ = case
+    cut = min(cut, len(blob) - header)
+    _rejects(blob[:-cut], magic, "truncated")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(), st.binary(min_size=1, max_size=20))
+def test_pnm_trailing_bytes_rejected(case, extra):
+    blob, magic, _, _, _, _ = case
+    _rejects(blob + extra, magic, "trailing")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(maxval=st.just(255)),
+       st.one_of(st.just(0), st.integers(256, 10 ** 12)))
+def test_pnm_maxval_outside_8_bits_rejected(case, bad):
+    blob, magic, _, _, header, _ = case
+    cut = blob.rindex(b"255", 0, header)
+    _rejects(blob[:cut] + str(bad).encode() + blob[cut + 3:], magic,
+             "unsupported")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(), st.binary(min_size=2, max_size=2))
+def test_pnm_bad_magic_rejected(case, other):
+    blob, magic, _, _, _, start = case
+    if other == magic or other[:1] in _WS_BYTES + b"#" \
+            or other[1:] in _WS_BYTES + b"#":
+        other = b"P7"
+    _rejects(blob[:start] + other + blob[start + 2:], magic, "bad magic")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(),
+       st.text(alphabet="abcxyz0123456789-+.", min_size=1, max_size=5)
+       .filter(lambda t: not t.isdigit()),
+       st.booleans())
+def test_pnm_non_numeric_dimension_rejected(case, token, in_width):
+    _, magic, raster, _, _, _ = case
+    h, w = raster.shape[:2]
+    # rebuild the header with the token standing in for one dimension
+    dims = (token, str(h)) if in_width else (str(w), token)
+    head = (magic + b" " + dims[0].encode() + b"\n" + dims[1].encode()
+            + b" 255\n")
+    _rejects(head + raster.tobytes(), magic, "not a number")
+
+
 def test_pgm_rejects_out_of_range_write(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(str(tmp_path / "x.pgm"),
@@ -373,6 +495,41 @@ def test_write_dataset_layout_and_split(tmp_path):
     assert s.image.shape == (3, 64, 64) and s.label.any()
     rt_src, rt_tgt = read_scene_specs(os.path.join(root, "spec.txt"))
     assert rt_src == src and rt_tgt == tgt
+
+
+def test_corpus_decodes_like_load_sample(tmp_path):
+    """Every image and label of a written corpus, and a hand-written PPM
+    with maxval 100, decode bit-identically to ``load_sample``, while the
+    corpus itself holds only the 8-bit rasters."""
+    root = str(tmp_path / "data")
+    write_dataset(root, *_tiny_specs(), n_train=3, n_val=2)
+    hand = os.path.join(root, "hand")
+    for sub in ("images", "labels"):
+        os.makedirs(os.path.join(hand, sub))
+    raster = np.random.default_rng(5).integers(0, 101, size=(4, 5, 3),
+                                               dtype=np.uint8)
+    with open(os.path.join(hand, "images", "0007.ppm"), "wb") as fh:
+        fh.write(b"P6\n# hand-made\n5 4\n100\n" + raster.tobytes())
+    write_pgm(label_path(root, "hand", 7),
+              np.where(raster[:, :, 0] > 50, 255, 0).astype(np.uint8))
+    train_ids, val_ids = split_target_ids(root)
+    cases = [("source", [0, 1, 2], True), ("target", train_ids, False),
+             ("target", val_ids, True), ("hand", [7], True)]
+    for domain, ids, with_label in cases:
+        corpus = load_corpus(root, domain, ids, with_label=with_label)
+        assert len(corpus) == len(ids) and corpus.ids == ids
+        assert all(r.dtype == np.uint8 for r in corpus.rasters)
+        for k, got in enumerate(corpus):
+            want = load_sample(root, domain, ids[k], with_label=with_label)
+            assert got.id == want.id
+            assert got.image.dtype == want.image.dtype == np.float64
+            assert got.image.shape == want.image.shape
+            assert got.image.tobytes() == want.image.tobytes()
+            if with_label:
+                np.testing.assert_array_equal(got.label, want.label)
+            else:
+                assert got.label is None and want.label is None
+    assert load_corpus(root, "hand", [7]).maxvals == [100]
 
 
 def test_write_dataset_reruns_byte_identical(tmp_path):

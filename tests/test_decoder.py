@@ -1,6 +1,7 @@
 """Decoder heads, model assembly, source-free path, checkpoint round-trip."""
 
 import gc
+import tracemalloc
 import types
 import weakref
 
@@ -35,6 +36,7 @@ from quadseg.objectives import (
 from quadseg.tensor import (
     ShapeError,
     Tape,
+    TapeError,
     Tensor,
     concat,
     finite_diff_check,
@@ -305,7 +307,8 @@ def test_batched_pair_gradient(shared):
 def _paired_step(params, disc, seed, wrap=None):
     """A batch-2 paired forward and backward through the segmentation loss
     and the critic, as in one adaptation step.  ``wrap`` may replace each
-    recorded backward rule before the sweep.  Returns the tape."""
+    recorded backward rule before the sweep.  Returns the tape, the loss
+    and the forward's outputs."""
     rng = np.random.default_rng(seed)
     img_s, img_t = rng.random((2, 3, 32, 32)), rng.random((2, 3, 32, 32))
     labels = rng.integers(0, 2, size=(2, 32, 32))
@@ -322,7 +325,7 @@ def _paired_step(params, disc, seed, wrap=None):
                 if node.backward_fn is not None:
                     node.backward_fn = wrap(node.backward_fn)
         tape.backward(loss)
-    return tape
+    return tape, loss, out
 
 
 def _read_only_input(rule):
@@ -339,9 +342,9 @@ def test_backward_rules_never_write_their_incoming_gradient():
     copying, which is sound only while no rule writes into its input."""
     params = _desk_params(40)
     disc = init_disc_params(DiscConfig(), np.random.default_rng(41))
-    plain = _paired_step(params, disc, 42)
+    plain = _paired_step(params, disc, 42)[0]
     want = {name: plain.grad(p).copy() for name, p in params.items()}
-    guarded = _paired_step(params, disc, 42, wrap=_read_only_input)
+    guarded = _paired_step(params, disc, 42, wrap=_read_only_input)[0]
     for name, p in params.items():
         np.testing.assert_array_equal(guarded.grad(p), want[name])
 
@@ -354,12 +357,54 @@ def test_finished_tape_is_freed_by_reference_counting():
     gc.collect()
     gc.disable()
     try:
-        ref = weakref.ref(_paired_step(params, disc, 45))
+        ref = weakref.ref(_paired_step(params, disc, 45)[0])
         for p in params.values():
             p.node = p.tape = None
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_sweep_releases_the_tape():
+    """After the sweep every rule is gone and only watched leaves keep a
+    gradient; the tape cannot be swept again, and an op output's gradient
+    is no longer there to read."""
+    params = _desk_params(50)
+    disc = init_disc_params(DiscConfig(), np.random.default_rng(51))
+    tape, loss, out = _paired_step(params, disc, 52)
+    leaves = {p.node.idx for p in params.values()}
+    assert all(node.backward_fn is None for node in tape.nodes)
+    held = {i for i, g in enumerate(tape.grads) if g is not None}
+    assert held and held <= leaves
+    assert all(not tape.nodes[i].parents for i in held)
+    with pytest.raises(TapeError, match="already swept"):
+        tape.backward(loss)
+    for t in (loss, out.logits_s):
+        with pytest.raises(TapeError, match="watched leaves"):
+            tape.grad(t)
+
+
+def test_sweep_leaves_only_leaf_gradients_resident():
+    """With the tape, the loss and the forward's outputs still referenced,
+    what the step leaves allocated is under twice the leaf gradients' bytes:
+    every activation a rule captured and every intermediate gradient has
+    been freed by the sweep itself."""
+    params = _desk_params(53)
+    disc = init_disc_params(DiscConfig(), np.random.default_rng(54))
+    _paired_step(params, disc, 55)          # fill the interp-matrix caches
+    for p in params.values():
+        p.node = p.tape = None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape, loss, out = _paired_step(params, disc, 55)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    leaf_bytes = sum(tape.grad(p).nbytes for p in params.values())
+    assert leaf_bytes > 0 and loss.node is not None and out.logits_t.size
+    assert held < 2 * leaf_bytes, (held, leaf_bytes)
 
 
 def _holds_tensor(obj, seen) -> bool:

@@ -9,7 +9,6 @@ from quadseg.objectives import (
     AdamW,
     DiscConfig,
     OptimizerDiverged,
-    adversarial_losses,
     disc_loss,
     discriminator_forward,
     gen_adv_loss,
@@ -183,7 +182,7 @@ def test_disc_gradient():
 
 def test_dloss_at_zero_logits_is_two_ln2():
     z = Tensor(np.zeros((1, 2, 2)))
-    d, g = adversarial_losses(z, z)
+    d, g = disc_loss(z, z), gen_adv_loss(z)
     assert abs(d.item() - 2.0 * math.log(2.0)) < 1e-12
     assert abs(g.item() - math.log(2.0)) < 1e-12
 
