@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "ShapeError",
@@ -91,7 +90,14 @@ def _as_array(data) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, opname: str) -> None:
-    if FINITE_CHECKS and not np.isfinite(arr).all():
+    """Raise unless every element is finite.  A finite sum of squares
+    proves that in one BLAS dot; only a non-finite one pays for the
+    elementwise test.  It comes from a bad element, or from finite elements
+    whose squares overflow (numpy warns), which does not raise."""
+    if not FINITE_CHECKS:
+        return
+    flat = arr.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(arr).all():
         raise FloatingPointError(f"{opname}: non-finite values in forward output")
 
 
@@ -590,9 +596,83 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _emit(out, (x, gamma, beta), build, "layer_norm")
 
 
+# Cephes' rational approximations of erf (ndtr.c), highest degree first:
+# x T(x^2) / U(x^2) on |x| < 1, and 1 - exp(-x^2) P(|x|) / Q(|x|) above.
+# U and Q are monic; their leading 1 is implied.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1,
+    2.23200534594684319226e3, 7.00332514112805075473e3,
+    5.55923013010394962768e4)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2,
+    4.59432382970980127987e3, 2.26290000613890934246e4,
+    4.92673942608635921086e4)
+_ERF_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1,
+    7.46321056442269912687e0, 4.86371970985681366614e1,
+    1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3,
+    5.57535335369399327526e2)
+_ERF_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1,
+    3.54937778887819891062e2, 9.75708501743205489753e2,
+    1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(6) = 2.2e-17 is under half an ulp of 1, so erf is exactly +-1 beyond
+_ERF_CLAMP = 6.0
+
+
+def _polevl(v: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with ``coefs`` at ``v``, Horner form, in place."""
+    acc = v * coefs[0]
+    acc += coefs[1]
+    for c in coefs[2:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _p1evl(v: np.ndarray, coefs: tuple) -> np.ndarray:
+    """As ``_polevl``, after an implied leading coefficient 1."""
+    acc = v + coefs[0]
+    for c in coefs[1:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, within 3 ulp of the correctly rounded value;
+    odd bit for bit, exactly +-1 from |x| = 6 on, NaN kept.  The exp branch
+    runs only on the elements with |x| >= 1."""
+    if x.ndim == 0:                 # a numpy scalar result could not take put
+        return _erf(x.reshape(1))[0]
+    a = np.abs(x)
+    big = np.flatnonzero(a >= 1.0)
+    # the first branch runs on every lane; bound the lanes that put overwrites
+    xs = np.copysign(np.minimum(a, 1.0), x) if big.size else x
+    z = xs * xs
+    y = _polevl(z, _ERF_T)
+    y *= xs
+    y /= _p1evl(z, _ERF_U)
+    if big.size:
+        v = np.minimum(a.take(big), _ERF_CLAMP)
+        p, q = _polevl(v, _ERF_P), _p1evl(v, _ERF_Q)
+        np.multiply(v, v, out=v)
+        np.negative(v, out=v)
+        np.exp(v, out=v)
+        v *= p
+        v /= q
+        np.subtract(1.0, v, out=v)
+        y.put(big, np.copysign(v, x.take(big), out=v))
+    return y
+
+
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), via erf."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    phi_cdf = _erf(x.data * _INV_SQRT2)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = x.data * phi_cdf
 
     def build():

@@ -1,14 +1,23 @@
 """Autodiff engine: forward oracles, backward closures, tape mechanics."""
 
 import math
+import os
+import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadseg.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    _erf,
+    add,
     concat,
     conv2d,
     depthwise_conv2d,
@@ -309,6 +318,15 @@ def test_grad_layer_norm_all_three_inputs():
 
 def test_grad_gelu():
     _check(lambda t: tsum(gelu(t)), (3, 3), 18)
+
+
+def test_grad_gelu_across_erf_branches():
+    """Inputs on both erf branches, at the |x| / sqrt(2) = 1 seam between
+    them and at the clamp |x| / sqrt(2) = 6."""
+    r2 = math.sqrt(2.0)
+    x = np.concatenate([np.linspace(-10.0, 10.0, 41),
+                        [r2, -r2, 6.0 * r2, -6.0 * r2]])
+    assert finite_diff_check(lambda t: tsum(gelu(t)), Tensor(x)) < TOL
 
 
 def test_grad_relu_family():
@@ -724,3 +742,117 @@ def test_backward_skips_untracked_parents():
         for out, wanted in cases:
             parts = out.node.backward_fn(np.ones(out.shape))
             assert tuple(p is not None for p in parts) == wanted
+
+
+# ---------------------------------------------------------------------------
+# erf in the engine and the finite check's semantics
+# ---------------------------------------------------------------------------
+
+
+def _ordinal(v: float) -> int:
+    """Index of a float64 on the line of all float64s in order, so that the
+    difference of two ordinals counts the ulps between them (+0 and -0
+    share ordinal 0)."""
+    i = struct.unpack("<q", struct.pack("<d", v))[0]
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+_ERF_INPUTS = st.one_of(st.floats(-30.0, 30.0, allow_subnormal=True),
+                        st.floats(-3e-308, 3e-308, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ERF_INPUTS, min_size=1, max_size=40))
+def test_erf_within_3_ulp_of_math_erf(xs):
+    got = _erf(np.array(xs))
+    for x, y in zip(xs, got):
+        assert abs(_ordinal(float(y)) - _ordinal(math.erf(x))) <= 3, x
+
+
+def test_erf_special_values():
+    y = _erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert y[0] == 0.0 and not np.signbit(y[0])
+    assert y[1] == 0.0 and np.signbit(y[1])
+    assert y[2] == 1.0 and y[3] == -1.0 and np.isnan(y[4])
+    assert _erf(np.array(-0.0)) == 0.0 and np.signbit(_erf(np.array(-0.0)))
+    assert _erf(np.array(-2.0)) == math.erf(-2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=6.0), min_size=1, max_size=20),
+       st.booleans())
+def test_erf_is_exactly_one_from_six(mags, negative):
+    x = -np.array(mags) if negative else np.array(mags)
+    assert np.all(_erf(x) == (-1.0 if negative else 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_erf_is_odd_bit_for_bit(xs):
+    x = np.array(xs)
+    assert np.array_equal(_erf(-x).view(np.int64), (-_erf(x)).view(np.int64))
+
+
+def test_erf_monotone_across_branch_seams():
+    """Non-decreasing on dense grids over [-7, 7] and across the branch seam
+    |x| = 1 and the clamp |x| = 6.  Within 3 ulp, erf cannot be monotone
+    from one float to the next where it rises by less than an ulp per ulp
+    of x (scipy's is not either), so the seam grids step by 1e-14: ~36 ulp
+    of erf at 1, more than the error on both sides of the seam."""
+    steps = np.arange(-2000, 2001)
+    grids = [np.linspace(-7.0, 7.0, 280001)]
+    for seam, step in ((1.0, 1e-14), (6.0, 1e-14), (6.0, 1e-4)):
+        grids += [seam + step * steps, -seam + step * steps]
+    for x in grids:
+        assert np.all(np.diff(_erf(x)) >= 0.0)
+
+
+def test_erf_any_layout():
+    """Batched, transposed and 0-d inputs give the flat result elementwise."""
+    x = np.random.default_rng(5).normal(scale=3.0, size=(6, 7))
+    want = _erf(x.ravel()).reshape(x.shape)
+    np.testing.assert_array_equal(_erf(x), want)
+    np.testing.assert_array_equal(_erf(x.T), want.T)
+    assert _erf(x[2, 3].reshape(())) == want[2, 3]
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0],
+                                 [-np.inf, 1.0], [np.inf, -np.inf]],
+                         ids=["nan", "+inf", "-inf", "+inf-inf"])
+def test_nonfinite_output_raises_naming_the_op(bad):
+    with pytest.raises(FloatingPointError, match="^add: non-finite"):
+        add(Tensor(bad), Tensor([0.0, 0.0]))
+
+
+def test_finite_output_whose_sum_overflows_passes():
+    """The check reduces first; an infinite reduction of finite elements
+    falls back to the elementwise test and does not raise."""
+    with np.errstate(over="ignore"):
+        out = add(Tensor([1e308, 1e308]), Tensor([0.0, 0.0]))
+    np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+
+def test_package_never_imports_scipy():
+    """The command line, training and verify modules, through one
+    inference, load no scipy module."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import quadseg.cli, quadseg.train, quadseg.verify
+        from quadseg.config import RunConfig
+        from quadseg.model import init_model_params
+        cfg = RunConfig()
+        rng = np.random.default_rng(0)
+        params = init_model_params(cfg.encoder_config(), cfg.decoder_config(),
+                                   rng)
+        quadseg.train.predict_mask(params, cfg, rng.random((3, cfg.crop,
+                                                            cfg.crop)))
+        print(sorted(m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
