@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -173,16 +174,15 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
 
 
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
-                         tau: float = 0.9) -> list[PseudoLabels]:
-    """Source-free inference over ``images`` (same-sized [3, H, W] arrays,
-    run in chunks); valid where the max class probability reaches ``tau``."""
-    out = []
+                         tau: float = 0.9) -> Iterator[PseudoLabels]:
+    """Source-free inference over ``images`` (same-sized [3, H, W] arrays),
+    yielding one label per image; valid where the max class probability
+    reaches ``tau``.  ``images`` is read a chunk at a time, so a generator
+    of images never has more than one chunk resident."""
     for chunk in stack_chunks(images):
         logits = infer_target_sourcefree(params, enc_cfg, dec_cfg, chunk)[0]
         for probs in mask_probs(logits).data:
-            out.append(PseudoLabels(probs=probs,
-                                    valid=probs.max(axis=0) >= tau))
-    return out
+            yield PseudoLabels(probs=probs, valid=probs.max(axis=0) >= tau)
 
 
 def save_pseudo_labels(directory: str, sample_id: int, pl: PseudoLabels) -> None:
@@ -293,7 +293,8 @@ def write_pairs(path: str, ps: PairSet, src_paths: list, tgt_paths: list) -> Non
 
 
 def read_pairs(path: str, src_paths: list, tgt_paths: list) -> PairSet:
-    """Load a persisted pairing, mapping paths back to corpus indices."""
+    """Load a persisted pairing, mapping paths back to corpus indices;
+    ``ValueError`` on a bad line, a non-finite ssim or an empty pairing."""
     s_idx = {p: i for i, p in enumerate(src_paths)}
     t_idx = {p: i for i, p in enumerate(tgt_paths)}
     out = PairSet()
@@ -308,6 +309,15 @@ def read_pairs(path: str, src_paths: list, tgt_paths: list) -> PairSet:
             sp, tp, sv = parts
             if sp not in s_idx or tp not in t_idx:
                 raise ValueError(f"{path}:{ln}: unknown image path")
+            try:
+                sim = float(sv)
+            except ValueError:
+                sim = np.nan
+            if not np.isfinite(sim):
+                raise ValueError(f"{path}:{ln}: ssim {sv!r} is not a finite "
+                                 "number")
             out.pairs.append((s_idx[sp], t_idx[tp]))
-            out.sims.append(float(sv))
+            out.sims.append(sim)
+    if not out.pairs:
+        raise ValueError(f"{path}: no pairs")
     return out

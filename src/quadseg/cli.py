@@ -124,21 +124,18 @@ def cmd_eval(args) -> int:
 
 def cmd_pair(args) -> int:
     from .adaptation import pair_two_way, to_grayscale, write_pairs
-    from .dataset import (image_path, list_image_ids, load_sample,
+    from .dataset import (image_path, list_image_ids, load_corpus,
                           split_target_ids)
 
-    src_ids = list_image_ids(args.data, "source")
-    tgt_ids = split_target_ids(args.data)[0]
-    src = [to_grayscale(load_sample(args.data, "source", i,
-                                    with_label=False).image)
-           for i in src_ids]
-    tgt = [to_grayscale(load_sample(args.data, "target", i,
-                                    with_label=False).image)
-           for i in tgt_ids]
-    ps = pair_two_way(src, tgt)
+    src = load_corpus(args.data, "source", list_image_ids(args.data, "source"),
+                      with_label=False)
+    tgt = load_corpus(args.data, "target", split_target_ids(args.data)[0],
+                      with_label=False)
+    ps = pair_two_way([to_grayscale(s.image) for s in src],
+                      [to_grayscale(s.image) for s in tgt])
     write_pairs(args.out, ps,
-                [image_path(args.data, "source", i) for i in src_ids],
-                [image_path(args.data, "target", i) for i in tgt_ids])
+                [image_path(args.data, "source", i) for i in src.ids],
+                [image_path(args.data, "target", i) for i in tgt.ids])
     print(f"{len(ps.pairs)} pairs -> {args.out}")
     return 0
 

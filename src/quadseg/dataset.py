@@ -280,16 +280,21 @@ def crop_window(rng: np.random.Generator, size: int, crop: int,
 
 
 def augment(s: Sample, rng: np.random.Generator, crop: int | None = None,
-            photometric: bool = True) -> Sample:
+            photometric: bool = True,
+            anchor: np.ndarray | None = None) -> Sample:
+    """Crop and flip the image with its [..., H, W] label, then jitter the
+    image alone.  The crop is retried to catch a pixel of ``anchor`` [H, W],
+    by default the label."""
     img, label = s.image, s.label
-    size = label.shape[0]
+    size = label.shape[-1]
     if crop is not None and crop < size:
-        r0, c0 = crop_window(rng, size, crop, label)
+        r0, c0 = crop_window(rng, size, crop,
+                             label if anchor is None else anchor)
         img = img[:, r0:r0 + crop, c0:c0 + crop]
-        label = label[r0:r0 + crop, c0:c0 + crop]
+        label = label[..., r0:r0 + crop, c0:c0 + crop]
     if rng.random() < 0.5:
         img = img[:, :, ::-1]
-        label = label[:, ::-1]
+        label = label[..., ::-1]
     if photometric:
         gain = rng.uniform(0.9, 1.1)
         bias = rng.uniform(-0.08, 0.08)

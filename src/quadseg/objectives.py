@@ -99,40 +99,46 @@ def discriminator_forward(params: dict, cfg: DiscConfig, probs: Tensor) -> Tenso
 def seg_cross_entropy(logits: Tensor, labels: np.ndarray,
                       valid: np.ndarray | None = None,
                       class_weights: np.ndarray | None = None):
-    """Pixel cross-entropy on a [K, H, W] logit map.
+    """Pixel cross-entropy on [..., K, H, W] logits, summed over the items
+    that the leading dims index.
 
-    ``labels`` is an integer class map, ``valid`` an optional boolean mask;
-    invalid pixels contribute nothing.  The summed loss is normalized by the
-    total weight of valid pixels (plain count when ``class_weights`` is
-    None), so magnitudes are comparable across crops and class mixes.
+    ``labels`` is an integer class map [..., H, W], ``valid`` an optional
+    boolean mask of the same shape; invalid pixels contribute nothing.  Each
+    item's loss is normalized by its own total weight of valid pixels
+    (plain count when ``class_weights`` is None), so magnitudes are
+    comparable across crops and class mixes; an item with none adds 0.
 
     Returns ``(loss, n_valid)``; ``n_valid == 0`` is the no-signal flag and
     comes with a constant zero loss.
     """
-    k, h, w = logits.shape
+    lead, (k, h, w) = logits.shape[:-3], logits.shape[-3:]
     labels = np.asarray(labels)
-    if labels.shape != (h, w):
-        raise ShapeError(f"labels {labels.shape} vs logits spatial {(h, w)}")
+    if labels.shape != lead + (h, w):
+        raise ShapeError(f"labels {labels.shape} vs logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"label values outside [0, {k})")
-    mask = np.ones((h, w), dtype=bool) if valid is None else valid.astype(bool)
-    if mask.shape != (h, w):
-        raise ShapeError(f"valid mask {mask.shape} vs logits spatial {(h, w)}")
+    mask = np.ones(labels.shape, dtype=bool) if valid is None \
+        else valid.astype(bool)
+    if mask.shape != labels.shape:
+        raise ShapeError(f"valid mask {mask.shape} vs labels {labels.shape}")
     n_valid = int(mask.sum())
     if n_valid == 0:
         return Tensor(0.0), 0
-    onehot = np.zeros((h, w, k))
-    iy, ix = np.nonzero(mask)
-    onehot[iy, ix, labels[iy, ix]] = 1.0
+    onehot = ((labels[..., None] == np.arange(k)) & mask[..., None]) \
+        .astype(np.float64)
     if class_weights is not None:
         cw = np.asarray(class_weights, dtype=np.float64)
         if cw.shape != (k,):
             raise ShapeError(f"class_weights shape {cw.shape}, expected ({k},)")
         onehot *= cw
-    total_w = onehot.sum()
-    lp = log_softmax_lastdim(transpose(logits, (1, 2, 0)))
-    loss = -(1.0 / total_w) * tsum(lp * Tensor(onehot))
-    return loss, n_valid
+    items = int(np.prod(lead))
+    total_w = onehot.reshape(items, -1).sum(axis=-1)
+    live = mask.reshape(items, -1).any(axis=-1)
+    scale = np.divide(-1.0, total_w, out=np.zeros(items), where=live)
+    n = len(lead)
+    lp = log_softmax_lastdim(transpose(logits, (*range(n), n + 1, n + 2, n)))
+    per_item = tsum(reshape(lp * Tensor(onehot), (items, -1)), axis=-1)
+    return tsum(per_item * Tensor(scale)), n_valid
 
 
 def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:

@@ -509,13 +509,16 @@ def _scatter_rows(g: np.ndarray, rows: list, n: int) -> np.ndarray:
     return ga
 
 
-def tsum(a: Tensor) -> Tensor:
-    out = a.data.sum()
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of every element, or along one ``axis`` (which is dropped)."""
+    out = a.data.sum(axis=axis)
 
     def build():
         shape = a.shape
 
         def bwd(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape).copy(),)
         return bwd
     return _emit(np.asarray(out), (a,), build, "sum")

@@ -36,19 +36,16 @@ from .config import RunConfig, parse_config, serialize_config
 from .dataset import (
     Sample,
     augment,
-    crop_window,
     generate_sample,
     image_path,
     iou,
     list_image_ids,
     load_corpus,
-    load_sample,
     read_scene_specs,
     split_target_ids,
 )
 from .decoder import augmented_features, mask_probs
 from .model import (
-    INFER_CHUNK,
     forward_pair,
     infer_target_sourcefree,
     init_model_params,
@@ -64,7 +61,7 @@ from .objectives import (
     total_loss,
 )
 from .pnm import write_pgm
-from .tensor import Tape, Tensor, gather
+from .tensor import Tape, Tensor
 
 __all__ = ["warmup", "adapt", "evaluate", "predict_mask",
            "source_val_iou", "target_val_iou", "LOG_HEADER"]
@@ -227,13 +224,10 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                 tape.watch(p)
             logits, _, _ = infer_target_sourcefree(
                 params, enc, dec, Tensor(np.stack([s.image for s in samples])))
-            acc = Tensor(0.0)
-            for b, s in enumerate(samples):
-                loss, _ = seg_cross_entropy(gather(logits, b),
-                                            s.label.astype(int),
-                                            class_weights=weights)
-                acc = acc + loss
-            total = (1.0 / len(batch)) * acc
+            loss, _ = seg_cross_entropy(
+                logits, np.stack([s.label for s in samples]),
+                class_weights=weights)
+            total = (1.0 / len(batch)) * loss
             tape.backward(total)
         grads = {name: tape.grad(p) for name, p in params.items()}
         lr = opt.step(params, grads)
@@ -242,16 +236,11 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                 tgt_iou=_mean_iou(params, cfg, tgt_val) if periodic else "")
     save_checkpoint(ckpt_out, {**params, **opt.state_tensors()},
                     serialize_config(cfg), cfg.warmup_iterations)
-    plabel_dir = ckpt_out + ".plabels"
-    train_ids = split_target_ids(root)[0]
-    # a chunk at a time, so the corpus's float images are never all resident
-    for k in range(0, len(train_ids), INFER_CHUNK):
-        ids = train_ids[k:k + INFER_CHUNK]
-        images = [load_sample(root, "target", i, with_label=False).image
-                  for i in ids]
-        for i, pl in zip(ids, warmup_pseudo_labels(params, enc, dec, images,
-                                                   cfg.tau)):
-            save_pseudo_labels(plabel_dir, i, pl)
+    tgt = load_corpus(root, "target", split_target_ids(root)[0],
+                      with_label=False)
+    for i, pl in zip(tgt.ids, warmup_pseudo_labels(
+            params, enc, dec, (s.image for s in tgt), cfg.tau)):
+        save_pseudo_labels(ckpt_out + ".plabels", i, pl)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
             "target_val_iou": _mean_iou(params, cfg, tgt_val)}
@@ -264,27 +253,13 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
 
 def _augment_target(s: Sample, pl: PseudoLabels, rng: np.random.Generator,
                     crop: int) -> tuple[np.ndarray, PseudoLabels]:
-    """Crop/flip image and pseudo-labels together; photometric image-only."""
-    img, probs, valid = s.image, pl.probs, pl.valid
-    size = img.shape[1]
-    if crop < size:
-        anchor = np.logical_and(valid, probs.argmax(axis=0) == probs.shape[0] - 1)
-        r0, c0 = crop_window(rng, size, crop, anchor)
-        img = img[:, r0:r0 + crop, c0:c0 + crop]
-        probs = probs[:, r0:r0 + crop, c0:c0 + crop]
-        valid = valid[r0:r0 + crop, c0:c0 + crop]
-    if rng.random() < 0.5:
-        img = img[:, :, ::-1]
-        probs = probs[:, :, ::-1]
-        valid = valid[:, ::-1]
-    gain = rng.uniform(0.9, 1.1)
-    bias = rng.uniform(-0.08, 0.08)
-    channel = rng.uniform(0.95, 1.05, size=3)
-    img = np.clip((img * gain + 0.5 * (1.0 - gain) + bias)
-                  * channel[:, None, None], 0.0, 1.0)
-    return (np.ascontiguousarray(img),
-            PseudoLabels(probs=np.ascontiguousarray(probs),
-                         valid=np.ascontiguousarray(valid)))
+    """Crop/flip image, probabilities and validity together (validity rides
+    as one more channel); crops are anchored on valid line pixels."""
+    anchor = pl.valid & (pl.hard() == pl.probs.shape[0] - 1)
+    out = augment(Sample(s.image, np.concatenate([pl.probs, pl.valid[None]]),
+                         s.id), rng, crop=crop, anchor=anchor)
+    return out.image, PseudoLabels(probs=out.label[:-1],
+                                   valid=out.label[-1] > 0.5)
 
 
 def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt):
@@ -292,9 +267,9 @@ def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt):
     if os.path.isdir(plabel_dir):
         return [load_pseudo_labels(plabel_dir, i, cfg.num_classes, cfg.tau)
                 for i in tgt.ids]
-    return warmup_pseudo_labels(params, cfg.encoder_config(),
-                                cfg.decoder_config(),
-                                (s.image for s in tgt), cfg.tau)
+    return list(warmup_pseudo_labels(params, cfg.encoder_config(),
+                                     cfg.decoder_config(),
+                                     (s.image for s in tgt), cfg.tau))
 
 
 def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
@@ -313,6 +288,21 @@ def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
 
     initialize_bank(bank, batches())
     return bank
+
+
+def _correct_and_track(pls: list, feats: np.ndarray, grid: tuple[int, int],
+                       bank: PrototypeBank, cfg: RunConfig) -> list:
+    """Correct each item's pseudo-labels with its augmented features
+    ``feats`` [B, N, D], then move the prototypes toward the corrections."""
+    pls = [correct_pseudo_labels(pl, f, grid, bank, cfg.temperature, cfg.tau)
+           for pl, f in zip(pls, feats)]
+    for f, pl in zip(feats, pls):       # prototypes trail the corrections
+        gp = _grid_probs(pl.probs, *grid)
+        for c in range(cfg.num_classes):
+            proto = batch_prototype(f, gp, c)
+            if proto is not None:
+                ema_update(bank, c, proto)
+    return pls
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -369,8 +359,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                               cfg.crop)))
         n = len(batch)
         gtape = Tape()
-        l_s = l_t = g_term = Tensor(0.0)
-        ema_batch: list = []
+        l_t = g_term = Tensor(0.0)
         with gtape:
             for p in params.values():
                 gtape.watch(p)
@@ -378,26 +367,19 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                Tensor(np.stack([s.image for s, _, _ in batch])),
                                Tensor(np.stack([t for _, t, _ in batch])),
                                cfg.use_cross_src, cfg.use_cross_tgt)
-            # [phi_t, phi_st], read only by the label correction
-            aug_t = augmented_features(out.maps_t, out.dims) if correcting \
-                else None
-            for b, (s, _, pl) in enumerate(batch):
-                loss_s, _ = seg_cross_entropy(gather(out.logits_s, b),
-                                              s.label.astype(int),
-                                              class_weights=weights)
-                l_s = l_s + loss_s
-                if cfg.self_training:
-                    if correcting:
-                        feats = aug_t[b]
-                        pl = correct_pseudo_labels(pl, feats, out.grid, bank,
-                                                   cfg.temperature, cfg.tau)
-                    loss_t, _ = seg_cross_entropy(gather(out.logits_t, b),
-                                                  pl.hard(), valid=pl.valid,
-                                                  class_weights=weights)
-                    l_t = l_t + loss_t
-                    if correcting:
-                        gh, gw = out.grid
-                        ema_batch.append((feats, _grid_probs(pl.probs, gh, gw)))
+            l_s, _ = seg_cross_entropy(
+                out.logits_s, np.stack([s.label for s, _, _ in batch]),
+                class_weights=weights)
+            if cfg.self_training:
+                pls = [pl for _, _, pl in batch]
+                if correcting:
+                    pls = _correct_and_track(
+                        pls, augmented_features(out.maps_t, out.dims),
+                        out.grid, bank, cfg)
+                l_t, _ = seg_cross_entropy(
+                    out.logits_t, np.stack([pl.hard() for pl in pls]),
+                    valid=np.stack([pl.valid for pl in pls]),
+                    class_weights=weights)
             if cfg.adversarial:
                 probs_s = mask_probs(out.logits_s)
                 probs_t = mask_probs(out.logits_t)
@@ -424,11 +406,6 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             gtape.backward(total)
         grads = {name: gtape.grad(p) for name, p in params.items()}
         lr = g_opt.step(params, grads)
-        for feats, gp in ema_batch:         # prototypes trail the corrections
-            for c in range(cfg.num_classes):
-                proto = batch_prototype(feats, gp, c)
-                if proto is not None:
-                    ema_update(bank, c, proto)
         periodic = step % cfg.eval_every == 0 or step == cfg.iterations
         log.row(step, l_s=l_s.item() / n,
                 l_t=l_t.item() / n if cfg.self_training else "",
@@ -464,12 +441,11 @@ def evaluate(ckpt_path: str, root: str, out_dir: str) -> dict:
     os.makedirs(mask_dir, exist_ok=True)
     rows = []
     scale = 255 // (cfg.num_classes - 1)
-    for i in val_ids:
-        s = load_sample(root, "target", i, with_label=True)
+    for s in load_corpus(root, "target", val_ids):
         pred = predict_mask(params, cfg, s.image)
-        write_pgm(os.path.join(mask_dir, f"{i:04d}.pgm"),
+        write_pgm(os.path.join(mask_dir, f"{s.id:04d}.pgm"),
                   (pred * scale).astype(np.uint8))
-        rows.append((i, iou(pred, s.label.astype(int))))
+        rows.append((s.id, iou(pred, s.label.astype(int))))
     mean = float(np.mean([v for _, v in rows])) if rows else 1.0
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write("id,iou\n")

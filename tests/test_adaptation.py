@@ -1,7 +1,14 @@
 """Prototype bank, pseudo-label correction, SSIM, and two-way pairing."""
 
+import math
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadseg.adaptation import (
     PairSet,
@@ -253,6 +260,33 @@ def test_warmup_validity_thresholds():
     np.testing.assert_allclose(pl_all.probs.sum(axis=0), 1.0, atol=1e-12)
 
 
+def test_pseudo_label_pass_is_lazy():
+    """The pass pulls at most INFER_CHUNK images from a generator before
+    it yields the first label, so a corpus's float images are never all
+    resident at once."""
+    from quadseg.decoder import DecoderConfig
+    from quadseg.encoder import EncoderConfig
+    from quadseg.model import INFER_CHUNK, init_model_params
+
+    enc = EncoderConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
+                        sr_ratios=(1, 1))
+    dec = DecoderConfig(embed_dim=8)
+    params = init_model_params(enc, dec, np.random.default_rng(4))
+    pulled = []
+
+    def images():
+        rng = np.random.default_rng(5)
+        for k in range(3 * INFER_CHUNK):
+            pulled.append(k)
+            yield rng.random((3, 16, 16))
+
+    labels = warmup_pseudo_labels(params, enc, dec, images(), tau=0.5)
+    assert next(labels).probs.shape == (2, 16, 16)
+    assert 1 <= len(pulled) <= INFER_CHUNK
+    assert len(list(labels)) == 3 * INFER_CHUNK - 1
+    assert len(pulled) == 3 * INFER_CHUNK
+
+
 def test_chunked_inference_matches_per_image():
     """Pseudo-labels and the initial prototype bank, computed INFER_CHUNK
     images per forward with a ragged last chunk, equal the one-image-per-
@@ -269,7 +303,7 @@ def test_chunked_inference_matches_per_image():
     params = init_model_params(enc, dec, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     images = [rng.random((3, 32, 32)) for _ in range(2 * INFER_CHUNK + 1)]
-    plabels = warmup_pseudo_labels(params, enc, dec, images, tau=0.6)
+    plabels = list(warmup_pseudo_labels(params, enc, dec, images, tau=0.6))
     assert len(plabels) == len(images)
     feats = []
     for img, pl in zip(images, plabels):
@@ -449,4 +483,72 @@ def test_pairs_tsv_rejects_unknown_path(tmp_path):
     with open(path, "w") as fh:
         fh.write("nope.ppm\talso-nope.ppm\t0.5\n")
     with pytest.raises(ValueError):
+        read_pairs(path, ["a.ppm"], ["b.ppm"])
+
+
+_SRC_PATHS = [f"source/images/{i:04d}.ppm" for i in range(5)]
+_TGT_PATHS = [f"target/images/{i:04d}.ppm" for i in range(5)]
+_ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=8)
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_ROWS)
+def test_pairs_tsv_written_pairs_read_back_equal(rows):
+    ps = PairSet(pairs=[(i, j) for i, j, _ in rows],
+                 sims=[s for _, _, s in rows])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "pairs.tsv")
+        write_pairs(path, ps, _SRC_PATHS, _TGT_PATHS)
+        back = read_pairs(path, _SRC_PATHS, _TGT_PATHS)
+    assert back.pairs == ps.pairs
+    assert [s.hex() for s in back.sims] == [s.hex() for s in ps.sims]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_ROWS, at=st.integers(0, 7), data=st.data())
+def test_pairs_tsv_rejects_each_malformed_line(rows, at, data):
+    """One line of a written pairing is replaced by a malformed one: a
+    wrong field count, an unknown path, or an ssim that is not a finite
+    number.  The reader names that line."""
+    at = at % len(rows)
+    sp, tp = _SRC_PATHS[rows[at][0]], _TGT_PATHS[rows[at][1]]
+    sim = data.draw(st.one_of(
+        st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999",
+                         "", "0.5.1", "0x1p-2"]),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                max_size=10)))
+    bad = data.draw(st.sampled_from([
+        f"{sp}\t{tp}", f"{sp}\t{tp}\t0.5\t0.5", f"{sp}\t{tp}\t{sim}",
+        f"nope.ppm\t{tp}\t0.5", f"{sp}\t{tp}.x\t0.5"]))
+    assume(bad != f"{sp}\t{tp}\t{sim}" or not _finite_number(sim))
+    ps = PairSet(pairs=[(i, j) for i, j, _ in rows],
+                 sims=[s for _, _, s in rows])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "pairs.tsv")
+        write_pairs(path, ps, _SRC_PATHS, _TGT_PATHS)
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        lines[at] = bad
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        where = rf"^{re.escape(path)}:{at + 1}: "
+        with pytest.raises(ValueError, match=where):
+            read_pairs(path, _SRC_PATHS, _TGT_PATHS)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_pairs_tsv_rejects_an_empty_pairing(tmp_path, text):
+    path = str(tmp_path / "pairs.tsv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: no pairs"):
         read_pairs(path, ["a.ppm"], ["b.ppm"])

@@ -339,6 +339,33 @@ def test_warmup_resume_past_schedule_rejected(chain, tmp_path):
     assert not os.path.exists(out)
 
 
+def test_tape_size_does_not_grow_with_batch(workspace, tmp_path):
+    """One warm-up step's tape, and one paired step's critic tape and
+    generator tape (which runs through the critic), record as many nodes at
+    batch 1, 2 and 3: each loss takes the whole batch in one chain.  tau =
+    0.5 leaves every pseudo-label pixel valid, so no item drops out."""
+    from quadseg.train import adapt, warmup
+    _, data = workspace
+    sweep = tensor.Tape.backward
+    sizes = {}
+    for batch in (1, 2, 3):
+        cfg = RunConfig(batch=batch, warmup_iterations=1, iterations=1,
+                        eval_every=1, tau=0.5)
+        seen = sizes[batch] = []
+
+        def counting(tape, root):
+            seen.append(len(tape.nodes))
+            sweep(tape, root)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor.Tape, "backward", counting)
+            warmup(cfg, data, str(tmp_path / f"w{batch}.ckpt"))
+            adapt(cfg, data, str(tmp_path / f"w{batch}.ckpt"),
+                  str(tmp_path / f"a{batch}.ckpt"))
+    assert len(sizes[1]) == 3        # warm-up, critic, generator
+    assert sizes[1] == sizes[2] == sizes[3]
+
+
 def test_missing_checkpoint_exits_one(chain, capsys):
     rc = cli.main(["eval", "--ckpt", chain["wck"] + ".nope", "--data",
                    chain["data"], "--out", chain["evdir"]])

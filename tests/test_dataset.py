@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadseg.adaptation import PseudoLabels
 from quadseg.dataset import (
+    Sample,
     SceneSpec,
     augment,
     crop_window,
@@ -225,6 +227,80 @@ def test_crop_shrinks_sample():
     assert out.label.shape == (32, 32)
     with pytest.raises(ValueError):
         crop_window(np.random.default_rng(0), 64, 128, s.label)
+
+
+def _loop_augment_target(s, pl, rng, crop):
+    """The target-side augmentation as it was written before ``augment``
+    carried label stacks: image, probabilities and validity cropped and
+    flipped side by side, the crop anchored on valid line pixels."""
+    img, probs, valid = s.image, pl.probs, pl.valid
+    size = img.shape[1]
+    if crop < size:
+        anchor = np.logical_and(valid, probs.argmax(axis=0) == probs.shape[0] - 1)
+        r0, c0 = crop_window(rng, size, crop, anchor)
+        img = img[:, r0:r0 + crop, c0:c0 + crop]
+        probs = probs[:, r0:r0 + crop, c0:c0 + crop]
+        valid = valid[r0:r0 + crop, c0:c0 + crop]
+    if rng.random() < 0.5:
+        img = img[:, :, ::-1]
+        probs = probs[:, :, ::-1]
+        valid = valid[:, ::-1]
+    gain = rng.uniform(0.9, 1.1)
+    bias = rng.uniform(-0.08, 0.08)
+    channel = rng.uniform(0.95, 1.05, size=3)
+    img = np.clip((img * gain + 0.5 * (1.0 - gain) + bias)
+                  * channel[:, None, None], 0.0, 1.0)
+    return (np.ascontiguousarray(img),
+            PseudoLabels(probs=np.ascontiguousarray(probs),
+                         valid=np.ascontiguousarray(valid)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), crop=st.sampled_from([32, 64]))
+def test_target_augment_matches_the_side_by_side_path(seed, crop):
+    """``train._augment_target`` (one ``augment`` call, validity riding as a
+    channel) gives bit-equal image, probabilities and validity, and leaves
+    the rng where the side-by-side path does."""
+    from quadseg.train import _augment_target
+    s = generate_sample(target_spec(2), seed % 5)
+    rng = np.random.default_rng(seed)
+    # background everywhere (some of it below tau) but a 4x4 patch of line
+    # pixels (some below tau) near a corner, which few crop windows catch:
+    # the crop anchor is that patch's valid part
+    line = 0.45 * rng.random(s.label.shape) ** 8
+    r, c = rng.choice([0, 4, 56, 60], size=2)
+    line[r:r + 4, c:c + 4] = rng.uniform(0.5, 1.0, (4, 4))
+    probs = np.stack([1.0 - line, line])
+    pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.9)
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    img, got = _augment_target(s, pl, got_rng, crop)
+    want_img, want = _loop_augment_target(s, pl, want_rng, crop)
+    assert img.tobytes() == want_img.tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.valid.dtype == bool and got.valid.shape == want.valid.shape
+    np.testing.assert_array_equal(got.valid, want.valid)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_augment_label_stack_with_explicit_anchor():
+    """A [K, H, W] label is cropped and flipped with the image, and the
+    crop window is drawn against ``anchor``, not against the label."""
+    s = generate_sample(source_spec(3), 0)
+    stack = np.concatenate([s.image, s.label[None]])        # [4, H, W]
+    anchor = np.zeros(s.label.shape, dtype=bool)
+    anchor[56:, :8] = True
+    for seed in range(12):
+        out = augment(Sample(s.image, stack, s.id),
+                      np.random.default_rng(seed), crop=32,
+                      photometric=False, anchor=anchor)
+        rng = np.random.default_rng(seed)
+        r0, c0 = crop_window(rng, 64, 32, anchor)
+        want = stack[:, r0:r0 + 32, c0:c0 + 32]
+        if rng.random() < 0.5:
+            want = want[..., ::-1]
+        np.testing.assert_array_equal(out.label, want)
+        np.testing.assert_array_equal(out.image, out.label[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from quadseg.tensor import (
     Tape,
     Tensor,
     finite_diff_check,
+    gather,
+    log_softmax_lastdim,
     softmax_lastdim,
     transpose,
     tsum,
@@ -114,6 +116,78 @@ def test_ce_rejects_bad_shapes_and_labels():
         seg_cross_entropy(Tensor(np.zeros((2, 4, 4))), np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError):
         seg_cross_entropy(Tensor(np.zeros((2, 2, 2))), np.full((2, 2), 5))
+
+
+def _per_item_ce(logits, labels, valid, class_weights):
+    """The per-item loop the batched loss replaced: gather each item,
+    move classes last, log-softmax, weighted sum, scale by the item's own
+    valid weight, accumulate; an item without valid pixels adds a constant
+    zero."""
+    acc = Tensor(0.0)
+    for b in range(logits.shape[0]):
+        item = gather(logits, b)
+        k, h, w = item.shape
+        loss = Tensor(0.0)
+        if valid[b].any():
+            onehot = np.zeros((h, w, k))
+            iy, ix = np.nonzero(valid[b])
+            onehot[iy, ix, labels[b][iy, ix]] = 1.0
+            if class_weights is not None:
+                onehot *= class_weights
+            lp = log_softmax_lastdim(transpose(item, (1, 2, 0)))
+            loss = -(1.0 / onehot.sum()) * tsum(lp * Tensor(onehot))
+        acc = acc + loss
+    return acc
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@pytest.mark.parametrize("class_weights", [None, np.array([1.0, 10.0])])
+def test_ce_batched_equals_per_item_loop(batch, class_weights):
+    """Value and logit gradient are bit-equal to the per-item loop, with
+    and without class weights, and with one item that has no valid pixel.
+
+    Zeros are compared by value: at an invalid pixel the loop's gradient
+    is -0.0 when one item's gather feeds the logits and +0.0 when two do
+    (the scatter adds a +0.0), and the batched loss gives -0.0 throughout.
+    """
+    rng = np.random.default_rng(50 + batch)
+    x = rng.normal(size=(batch, 2, 8, 8)) * 3.0
+    labels = rng.integers(0, 2, size=(batch, 8, 8))
+    valid = rng.random((batch, 8, 8)) > 0.3
+    valid[-1] = batch < 2          # the last item of a batch is all invalid
+
+    def run(f):
+        logits = Tensor(x.copy())
+        with Tape() as tape:
+            tape.watch(logits)
+            loss = f(logits)
+            tape.backward(loss)
+        return loss.data.tobytes(), (tape.grad(logits) + 0.0).tobytes()
+
+    assert run(lambda t: seg_cross_entropy(t, labels, valid=valid,
+                                           class_weights=class_weights)[0]) \
+        == run(lambda t: _per_item_ce(t, labels, valid, class_weights))
+
+
+def test_ce_unbatched_is_the_one_item_case():
+    rng = np.random.default_rng(60)
+    logits = rng.normal(size=(2, 6, 6))
+    labels = rng.integers(0, 2, size=(6, 6))
+    one, n1 = seg_cross_entropy(Tensor(logits), labels)
+    many, n = seg_cross_entropy(Tensor(logits[None]), labels[None])
+    assert one.data.tobytes() == many.data.tobytes() and n1 == n == 36
+
+
+def test_ce_rejects_leading_dims_that_disagree():
+    logits = Tensor(np.zeros((2, 2, 4, 4)))
+    for labels in (np.zeros((3, 4, 4), int), np.zeros((4, 4), int),
+                   np.zeros((1, 2, 4, 4), int)):
+        with pytest.raises(ShapeError):
+            seg_cross_entropy(logits, labels)
+    labels = np.zeros((2, 4, 4), int)
+    for valid in (np.ones((1, 4, 4), bool), np.ones((4, 4), bool)):
+        with pytest.raises(ShapeError):
+            seg_cross_entropy(logits, labels, valid=valid)
 
 
 def test_ce_gradient():

@@ -375,6 +375,19 @@ def test_grad_structural_ops():
     _check(f, (2, 3), 33)
 
 
+def test_tsum_along_an_axis():
+    """Every axis of a [2, 3, 4] input, the last as -1: the sum equals
+    numpy's, and the kept elements carry their own weights in the gradient
+    check, so a broadcast back along the wrong axis shows."""
+    x = np.random.default_rng(35).normal(size=(2, 3, 4))
+    for axis in (0, 1, -1):
+        np.testing.assert_array_equal(tsum(Tensor(x), axis=axis).data,
+                                      x.sum(axis=axis))
+        kept = x.sum(axis=axis).shape
+        _check(_weighted(lambda t, a=axis: tsum(t, axis=a), kept, 36 + axis),
+               x.shape, 40 + axis)
+
+
 def test_grad_composite_chain():
     """A miniature network touching most ops at once."""
     rng = np.random.default_rng(34)
