@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,10 +33,13 @@ __all__ = [
     "correct_pseudo_labels",
     "warmup_pseudo_labels",
     "save_pseudo_labels",
+    "read_pseudo_labels_raw",
+    "decode_pseudo_labels",
     "load_pseudo_labels",
     "to_grayscale",
     "downscale_gray",
     "ssim",
+    "ssim_matrix",
     "pair_two_way",
     "write_pairs",
     "read_pairs",
@@ -160,9 +164,12 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
         raise ValueError(f"{feats.shape[0]} features for grid {h}x{w}")
     if feats.shape[1] != bank.eta.shape[1]:
         raise ValueError(f"feature dim {feats.shape[1]} vs bank {bank.eta.shape[1]}")
-    diff = feats[:, None, :] - bank.eta[None, :, :]       # [N, K, D]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    z = -dist / temperature
+    dist = np.empty((feats.shape[0], kk))
+    for c in range(kk):             # one [N, D] difference per class
+        diff = feats - bank.eta[c]
+        diff *= diff
+        dist[:, c] = diff.sum(axis=1)
+    z = -np.sqrt(dist) / temperature
     z -= z.max(axis=1, keepdims=True)
     kw = np.exp(z)
     kw /= kw.sum(axis=1, keepdims=True)                   # [N, K]
@@ -192,19 +199,30 @@ def save_pseudo_labels(directory: str, sample_id: int, pl: PseudoLabels) -> None
     write_f64(os.path.join(directory, f"{sample_id:04d}.conf"), pl.confidence())
 
 
-def load_pseudo_labels(directory: str, sample_id: int, num_classes: int,
-                       tau: float) -> PseudoLabels:
-    """Rebuild soft probabilities from the persisted pair.  Exact for two
-    classes; for more the non-argmax remainder is spread uniformly."""
+def read_pseudo_labels_raw(directory: str,
+                           sample_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """The persisted planes undecoded: the uint8 hard map and the float64
+    confidence map, both [H, W]."""
     hard = read_pgm(os.path.join(directory, f"{sample_id:04d}.pgm"))
     conf = read_f64(os.path.join(directory, f"{sample_id:04d}.conf"), hard.shape)
-    h, w = hard.shape
-    probs = np.full((num_classes, h, w),
-                    0.0 if num_classes == 2 else 1.0 / num_classes)
+    return hard, conf
+
+
+def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray, num_classes: int,
+                         tau: float) -> PseudoLabels:
+    """Rebuild soft probabilities from the hard map and its confidence.
+    Exact for two classes; for more the non-argmax remainder is spread
+    uniformly."""
     rest = (1.0 - conf) / (num_classes - 1)
-    for c in range(num_classes):
-        probs[c] = np.where(hard == c, conf, rest)
+    probs = np.where(hard == np.arange(num_classes)[:, None, None], conf, rest)
     return PseudoLabels(probs=probs, valid=conf >= tau)
+
+
+def load_pseudo_labels(directory: str, sample_id: int, num_classes: int,
+                       tau: float) -> PseudoLabels:
+    """``decode_pseudo_labels`` of the persisted planes."""
+    return decode_pseudo_labels(*read_pseudo_labels_raw(directory, sample_id),
+                                num_classes, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +282,81 @@ class PairSet:
     sims: list = field(default_factory=list)
 
 
-def pair_two_way(src_gray: list, tgt_gray: list, window: int = 8) -> PairSet:
-    """For every source image its most similar target (P_s) and for every
-    target its most similar source (P_t); the union with duplicates merged.
-    Every image therefore appears in at least one pair and
-    |P| <= |src| + |tgt|."""
-    if not src_gray or not tgt_gray:
+_PAIR_BLOCK = 16        # images per block of the streamed matrix
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    it = iter(items)
+    while block := list(islice(it, _PAIR_BLOCK)):
+        yield block
+
+
+def _tile_stats(grays: list, window: int, shape: tuple[int, int]):
+    """Tile means [n, T], centred tiles [n, T, window^2] and tile variances
+    [n, T] of gray images of size ``shape``.  Means and centring are
+    ``ssim``'s; the variances come from the same einsum as
+    ``ssim_matrix``'s covariances, so an image's covariance with itself
+    equals its variance bit for bit."""
+    h, w = shape
+    th, tw = h // window, w // window
+    if th < 1 or tw < 1:
+        raise ValueError(f"image {h}x{w} smaller than window {window}")
+    mus, tiles = [], []
+    for g in grays:
+        if g.shape != shape:
+            raise ValueError(f"image sizes disagree: {g.shape} vs {shape}")
+        t = g[:th * window, :tw * window].reshape(th, window, tw, window)
+        mu = t.mean(axis=(1, 3))
+        mus.append(mu.reshape(-1))
+        tiles.append((t - mu[:, None, :, None]).transpose(0, 2, 1, 3)
+                     .reshape(th * tw, window * window))
+    d = np.stack(tiles)
+    return np.stack(mus), d, np.einsum("itp,itp->it", d, d) / (window * window)
+
+
+def ssim_matrix(src_gray: Iterable[np.ndarray], tgt_gray: Iterable[np.ndarray],
+                window: int = 8) -> np.ndarray:
+    """``ssim`` of every (source, target) pair as one [ns, nt] matrix.
+
+    Both sides are read ``_PAIR_BLOCK`` images at a time.  The target tile
+    statistics are computed once and held, block by block; each source
+    block is scored against each target block with one covariance einsum,
+    so a generator of sources never has more than one block resident and
+    no temporary spans the whole corpus.  Entries agree with ``ssim`` to
+    rounding (the sums run in another order) and ``ssim(a, a)``'s entry is
+    exactly 1.0."""
+    tgt = iter(tgt_gray)
+    first = next(tgt, None)
+    if first is None:
         raise ValueError("pairing needs non-empty corpora on both sides")
-    ns, nt = len(src_gray), len(tgt_gray)
-    sim = np.empty((ns, nt))
-    for i, a in enumerate(src_gray):
-        for j, b in enumerate(tgt_gray):
-            sim[i, j] = ssim(a, b, window)
+    shape = first.shape
+    targets = [_tile_stats(b, window, shape)
+               for b in _blocks(chain([first], tgt))]
+    rows = []
+    for block in _blocks(src_gray):
+        mu_s, d_s, var_s = _tile_stats(block, window, shape)
+        mu_s, var_s = mu_s[:, None], var_s[:, None]
+        row = []
+        for mu_t, d_t, var_t in targets:
+            cov = np.einsum("itp,jtp->ijt", d_s, d_t) / (window * window)
+            score = ((2.0 * mu_s * mu_t + _C1) * (2.0 * cov + _C2)) \
+                / ((mu_s * mu_s + mu_t * mu_t + _C1) * (var_s + var_t + _C2))
+            row.append(score.mean(axis=2))
+        rows.append(np.concatenate(row, axis=1))
+    if not rows:
+        raise ValueError("pairing needs non-empty corpora on both sides")
+    return np.concatenate(rows)
+
+
+def pair_two_way(src_gray: Iterable[np.ndarray],
+                 tgt_gray: Iterable[np.ndarray], window: int = 8) -> PairSet:
+    """For every source image its most similar target (P_s) and for every
+    target its most similar source (P_t); the union with duplicates merged,
+    ties going to the first index.  Every image therefore appears in at
+    least one pair and |P| <= |src| + |tgt|.  Either side may be a one-shot
+    iterable (see ``ssim_matrix``)."""
+    sim = ssim_matrix(src_gray, tgt_gray, window)
+    ns, nt = sim.shape
     chosen = {(i, int(sim[i].argmax())) for i in range(ns)}
     chosen |= {(int(sim[:, j].argmax()), j) for j in range(nt)}
     out = PairSet()
@@ -293,10 +374,12 @@ def write_pairs(path: str, ps: PairSet, src_paths: list, tgt_paths: list) -> Non
 
 
 def read_pairs(path: str, src_paths: list, tgt_paths: list) -> PairSet:
-    """Load a persisted pairing, mapping paths back to corpus indices;
-    ``ValueError`` on a bad line, a non-finite ssim or an empty pairing."""
-    s_idx = {p: i for i, p in enumerate(src_paths)}
-    t_idx = {p: i for i, p in enumerate(tgt_paths)}
+    """Load a persisted pairing, mapping paths back to corpus indices by
+    their real paths, so ``data``, ``./data`` and the absolute root name the
+    same image; ``ValueError`` on a bad line, a non-finite ssim or an empty
+    pairing."""
+    s_idx = {os.path.realpath(p): i for i, p in enumerate(src_paths)}
+    t_idx = {os.path.realpath(p): i for i, p in enumerate(tgt_paths)}
     out = PairSet()
     with open(path, encoding="ascii") as fh:
         for ln, line in enumerate(fh, 1):
@@ -307,6 +390,7 @@ def read_pairs(path: str, src_paths: list, tgt_paths: list) -> PairSet:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{ln}: expected 3 tab-separated fields")
             sp, tp, sv = parts
+            sp, tp = os.path.realpath(sp), os.path.realpath(tp)
             if sp not in s_idx or tp not in t_idx:
                 raise ValueError(f"{path}:{ln}: unknown image path")
             try:

@@ -131,8 +131,8 @@ def cmd_pair(args) -> int:
                       with_label=False)
     tgt = load_corpus(args.data, "target", split_target_ids(args.data)[0],
                       with_label=False)
-    ps = pair_two_way([to_grayscale(s.image) for s in src],
-                      [to_grayscale(s.image) for s in tgt])
+    ps = pair_two_way((to_grayscale(s.image) for s in src),
+                      (to_grayscale(s.image) for s in tgt))
     write_pairs(args.out, ps,
                 [image_path(args.data, "source", i) for i in src.ids],
                 [image_path(args.data, "target", i) for i in tgt.ids])

@@ -22,11 +22,12 @@ from .adaptation import (
     PseudoLabels,
     batch_prototype,
     correct_pseudo_labels,
+    decode_pseudo_labels,
     ema_update,
     initialize_bank,
-    load_pseudo_labels,
     pair_two_way,
     read_pairs,
+    read_pseudo_labels_raw,
     save_pseudo_labels,
     to_grayscale,
     warmup_pseudo_labels,
@@ -262,14 +263,18 @@ def _augment_target(s: Sample, pl: PseudoLabels, rng: np.random.Generator,
                                    valid=out.label[-1] > 0.5)
 
 
-def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt):
+def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt) -> list:
+    """Each target image's pseudo-labels as the planes ``save_pseudo_labels``
+    persists (uint8 hard map, float64 confidence): read from the warm-up
+    checkpoint's ``.plabels`` directory, or made by the same inference pass
+    when it is missing.  ``decode_pseudo_labels`` turns them into
+    probabilities when a step or the bank pass reads them."""
     plabel_dir = warmup_ckpt + ".plabels"
     if os.path.isdir(plabel_dir):
-        return [load_pseudo_labels(plabel_dir, i, cfg.num_classes, cfg.tau)
-                for i in tgt.ids]
-    return list(warmup_pseudo_labels(params, cfg.encoder_config(),
-                                     cfg.decoder_config(),
-                                     (s.image for s in tgt), cfg.tau))
+        return [read_pseudo_labels_raw(plabel_dir, i) for i in tgt.ids]
+    return [(pl.hard(), pl.confidence()) for pl in warmup_pseudo_labels(
+        params, cfg.encoder_config(), cfg.decoder_config(),
+        (s.image for s in tgt), cfg.tau)]
 
 
 def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
@@ -318,6 +323,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     data = load_checkpoint(warmup_ckpt)
     _check_architecture(parse_config(data.config_text), cfg)
     params = _restore_params(data, cfg)
+    del data                        # its tensors are not read again
     disc_cfg = cfg.disc_config()
     disc = init_disc_params(disc_cfg, _rng(cfg.seed, _RNG_DISC, 0))
     g_opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay,
@@ -333,21 +339,26 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     tgt_val = load_corpus(root, "target", val_ids)
     plabels = _load_or_make_plabels(params, cfg, warmup_ckpt, tgt)
 
+    def label(j: int) -> PseudoLabels:
+        return decode_pseudo_labels(*plabels[j], cfg.num_classes, cfg.tau)
+
     if pairs_path is not None and os.path.exists(pairs_path):
         src_paths = [image_path(root, "source", i) for i in src.ids]
         tgt_paths = [image_path(root, "target", i) for i in train_ids]
         pairset = read_pairs(pairs_path, src_paths, tgt_paths)
     else:
-        pairset = pair_two_way([to_grayscale(s.image) for s in src],
-                               [to_grayscale(s.image) for s in tgt])
+        pairset = pair_two_way((to_grayscale(s.image) for s in src),
+                               (to_grayscale(s.image) for s in tgt))
 
     correcting = cfg.label_correction and cfg.self_training
-    bank = (_init_bank(params, cfg, (s.image for s in tgt), plabels)
-            if correcting else None)
-
+    bank = (_init_bank(params, cfg, (s.image for s in tgt),
+                       map(label, range(len(tgt)))) if correcting else None)
     weights = _class_weights(cfg)
-    log = _Log(log_path)
-    for step in range(1, cfg.iterations + 1):
+
+    def run_step(step: int) -> tuple:
+        """One adaptation step; returns the logged (l_s, l_t, d, g, lr).
+        What the step builds is local to it, so it is freed on return,
+        before the next step's forward."""
         rng = _rng(cfg.seed, _RNG_ADAPT, step)
         picks = rng.choice(len(pairset.pairs), size=cfg.batch,
                            replace=len(pairset.pairs) < cfg.batch)
@@ -355,7 +366,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         for k in picks:
             si, tj = pairset.pairs[int(k)]
             s = augment(src[si], rng, crop=cfg.crop)
-            batch.append((s, *_augment_target(tgt[tj], plabels[tj], rng,
+            batch.append((s, *_augment_target(tgt[tj], label(tj), rng,
                                               cfg.crop)))
         n = len(batch)
         gtape = Tape()
@@ -406,12 +417,17 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             gtape.backward(total)
         grads = {name: gtape.grad(p) for name, p in params.items()}
         lr = g_opt.step(params, grads)
+        return (l_s.item() / n,
+                l_t.item() / n if cfg.self_training else "",
+                d_val,
+                g_term.item() / n if cfg.adversarial else "",
+                f"{lr:.8g}")
+
+    log = _Log(log_path)
+    for step in range(1, cfg.iterations + 1):
+        logged = run_step(step)
         periodic = step % cfg.eval_every == 0 or step == cfg.iterations
-        log.row(step, l_s=l_s.item() / n,
-                l_t=l_t.item() / n if cfg.self_training else "",
-                d=d_val,
-                g=g_term.item() / n if cfg.adversarial else "",
-                lr=f"{lr:.8g}",
+        log.row(step, *logged,
                 tgt_iou=_mean_iou(params, cfg, tgt_val) if periodic else "")
     tensors = {**params, **g_opt.state_tensors()}
     if cfg.adversarial:

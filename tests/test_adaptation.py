@@ -11,19 +11,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadseg.adaptation import (
+    _upsample_channels,
     PairSet,
     PrototypeBank,
     PseudoLabels,
     batch_prototype,
     correct_pseudo_labels,
+    decode_pseudo_labels,
     downscale_gray,
     ema_update,
     initialize_bank,
     load_pseudo_labels,
     pair_two_way,
     read_pairs,
+    read_pseudo_labels_raw,
     save_pseudo_labels,
     ssim,
+    ssim_matrix,
     to_grayscale,
     warmup_pseudo_labels,
     write_pairs,
@@ -235,6 +239,39 @@ def test_correction_upsamples_grid_affinity():
     assert (out.probs.argmax(axis=0) == 0).all()
 
 
+def _correct_broadcast(labels, feats, grid, bank, temperature, tau):
+    """The correction with every class distance from one [N, K, D]
+    broadcast, as it was first written."""
+    kk, hh, ww = labels.probs.shape
+    diff = feats[:, None, :] - bank.eta[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    z = -dist / temperature
+    z -= z.max(axis=1, keepdims=True)
+    kw = np.exp(z)
+    kw /= kw.sum(axis=1, keepdims=True)
+    kw_full = _upsample_channels(kw.T.reshape(kk, *grid), hh, ww)
+    p = kw_full * labels.probs
+    p /= p.sum(axis=0, keepdims=True)
+    return PseudoLabels(probs=p, valid=p.max(axis=0) >= tau)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_correction_matches_broadcast_distances_bit_for_bit(k):
+    rng = np.random.default_rng(40 + k)
+    grid, d = (16, 16), 512         # the default stage-0 grid and width
+    logits = rng.normal(size=(k, 64, 64))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=0)
+    labels = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.6)
+    feats = rng.normal(size=(grid[0] * grid[1], d))
+    bank = PrototypeBank.create(k, d)
+    bank.eta[:] = rng.normal(size=(k, d))
+    bank.initialized = True
+    out = correct_pseudo_labels(labels, feats, grid, bank, 0.7, 0.6)
+    want = _correct_broadcast(labels, feats, grid, bank, 0.7, 0.6)
+    np.testing.assert_array_equal(out.probs, want.probs)
+    np.testing.assert_array_equal(out.valid, want.valid)
+
+
 # ---------------------------------------------------------------------------
 # warm-up pseudo labels
 # ---------------------------------------------------------------------------
@@ -338,6 +375,30 @@ def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
     np.testing.assert_array_equal(back.valid, pl.valid)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
+    """The planes a run holds in memory, (hard map, confidence), decode bit
+    for bit to what ``load_pseudo_labels`` rebuilds from the files, and are
+    the planes the files hold."""
+    rng = np.random.default_rng(20 + k)
+    logits = rng.normal(size=(k, 9, 7))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=0)
+    pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.5)
+    save_pseudo_labels(str(tmp_path), 3, pl)
+    hard, conf = read_pseudo_labels_raw(str(tmp_path), 3)
+    assert hard.dtype == np.uint8 and conf.dtype == np.float64
+    np.testing.assert_array_equal(hard, pl.hard())
+    np.testing.assert_array_equal(conf, pl.confidence())
+    held = decode_pseudo_labels(pl.hard(), pl.confidence(), k, tau=0.5)
+    loaded = load_pseudo_labels(str(tmp_path), 3, k, tau=0.5)
+    np.testing.assert_array_equal(held.probs, loaded.probs)
+    np.testing.assert_array_equal(held.valid, loaded.valid)
+    for c in range(k):    # the winner keeps its confidence, the rest share
+        np.testing.assert_array_equal(
+            held.probs[c], np.where(hard == c, conf, (1.0 - conf) / (k - 1)))
+    np.testing.assert_array_equal(held.valid, conf >= 0.5)
+
+
 # ---------------------------------------------------------------------------
 # SSIM
 # ---------------------------------------------------------------------------
@@ -426,6 +487,79 @@ def _brute_force_pairs(src, tgt):
     return chosen
 
 
+def _scalar_pairs(src, tgt, window=8):
+    """Exhaustive scalar-ssim pairing with the first-index tie-break."""
+    sims = [[ssim(a, b, window) for b in tgt] for a in src]
+    chosen = {(i, max(range(len(tgt)), key=lambda j: (sims[i][j], -j)))
+              for i in range(len(src))}
+    chosen |= {(max(range(len(src)), key=lambda i: (sims[i][j], -i)), j)
+               for j in range(len(tgt))}
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("h, w, window", [(16, 16, 8), (64, 64, 8),
+                                          (17, 23, 8), (13, 10, 4)])
+def test_ssim_matrix_matches_scalar_ssim(h, w, window):
+    rng = np.random.default_rng(h * w + window)
+    src = [rng.random((h, w)) for _ in range(5)]
+    tgt = [rng.random((h, w)) for _ in range(4)]
+    m = ssim_matrix(src, tgt, window)
+    want = np.array([[ssim(a, b, window) for b in tgt] for a in src])
+    assert m.shape == (5, 4)
+    assert np.abs(m - want).max() <= 1e-12
+
+
+def test_ssim_matrix_identical_corpus_diagonal_exactly_one():
+    rng = np.random.default_rng(15)
+    imgs = [rng.random((24, 20)) for _ in range(40)]
+    m = ssim_matrix(imgs, imgs)
+    assert np.all(np.diag(m) == 1.0)
+
+
+def test_ssim_matrix_entries_do_not_depend_on_blocks():
+    """Both corpora are read in blocks; each entry equals the one its pair
+    gets when scored alone, bit for bit."""
+    rng = np.random.default_rng(16)
+    src = [rng.random((16, 16)) for _ in range(37)]
+    tgt = [rng.random((16, 16)) for _ in range(20)]
+    m = ssim_matrix(iter(src), iter(tgt))
+    alone = [[ssim_matrix([a], [b])[0, 0] for b in tgt] for a in src]
+    np.testing.assert_array_equal(m, alone)
+
+
+def test_ssim_matrix_rejects_mismatched_sizes():
+    with pytest.raises(ValueError, match="sizes disagree"):
+        ssim_matrix([np.zeros((16, 16))], [np.zeros((16, 17))])
+    with pytest.raises(ValueError, match="sizes disagree"):
+        ssim_matrix([np.zeros((16, 16))],
+                    [np.zeros((16, 16)), np.zeros((8, 8))])
+    with pytest.raises(ValueError, match="smaller than window"):
+        ssim_matrix([np.zeros((4, 4))], [np.zeros((4, 4))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ns=st.integers(1, 7),
+       nt=st.integers(1, 7), window=st.sampled_from([4, 8]),
+       extra=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+       copies=st.integers(0, 3))
+def test_pairing_from_generators_matches_scalar_pairing(seed, ns, nt, window,
+                                                       extra, copies):
+    """Pairs from one-shot generators equal those from lists and those of
+    the exhaustive scalar pairing.  Some targets may be copies of sources,
+    so exact ties (ssim(a, a) == 1) go through the first-index rule."""
+    rng = np.random.default_rng(seed)
+    shape = (window + extra[0], window + extra[1])
+    src = [rng.random(shape) for _ in range(ns)]
+    tgt = [rng.random(shape) for _ in range(nt)]
+    for k in range(min(copies, nt)):
+        tgt[k] = src[k % ns].copy()
+    from_lists = pair_two_way(src, tgt, window)
+    from_gens = pair_two_way((a for a in src), (b for b in tgt), window)
+    assert from_gens.pairs == from_lists.pairs
+    assert from_gens.sims == from_lists.sims
+    assert from_gens.pairs == _scalar_pairs(src, tgt, window)
+
+
 def test_pairing_singletons():
     rng = np.random.default_rng(11)
     ps = pair_two_way([rng.random((8, 8))], [rng.random((8, 8))])
@@ -476,6 +610,28 @@ def test_pairs_tsv_roundtrip(tmp_path):
     assert back.sims == ps.sims
     text = open(path).read()
     assert "source/images/0000.ppm\ttarget/images/0001.ppm\t0.25" in text
+
+
+def test_pairs_tsv_matches_paths_by_real_path(tmp_path, monkeypatch):
+    """A pairing written with one spelling of the corpus root reads back
+    with the others."""
+    monkeypatch.chdir(tmp_path)
+    os.makedirs("data/source/images")
+    ps = PairSet(pairs=[(0, 1), (1, 0)], sims=[0.25, 0.75])
+    src, tgt = ["0000.ppm", "0001.ppm"], ["0000.ppm", "0001.ppm"]
+
+    def paths(root, domain, names):
+        return [os.path.join(root, domain, "images", n) for n in names]
+
+    write_pairs("pairs.tsv", ps, paths("data", "source", src),
+                paths("data", "target", tgt))
+    for root in ("./data", str(tmp_path / "data"), "data/source/../"):
+        back = read_pairs("pairs.tsv", paths(root, "source", src),
+                          paths(root, "target", tgt))
+        assert back.pairs == ps.pairs and back.sims == ps.sims
+    with pytest.raises(ValueError, match="unknown image path"):
+        read_pairs("pairs.tsv", paths("data", "target", src),
+                   paths("data", "source", tgt))
 
 
 def test_pairs_tsv_rejects_unknown_path(tmp_path):
