@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -127,11 +128,20 @@ def target_spec(seed: int = 0) -> SceneSpec:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=8)
+def _pixel_grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column coordinates of every pixel center, as float arrays;
+    cached per size and returned read-only."""
+    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+    ys.flags.writeable = xs.flags.writeable = False
+    return ys, xs
+
+
 def segment_distance(size: int, p0, p1) -> np.ndarray:
     """Distance from every pixel center (integer coords) to segment p0-p1."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+    ys, xs = _pixel_grid(size)
     d = p1 - p0
     den = float(d @ d)
     if den == 0.0:
@@ -141,7 +151,8 @@ def segment_distance(size: int, p0, p1) -> np.ndarray:
     return np.hypot(ys - (p0[0] + t * d[0]), xs - (p0[1] + t * d[1]))
 
 
-def line_label(size: int, p0, p1, width: int) -> np.ndarray:
+def line_label(size: int, p0, p1, width: int,
+               dist: np.ndarray | None = None) -> np.ndarray:
     """Exact label mask: marched segment samples plus the strict-width band.
 
     Marching advances roughly one pixel per step and rounds with
@@ -149,7 +160,9 @@ def line_label(size: int, p0, p1, width: int) -> np.ndarray:
     pixels on axis-aligned lines sitting exactly between rows).  Width 1 is
     the marched path alone — one pixel per unit of arc length, so a spanning
     line labels between ``size`` and ``floor(size * sqrt(2))`` pixels.
-    Wider lines add every pixel center strictly inside ``width / 2``.
+    Wider lines add every pixel center strictly inside ``width / 2``;
+    ``dist`` is the segment's ``segment_distance`` field when the caller
+    already has it.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
@@ -162,7 +175,9 @@ def line_label(size: int, p0, p1, width: int) -> np.ndarray:
     mask = np.zeros((size, size), dtype=bool)
     mask[rc[:, 0], rc[:, 1]] = True
     if width > 1:
-        mask |= segment_distance(size, p0, p1) < width / 2.0
+        if dist is None:
+            dist = segment_distance(size, p0, p1)
+        mask |= dist < width / 2.0
     return mask
 
 
@@ -212,7 +227,7 @@ def _background(rng: np.random.Generator, spec: SceneSpec):
     elif family == "gradient":
         level2 = rng.uniform(spec.bg_level_min, spec.bg_level_max)
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        ys, xs = np.mgrid[0:spec.size, 0:spec.size].astype(float)
+        ys, xs = _pixel_grid(spec.size)
         proj = ys * np.sin(theta) + xs * np.cos(theta)
         lo, hi = proj.min(), proj.max()
         s = (proj - lo) / (hi - lo) if hi > lo else np.zeros_like(proj)
@@ -242,7 +257,7 @@ def generate_sample(spec: SceneSpec, sample_id: int) -> Sample:
         d = segment_distance(spec.size, p0, p1)
         alpha = np.clip(width / 2.0 + 0.5 - d, 0.0, 1.0)
         img = img * (1.0 - alpha) + ink[:, None, None] * alpha
-        label |= line_label(spec.size, p0, p1, width)
+        label |= line_label(spec.size, p0, p1, width, dist=d)
     if not label.any():
         raise AssertionError("generated sample has no line pixels")
     return Sample(image=np.clip(img, 0.0, 1.0), label=label, id=sample_id)

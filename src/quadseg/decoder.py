@@ -29,12 +29,13 @@ from .encoder import EncoderConfig, to_grid, to_tokens, trunc_normal
 from .tensor import (
     ShapeError,
     Tensor,
+    _upsample_last,
     concat,
     gather,
     linear,
     pyramid_fuse,
     relu,
-    softmax_lastdim,
+    softmax,
     stack,
     transpose,
     upsample_bilinear,
@@ -99,21 +100,17 @@ def _unify(params: dict, enc_cfg: EncoderConfig, stage_feats: list[Tensor],
             for i, f in enumerate(stage_feats)]
 
 
-def _upsample_concat(maps: list[Tensor], dims: list[tuple[int, int]]) -> Tensor:
-    """Upsample per-stage maps to the stage-0 grid and concatenate them."""
-    h0, w0 = dims[0]
-    return concat([u if (h, w) == (h0, w0) else
-                   to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
-                                               channels_last=True))
-                   for u, (h, w) in zip(maps, dims)], axis=-1)
-
-
 def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
                        stage_feats: list[Tensor],
                        dims: list[tuple[int, int]]) -> Tensor:
     """Map each per-stage token tensor to embed_dim channels, upsample all to
     the stage-0 grid and concatenate: phi [..., h0*w0, num_stages*embed_dim]."""
-    return _upsample_concat(_unify(params, enc_cfg, stage_feats, dims), dims)
+    h0, w0 = dims[0]
+    return concat([u if (h, w) == (h0, w0) else
+                   to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
+                                               channels_last=True))
+                   for u, (h, w) in zip(_unify(params, enc_cfg, stage_feats,
+                                               dims), dims)], axis=-1)
 
 
 def augmented_features(maps: tuple[list, list],
@@ -121,10 +118,21 @@ def augmented_features(maps: tuple[list, list],
     """The augmented features [phi_a, phi_b] [..., h0*w0,
     2*num_stages*embed_dim] of a head's (self, cross) per-stage unified
     maps, as a plain array: built off the tape, for the prototype
-    machinery only."""
-    return np.concatenate(
-        [_upsample_concat([Tensor(u) for u in m], dims).data for m in maps],
-        axis=-1)
+    machinery only.  Each stage is upsampled to the stage-0 grid as
+    ``upsample_bilinear`` does and written into its column block."""
+    h0, w0 = dims[0]
+    parts = [(u, hw) for m in maps for u, hw in zip(m, dims)]
+    lead = parts[0][0].shape[:-2]
+    out = np.empty(lead + (h0 * w0, sum(u.shape[-1] for u, _ in parts)))
+    col = 0
+    for u, (h, w) in parts:
+        c = u.shape[-1]
+        if (h, w) != (h0, w0):
+            u = _upsample_last(u.reshape(lead + (h, w, c)), h0, w0
+                               ).reshape(lead + (h0 * w0, c))
+        out[..., col:col + c] = u
+        col += c
+    return out
 
 
 def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
@@ -198,7 +206,4 @@ def logits_to_grid(logits: Tensor, h: int, w: int,
 
 def mask_probs(logits_grid: Tensor) -> Tensor:
     """Softmax over the class axis of a [..., K, H, W] logit map."""
-    n = len(logits_grid.shape)
-    lead = tuple(range(n - 3))
-    p = softmax_lastdim(transpose(logits_grid, (*lead, n - 2, n - 1, n - 3)))
-    return transpose(p, (*lead, n - 1, n - 3, n - 2))
+    return softmax(logits_grid, axis=-3)

@@ -204,8 +204,8 @@ def patch_merge(params: dict, prefix: str, tokens: Tensor,
                 h: int, w: int) -> tuple[Tensor, int, int]:
     """Overlapped downsampling between stages: 3x3 stride-2 convolution."""
     y = conv2d(to_grid(tokens, h, w), params[f"{prefix}.w"], stride=2,
-               padding=1, channels_last=True)
-    return to_tokens(y) + params[f"{prefix}.b"], (h + 1) // 2, (w + 1) // 2
+               padding=1, channels_last=True, b=params[f"{prefix}.b"])
+    return to_tokens(y), (h + 1) // 2, (w + 1) // 2
 
 
 def sequence_reduce(params: dict, prefix: str, tokens: Tensor,

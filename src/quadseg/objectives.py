@@ -10,6 +10,7 @@ and discriminator parameters are disjoint by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .tensor import (
     Tensor,
     conv2d,
     leaky_relu,
-    log_softmax_lastdim,
+    log_softmax,
     reshape,
     softplus,
     tmean,
@@ -85,8 +86,8 @@ def discriminator_forward(params: dict, cfg: DiscConfig, probs: Tensor) -> Tenso
     x = probs
     last = len(cfg.channels) - 1
     for i in range(len(cfg.channels)):
-        x = conv2d(x, params[f"disc.conv{i}.w"], stride=2, padding=1)
-        x = x + reshape(params[f"disc.conv{i}.b"], (-1, 1, 1))
+        x = conv2d(x, params[f"disc.conv{i}.w"], stride=2, padding=1,
+                   b=params[f"disc.conv{i}.b"])
         if i < last:
             x = leaky_relu(x, cfg.leaky_slope)
     return x
@@ -124,20 +125,23 @@ def seg_cross_entropy(logits: Tensor, labels: np.ndarray,
     n_valid = int(mask.sum())
     if n_valid == 0:
         return Tensor(0.0), 0
-    onehot = ((labels[..., None] == np.arange(k)) & mask[..., None]) \
-        .astype(np.float64)
+    onehot = ((labels[..., None, :, :] == np.arange(k)[:, None, None])
+              & mask[..., None, :, :]).astype(np.float64)
     if class_weights is not None:
         cw = np.asarray(class_weights, dtype=np.float64)
         if cw.shape != (k,):
             raise ShapeError(f"class_weights shape {cw.shape}, expected ({k},)")
-        onehot *= cw
+        onehot *= cw[:, None, None]
     items = int(np.prod(lead))
-    total_w = onehot.reshape(items, -1).sum(axis=-1)
+    n = len(lead)
+    # sums run over each item's (h, w, k) order, so the pairwise sums see
+    # the same sequence as a class-last layout would
+    to_hwk = (*range(n), n + 1, n + 2, n)
+    total_w = onehot.transpose(to_hwk).reshape(items, -1).sum(axis=-1)
     live = mask.reshape(items, -1).any(axis=-1)
     scale = np.divide(-1.0, total_w, out=np.zeros(items), where=live)
-    n = len(lead)
-    lp = log_softmax_lastdim(transpose(logits, (*range(n), n + 1, n + 2, n)))
-    per_item = tsum(reshape(lp * Tensor(onehot), (items, -1)), axis=-1)
+    weighted = log_softmax(logits, axis=-3) * Tensor(onehot)
+    per_item = tsum(reshape(transpose(weighted, to_hwk), (items, -1)), axis=-1)
     return tsum(per_item * Tensor(scale)), n_valid
 
 
@@ -186,12 +190,23 @@ def lr_schedule(step: int, base: float, warmup: int, total: int | None) -> float
     return base * (total - step) / (total - warmup)
 
 
+# elements per block of the fused AdamW update; one block-sized scratch
+# array serves every block, so the update's temporaries stay in cache
+_ADAM_BLOCK = 8192
+
+
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
-    Moments are allocated lazily per parameter name; ``step`` mutates the
-    parameter tensors in place.  State round-trips through checkpoints via
-    ``state_tensors`` / ``load_state``.
+    The first ``step``, and the first after ``load_state``, adopts the
+    parameters: it copies them, in dict order, into one flat float64
+    buffer, rebinds each ``Tensor.data`` to its view of that buffer, and
+    lays the moments out the same way.  Every step then gathers the
+    gradients into one flat array and updates all parameters together,
+    block by block, in place.  A later call with other parameter tensors,
+    or with arrays rebound behind the optimizer's back, adopts them afresh
+    and keeps the moments of the names it already knew.  State round-trips
+    through checkpoints via ``state_tensors`` / ``load_state``.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.01,
@@ -204,39 +219,103 @@ class AdamW:
         self.warmup = warmup
         self.total = total
         self.t = 0
+        # per-name moments: loaded arrays until the next adoption, then
+        # views of the flat moment buffers, in parameter order
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        # (name, tensor, its data view, start, stop) per adopted parameter
+        self._adopted: list[tuple] = []
+        self._flat = self._m = self._v = np.empty(0)
 
     def lr_at(self, step: int) -> float:
         return lr_schedule(step, self.lr, self.warmup, self.total)
 
+    def _holds(self, params: dict[str, Tensor]) -> bool:
+        """Whether ``params`` are exactly the adopted tensors, in order, each
+        still holding its view of the flat buffer."""
+        return len(params) == len(self._adopted) and all(
+            name == a[0] and p is a[1] and p.data is a[2]
+            for (name, p), a in zip(params.items(), self._adopted))
+
+    def _adopt(self, params: dict[str, Tensor]) -> None:
+        total = sum(p.data.size for p in params.values())
+        flat, m, v = np.empty(total), np.zeros(total), np.zeros(total)
+        adopted, mviews, vviews = [], {}, {}
+        start = 0
+        for name, p in params.items():
+            stop = start + p.data.size
+            shape = p.data.shape
+            view = flat[start:stop].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            mviews[name] = m[start:stop].reshape(shape)
+            vviews[name] = v[start:stop].reshape(shape)
+            for known, fresh in ((self.m, mviews), (self.v, vviews)):
+                if name in known:
+                    if known[name].shape != shape:
+                        raise ShapeError(f"optimizer moment for {name!r} has "
+                                         f"shape {known[name].shape}, "
+                                         f"parameter {shape}")
+                    fresh[name][...] = known[name]
+            adopted.append((name, p, view, start, stop))
+            start = stop
+        self._adopted, self._flat, self._m, self._v = adopted, flat, m, v
+        self.m, self.v = mviews, vviews
+
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray]) -> float:
-        """Apply one update using ``grads`` (name -> array); parameters
-        without a gradient entry are skipped.  Returns the lr used."""
+        """Apply one update using ``grads`` (name -> array), which must hold
+        a gradient of each parameter's shape for every parameter in
+        ``params``: a missing one raises ``KeyError``.  A non-finite
+        gradient raises ``OptimizerDiverged`` naming the first such
+        parameter, before any parameter or moment changes.  Returns the lr
+        used."""
+        if not self._holds(params):
+            self._adopt(params)
         self.t += 1
+        g = np.empty(self._flat.size)         # lives for this step only
+        for name, p, _, start, stop in self._adopted:
+            gi = grads.get(name)
+            if gi is None:
+                raise KeyError(f"no gradient for parameter {name!r}")
+            if np.shape(gi) != p.data.shape:
+                raise ShapeError(f"gradient for {name!r} has shape "
+                                 f"{np.shape(gi)}, parameter {p.data.shape}")
+            g[start:stop] = np.ravel(gi)
+        if not math.isfinite(g.dot(g)):
+            for name, _, _, start, stop in self._adopted:
+                if not np.isfinite(g[start:stop]).all():
+                    raise OptimizerDiverged(name, self.t)
         lr = self.lr_at(self.t)
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise OptimizerDiverged(name, self.t)
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                self.m[name] = m
-                self.v[name] = np.zeros_like(p.data)
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= lr * (update + self.weight_decay * p.data)
+        wd, eps = self.weight_decay, self.eps
+        scratch = np.empty(min(_ADAM_BLOCK, g.size))
+        for lo in range(0, g.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            gb, mb, vb, pb = g[lo:hi], self._m[lo:hi], self._v[lo:hi], \
+                self._flat[lo:hi]
+            s = scratch[:gb.size]
+            # m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
+            mb *= b1
+            np.multiply(gb, 1.0 - b1, out=s)
+            mb += s
+            vb *= b2
+            np.multiply(gb, 1.0 - b2, out=s)
+            s *= gb
+            vb += s
+            # u = (m/bc1) / (sqrt(v/bc2) + eps), into the spent gradient
+            np.divide(vb, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(mb, bc1, out=gb)
+            gb /= s
+            # p = p - lr*(u + wd*p)
+            np.multiply(pb, wd, out=s)
+            s += gb
+            s *= lr
+            pb -= s
         return lr
 
     def state_tensors(self) -> dict[str, np.ndarray]:
@@ -247,9 +326,12 @@ class AdamW:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray], t: int) -> None:
+        """Restore the step count and the moments; the next ``step`` adopts
+        the parameters again with these moments."""
         self.t = t
         for key, arr in tensors.items():
             if key.startswith("opt.m."):
                 self.m[key[len("opt.m."):]] = np.array(arr)
             elif key.startswith("opt.v."):
                 self.v[key[len("opt.v."):]] = np.array(arr)
+        self._adopted = []

@@ -37,8 +37,8 @@ __all__ = [
     "gather",
     "tsum",
     "tmean",
-    "softmax_lastdim",
-    "log_softmax_lastdim",
+    "softmax",
+    "log_softmax",
     "layer_norm",
     "gelu",
     "relu",
@@ -541,31 +541,32 @@ def tmean(a: Tensor) -> Tensor:
 # nonlinearities and normalization
 # ---------------------------------------------------------------------------
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Stable softmax over the last axis; each slice sums to 1."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Stable softmax along ``axis``; each slice sums to 1."""
+    z = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = e / e.sum(axis=axis, keepdims=True)
 
     def build():
         def bwd(g):
-            dot = (g * s).sum(axis=-1, keepdims=True)
+            dot = (g * s).sum(axis=axis, keepdims=True)
             return (s * (g - dot),)
         return bwd
     return _emit(s, (x,), build, "softmax")
 
 
-def log_softmax_lastdim(x: Tensor) -> Tensor:
-    m = x.data.max(axis=-1, keepdims=True)
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Stable log-softmax along ``axis``."""
+    m = x.data.max(axis=axis, keepdims=True)
     z = x.data - m
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     out = z - lse
 
     def build():
         soft = np.exp(out)
 
         def bwd(g):
-            return (g - soft * g.sum(axis=-1, keepdims=True),)
+            return (g - soft * g.sum(axis=axis, keepdims=True),)
         return bwd
     return _emit(out, (x,), build, "log_softmax")
 
@@ -844,6 +845,31 @@ def _crop(gpad: np.ndarray, padding: int) -> np.ndarray:
     return gpad[:, padding:hp - padding, padding:wp - padding]
 
 
+def _col2im(gcols: np.ndarray, stride: int, pshape: tuple) -> np.ndarray:
+    """Backward of the tap reads: the padded input gradient [M, Hp, Wp, C]
+    (``pshape``) from tap-major column gradients [kh, kw, M, Ho, Wo, C].
+
+    Tap (i, j) lands on one stride phase, (i % stride, j % stride), at a
+    contiguous offset of that phase's buffer.  The taps add into the phase
+    buffers in (i, j) order, starting from zero, and one reshape interleaves
+    the phases.  Every element so sums the same terms in the same order as
+    adding each tap into a strided view of the padded gradient."""
+    kh, kw, m, h_out, w_out, c = gcols.shape
+    hp, wp = pshape[1:3]
+    hq = max(-(-hp // stride), (kh - 1) // stride + h_out)
+    wq = max(-(-wp // stride), (kw - 1) // stride + w_out)
+    phases = np.zeros((stride, stride, m, hq, wq, c))
+    for i in range(kh):
+        r = i // stride
+        for j in range(kw):
+            q = j // stride
+            phases[i % stride, j % stride, :, r:r + h_out, q:q + w_out] \
+                += gcols[i, j]
+    full = phases.transpose(2, 3, 0, 4, 1, 5).reshape(
+        m, hq * stride, wq * stride, c)
+    return full[:, :hp, :wp]
+
+
 def _conv_dims(x: Tensor, kh: int, kw: int, stride: int, padding: int,
                channels_last: bool, opname: str):
     """(lead dims, C, H, W, Ho, Wo) of a convolution input."""
@@ -861,46 +887,61 @@ def _conv_dims(x: Tensor, kh: int, kw: int, stride: int, padding: int,
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
-           channels_last: bool = False) -> Tensor:
+           channels_last: bool = False, b: Tensor | None = None) -> Tensor:
     """Direct cross-correlation with w [C_out, C_in, kh, kw] over
-    x [..., C_in, H, W], or x [..., H, W, C_in] with ``channels_last``."""
+    x [..., C_in, H, W], or x [..., H, W, C_in] with ``channels_last``,
+    plus an optional per-channel bias b [C_out].
+
+    The bias is bit-identical to adding ``reshape(b, (-1, 1, 1))`` to the
+    output, or with ``channels_last`` to adding b to the [..., Ho*Wo, C_out]
+    tokens: its gradient is reduced in the order of that add's backward
+    (leading axes, then H and W, or then the flattened token axis)."""
     cout, cin_w, kh, kw = w.shape
     lead, cin, h_in, w_in, h_out, w_out = _conv_dims(
         x, kh, kw, stride, padding, channels_last, "conv2d")
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
+    fused = b is not None
+    if fused and b.shape != (cout,):
+        raise ShapeError(f"conv2d bias {b.shape} for weight {w.shape}")
     xp = _pad(_as_last(x.data, channels_last), padding)
     m = xp.shape[0]
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
     cols = win.reshape(m, h_out * w_out, kh * kw * cin)  # (kh, kw, Cin) columns
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = np.matmul(cols, wmat.T).reshape(lead + (h_out, w_out, cout))
+    out = np.matmul(cols, wmat.T)
+    if fused:
+        out += b.data
+    out = out.reshape(lead + (h_out, w_out, cout))
+    parents = (x, w, b) if fused else (x, w)
 
     def build():
         need_x = _tracked(x)
         wcols = cols if _tracked(w) else None
+        need_b = fused and _tracked(b)
         pshape = xp.shape
 
         def bwd(g):
             g2 = _as_last(g, channels_last).reshape(m, h_out * w_out, cout)
-            gx = gw = None
+            gx = gw = gb = None
             if wcols is not None:
                 gw = np.tensordot(g2, wcols, axes=([0, 1], [0, 1]))
                 gw = np.ascontiguousarray(
                     gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
             if need_x:
-                gcols = np.matmul(g2, wmat).reshape(m, h_out, w_out, kh, kw, cin)
-                gpad = np.zeros(pshape)
-                for i in range(kh):
-                    for j in range(kw):
-                        view = _tap(gpad, i, j, stride, h_out, w_out)
-                        view += gcols[:, :, :, i, j]
-                gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, cin))
+                gcols = np.ascontiguousarray(np.matmul(g2, wmat).reshape(
+                    m, h_out, w_out, kh, kw, cin).transpose(3, 4, 0, 1, 2, 5))
+                gx = _crop(_col2im(gcols, stride, pshape), padding)
+                gx = gx.reshape(lead + (h_in, w_in, cin))
                 gx = np.ascontiguousarray(_from_last(gx, channels_last))
-            return (gx, gw)
+            if need_b:
+                gb = (_unbroadcast(g.reshape(lead + (h_out * w_out, cout)),
+                                   (cout,)) if channels_last else
+                      _unbroadcast(g, (cout, 1, 1)).reshape(cout))
+            return (gx, gw, gb) if fused else (gx, gw)
         return bwd
-    return _emit(_from_last(out, channels_last), (x, w), build, "conv2d")
+    return _emit(_from_last(out, channels_last), parents, build, "conv2d")
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,

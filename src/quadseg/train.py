@@ -215,6 +215,7 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
     tgt_val = load_corpus(root, "target", split_target_ids(root)[1])
     weights = _class_weights(cfg)
     log = _Log(log_path)
+    tgt_iou = None                  # the last logged target-val IoU
     for step in range(start + 1, cfg.warmup_iterations + 1):
         rng = _rng(cfg.seed, _RNG_WARMUP, step)
         batch = rng.choice(len(src), size=min(cfg.batch, len(src)),
@@ -233,8 +234,10 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
         grads = {name: tape.grad(p) for name, p in params.items()}
         lr = opt.step(params, grads)
         periodic = step % cfg.eval_every == 0 or step == cfg.warmup_iterations
+        if periodic:
+            tgt_iou = _mean_iou(params, cfg, tgt_val)
         log.row(step, l_s=total.item(), lr=f"{lr:.8g}",
-                tgt_iou=_mean_iou(params, cfg, tgt_val) if periodic else "")
+                tgt_iou=tgt_iou if periodic else "")
     save_checkpoint(ckpt_out, {**params, **opt.state_tensors()},
                     serialize_config(cfg), cfg.warmup_iterations)
     tgt = load_corpus(root, "target", split_target_ids(root)[0],
@@ -242,9 +245,11 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
     for i, pl in zip(tgt.ids, warmup_pseudo_labels(
             params, enc, dec, (s.image for s in tgt), cfg.tau)):
         save_pseudo_labels(ckpt_out + ".plabels", i, pl)
+    if tgt_iou is None:             # no step ran
+        tgt_iou = _mean_iou(params, cfg, tgt_val)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
-            "target_val_iou": _mean_iou(params, cfg, tgt_val)}
+            "target_val_iou": tgt_iou}
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +429,21 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 f"{lr:.8g}")
 
     log = _Log(log_path)
+    tgt_iou = None                  # the last logged target-val IoU
     for step in range(1, cfg.iterations + 1):
         logged = run_step(step)
         periodic = step % cfg.eval_every == 0 or step == cfg.iterations
-        log.row(step, *logged,
-                tgt_iou=_mean_iou(params, cfg, tgt_val) if periodic else "")
+        if periodic:
+            tgt_iou = _mean_iou(params, cfg, tgt_val)
+        log.row(step, *logged, tgt_iou=tgt_iou if periodic else "")
     tensors = {**params, **g_opt.state_tensors()}
     if cfg.adversarial:
         tensors.update(disc)
         tensors.update(d_opt.state_tensors())
     save_checkpoint(ckpt_out, tensors, serialize_config(cfg), cfg.iterations)
-    return {"checkpoint": ckpt_out,
-            "target_val_iou": _mean_iou(params, cfg, tgt_val)}
+    if tgt_iou is None:             # no step ran
+        tgt_iou = _mean_iou(params, cfg, tgt_val)
+    return {"checkpoint": ckpt_out, "target_val_iou": tgt_iou}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,74 @@
+"""tools/abab.py: the alternating run order and the summary of canned runs."""
+
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+
+import abab  # noqa: E402
+
+
+def _rec(side, seed, step, rss, failed=0, digest="d0", workload="w"):
+    return {"side": side, "workload": workload, "seed": seed,
+            "failed": failed, "digest": digest,
+            "metrics": {"step_ms_min": step, "peak_rss_mb": rss}}
+
+
+def test_summary_of_canned_runs():
+    records = []
+    for seed, (p, c) in enumerate([(12.0, 10.0), (12.4, 10.2), (12.2, 10.6),
+                                   (12.6, 12.8), (12.8, 10.4)]):
+        records += [_rec("parent", seed, p, 57.5), _rec("change", seed, c, 56.5)]
+    lines = abab.summarize(records)
+    assert lines[0] == "w: 5 pairs"
+    assert lines[1] == ("  step_ms_min: 12.4 [12.2, 12.6] -> 10.4 [10.2, 10.6] "
+                        "(-16.1%), change lower in 4/5")
+    assert lines[2] == ("  peak_rss_mb: 57.5 [57.5, 57.5] -> 56.5 [56.5, 56.5] "
+                        "(-1.7%), change lower in 5/5")
+    assert len(lines) == 3
+
+
+def test_summary_flags_failures_and_digest_mismatches():
+    records = [_rec("parent", 1, 12.0, 57.0), _rec("change", 1, 11.0, 57.0),
+               _rec("change", 2, 11.0, 57.0, failed=2, digest="e1"),
+               _rec("parent", 2, 12.0, 57.0, digest="d1")]
+    lines = abab.summarize(records)
+    assert "  FAILED: change seed 2 had 2 failed phases or checks" in lines
+    assert "  DIGEST MISMATCH: seed 2: parent d1 vs change e1" in lines
+    assert not any("seed 1" in ln for ln in lines)
+
+
+def test_summary_counts_only_complete_pairs():
+    records = [_rec("parent", 1, 12.0, 57.0), _rec("change", 1, 11.0, 57.0),
+               _rec("parent", 2, 9.0, 50.0)]
+    assert abab.summarize(records)[:2] == [
+        "w: 1 pairs",
+        "  step_ms_min: 12 [12, 12] -> 11 [11, 11] (-8.3%), change lower in 1/1"]
+
+
+def test_runs_alternate_and_never_overlap():
+    active, order = [], []
+
+    def runner(checkout, workload, seed, seconds):
+        assert not active, "a second benchmark process was started"
+        active.append(checkout)
+        order.append((workload, seed, checkout))
+        active.pop()
+        return {"workload": workload, "seed": seed, "failed": 0,
+                "digest": "d", "metrics": {"step_ms_min": 1.0}}
+
+    records = abab.run_pairs({"parent": "P", "change": "C"}, ["a", "b"],
+                             [7, 8], 1.0, runner=runner)
+    assert [c for _, _, c in order] == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert [(w, s) for w, s, _ in order[::2]] == [("a", 7), ("a", 8),
+                                                   ("b", 7), ("b", 8)]
+    assert [r["side"] for r in records[:2]] == ["parent", "change"]
+
+
+def test_cli_rejects_a_path_without_the_benchmark(tmp_path):
+    with pytest.raises(SystemExit):
+        abab.main([str(tmp_path), str(tmp_path), "--workload", "w",
+                   "--seeds", "1"])

@@ -1,7 +1,9 @@
 """What ``adapt`` keeps: pseudo-labels with or without their directory give
 the same run, the warm-up checkpoint is released once restored, and each
-step is freed before the next one's forward."""
+step is freed before the next one's forward.  What the training summaries
+evaluate: the target-val IoU once per logged row, not again at the end."""
 
+import dataclasses
 import os
 import shutil
 import weakref
@@ -9,8 +11,10 @@ import weakref
 import pytest
 
 from quadseg import train
+from quadseg.checkpoint import load_checkpoint
 from quadseg.config import RunConfig
-from quadseg.dataset import source_spec, target_spec, write_dataset
+from quadseg.dataset import (source_spec, split_target_ids, target_spec,
+                             write_dataset)
 
 _CFG = RunConfig(warmup_iterations=2, iterations=3, eval_every=3)
 
@@ -75,3 +79,58 @@ def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):
     assert len(seen) == _CFG.iterations
     assert [ckpt_dead for ckpt_dead, _ in seen] == [True] * _CFG.iterations
     assert [out_dead for _, out_dead in seen] == [True] * _CFG.iterations
+
+
+def _count_predicts(monkeypatch):
+    calls = []
+    predict = train.predict_mask
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(train, "predict_mask", counted)
+    return calls
+
+
+def _direct_target_iou(ckpt, data):
+    params = train._restore_params(load_checkpoint(ckpt), _CFG)
+    return train.target_val_iou(params, _CFG, data)
+
+
+def test_summaries_reuse_the_last_logged_target_iou(warm, tmp_path,
+                                                    monkeypatch):
+    """``warmup`` and ``adapt`` return the target-val IoU of their last
+    periodic row, which is the final parameters' IoU, instead of running
+    the same pass again: ``predict_mask`` runs once per val image per
+    logged evaluation, plus warm-up's source-val pass."""
+    data, _ = warm
+    n_val = len(split_target_ids(data)[1])
+    calls = _count_predicts(monkeypatch)
+    wck = str(tmp_path / "w.ckpt")
+    summary = train.warmup(_CFG, data, wck)
+    assert len(calls) == n_val + len(train._SOURCE_VAL_IDS)
+    assert summary["target_val_iou"] == _direct_target_iou(wck, data)
+    calls.clear()
+    out = str(tmp_path / "a.ckpt")
+    summary = train.adapt(_CFG, data, wck, out)
+    assert len(calls) == n_val              # one periodic row, at step 3
+    assert summary["target_val_iou"] == _direct_target_iou(out, data)
+
+
+def test_summaries_evaluate_when_no_step_ran(warm, tmp_path, monkeypatch):
+    """A warm-up resumed at its last step and an adapt of 0 iterations log
+    no row, so the summary evaluates the parameters once."""
+    data, wck = warm
+    n_val = len(split_target_ids(data)[1])
+    calls = _count_predicts(monkeypatch)
+    again = str(tmp_path / "again.ckpt")
+    summary = train.warmup(_CFG, data, again, resume=wck)
+    assert len(calls) == n_val + len(train._SOURCE_VAL_IDS)
+    assert summary["target_val_iou"] == _direct_target_iou(wck, data)
+    calls.clear()
+    none = dataclasses.replace(_CFG, iterations=0)
+    out = str(tmp_path / "a0.ckpt")
+    summary = train.adapt(none, data, wck, out)
+    assert len(calls) == n_val
+    assert summary["target_val_iou"] == _direct_target_iou(wck, data)

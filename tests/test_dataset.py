@@ -128,6 +128,44 @@ def test_segment_distance_pointwise():
     np.testing.assert_allclose(d[0, 0], np.hypot(2.0, 1.0))
 
 
+def _segment_distance_fresh_grid(size, p0, p1):
+    """``segment_distance`` over a grid rebuilt on every call, as it was
+    before the grid was cached; kept as its oracle."""
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    ys, xs = np.mgrid[0:size, 0:size].astype(float)
+    d = p1 - p0
+    den = float(d @ d)
+    if den == 0.0:
+        return np.hypot(ys - p0[0], xs - p0[1])
+    t = np.clip(((ys - p0[0]) * d[0] + (xs - p0[1]) * d[1]) / den, 0.0, 1.0)
+    return np.hypot(ys - (p0[0] + t * d[0]), xs - (p0[1] + t * d[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 40), st.integers(1, 5),
+       st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_line_label_takes_the_precomputed_distance(size, width, u):
+    """The distance field a caller passes in gives the mask computed without
+    it, and the cached pixel grid gives the distances a fresh grid does
+    (including a zero-length segment)."""
+    p0 = (u[0] * (size - 1), u[1] * (size - 1))
+    p1 = p0 if u[2] < 0.1 else (u[2] * (size - 1), u[3] * (size - 1))
+    d = segment_distance(size, p0, p1)
+    assert d.tobytes() == _segment_distance_fresh_grid(size, p0, p1).tobytes()
+    assert np.array_equal(line_label(size, p0, p1, width, dist=d),
+                          line_label(size, p0, p1, width))
+
+
+def test_pixel_grid_is_cached_read_only():
+    from quadseg.dataset import _pixel_grid
+    ys, xs = _pixel_grid(6)
+    assert _pixel_grid(6)[0] is ys
+    np.testing.assert_array_equal(ys[:, 0], np.arange(6.0))
+    np.testing.assert_array_equal(xs[0], np.arange(6.0))
+    with pytest.raises(ValueError):
+        ys[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # sample generation
 # ---------------------------------------------------------------------------

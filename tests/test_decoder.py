@@ -44,6 +44,7 @@ from quadseg.tensor import (
     linear,
     relu,
     tsum,
+    upsample_bilinear,
 )
 
 DESK_ENC = EncoderConfig()
@@ -127,6 +128,38 @@ def test_mask_probs_normalized():
     out = forward_pair(params, DESK_ENC, DESK_DEC, _img(13), _img(14))
     p = mask_probs(out.logits_t).data
     np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-9)
+
+
+def _augmented_features_by_concat(maps, dims):
+    """The augmented features as built before: each stage upsampled through
+    the Tensor op, the stages concatenated, then the two maps; kept as the
+    oracle of the preallocated build."""
+    h0, w0 = dims[0]
+
+    def phi(m):
+        parts = []
+        for u, (h, w) in zip(m, dims):
+            if (h, w) != (h0, w0):
+                lead, c = u.shape[:-2], u.shape[-1]
+                u = upsample_bilinear(Tensor(u.reshape(lead + (h, w, c))), h0,
+                                      w0, channels_last=True).data
+                u = u.reshape(lead + (h0 * w0, c))
+            parts.append(u)
+        return np.concatenate(parts, axis=-1)
+    return np.concatenate([phi(m) for m in maps], axis=-1)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_augmented_features_equal_upsample_and_concat(batch):
+    params = _desk_params(17)
+    src, tgt = _img(18), _img(19)
+    if batch is not None:
+        src, tgt = (Tensor(np.stack([_img(s + 2 * i).data for i in range(batch)]))
+                    for s in (18, 19))
+    out = forward_pair(params, DESK_ENC, DESK_DEC, src, tgt)
+    got = augmented_features(out.maps_t, out.dims)
+    want = _augmented_features_by_concat(out.maps_t, out.dims)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sourcefree_equals_degenerate_pair_exactly():

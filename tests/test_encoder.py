@@ -16,7 +16,15 @@ from quadseg.encoder import (
     sequence_reduce,
     trunc_normal,
 )
-from quadseg.tensor import ShapeError, Tensor, finite_diff_check, tsum
+from quadseg.tensor import (
+    ShapeError,
+    Tape,
+    Tensor,
+    conv2d,
+    finite_diff_check,
+    reshape,
+    tsum,
+)
 
 DESK = EncoderConfig()
 MICRO = EncoderConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
@@ -189,6 +197,35 @@ def test_patch_merge_halves_grid():
     tokens, h, w = patch_merge(params, "m", Tensor(rng.normal(size=(64, 4))), 8, 8)
     assert (h, w) == (4, 4)
     assert tokens.shape == (16, 8)
+
+
+@pytest.mark.parametrize("lead,hw", [((), (8, 8)), ((2,), (7, 5)),
+                                     ((4, 2), (8, 8))])
+def test_patch_merge_bias_fuse_matches_token_add(lead, hw):
+    """The merge with the bias fused into its convolution against the
+    convolution, token reshape and bias add it replaced: values and the
+    tokens', weight's and bias's gradients, bit for bit."""
+    rng = np.random.default_rng(80)
+    h, w = hw
+    arrays = [rng.normal(size=(*lead, h * w, 4)), trunc_normal(rng, (8, 4, 3, 3)),
+              rng.normal(size=(8,))]
+    weight = rng.normal(size=(*lead, ((h + 1) // 2) * ((w + 1) // 2), 8))
+
+    def unfused(params, tokens):
+        y = conv2d(reshape(tokens, (*lead, h, w, 4)), params["m.w"], stride=2,
+                   padding=1, channels_last=True)
+        *_, ho, wo, c = y.shape
+        return reshape(y, (*lead, ho * wo, c)) + params["m.b"]
+
+    results = []
+    for merge in (lambda p, t: patch_merge(p, "m", t, h, w)[0], unfused):
+        with Tape() as tape:
+            t, wt, bt = (tape.watch(Tensor(a.copy())) for a in arrays)
+            out = merge({"m.w": wt, "m.b": bt}, t)
+            tape.backward(tsum(out * Tensor(weight)))
+            results.append([out.data.tobytes()]
+                           + [tape.grad(x).tobytes() for x in (t, wt, bt)])
+    assert results[0] == results[1]
 
 
 def test_stage_token_counts_desk_config():

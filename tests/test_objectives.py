@@ -23,8 +23,8 @@ from quadseg.tensor import (
     Tensor,
     finite_diff_check,
     gather,
-    log_softmax_lastdim,
-    softmax_lastdim,
+    log_softmax,
+    softmax,
     transpose,
     tsum,
 )
@@ -134,17 +134,20 @@ def _per_item_ce(logits, labels, valid, class_weights):
             onehot[iy, ix, labels[b][iy, ix]] = 1.0
             if class_weights is not None:
                 onehot *= class_weights
-            lp = log_softmax_lastdim(transpose(item, (1, 2, 0)))
+            lp = log_softmax(transpose(item, (1, 2, 0)))
             loss = -(1.0 / onehot.sum()) * tsum(lp * Tensor(onehot))
         acc = acc + loss
     return acc
 
 
 @pytest.mark.parametrize("batch", [1, 2, 3])
-@pytest.mark.parametrize("class_weights", [None, np.array([1.0, 10.0])])
+@pytest.mark.parametrize("class_weights", [None, np.array([1.0, 10.0]),
+                                           np.array([0.3, 7.1])])
 def test_ce_batched_equals_per_item_loop(batch, class_weights):
     """Value and logit gradient are bit-equal to the per-item loop, with
-    and without class weights, and with one item that has no valid pixel.
+    and without class weights (integer ones, and ones whose sums depend on
+    the order they are added in), and with one item that has no valid
+    pixel.
 
     Zeros are compared by value: at an invalid pixel the loop's gradient
     is -0.0 when one item's gather feeds the logits and +0.0 when two do
@@ -167,6 +170,31 @@ def test_ce_batched_equals_per_item_loop(batch, class_weights):
     assert run(lambda t: seg_cross_entropy(t, labels, valid=valid,
                                            class_weights=class_weights)[0]) \
         == run(lambda t: _per_item_ce(t, labels, valid, class_weights))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ce_weight_totals_sum_in_class_last_order(seed):
+    """With class weights whose sums depend on their order, each item's
+    total weight is summed in the per-item loop's (h, w, k) order: value
+    and gradient bit-equal at 16x16, where the (k, h, w) order rounds
+    differently."""
+    rng = np.random.default_rng(70 + seed)
+    x = rng.normal(size=(2, 2, 16, 16))
+    labels = rng.integers(0, 2, size=(2, 16, 16))
+    valid = rng.random((2, 16, 16)) > 0.3
+    cw = np.array([0.3, 7.1])
+    assert _ce_bits(x, lambda t: seg_cross_entropy(
+        t, labels, valid=valid, class_weights=cw)[0]) \
+        == _ce_bits(x, lambda t: _per_item_ce(t, labels, valid, cw))
+
+
+def _ce_bits(x, loss_of):
+    logits = Tensor(x.copy())
+    with Tape() as tape:
+        tape.watch(logits)
+        loss = loss_of(logits)
+        tape.backward(loss)
+    return loss.data.tobytes(), (tape.grad(logits) + 0.0).tobytes()
 
 
 def test_ce_unbatched_is_the_one_item_case():
@@ -305,7 +333,7 @@ def test_alternating_updates_drive_g_loss_down():
 
     def d_step(opt):
         # discriminator sees detached generator output
-        fake = softmax_lastdim(Tensor(gen_logits.data)).data.transpose(2, 0, 1)
+        fake = softmax(Tensor(gen_logits.data)).data.transpose(2, 0, 1)
         with Tape() as tape:
             for t in dparams.values():
                 tape.watch(t)
@@ -320,7 +348,7 @@ def test_alternating_updates_drive_g_loss_down():
         # generator trains through the frozen discriminator
         with Tape() as tape:
             tape.watch(gen_logits)
-            probs = transpose(softmax_lastdim(gen_logits), (2, 0, 1))
+            probs = transpose(softmax(gen_logits), (2, 0, 1))
             g = gen_adv_loss(discriminator_forward(dparams, MICRO_DISC, probs))
             tape.backward(g)
             opt.step({"g": gen_logits}, {"g": tape.grad(gen_logits)})
@@ -411,3 +439,139 @@ def test_adamw_state_roundtrip_resumes_identically():
     for g in grads[3:]:
         opt3.step(p2, g)
     np.testing.assert_array_equal(p1["x"].data, p2["x"].data)
+
+
+class _PerParamAdamW:
+    """The per-parameter AdamW loop the flat update replaced, kept as its
+    oracle: lazily allocated moments, one update per parameter."""
+
+    def __init__(self, opt: AdamW):
+        self.opt = opt
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        o = self.opt
+        o.t += 1
+        lr = o.lr_at(o.t)
+        b1, b2 = o.betas
+        bc1, bc2 = 1.0 - b1 ** o.t, 1.0 - b2 ** o.t
+        for name, p in params.items():
+            g = grads[name]
+            m = self.m.setdefault(name, np.zeros_like(p.data))
+            v = self.v.setdefault(name, np.zeros_like(p.data))
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + o.eps)
+            p.data -= lr * (update + o.weight_decay * p.data)
+        return lr
+
+
+def _adam_problem(seed):
+    """Parameters of several shapes, one larger than a block of the fused
+    update, and 5 steps of gradients with zeros, tiny and large values."""
+    rng = np.random.default_rng(seed)
+    shapes = {"a.w": (3, 4), "a.b": (4,), "big": (9000,), "s": (), "c": (2, 1, 3)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    grads = []
+    for _ in range(5):
+        g = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 4)
+             for k, s in shapes.items()}
+        g["a.b"][0] = 0.0
+        g["c"][0, 0, 0] = -0.0
+        grads.append(g)
+    return params, grads
+
+
+def _fresh(params):
+    return {k: Tensor(np.array(v)) for k, v in params.items()}
+
+
+def _bits(params):
+    return {k: np.ascontiguousarray(p.data).tobytes() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_adamw_flat_update_equals_per_parameter_loop(wd):
+    """Parameters and moments bit-equal to the per-parameter loop over 5
+    steps of a ramped-then-decaying lr, and still after a
+    ``state_tensors`` -> ``load_state`` resume at step 3."""
+    init, grads = _adam_problem(140)
+
+    def make():
+        return AdamW(lr=3e-2, weight_decay=wd, warmup=2, total=7)
+
+    want_p, oracle = _fresh(init), _PerParamAdamW(make())
+    got_p, opt = _fresh(init), make()
+    lrs = []
+    for g in grads:
+        lrs.append(opt.step(got_p, g))
+        assert oracle.step(want_p, g) == lrs[-1]
+        assert _bits(got_p) == _bits(want_p)
+    assert len(set(lrs)) == len(lrs)
+    state = opt.state_tensors()
+    assert list(state) == [f"opt.{m}.{k}" for k in init for m in "mv"]
+    for k in init:
+        assert state[f"opt.m.{k}"].tobytes() == oracle.m[k].tobytes()
+        assert state[f"opt.v.{k}"].tobytes() == oracle.v[k].tobytes()
+
+    resumed_p, first = _fresh(init), make()
+    for g in grads[:3]:
+        first.step(resumed_p, g)
+    snap = {k: v.copy() for k, v in first.state_tensors().items()}
+    resumed_p = {k: Tensor(p.data.copy()) for k, p in resumed_p.items()}
+    second = make()
+    second.load_state(snap, first.t)
+    for g in grads[3:]:
+        second.step(resumed_p, g)
+    assert _bits(resumed_p) == _bits(want_p)
+
+
+def test_adamw_diverged_names_first_nonfinite_parameter_and_keeps_state():
+    init, grads = _adam_problem(141)
+    params, opt = _fresh(init), AdamW(lr=1e-2)
+    opt.step(params, grads[0])
+    before = _bits(params)
+    bad = {k: v.copy() for k, v in grads[1].items()}
+    bad["big"][8500] = np.inf
+    bad["c"][0, 0, 1] = np.nan
+    with pytest.raises(OptimizerDiverged) as exc:
+        opt.step(params, bad)
+    assert exc.value.name == "big" and exc.value.step == 2
+    assert _bits(params) == before
+    # finite values whose squares overflow are not a divergence
+    huge = {k: np.full(np.shape(v), 1e200) for k, v in grads[1].items()}
+    with np.errstate(over="ignore"):
+        opt.step(params, huge)
+
+
+def test_adamw_requires_every_gradient_of_the_right_shape():
+    init, grads = _adam_problem(142)
+    params, opt = _fresh(init), AdamW(lr=1e-2)
+    partial = dict(grads[0])
+    del partial["a.b"]
+    with pytest.raises(KeyError, match="a.b"):
+        opt.step(params, partial)
+    wrong = dict(grads[0])
+    wrong["a.w"] = np.zeros(12)
+    with pytest.raises(ShapeError):
+        opt.step(params, wrong)
+
+
+def test_adamw_adopts_parameters_into_one_buffer_and_follows_rebinds():
+    """After a step every parameter is a view of one flat buffer; a tensor
+    rebound to a new array, or a dict with another parameter, is adopted
+    again with the moments of the names already known."""
+    init, grads = _adam_problem(143)
+    params, opt = _fresh(init), AdamW(lr=1e-2)
+    want_p, oracle = _fresh(init), _PerParamAdamW(AdamW(lr=1e-2))
+    opt.step(params, grads[0])
+    oracle.step(want_p, grads[0])
+    flat = params["s"].data.base
+    assert flat is not None and flat.ndim == 1
+    assert all(p.data.base is flat for p in params.values())
+    params["a.w"].data = params["a.w"].data.copy()
+    opt.step(params, grads[1])
+    oracle.step(want_p, grads[1])
+    assert _bits(params) == _bits(want_p)

@@ -9,7 +9,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadseg.tensor import (
@@ -27,7 +27,7 @@ from quadseg.tensor import (
     layer_norm,
     leaky_relu,
     linear,
-    log_softmax_lastdim,
+    log_softmax,
     matmul,
     multi_head_attention,
     neg,
@@ -35,7 +35,7 @@ from quadseg.tensor import (
     relu,
     reshape,
     set_fault_injection,
-    softmax_lastdim,
+    softmax,
     softplus,
     stack,
     tmean,
@@ -70,7 +70,7 @@ def test_matmul_shape_error():
 
 
 def test_softmax_oracle():
-    out = softmax_lastdim(Tensor([1.0, 2.0, 3.0]))
+    out = softmax(Tensor([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(
         out.data,
         [0.090030573170380458, 0.24472847105479765, 0.6652409557748219],
@@ -80,13 +80,13 @@ def test_softmax_oracle():
 
 def test_softmax_shift_invariance():
     x = np.array([1.0, 2.0, 3.0])
-    a = softmax_lastdim(Tensor(x)).data
-    b = softmax_lastdim(Tensor(x + 1000.0)).data
+    a = softmax(Tensor(x)).data
+    b = softmax(Tensor(x + 1000.0)).data
     np.testing.assert_allclose(a, b, atol=1e-15)
 
 
 def test_log_softmax_oracle():
-    out = log_softmax_lastdim(Tensor([1.0, 2.0, 3.0]))
+    out = log_softmax(Tensor([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(
         out.data,
         [-2.4076059644443803, -1.4076059644443803, -0.40760596444438030],
@@ -191,6 +191,131 @@ def test_upsample_shrink_raises():
 
 
 # ---------------------------------------------------------------------------
+# class-axis softmax, fused-bias convolution and the phase col2im, each
+# against the composition or the loop it replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)])
+def test_class_axis_softmax_matches_class_last(k, lead):
+    """softmax / log_softmax along axis -3 equal moving the classes last,
+    taking the last axis and moving them back: values and gradients."""
+    x = np.random.default_rng(120 + k).normal(size=(*lead, k, 5, 6)) * 3.0
+    n = len(lead)
+    last, back = (*range(n), n + 1, n + 2, n), (*range(n), n + 2, n, n + 1)
+    for op in (softmax, log_softmax):
+        _same_bytes(lambda t, op=op: op(t, axis=-3),
+                    lambda t, op=op: transpose(op(transpose(t, last)), back),
+                    [x], 121)
+
+
+def _conv_then_bias(stride, padding, channels_last):
+    """conv2d followed by the bias add it fuses, kept as its oracle: a
+    ``reshape(b, (-1, 1, 1))`` add channels-first, an add on the
+    [..., Ho*Wo, C] tokens channels-last (as ``patch_merge`` had it)."""
+    def f(x, w, b):
+        y = conv2d(x, w, stride, padding, channels_last)
+        if not channels_last:
+            return y + reshape(b, (-1, 1, 1))
+        *lead, ho, wo, c = y.shape
+        return reshape(reshape(y, (*lead, ho * wo, c)) + b, y.shape)
+    return f
+
+
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
+@pytest.mark.parametrize("kernel,stride,padding", [(4, 2, 1), (3, 2, 1),
+                                                   (3, 1, 1), (2, 3, 0)])
+def test_conv2d_bias_matches_conv_then_add(channels_last, lead, kernel,
+                                           stride, padding):
+    rng = np.random.default_rng(130)
+    cin, cout, hw = 3, 4, 9
+    x = rng.normal(size=(*lead, hw, hw, cin) if channels_last
+                   else (*lead, cin, hw, hw))
+    inputs = [x, rng.normal(size=(cout, cin, kernel, kernel)),
+              rng.normal(size=(cout,))]
+    _same_bytes(lambda x, w, b: conv2d(x, w, stride, padding, channels_last,
+                                       b=b),
+                _conv_then_bias(stride, padding, channels_last), inputs, 131)
+
+
+def test_conv2d_bias_gradient_and_shape_check():
+    rng = np.random.default_rng(132)
+    x = Tensor(rng.normal(size=(2, 2, 6, 6)))
+    w = Tensor(rng.normal(size=(3, 2, 4, 4)))
+    _check(_weighted(lambda t: conv2d(x, w, 2, 1, b=t), (2, 3, 3, 3), 133),
+           (3,), 134)
+    with pytest.raises(ShapeError):
+        conv2d(x, w, 2, 1, b=Tensor(np.zeros(2)))
+    with Tape() as tape:
+        xt = tape.watch(Tensor(x.data.copy()))
+        out = conv2d(xt, w, 2, 1, b=Tensor(np.zeros(3)))
+        parts = out.node.backward_fn(np.ones(out.shape))
+    assert tuple(p is not None for p in parts) == (True, False, False)
+
+
+def _strided_input_grad(g, w, x_shape, stride, padding, channels_last):
+    """conv2d's input gradient as the strided scatter-add computed it, kept
+    as the phase col2im's oracle: column gradients [M, Ho, Wo, kh, kw, C],
+    each tap (i, j) added in order into a strided view of the zero padded
+    gradient, then cropped."""
+    cout, cin, kh, kw = w.shape
+    if channels_last:
+        *lead, h, wd, _ = x_shape
+        g4 = g.reshape((-1,) + g.shape[-3:])
+    else:
+        *lead, _, h, wd = x_shape
+        g4 = np.moveaxis(g.reshape((-1,) + g.shape[-3:]), 1, -1)
+    m, ho, wo = g4.shape[:3]
+    wmat = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    gcols = np.matmul(g4.reshape(m, ho * wo, cout), wmat).reshape(
+        m, ho, wo, kh, kw, cin)
+    gpad = np.zeros((m, h + 2 * padding, wd + 2 * padding, cin))
+    for i in range(kh):
+        for j in range(kw):
+            gpad[:, i:i + stride * ho:stride, j:j + stride * wo:stride] \
+                += gcols[:, :, :, i, j]
+    gx = gpad[:, padding:padding + h, padding:padding + wd].reshape(
+        (*lead, h, wd, cin))
+    return gx if channels_last else np.moveaxis(gx, -1, -3)
+
+
+@st.composite
+def _conv_cases(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, kh - 2 * padding), kh - 2 * padding + 8))
+    w = draw(st.integers(max(1, kw - 2 * padding), kw - 2 * padding + 8))
+    lead = draw(st.sampled_from([(), (2,), (2, 2)]))
+    return kh, kw, stride, padding, h, w, lead, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conv_cases(), st.integers(0, 2**16))
+@example((4, 4, 2, 1, 16, 16, (2,), False), 0)      # the critic's layers
+@example((3, 3, 2, 1, 8, 8, (4, 2), True), 0)       # the patch merges
+@example((3, 3, 2, 1, 7, 5, (), True), 1)
+def test_phase_col2im_matches_strided_adds(case, seed):
+    kh, kw, stride, padding, h, w, lead, channels_last = case
+    rng = np.random.default_rng(seed)
+    cin, cout = 2, 3
+    x_shape = (*lead, h, w, cin) if channels_last else (*lead, cin, h, w)
+    weight = rng.normal(size=(cout, cin, kh, kw))
+    with Tape() as tape:
+        x = tape.watch(Tensor(rng.normal(size=x_shape)))
+        out = conv2d(x, Tensor(weight), stride, padding, channels_last)
+        g = rng.normal(size=out.shape)
+        g[(0,) * g.ndim] = -0.0
+        tape.backward(tsum(out * Tensor(g)))
+        got = tape.grad(x)
+    want = _strided_input_grad(g, weight, x_shape, stride, padding,
+                               channels_last)
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # tape mechanics
 # ---------------------------------------------------------------------------
 
@@ -290,12 +415,12 @@ def test_grad_matmul():
 
 
 def test_grad_softmax():
-    _check(lambda t: tsum(softmax_lastdim(t) * Tensor(np.arange(12.0).reshape(3, 4))),
+    _check(lambda t: tsum(softmax(t) * Tensor(np.arange(12.0).reshape(3, 4))),
            (3, 4), 14)
 
 
 def test_grad_log_softmax():
-    _check(lambda t: tsum(log_softmax_lastdim(t) * Tensor(np.ones((3, 4)))),
+    _check(lambda t: tsum(log_softmax(t) * Tensor(np.ones((3, 4)))),
            (3, 4), 15)
 
 
@@ -398,7 +523,7 @@ def test_grad_composite_chain():
     def f(t):
         h = gelu(matmul(t, w1))
         h = layer_norm(h, g, b)
-        return tsum(softmax_lastdim(h) * Tensor(np.arange(6.0)))
+        return tsum(softmax(h) * Tensor(np.arange(6.0)))
     _check(f, (4, 6), 35)
 
 
@@ -544,7 +669,7 @@ def _composed_attention(q, k, v, heads, route=None):
     if route is not None:
         qh, kt, vh = gather(qh, route[0]), gather(kt, route[1]), gather(vh, route[1])
     scores = matmul(qh, kt) * (1.0 / math.sqrt(dh))
-    out = matmul(softmax_lastdim(scores), vh)
+    out = matmul(softmax(scores), vh)
     out = transpose(out, (*keep, nl + 1, nl, nl + 2))
     return reshape(out, out.shape[:-2] + (c,))
 
@@ -586,8 +711,8 @@ def test_grad_multi_head_attention(case):
         _check(_weighted(op, out_shape, 88 + i), arr.shape, 91 + i)
 
 
-def _fused_vs_composed(fused, composed, inputs, seed):
-    """Forward values and every input gradient, bit for bit."""
+def _run_both(fused, composed, inputs, seed):
+    """Forward values and every input gradient of each of the two."""
     results = []
     for fn in (fused, composed):
         with Tape() as tape:
@@ -596,8 +721,21 @@ def _fused_vs_composed(fused, composed, inputs, seed):
             w = Tensor(np.random.default_rng(seed).normal(size=out.shape))
             tape.backward(tsum(out * w))
             results.append([out.data] + [tape.grad(t) for t in ts])
-    for got, want in zip(*results):
+    return results
+
+
+def _fused_vs_composed(fused, composed, inputs, seed):
+    """Forward values and every input gradient, bit for bit."""
+    for got, want in zip(*_run_both(fused, composed, inputs, seed)):
         np.testing.assert_array_equal(got, want)
+
+
+def _same_bytes(fused, composed, inputs, seed):
+    """As ``_fused_vs_composed``, comparing bytes, so a zero's sign counts."""
+    for got, want in zip(*_run_both(fused, composed, inputs, seed)):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() \
+            == np.ascontiguousarray(want).tobytes()
 
 
 def test_fused_primitives_match_composed_ops_bitwise():
