@@ -205,8 +205,9 @@ class AdamW:
     gradients into one flat array and updates all parameters together,
     block by block, in place.  A later call with other parameter tensors,
     or with arrays rebound behind the optimizer's back, adopts them afresh
-    and keeps the moments of the names it already knew.  State round-trips
-    through checkpoints via ``state_tensors`` / ``load_state``.
+    and keeps the moments of the names it already knew; moments of names
+    not in the new dict stay in the state too.  State round-trips through
+    checkpoints via ``state_tensors`` / ``load_state``.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.01,
@@ -259,6 +260,12 @@ class AdamW:
                     fresh[name][...] = known[name]
             adopted.append((name, p, view, start, stop))
             start = stop
+        # moments of names not adopted now (loaded, or from an earlier
+        # parameter dict) stay in the state, detached from the old buffers
+        for known, fresh in ((self.m, mviews), (self.v, vviews)):
+            for name, arr in known.items():
+                if name not in params:
+                    fresh[name] = np.array(arr)
         self._adopted, self._flat, self._m, self._v = adopted, flat, m, v
         self.m, self.v = mviews, vviews
 
@@ -268,11 +275,10 @@ class AdamW:
         a gradient of each parameter's shape for every parameter in
         ``params``: a missing one raises ``KeyError``.  A non-finite
         gradient raises ``OptimizerDiverged`` naming the first such
-        parameter, before any parameter or moment changes.  Returns the lr
-        used."""
+        parameter.  On any of these errors no parameter, moment or step
+        count changes.  Returns the lr used."""
         if not self._holds(params):
             self._adopt(params)
-        self.t += 1
         g = np.empty(self._flat.size)         # lives for this step only
         for name, p, _, start, stop in self._adopted:
             gi = grads.get(name)
@@ -285,7 +291,8 @@ class AdamW:
         if not math.isfinite(g.dot(g)):
             for name, _, _, start, stop in self._adopted:
                 if not np.isfinite(g[start:stop]).all():
-                    raise OptimizerDiverged(name, self.t)
+                    raise OptimizerDiverged(name, self.t + 1)
+        self.t += 1
         lr = self.lr_at(self.t)
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t

@@ -539,7 +539,7 @@ def test_adamw_diverged_names_first_nonfinite_parameter_and_keeps_state():
     with pytest.raises(OptimizerDiverged) as exc:
         opt.step(params, bad)
     assert exc.value.name == "big" and exc.value.step == 2
-    assert _bits(params) == before
+    assert _bits(params) == before and opt.t == 1
     # finite values whose squares overflow are not a divergence
     huge = {k: np.full(np.shape(v), 1e200) for k, v in grads[1].items()}
     with np.errstate(over="ignore"):
@@ -553,10 +553,17 @@ def test_adamw_requires_every_gradient_of_the_right_shape():
     del partial["a.b"]
     with pytest.raises(KeyError, match="a.b"):
         opt.step(params, partial)
+    assert opt.t == 0
     wrong = dict(grads[0])
     wrong["a.w"] = np.zeros(12)
     with pytest.raises(ShapeError):
         opt.step(params, wrong)
+    assert opt.t == 0
+    opt.step(params, grads[0])
+    assert opt.t == 1
+    with pytest.raises(KeyError):
+        opt.step(params, partial)
+    assert opt.t == 1
 
 
 def test_adamw_adopts_parameters_into_one_buffer_and_follows_rebinds():
@@ -575,3 +582,35 @@ def test_adamw_adopts_parameters_into_one_buffer_and_follows_rebinds():
     opt.step(params, grads[1])
     oracle.step(want_p, grads[1])
     assert _bits(params) == _bits(want_p)
+    # a dict without "s" is adopted afresh; the moments of "s" stay in the
+    # state as they were, and come back into use when "s" returns
+    fewer = {k: p for k, p in params.items() if k != "s"}
+    s_m, s_v = opt.m["s"].copy(), opt.v["s"].copy()
+    opt.step(fewer, {k: grads[2][k] for k in fewer})
+    oracle.step({k: p for k, p in want_p.items() if k != "s"},
+                {k: grads[2][k] for k in fewer})
+    assert opt.m["s"].tobytes() == s_m.tobytes()
+    assert opt.v["s"].tobytes() == s_v.tobytes()
+    assert set(opt.state_tensors()) == {f"opt.{m}.{k}" for k in init
+                                         for m in "mv"}
+    opt.step(params, grads[3])
+    oracle.step(want_p, grads[3])
+    assert _bits(params) == _bits(want_p)
+
+
+def test_adamw_keeps_loaded_moments_of_names_it_does_not_adopt():
+    """Moments that ``load_state`` brings for a name outside the parameter
+    dict survive the adoption and are written by ``state_tensors``."""
+    init, grads = _adam_problem(144)
+    params, opt = _fresh(init), AdamW(lr=1e-2)
+    opt.step(params, grads[0])
+    snap = {k: v.copy() for k, v in opt.state_tensors().items()}
+    extra_m, extra_v = np.arange(6.0).reshape(2, 3), np.full((2, 3), 0.5)
+    snap["opt.m.gone"], snap["opt.v.gone"] = extra_m, extra_v
+    resumed = AdamW(lr=1e-2)
+    resumed.load_state(snap, opt.t)
+    resumed.step(params, grads[1])
+    state = resumed.state_tensors()
+    assert state["opt.m.gone"].tobytes() == extra_m.tobytes()
+    assert state["opt.v.gone"].tobytes() == extra_v.tobytes()
+    assert set(state) == set(snap)

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark runs and their summary.
 
     python3 tools/abab.py PARENT CHANGE --workload warmup-sourcefree \
-        --seeds 41 42 43 44 45 [--seconds 15] [--log runs.jsonl]
+        --seeds 41 42 43 44 45 [--seconds 15]
 
 PARENT and CHANGE are two checkouts of the repository.  For each workload
 and seed the tool runs ``perfbench/run.py --trace 0`` once in each
@@ -118,8 +118,6 @@ def main(argv=None) -> int:
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--log", metavar="JSONL",
-                        help="append each run's record to this file")
     args = parser.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
@@ -131,9 +129,6 @@ def main(argv=None) -> int:
         print(f"{rec['workload']} seed {rec['seed']} {rec['side']}: "
               + ", ".join(f"{k} {v:.4g}" for k, v in rec["metrics"].items())
               + f", failed {rec['failed']}", flush=True)
-        if args.log:
-            with open(args.log, "a", encoding="ascii") as fh:
-                fh.write(json.dumps(rec) + "\n")
 
     records = run_pairs(checkouts, args.workload, args.seeds, args.seconds,
                         log=log)
