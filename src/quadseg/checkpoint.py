@@ -108,7 +108,8 @@ def load_checkpoint(path: str) -> CheckpointData:
         entries.append((name, shape))
 
     try:
-        blob = open(path + ".bin", "rb").read()
+        with open(path + ".bin", "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise CheckpointError(f"cannot read binary {path}.bin: {e}") from e
     expected = sum(int(np.prod(s, dtype=np.int64)) for _, s in entries) * 8

@@ -15,8 +15,9 @@ target head, which by the encoder's degeneracy property equals the paired
 forward with the target image in both slots.
 
 Features are [..., N, C] with leading batch dims.  The paired decoder
-stacks the streams on a new leading axis and, with shared heads, runs
-both domain heads as one stacked fuse.
+unifies each stage's stream stack [4, ..., N, C], rows (s, t, ts, st), as
+one op; the source head reads rows (s, ts), the target head (t, st), and
+shared heads run as one stacked fuse.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .tensor import (
     pyramid_fuse,
     relu,
     softmax,
-    stack,
     transpose,
     upsample_bilinear,
 )
@@ -151,23 +151,24 @@ def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
 
 
 def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
-                feats: dict, dims: list[tuple[int, int]],
+                feats: list[Tensor], dims: list[tuple[int, int]],
                 use_cross_src: bool = True, use_cross_tgt: bool = True):
     """Both domain logit maps [..., h0*w0, num_classes] plus the target
     head's (self, cross) per-stage unified maps as plain arrays, from which
     ``augmented_features`` builds [phi_t, phi_st]: ``(logits_s, logits_t,
-    maps_t)``.  The cross toggles substitute a stream's own self map for
-    its cross map, which is the ablation that disables cross-attention
-    features per domain."""
-    names = [n for n, on in (("s", True), ("t", True), ("ts", use_cross_src),
-                             ("st", use_cross_tgt)) if on]
-    units = _unify(params, enc_cfg,
-                   [stack([feats[n][i] for n in names]) for i in range(len(dims))],
-                   dims)
-    row = {n: k for k, n in enumerate(names)}
+    maps_t)`` from ``encoder_forward``'s per-stage stream stacks, rows (s,
+    t, ts, st).  The source head reads rows (s, ts), the target head (t,
+    st).  The cross toggles substitute a stream's own self map for its
+    cross map, which is the ablation that disables cross-attention features
+    per domain; the stacks then keep only the rows read."""
+    keep = [k for k, on in enumerate((True, True, use_cross_src, use_cross_tgt))
+            if on]
+    units = _unify(params, enc_cfg, feats if len(keep) == 4 else
+                   [gather(f, keep) for f in feats], dims)
     # (source, target) rows of the self and of the cross maps
-    self_rows = (row["s"], row["t"])
-    cross_rows = (row.get("ts", row["s"]), row.get("st", row["t"]))
+    self_rows = (0, 1)
+    cross_rows = (keep.index(2) if use_cross_src else 0,
+                  keep.index(3) if use_cross_tgt else 1)
     maps_t = ([u.data[self_rows[1]] for u in units],
               [u.data[cross_rows[1]] for u in units])
 

@@ -24,15 +24,16 @@ the token grid with a 4x4 non-overlapping patch embedding up front and
 overlapped 3x3 stride-2 convolutions in between, so stage i runs on an
 (H / 2^(i+2)) x (W / 2^(i+2)) token grid.
 
-Tokens are [..., N, C] with leading batch dims.  Blocks and patch merges
-stack the four streams on a new leading axis, so each layer is one op over
-every stream and batch item.
+Tokens are [..., N, C] with leading batch dims.  The paired encoder carries
+the four streams as one stack [4, ..., N, C], rows (s, t, ts, st), from the
+patch embedding to the decoder, so each layer is one op over every stream
+and batch item.  The embedding gives the pair [2, ..., N, C], rows (s, t),
+from which the first block seeds the cross rows as (t, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -255,8 +256,8 @@ def mix_ffn(params: dict, prefix: str, tokens: Tensor, h: int, w: int) -> Tensor
 # the quadruple block
 # ---------------------------------------------------------------------------
 
-_STREAMS = ("s", "t", "ts", "st")
 _ROUTE = ((0, 1, 1, 0), (0, 1, 0, 1))  # rows of (LN(f_s), LN(f_t)) per stream
+_SEED = (0, 1, 1, 0)   # rows of the embedded pair (s, t) per stream
 
 
 def _ln(params: dict, prefix: str, x: Tensor) -> Tensor:
@@ -273,38 +274,41 @@ def _sublayers(params: dict, pre: str, q_in: Tensor, kv_in: Tensor,
 
 
 def quad_block(params: dict, cfg: EncoderConfig, stage: int, layer: int,
-               f_s: Tensor, f_t: Tensor, f_ts: Tensor, f_st: Tensor,
-               h: int, w: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """One encoder block updating all four streams (see module docstring);
-    with shared weights they run stacked and LN/Q/K/V see f_s, f_t once."""
+               x: Tensor, h: int, w: int) -> Tensor:
+    """One block (see module docstring) updating the stream stack x; the
+    first takes the embedded pair.  With shared weights the four streams
+    run as one op and LN/Q/K/V see f_s, f_t once."""
     heads, ratio = cfg.heads[stage], cfg.sr_ratios[stage]
+    seeded = x.shape[0] == 2
     if cfg.share_branch_weights:
         b = f"s{stage}.b{layer}.all"
-        n = _ln(params, f"{b}.ln", stack([f_s, f_t]))
-        out = _sublayers(params, b, n, n, stack([f_s, f_t, f_ts, f_st]),
-                         h, w, heads, ratio, _ROUTE)
-        return tuple(gather(out, i) for i in range(len(_STREAMS)))
+        n = _ln(params, f"{b}.ln", x if seeded else gather(x, (0, 1)))
+        return _sublayers(params, b, n, n, gather(x, _SEED) if seeded else x,
+                          h, w, heads, ratio, _ROUTE)
 
     b = f"s{stage}.b{layer}"
+    rows = [gather(x, i) for i in range(x.shape[0])]
+    f_s, f_t, f_ts, f_st = (rows[i] for i in _SEED) if seeded else rows
     ns, nt = _ln(params, f"{b}.s.ln", f_s), _ln(params, f"{b}.t.ln", f_t)
-    return (
+    return stack([
         _sublayers(params, f"{b}.s", ns, ns, f_s, h, w, heads, ratio),
         _sublayers(params, f"{b}.t", nt, nt, f_t, h, w, heads, ratio),
         _sublayers(params, f"{b}.ts", _ln(params, f"{b}.ts.ln_q", f_t),
                    _ln(params, f"{b}.ts.ln_kv", f_s), f_ts, h, w, heads, ratio),
         _sublayers(params, f"{b}.st", _ln(params, f"{b}.st.ln_q", f_s),
                    _ln(params, f"{b}.st.ln_kv", f_t), f_st, h, w, heads, ratio),
-    )
+    ])
 
 
-def _run_stages(cfg: EncoderConfig, x, h: int, w: int, merge, block):
-    """Stage loop from embedded tokens ``x``: ``merge(prefix, x, h, w)`` joins
-    stages, ``block(stage, layer, x, h, w)`` is one block.  Returns the
-    per-stage outputs and (h, w) token grids."""
+def _run_stages(params: dict, cfg: EncoderConfig, x: Tensor, h: int, w: int,
+                block):
+    """Stage loop from embedded tokens ``x``, patch merges between stages;
+    ``block(stage, layer, x, h, w)`` is one block.  Returns the per-stage
+    outputs and (h, w) token grids."""
     outs, dims = [], []
     for i in range(cfg.num_stages):
         if i > 0:
-            x, h, w = merge(f"s{i}.merge", x, h, w)
+            x, h, w = patch_merge(params, f"s{i}.merge", x, h, w)
         if h < 1 or w < 1:
             raise ShapeError(f"stage {i} token grid collapsed to {h}x{w}")
         for l in range(cfg.depths[i]):
@@ -317,25 +321,19 @@ def _run_stages(cfg: EncoderConfig, x, h: int, w: int, merge, block):
 def encoder_forward(params: dict, cfg: EncoderConfig, img_s: Tensor, img_t: Tensor):
     """Run the paired encoder on images [..., Cin, H, W].
 
-    Returns ``(feats, dims)`` where ``feats`` maps stream name (``"s"``,
-    ``"t"``, ``"ts"``, ``"st"``) to the list of per-stage token tensors
-    [..., h*w, C] and ``dims`` is the list of per-stage (h, w) token grids.
-    The cross streams start from the *other* domain's embedded tokens:
-    f_ts^0 is the embedded target, f_st^0 the embedded source.
+    Returns ``(feats, dims)``: ``feats`` is the list of per-stage stream
+    stacks [4, ..., h*w, C] with rows (s, t, ts, st), ``dims`` the list of
+    per-stage (h, w) token grids.  The cross streams start from the
+    *other* domain's embedded tokens: f_ts^0 is the embedded target, f_st^0
+    the embedded source.
     """
     if img_s.shape != img_t.shape:
         raise ShapeError(f"paired images disagree: {img_s.shape} vs {img_t.shape}")
     tok_s, h, w = patch_embed(params, img_s, cfg.patch)
     tok_t, _, _ = patch_embed(params, img_t, cfg.patch)
-
-    def merge(prefix, streams, h, w):      # one convolution over the stack
-        y, h2, w2 = patch_merge(params, prefix, stack(streams), h, w)
-        return tuple(gather(y, i) for i in range(len(streams))), h2, w2
-
-    outs, dims = _run_stages(
-        cfg, (tok_s, tok_t, tok_t, tok_s), h, w, merge,
-        lambda i, l, streams, h, w: quad_block(params, cfg, i, l, *streams, h, w))
-    return {name: [o[k] for o in outs] for k, name in enumerate(_STREAMS)}, dims
+    return _run_stages(
+        params, cfg, stack([tok_s, tok_t]), h, w,
+        lambda i, l, x, h, w: quad_block(params, cfg, i, l, x, h, w))
 
 
 def encoder_forward_single(params: dict, cfg: EncoderConfig, img: Tensor):
@@ -351,4 +349,4 @@ def encoder_forward_single(params: dict, cfg: EncoderConfig, img: Tensor):
         n = _ln(params, f"{pre}.ln", f)
         return _sublayers(params, pre, n, n, f, h, w, cfg.heads[i], cfg.sr_ratios[i])
 
-    return _run_stages(cfg, tok, h, w, partial(patch_merge, params), block)
+    return _run_stages(params, cfg, tok, h, w, block)

@@ -144,7 +144,8 @@ def write_pgm(path: str, arr: np.ndarray, maxval: int = 255) -> None:
 def read_f64(path: str, shape: tuple[int, ...]) -> np.ndarray:
     """Raw little-endian float64 raster of the given shape."""
     n = int(np.prod(shape))
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) != 8 * n:
         raise PnmError(path, len(blob),
                        f"f64 raster has {len(blob)} bytes, expected {8 * n}")

@@ -34,7 +34,7 @@ from .objectives import (
     seg_cross_entropy,
     total_loss,
 )
-from .tensor import Tensor, finite_diff_check, set_fault_injection
+from .tensor import Tensor, finite_diff_check, gather, set_fault_injection
 
 __all__ = ["fd_gradient_suite", "shape_chain_suite", "cross_degeneracy_suite",
            "ssim_suite", "ema_suite", "run_all"]
@@ -103,7 +103,8 @@ def fd_gradient_suite(h: float = 1e-5, coords_per_param: int = 3,
 
 
 def shape_chain_suite(seed: int = 1) -> list[str]:
-    """Desk-scale 64x64 forward; returns a list of violations (empty = ok)."""
+    """Desk-scale 64x64 forward; returns a list of violations (empty = ok).
+    Stage outputs are stream stacks [4, h*w, C], rows (s, t, ts, st)."""
     rng = np.random.default_rng(seed)
     params = init_model_params(_DESK_ENC, _DESK_DEC, rng)
     img_s = Tensor(rng.random((3, 64, 64)))
@@ -114,19 +115,18 @@ def shape_chain_suite(seed: int = 1) -> list[str]:
     for i, ((hh, ww), n) in enumerate(zip(dims, want_counts)):
         if hh * ww != n:
             bad.append(f"stage {i} token count {hh * ww}, expected {n}")
-        for stream in ("s", "t", "ts", "st"):
-            got = feats[stream][i].shape
-            want = (n, _DESK_ENC.channels[i])
-            if got != want:
-                bad.append(f"stage {i} stream {stream} shape {got} != {want}")
-    phi = unify_and_upsample(params, _DESK_ENC, feats["t"], dims)
+        want = (4, n, _DESK_ENC.channels[i])
+        if feats[i].shape != want:
+            bad.append(f"stage {i} stream stack (s, t, ts, st) shape "
+                       f"{feats[i].shape} != {want}")
+    phi = unify_and_upsample(params, _DESK_ENC, [gather(f, 1) for f in feats], dims)
     ce = _DESK_DEC.embed_dim
     if phi.shape != (256, 4 * ce):
-        bad.append(f"phi shape {phi.shape} != (256, {4 * ce})")
+        bad.append(f"phi_t shape {phi.shape} != (256, {4 * ce})")
     out = forward_pair(params, _DESK_ENC, _DESK_DEC, img_s, img_t)
     aug_t = augmented_features(out.maps_t, out.dims)
     if aug_t.shape != (256, 8 * ce):
-        bad.append(f"augmented features {aug_t.shape} != (256, {8 * ce})")
+        bad.append(f"[phi_t, phi_st] shape {aug_t.shape} != (256, {8 * ce})")
     for lg in (out.logits_s, out.logits_t):
         if lg.shape != (2, 64, 64):
             bad.append(f"logit map {lg.shape} != (2, 64, 64)")
@@ -135,17 +135,14 @@ def shape_chain_suite(seed: int = 1) -> list[str]:
 
 def cross_degeneracy_suite(seed: int = 2) -> tuple[float, float]:
     """With identical inputs the cross streams must collapse onto the self
-    streams (weights shared across branches).  Returns ``(worst elementwise
-    gap across stages, worst source-free vs paired-target-head gap)``."""
+    streams (weights shared across branches): rows ts, st of each stage's
+    stack onto rows s, t.  Returns ``(worst elementwise gap across stages,
+    worst source-free vs paired-target-head gap)``."""
     rng = np.random.default_rng(seed)
     params = init_model_params(_DESK_ENC, _DESK_DEC, rng)
     img = Tensor(rng.random((3, 64, 64)))
-    feats, dims = encoder_forward(params, _DESK_ENC, img, img)
-    worst = 0.0
-    for i in range(_DESK_ENC.num_stages):
-        worst = max(worst,
-                    float(np.abs(feats["ts"][i].data - feats["s"][i].data).max()),
-                    float(np.abs(feats["st"][i].data - feats["t"][i].data).max()))
+    feats, _ = encoder_forward(params, _DESK_ENC, img, img)
+    worst = max(float(np.abs(f.data[2:] - f.data[:2]).max()) for f in feats)
     out = forward_pair(params, _DESK_ENC, _DESK_DEC, img, img)
     logits, _, _ = infer_target_sourcefree(params, _DESK_ENC, _DESK_DEC, img)
     free_gap = float(np.abs(out.logits_t.data - logits.data).max())
@@ -206,7 +203,7 @@ def run_all(inject_fault: bool = False, echo=print) -> int:
         checks.append(("shape-chain", not bad, "; ".join(bad) or "64->2 chain ok"))
         gap, free = cross_degeneracy_suite()
         checks.append(("cross-degeneracy", gap < 1e-12 and free == 0.0,
-                       f"stream gap {gap:.3e}, source-free gap {free:.3e}"))
+                       f"ts-s/st-t gap {gap:.3e}, source-free gap {free:.3e}"))
         werr, exact = ssim_suite()
         checks.append(("ssim-oracle", werr < 1e-9 and exact,
                        f"max |delta| {werr:.3e}, identity exact: {exact}"))

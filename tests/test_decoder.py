@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -24,7 +25,16 @@ from quadseg.decoder import (
     mask_probs,
     unify_and_upsample,
 )
-from quadseg.encoder import EncoderConfig, encoder_forward, encoder_forward_single
+from quadseg.encoder import (
+    _ROUTE,
+    EncoderConfig,
+    _ln,
+    _sublayers,
+    encoder_forward,
+    encoder_forward_single,
+    patch_embed,
+    patch_merge,
+)
 from quadseg.model import forward_pair, infer_target_sourcefree, init_model_params
 from quadseg.objectives import (
     DiscConfig,
@@ -33,6 +43,7 @@ from quadseg.objectives import (
     init_disc_params,
     seg_cross_entropy,
 )
+from quadseg.pnm import read_f64, write_f64
 from quadseg.tensor import (
     ShapeError,
     Tape,
@@ -43,6 +54,7 @@ from quadseg.tensor import (
     gather,
     linear,
     relu,
+    stack,
     tsum,
     upsample_bilinear,
 )
@@ -252,18 +264,128 @@ def test_fused_head_matches_concat_then_fuse(extra_hidden, share_heads,
     feats, dims = encoder_forward(params, DESK_ENC, img_s, img_t)
     tok_s, tok_t, maps_t = decode_pair(params, DESK_ENC, dec, feats, dims,
                                        cross_src, cross_tgt)
+    streams = {n: [gather(f, k) for f in feats]
+               for k, n in enumerate(("s", "t", "ts", "st"))}
     src, tgt = ("head", "head") if share_heads else ("head_src", "head_tgt")
     cross_s, cross_t = "ts" if cross_src else "s", "st" if cross_tgt else "t"
-    _assert_close(tok_s, _composed_head(params, dec, feats, dims, src, "s", cross_s))
-    _assert_close(tok_t, _composed_head(params, dec, feats, dims, tgt, "t", cross_t))
+    _assert_close(tok_s, _composed_head(params, dec, streams, dims, src, "s",
+                                        cross_s))
+    _assert_close(tok_t, _composed_head(params, dec, streams, dims, tgt, "t",
+                                        cross_t))
     np.testing.assert_array_equal(
         augmented_features(maps_t, dims),
-        concat([unify_and_upsample(params, DESK_ENC, feats[n], dims)
+        concat([unify_and_upsample(params, DESK_ENC, streams[n], dims)
                 for n in ("t", cross_t)], axis=-1).data)
     single, dims = encoder_forward_single(params, DESK_ENC, img_t)
     tok, _ = decode_single(params, DESK_ENC, dec, single, dims)
     _assert_close(tok, _composed_head(params, dec, {"t": single}, dims, tgt,
                                       "t", "t"))
+
+
+# ---------------------------------------------------------------------------
+# the stream stack against the per-stream composition
+# ---------------------------------------------------------------------------
+
+
+def _quad_block_per_stream(params, cfg, stage, layer, f_s, f_t, f_ts, f_st,
+                           h, w):
+    """One block over four separate stream tensors: stacked for the shared
+    branch and split again after it, or one sublayer chain per stream."""
+    heads, ratio = cfg.heads[stage], cfg.sr_ratios[stage]
+    if cfg.share_branch_weights:
+        b = f"s{stage}.b{layer}.all"
+        n = _ln(params, f"{b}.ln", stack([f_s, f_t]))
+        out = _sublayers(params, b, n, n, stack([f_s, f_t, f_ts, f_st]),
+                         h, w, heads, ratio, _ROUTE)
+        return tuple(gather(out, i) for i in range(4))
+    b = f"s{stage}.b{layer}"
+    ns, nt = _ln(params, f"{b}.s.ln", f_s), _ln(params, f"{b}.t.ln", f_t)
+    return (
+        _sublayers(params, f"{b}.s", ns, ns, f_s, h, w, heads, ratio),
+        _sublayers(params, f"{b}.t", nt, nt, f_t, h, w, heads, ratio),
+        _sublayers(params, f"{b}.ts", _ln(params, f"{b}.ts.ln_q", f_t),
+                   _ln(params, f"{b}.ts.ln_kv", f_s), f_ts, h, w, heads, ratio),
+        _sublayers(params, f"{b}.st", _ln(params, f"{b}.st.ln_q", f_s),
+                   _ln(params, f"{b}.st.ln_kv", f_t), f_st, h, w, heads, ratio),
+    )
+
+
+def _pair_per_stream(params, enc, dec, img_s, img_t, cross_src, cross_tgt):
+    """The paired encoder and decoder with the four streams as separate
+    tensors: every block and merge stacks them and splits its output again,
+    and each head stage restacks the streams it reads.  Kept as the oracle
+    of the stream stack; returns ``decode_pair``'s outputs."""
+    tok_s, h, w = patch_embed(params, img_s, enc.patch)
+    tok_t, _, _ = patch_embed(params, img_t, enc.patch)
+    streams, outs, dims = (tok_s, tok_t, tok_t, tok_s), [], []
+    for i in range(enc.num_stages):
+        if i > 0:
+            y, h, w = patch_merge(params, f"s{i}.merge", stack(streams), h, w)
+            streams = tuple(gather(y, k) for k in range(4))
+        for l in range(enc.depths[i]):
+            streams = _quad_block_per_stream(params, enc, i, l, *streams, h, w)
+        outs.append(streams)
+        dims.append((h, w))
+    keep = [k for k, on in enumerate((True, True, cross_src, cross_tgt)) if on]
+    units = [linear(stack([o[k] for k in keep]), params[f"dec.unify{i}.w"],
+                    params[f"dec.unify{i}.b"]) for i, o in enumerate(outs)]
+    row = {k: r for r, k in enumerate(keep)}
+    self_rows = (row[0], row[1])
+    cross_rows = (row.get(2, row[0]), row.get(3, row[1]))
+    maps_t = ([u.data[self_rows[1]] for u in units],
+              [u.data[cross_rows[1]] for u in units])
+
+    def pick(rows):
+        return [gather(u, rows) for u in units]
+
+    if dec.share_heads:
+        logits = fuse_and_predict(params, dec, "head", pick(self_rows),
+                                  pick(cross_rows), dims)
+        return gather(logits, 0), gather(logits, 1), maps_t
+    return (*(fuse_and_predict(params, dec, h, pick(a), pick(c), dims)
+              for h, a, c in zip(("head_src", "head_tgt"), self_rows, cross_rows)),
+            maps_t)
+
+
+@pytest.mark.parametrize("shared,share_heads,cross_src,cross_tgt", [
+    (True, True, True, True), (True, True, False, True),
+    (True, False, True, False), (False, True, True, True),
+    (False, False, False, True), (False, True, True, False)])
+def test_stream_stack_equals_per_stream_composition(shared, share_heads,
+                                                    cross_src, cross_tgt):
+    """``encoder_forward`` + ``decode_pair`` against the per-stream
+    composition: both logit maps, the target maps and every parameter's
+    gradient, as bytes (signed zeros folded by ``+ 0.0``)."""
+    enc = EncoderConfig(channels=(4, 8), depths=(2, 1), heads=(1, 2),
+                        sr_ratios=(2, 1), share_branch_weights=shared)
+    dec = DecoderConfig(embed_dim=8, share_heads=share_heads)
+    rng = np.random.default_rng(90)
+    init = init_model_params(enc, dec, rng)
+    for p in init.values():      # past the init scale, so no branch is drowned
+        p.data += rng.normal(scale=0.3, size=p.shape)
+    img_s, img_t = rng.random((2, 3, 16, 16)), rng.random((2, 3, 16, 16))
+    weights = [Tensor(rng.normal(size=(2, 16, 2))) for _ in range(2)]
+
+    def stacked(params, s, t):
+        feats, dims = encoder_forward(params, enc, s, t)
+        return decode_pair(params, enc, dec, feats, dims, cross_src, cross_tgt)
+
+    def per_stream(params, s, t):
+        return _pair_per_stream(params, enc, dec, s, t, cross_src, cross_tgt)
+
+    results = []
+    for run in (stacked, per_stream):
+        params = {k: Tensor(v.data.copy()) for k, v in init.items()}
+        with Tape() as tape:
+            for p in params.values():
+                tape.watch(p)
+            tok_s, tok_t, maps_t = run(params, Tensor(img_s), Tensor(img_t))
+            tape.backward(tsum(tok_s * weights[0]) + tsum(tok_t * weights[1]))
+        results.append([a.tobytes() for a in (tok_s.data, tok_t.data,
+                                              *maps_t[0], *maps_t[1])]
+                       + [(tape.grad(p) + 0.0).tobytes()
+                          for p in params.values()])
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +602,7 @@ def test_no_backward_closure_holds_a_tensor():
         discriminator_forward(disc, DiscConfig(), mask_probs(out.logits_t))
         infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img_t)
     rules = [n.backward_fn for n in tape.nodes if n.backward_fn is not None]
-    assert len(rules) > 250
+    assert len(rules) > 200
     leaky = [f.__qualname__ for f in rules if _holds_tensor(f, set())]
     assert leaky == []
 
@@ -520,6 +642,23 @@ def test_checkpoint_resave_identical_bytes(tmp_path):
     save_checkpoint(p2, data.tensors, data.config_text, data.step)
     assert open(p1, "rb").read() == open(p2, "rb").read()
     assert open(p1 + ".bin", "rb").read() == open(p2 + ".bin", "rb").read()
+
+
+def test_raster_and_checkpoint_reads_close_their_files(tmp_path):
+    """Reading an f64 raster and a checkpoint closes every file it opens:
+    CPython warns with ResourceWarning when it frees a file left open."""
+    raster, ckpt = str(tmp_path / "r.f64"), str(tmp_path / "c.ckpt")
+    write_f64(raster, np.arange(6.0))
+    save_checkpoint(ckpt, {"x": np.ones(3)}, "", step=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        np.testing.assert_array_equal(read_f64(raster, (2, 3)),
+                                      np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(load_checkpoint(ckpt).tensors["x"],
+                                      np.ones(3))
+        gc.collect()
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

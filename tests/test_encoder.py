@@ -23,6 +23,7 @@ from quadseg.tensor import (
     conv2d,
     finite_diff_check,
     reshape,
+    stack,
     tsum,
 )
 
@@ -233,9 +234,9 @@ def test_stage_token_counts_desk_config():
     params = init_encoder_params(DESK, np.random.default_rng(9))
     feats, dims = encoder_forward(params, DESK, _img(10), _img(11))
     assert dims == [(16, 16), (8, 8), (4, 4), (2, 2)]
-    for stream in ("s", "t", "ts", "st"):
-        shapes = [f.shape for f in feats[stream]]
-        assert shapes == [(256, 8), (64, 16), (16, 32), (4, 64)]
+    # one stack per stage, rows (s, t, ts, st)
+    assert [f.shape for f in feats] == [(4, 256, 8), (4, 64, 16), (4, 16, 32),
+                                        (4, 4, 64)]
 
 
 def test_cross_degeneracy_identical_inputs():
@@ -243,10 +244,11 @@ def test_cross_degeneracy_identical_inputs():
     params = init_encoder_params(DESK, np.random.default_rng(12))
     img = _img(13)
     feats, _ = encoder_forward(params, DESK, img, img)
-    for i in range(DESK.num_stages):
-        np.testing.assert_array_equal(feats["ts"][i].data, feats["s"][i].data)
-        np.testing.assert_array_equal(feats["st"][i].data, feats["t"][i].data)
-        np.testing.assert_array_equal(feats["s"][i].data, feats["t"][i].data)
+    for f in feats:
+        s, t, ts, st = f.data
+        np.testing.assert_array_equal(ts, s)
+        np.testing.assert_array_equal(st, t)
+        np.testing.assert_array_equal(s, t)
 
 
 def test_single_stream_matches_degenerate_pair():
@@ -256,14 +258,15 @@ def test_single_stream_matches_degenerate_pair():
     single, dims2 = encoder_forward_single(params, DESK, img)
     assert dims == dims2
     for i in range(DESK.num_stages):
-        np.testing.assert_array_equal(single[i].data, feats["t"][i].data)
+        np.testing.assert_array_equal(single[i].data, feats[i].data[1])
 
 
 def test_cross_streams_differ_for_distinct_inputs():
     params = init_encoder_params(DESK, np.random.default_rng(16))
     feats, _ = encoder_forward(params, DESK, _img(17), _img(18))
-    assert np.abs(feats["ts"][0].data - feats["s"][0].data).max() > 1e-8
-    assert np.abs(feats["ts"][0].data - feats["t"][0].data).max() > 1e-8
+    s, t, ts, _ = feats[0].data
+    assert np.abs(ts - s).max() > 1e-8
+    assert np.abs(ts - t).max() > 1e-8
 
 
 def test_unshared_branches_have_own_parameters():
@@ -276,28 +279,26 @@ def test_unshared_branches_have_own_parameters():
     # forward runs and produces four distinct streams even on identical input
     img = Tensor(np.random.default_rng(20).normal(size=(3, 8, 8)))
     feats, _ = encoder_forward(params, cfg, img, img)
-    assert feats["s"][0].shape == (4, 4)
+    assert feats[0].shape == (4, 4, 4)
 
 
 def test_quad_block_gradient_through_parameters():
-    """Finite differences through one full block w.r.t. a weight tensor."""
+    """Finite differences through one full block w.r.t. a weight tensor,
+    from the embedded pair (s, t) and from a four-stream stack."""
     cfg = EncoderConfig(channels=(4,), depths=(1,), heads=(2,), sr_ratios=(1,),
                         in_channels=1)
     rng = np.random.default_rng(21)
     params = init_encoder_params(cfg, rng)
-    xs = Tensor(rng.normal(size=(16, 4)))
-    xt = Tensor(rng.normal(size=(16, 4)))
+    xs, xt, xts, xst = (Tensor(rng.normal(size=(16, 4))) for _ in range(4))
     weight = Tensor(rng.normal(size=(16, 4)))
     name = "s0.b0.all.attn.wq"
+    for x in (stack([xs, xt]), stack([xs, xt, xts, xst])):
+        def f(t, x=x):
+            trial = dict(params)
+            trial[name] = t
+            return tsum(quad_block(trial, cfg, 0, 0, x, 4, 4) * weight)
 
-    def f(t):
-        trial = dict(params)
-        trial[name] = t
-        a, b, c, d = quad_block(trial, cfg, 0, 0, xs, xt, xt, xs, 4, 4)
-        return tsum((a + b + c + d) * weight)
-
-    err = finite_diff_check(f, params[name].copy())
-    assert err < 1e-6
+        assert finite_diff_check(f, params[name].copy()) < 1e-6
 
 
 def test_encoder_rejects_mismatched_pair():

@@ -1,0 +1,96 @@
+"""Digest of a tiny end-to-end chain's output files.
+
+    python3 tools/chain_digest.py CHECKOUT [--seed S] [--batch B] \
+        [--set KEY=VALUE ...]
+
+Runs ``generate`` (4 training images per domain, 2 held out) -> ``pair``
+-> ``warmup`` -> ``adapt`` twice (pairing on the fly, then from the
+persisted pair file) -> ``eval`` of both adapted checkpoints, at crop 32
+with 4 warm-up and 4 adaptation steps.  Every command runs in its own
+subprocess against ``CHECKOUT/src`` and writes into a temporary directory,
+which is removed afterwards.  ``--seed`` seeds both the generated domains
+and the run config; each ``--set`` overrides one config key of the warm-up
+and both adaptations.
+
+The output is one ``sha256  relpath`` line per file the chain wrote, in
+path order.  Two checkouts whose chains write the same bytes print the
+same listing, so a ``diff`` of two listings shows whether a change keeps
+every output of its parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+_GENERATE = ["--train", "4", "--val", "2"]
+_FAST = {"crop": "32", "warmup_iterations": "4", "iterations": "4",
+         "eval_every": "2"}
+
+
+def chain_commands(seed: int, batch: int, sets: list[str]) -> list[list[str]]:
+    """The chain's ``quadseg`` command lines, relative to the work dir."""
+    opts = [f"{k}={v}" for k, v in
+            {**_FAST, "batch": str(batch), "seed": str(seed)}.items()] + sets
+    cfg = [a for kv in opts for a in ("--set", kv)]
+    adapt = ["adapt", "--data", "data", "--warmup", "w.ckpt"]
+    return [
+        ["generate", "--out", "data", "--seed", str(seed), *_GENERATE],
+        ["pair", "--data", "data", "--out", "pairs.tsv"],
+        ["warmup", "--data", "data", "--out", "w.ckpt", "--log", "w.csv", *cfg],
+        [*adapt, "--out", "a.ckpt", "--log", "a.csv", *cfg],
+        [*adapt, "--out", "ap.ckpt", "--pairs", "pairs.tsv", "--log", "ap.csv",
+         *cfg],
+        ["eval", "--ckpt", "a.ckpt", "--data", "data", "--out", "eval_a"],
+        ["eval", "--ckpt", "ap.ckpt", "--data", "data", "--out", "eval_ap"],
+    ]
+
+
+def tree_listing(root: str) -> list[str]:
+    """``sha256  relpath`` of every file under ``root``, in path order."""
+    files = []
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                files.append((os.path.relpath(path, root),
+                              hashlib.sha256(fh.read()).hexdigest()))
+    return [f"{digest}  {rel}" for rel, digest in sorted(files)]
+
+
+def run_chain(checkout: str, seed: int = 0, batch: int = 2,
+              sets: list[str] = ()) -> list[str]:
+    """Run the chain against ``checkout``'s sources; its tree listing."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    if not os.path.isfile(os.path.join(src, "quadseg", "cli.py")):
+        raise FileNotFoundError(f"{checkout}: no src/quadseg/cli.py")
+    env = {**os.environ, "PYTHONPATH": src}
+    with tempfile.TemporaryDirectory(prefix="chain_digest_") as work:
+        for cmd in chain_commands(seed, batch, list(sets)):
+            proc = subprocess.run([sys.executable, "-m", "quadseg.cli", *cmd],
+                                  cwd=work, env=env, capture_output=True,
+                                  text=True, check=False)
+            if proc.returncode != 0:
+                raise RuntimeError(f"quadseg {' '.join(cmd)} exited "
+                                   f"{proc.returncode}\n{proc.stderr[-2000:]}")
+        return tree_listing(work)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", help="repository checkout to run")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--batch", type=int, default=2)
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE", help="config override (repeatable)")
+    args = parser.parse_args(argv)
+    print("\n".join(run_chain(args.checkout, args.seed, args.batch, args.set)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
