@@ -145,11 +145,14 @@ def read_f64(path: str, shape: tuple[int, ...]) -> np.ndarray:
     """Raw little-endian float64 raster of the given shape."""
     n = int(np.prod(shape))
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != 8 * n:
-        raise PnmError(path, len(blob),
-                       f"f64 raster has {len(blob)} bytes, expected {8 * n}")
-    return np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 * n:
+            raise PnmError(path, size,
+                           f"f64 raster has {size} bytes, expected {8 * n}")
+        arr = np.fromfile(fh, dtype="<f8", count=n)
+    if arr.size != n:
+        raise PnmError(path, 8 * arr.size, "f64 raster ended early")
+    return arr.astype(np.float64, copy=False).reshape(shape)
 
 
 def write_f64(path: str, arr: np.ndarray) -> None:

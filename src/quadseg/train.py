@@ -211,6 +211,7 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
         params = _restore_params(data, cfg)
         opt.load_state(_opt_state(data.tensors, critic=False), data.step)
         start = data.step
+        del data                    # parameters and moments are copied out
     src = load_corpus(root, "source", list_image_ids(root, "source"))
     tgt_val = load_corpus(root, "target", split_target_ids(root)[1])
     weights = _class_weights(cfg)
@@ -460,6 +461,7 @@ def evaluate(ckpt_path: str, root: str, out_dir: str) -> dict:
     data = load_checkpoint(ckpt_path)
     cfg = parse_config(data.config_text)
     params = _restore_params(data, cfg)
+    del data                        # its tensors are not read again
     _, val_ids = split_target_ids(root)
     mask_dir = os.path.join(out_dir, "masks")
     os.makedirs(mask_dir, exist_ok=True)

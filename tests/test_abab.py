@@ -25,10 +25,48 @@ def test_summary_of_canned_runs():
     lines = abab.summarize(records)
     assert lines[0] == "w: 5 pairs"
     assert lines[1] == ("  step_ms_min: 12.4 [12.2, 12.6] -> 10.4 [10.2, 10.6] "
-                        "(-16.1%), change lower in 4/5")
+                        "(-16.1%), change lower in 4/5, within bound")
     assert lines[2] == ("  peak_rss_mb: 57.5 [57.5, 57.5] -> 56.5 [56.5, 56.5] "
-                        "(-1.7%), change lower in 5/5")
+                        "(-1.7%), change lower in 5/5, gain")
     assert len(lines) == 3
+
+
+def _verdicts(parent, change, bounds):
+    records = []
+    for seed, (p, c) in enumerate(zip(parent, change)):
+        records += [_rec("parent", seed, p, 50.0), _rec("change", seed, c, 50.0)]
+    return [ln.rsplit(", ", 1)[1]
+            for ln in abab.summarize(records, bounds)[1:3]]
+
+
+def test_verdicts_gain_beyond_and_within_bound():
+    """Gain: better in 9/10 pairs and the median moves by more than the
+    parent's IQR.  Beyond bound: the median worse by more than the bound.
+    Otherwise within bound, also for 8/10 wins or a move inside the IQR."""
+    bounds = {"step_ms_min": (0.25, "lower"), "peak_rss_mb": (0.1, "lower")}
+    parent = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 11.2, 11.4, 11.6, 11.8]
+    gain = [p - 1.0 for p in parent[:9]] + [parent[9] + 0.1]
+    assert _verdicts(parent, gain, bounds) == ["gain", "within bound"]
+    eight = [p - 1.0 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+    assert _verdicts(parent, eight, bounds)[0] == "within bound"
+    inside_iqr = [p - 0.5 for p in parent]          # IQR of parent is 0.9
+    assert _verdicts(parent, inside_iqr, bounds)[0] == "within bound"
+    worse = [p * 1.3 for p in parent]
+    assert _verdicts(parent, worse, bounds)[0] == "beyond bound"
+    assert _verdicts(parent, [p * 1.2 for p in parent],
+                     bounds)[0] == "within bound"
+    # a metric where higher is better gains by reading higher
+    higher = {"step_ms_min": (0.25, "higher")}
+    assert _verdicts(parent, [p + 2.0 for p in parent], higher)[0] == "gain"
+    assert _verdicts(parent, worse, higher)[0] == "gain"
+    assert _verdicts(parent, [p * 0.7 for p in parent],
+                     higher)[0] == "beyond bound"
+
+
+def test_bounds_come_from_the_benchmark_file():
+    bounds = abab.read_bounds()
+    assert bounds["peak_rss_mb"] == (0.1, "lower")
+    assert bounds["step_ms_min"] == (0.25, "lower")
 
 
 def test_summary_flags_failures_and_digest_mismatches():
@@ -46,7 +84,8 @@ def test_summary_counts_only_complete_pairs():
                _rec("parent", 2, 9.0, 50.0)]
     assert abab.summarize(records)[:2] == [
         "w: 1 pairs",
-        "  step_ms_min: 12 [12, 12] -> 11 [11, 11] (-8.3%), change lower in 1/1"]
+        "  step_ms_min: 12 [12, 12] -> 11 [11, 11] (-8.3%), "
+        "change lower in 1/1, gain"]
 
 
 def test_runs_alternate_and_never_overlap():

@@ -1,6 +1,7 @@
 """What ``adapt`` keeps: pseudo-labels with or without their directory give
 the same run, the warm-up checkpoint is released once restored, and each
-step is freed before the next one's forward.  What the training summaries
+step is freed before the next one's forward; ``evaluate`` and a resumed
+``warmup`` release their checkpoint too.  What the training summaries
 evaluate: the target-val IoU once per logged row, not again at the end."""
 
 import dataclasses
@@ -79,6 +80,52 @@ def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):
     assert len(seen) == _CFG.iterations
     assert [ckpt_dead for ckpt_dead, _ in seen] == [True] * _CFG.iterations
     assert [out_dead for _, out_dead in seen] == [True] * _CFG.iterations
+
+
+def _trace_release(monkeypatch, hook):
+    """Patch ``train.load_checkpoint`` to keep weak references to what it
+    returns and to the buffer its tensors view, and ``train.<hook>`` to
+    record, at each call, whether both are dead."""
+    refs, seen = {}, []
+    load, inner = train.load_checkpoint, getattr(train, hook)
+
+    def traced_load(path):
+        ckpt = load(path)
+        bases = {id(a.base) for a in ckpt.tensors.values()}
+        assert len(bases) == 1                  # views of one buffer
+        refs["ckpt"] = weakref.ref(ckpt)
+        refs["buf"] = weakref.ref(next(iter(ckpt.tensors.values())).base)
+        return ckpt
+
+    def traced(*args, **kwargs):
+        seen.append(refs["ckpt"]() is None and refs["buf"]() is None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(train, "load_checkpoint", traced_load)
+    monkeypatch.setattr(train, hook, traced)
+    return seen
+
+
+def test_evaluate_frees_checkpoint_before_predicting(warm, tmp_path,
+                                                     monkeypatch):
+    """The checkpoint and the buffer its tensors view are dead by the first
+    ``predict_mask``."""
+    data, wck = warm
+    seen = _trace_release(monkeypatch, "predict_mask")
+    train.evaluate(wck, data, str(tmp_path / "eval"))
+    assert seen and all(seen)
+
+
+def test_resumed_warmup_frees_checkpoint_before_its_first_step(
+        warm, tmp_path, monkeypatch):
+    """A warm-up resumed from step 1 of 2 drops the checkpoint once its
+    parameters and moments are copied out: dead by the first forward."""
+    data, _ = warm
+    half = str(tmp_path / "half.ckpt")
+    train.warmup(dataclasses.replace(_CFG, warmup_iterations=1), data, half)
+    seen = _trace_release(monkeypatch, "infer_target_sourcefree")
+    train.warmup(_CFG, data, str(tmp_path / "w.ckpt"), resume=half)
+    assert seen and all(seen)
 
 
 def _count_predicts(monkeypatch):

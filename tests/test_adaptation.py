@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,7 +609,7 @@ def test_pairs_tsv_roundtrip(tmp_path):
     back = read_pairs(path, sp, tp)
     assert back.pairs == ps.pairs
     assert back.sims == ps.sims
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "source/images/0000.ppm\ttarget/images/0001.ppm\t0.25" in text
 
 

@@ -3,6 +3,7 @@ the 8-bit corpus."""
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,7 +391,7 @@ def test_ppm_roundtrip_bit_identical(tmp_path):
     write_ppm(p1, img)
     back = read_ppm(p1)
     write_ppm(p2, back)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     assert back.shape == (3, 6, 5)
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 
@@ -654,8 +655,8 @@ def test_write_dataset_reruns_byte_identical(tmp_path):
     for rel in ("source/images/0000.ppm", "source/labels/0001.pgm",
                 "target/images/0002.ppm", "target/labels/0002.pgm",
                 "spec.txt"):
-        b1 = open(os.path.join(r1, rel), "rb").read()
-        b2 = open(os.path.join(r2, rel), "rb").read()
+        b1 = Path(r1, rel).read_bytes()
+        b2 = Path(r2, rel).read_bytes()
         assert b1 == b2, rel
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import types
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,8 +641,8 @@ def test_checkpoint_resave_identical_bytes(tmp_path):
     save_checkpoint(p1, tensors, "seed = 1", step=3)
     data = load_checkpoint(p1)
     save_checkpoint(p2, data.tensors, data.config_text, data.step)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    assert open(p1 + ".bin", "rb").read() == open(p2 + ".bin", "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    assert Path(p1 + ".bin").read_bytes() == Path(p2 + ".bin").read_bytes()
 
 
 def test_raster_and_checkpoint_reads_close_their_files(tmp_path):
@@ -672,8 +673,8 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 def test_checkpoint_rejects_size_mismatch(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(path, {"x": np.ones(4)}, "", step=0)
-    blob = open(path + ".bin", "rb").read()
-    open(path + ".bin", "wb").write(blob[:-8])
+    bin_path = Path(path + ".bin")
+    bin_path.write_bytes(bin_path.read_bytes()[:-8])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 

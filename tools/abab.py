@@ -7,8 +7,12 @@ PARENT and CHANGE are two checkouts of the repository.  For each workload
 and seed the tool runs ``perfbench/run.py --trace 0`` once in each
 checkout, one benchmark process at a time, and alternates which side runs
 first from one seed to the next.  It then prints, per workload and
-end-to-end metric, each side's median [q1, q3], the change of the medians
-and the number of pairs in which the change reads lower.  It flags every
+end-to-end metric, each side's median [q1, q3], the change of the medians,
+the number of pairs in which the change reads lower and a verdict: ``gain``
+when the change reads better in at least 9/10 of the pairs and its median
+beats the parent's by more than the parent's q3 - q1, ``beyond bound`` when
+its median is worse than the parent's by more than the metric's ``bound``
+in BENCHMARK.json, else ``within bound``.  It flags every
 run whose ``failed`` count is above zero and every seed whose output
 digests differ between the two sides.  ``QF_THREADS`` is passed through as
 set (run.py uses one BLAS thread when it is unset).
@@ -18,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
 
 
 def run_once(checkout: str, workload: str, seed: int,
@@ -76,11 +83,34 @@ def _quartiles(values: list) -> tuple:
     return med, q1, q3
 
 
-def summarize(records: list) -> list[str]:
+def read_bounds(path: str = BENCHMARK) -> dict:
+    """End-to-end metric name -> (relative bound, "lower" or "higher")."""
+    with open(path, encoding="utf-8") as fh:
+        spec = json.load(fh)
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent: list, change: list, bound: float,
+            better: str = "lower") -> str:
+    """``gain``, ``beyond bound`` or ``within bound`` for one metric's
+    paired values (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    (pm, p1, p3), (cm, _, _) = _quartiles(parent), _quartiles(change)
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    if wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1:
+        return "gain"
+    if sign * (cm - pm) > bound * abs(pm):
+        return "beyond bound"
+    return "within bound"
+
+
+def summarize(records: list, bounds: dict | None = None) -> list[str]:
     """The report lines: per workload and metric, both sides' median
-    [q1, q3], the relative change of the medians and the pairs where the
-    change reads lower; then one line per failed run and per seed whose
-    digests differ between the sides."""
+    [q1, q3], the relative change of the medians, the pairs where the
+    change reads lower and the verdict against ``bounds`` (by default
+    those of BENCHMARK.json; a metric it lacks has no bound); then one line
+    per failed run and per seed whose digests differ between the sides."""
+    bounds = read_bounds() if bounds is None else bounds
     lines = []
     by = {}
     for r in records:
@@ -94,9 +124,12 @@ def summarize(records: list) -> list[str]:
             (pm, p1, p3), (cm, c1, c3) = (_quartiles(vals[s]) for s in SIDES)
             lower = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
             rel = (cm - pm) / pm if pm else float("nan")
+            bound, better = bounds.get(m, (math.inf, "lower"))
             lines.append(f"  {m}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> "
                          f"{cm:.4g} [{c1:.4g}, {c3:.4g}] ({rel:+.1%}), "
-                         f"change lower in {lower}/{len(pairs)}")
+                         f"change lower in {lower}/{len(pairs)}, "
+                         + verdict(vals["parent"], vals["change"], bound,
+                                   better))
         for seed, sides in seeds.items():
             for side, r in sides.items():
                 if r["failed"] > 0:
