@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .pnm import read_f64, read_pgm, write_f64, write_pgm
-from .tensor import interp_matrix
+from .tensor import _upsample_first
 from .decoder import mask_probs
 from .model import infer_target_sourcefree, stack_chunks
 
@@ -27,8 +27,10 @@ __all__ = [
     "PrototypeBank",
     "PseudoLabels",
     "PairSet",
-    "batch_prototype",
+    "class_sums",
+    "grid_probs",
     "ema_update",
+    "track_prototypes",
     "initialize_bank",
     "correct_pseudo_labels",
     "warmup_pseudo_labels",
@@ -37,7 +39,6 @@ __all__ = [
     "decode_pseudo_labels",
     "load_pseudo_labels",
     "to_grayscale",
-    "downscale_gray",
     "ssim",
     "ssim_matrix",
     "pair_two_way",
@@ -65,32 +66,55 @@ class PrototypeBank:
                    weight=np.zeros(num_classes), lam=lam)
 
 
-def batch_prototype(feats: np.ndarray, probs: np.ndarray, c: int):
-    """Probability-weighted centroid of class ``c`` over one batch.
+def class_sums(feats: np.ndarray, probs: np.ndarray):
+    """Per-class weighted feature sums [K, D] and total weights [K].
 
-    ``feats`` is [N, D], ``probs`` is [N, K]; a pixel belongs to the batch
-    of class c when argmax(probs) == c, and contributes with weight
-    probs[:, c].  Returns None (the no-update signal) when the class is
-    absent from the batch.
-    """
+    ``feats`` is [N, D], ``probs`` is [N, K]; a token counts for class c
+    when argmax(probs) == c, with weight probs[:, c].  An absent class has
+    zero sum and zero weight."""
     if feats.shape[0] != probs.shape[0]:
         raise ValueError(f"feats {feats.shape} vs probs {probs.shape}")
-    sel = probs.argmax(axis=1) == c
-    if not sel.any():
-        return None
-    w = probs[sel, c]
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    return (w[:, None] * feats[sel]).sum(axis=0) / total
+    k = probs.shape[1]
+    sums = np.zeros((k, feats.shape[1]))
+    weights = np.zeros(k)
+    hard = probs.argmax(axis=1)
+    for c in range(k):
+        sel = hard == c
+        if sel.any():
+            w = probs[sel, c]
+            sums[c] = (w[:, None] * feats[sel]).sum(axis=0)
+            weights[c] = w.sum()
+    return sums, weights
 
 
-def ema_update(bank: PrototypeBank, c: int, eta_prime: np.ndarray) -> None:
-    """eta_c <- lam * eta_c + (1 - lam) * eta'_c, in place."""
+def grid_probs(probs: np.ndarray, gh: int, gw: int) -> np.ndarray:
+    """Block-mean [..., K, H, W] probabilities down to [..., gh*gw, K]
+    token rows."""
+    *lead, k, h, w = probs.shape
+    pooled = probs.reshape(*lead, k, gh, h // gh, gw, w // gw).mean(
+        axis=(-3, -1))
+    return pooled.reshape(*lead, k, gh * gw).swapaxes(-1, -2)
+
+
+def ema_update(bank: PrototypeBank, c, eta_prime: np.ndarray) -> None:
+    """eta_c <- lam * eta_c + (1 - lam) * eta'_c, in place.  ``c`` is one
+    class, or an array of distinct classes with one row of ``eta_prime``
+    each."""
     if not np.all(np.isfinite(eta_prime)):
         raise FloatingPointError(f"non-finite prototype update for class {c}")
     bank.eta[c] = bank.lam * bank.eta[c] + (1.0 - bank.lam) * eta_prime
     bank.weight[c] += 1.0
+
+
+def track_prototypes(bank: PrototypeBank, feats: np.ndarray,
+                     probs: np.ndarray) -> None:
+    """Move every class present in one item (``feats`` [N, D], token
+    ``probs`` [N, K]) toward its weighted centroid there, in one
+    ``ema_update``; an absent class is left as it is."""
+    sums, weights = class_sums(feats, probs)
+    present = np.flatnonzero(weights > 0.0)
+    if present.size:
+        ema_update(bank, present, sums[present] / weights[present, None])
 
 
 def initialize_bank(bank: PrototypeBank, batches) -> None:
@@ -101,13 +125,9 @@ def initialize_bank(bank: PrototypeBank, batches) -> None:
     sums = np.zeros((k, d))
     weights = np.zeros(k)
     for feats, probs in batches:
-        hard = probs.argmax(axis=1)
-        for c in range(k):
-            sel = hard == c
-            if sel.any():
-                w = probs[sel, c]
-                sums[c] += (w[:, None] * feats[sel]).sum(axis=0)
-                weights[c] += w.sum()
+        s, w = class_sums(feats, probs)
+        sums += s
+        weights += w
     nonzero = weights > 0
     bank.eta[nonzero] = sums[nonzero] / weights[nonzero, None]
     bank.weight[:] = weights
@@ -120,25 +140,17 @@ def initialize_bank(bank: PrototypeBank, batches) -> None:
 
 @dataclass
 class PseudoLabels:
-    """Soft per-pixel class probabilities plus the validity mask."""
+    """Soft per-pixel class probabilities plus the validity mask, with
+    any leading batch dims."""
 
-    probs: np.ndarray             # [K, H, W], sums to 1 per pixel
-    valid: np.ndarray             # [H, W] bool, max prob >= tau
+    probs: np.ndarray             # [..., K, H, W], sums to 1 per pixel
+    valid: np.ndarray             # [..., H, W] bool, max prob >= tau
 
     def hard(self) -> np.ndarray:
-        return self.probs.argmax(axis=0).astype(np.uint8)
+        return self.probs.argmax(axis=-3).astype(np.uint8)
 
     def confidence(self) -> np.ndarray:
-        return self.probs.max(axis=0)
-
-
-def _upsample_channels(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-numpy bilinear resize of [K, h, w] using the shared
-    interpolation convention."""
-    k, h, w = arr.shape
-    ay = interp_matrix(h, out_h)
-    ax = interp_matrix(w, out_w)
-    return np.einsum("pi,kiw,qw->kpq", ay, arr, ax, optimize=True)
+        return self.probs.max(axis=-3)
 
 
 def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
@@ -147,8 +159,9 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
                           tau: float = 0.9) -> PseudoLabels:
     """Reweight FIXED warm-up probabilities by prototype affinity.
 
-    ``feats`` [N, D] are the augmented target features on the ``grid``
-    token lattice, on their natural scale — the feature norms carry class
+    ``labels`` are [..., K, H, W] and ``feats`` [..., N, D] the augmented
+    target features on the ``grid`` token lattice, with the same leading
+    (batch) dims, on their natural scale — the feature norms carry class
     signal, and ``temperature`` converts distance gaps to affinity odds.
     The affinity k(f, c) = softmax_c(-||f - eta_c|| / T) is computed per token,
     bilinearly upsampled to the label resolution, multiplied into the
@@ -158,26 +171,26 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
     """
     if not bank.initialized:
         raise ValueError("prototype bank not initialized; run the warm-up pass")
-    kk, hh, ww = labels.probs.shape
+    *lead, kk, hh, ww = labels.probs.shape
     h, w = grid
-    if feats.shape[0] != h * w:
-        raise ValueError(f"{feats.shape[0]} features for grid {h}x{w}")
-    if feats.shape[1] != bank.eta.shape[1]:
-        raise ValueError(f"feature dim {feats.shape[1]} vs bank {bank.eta.shape[1]}")
-    dist = np.empty((feats.shape[0], kk))
-    for c in range(kk):             # one [N, D] difference per class
-        diff = feats - bank.eta[c]
+    if feats.shape[-2] != h * w:
+        raise ValueError(f"{feats.shape[-2]} features for grid {h}x{w}")
+    if feats.shape[-1] != bank.eta.shape[1]:
+        raise ValueError(f"feature dim {feats.shape[-1]} vs bank {bank.eta.shape[1]}")
+    dist = np.empty((*feats.shape[:-1], kk))
+    diff = np.empty_like(feats)     # one [..., N, D] buffer for every class
+    for c in range(kk):
+        np.subtract(feats, bank.eta[c], out=diff)
         diff *= diff
-        dist[:, c] = diff.sum(axis=1)
+        dist[..., c] = diff.sum(axis=-1)
     z = -np.sqrt(dist) / temperature
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
     kw = np.exp(z)
-    kw /= kw.sum(axis=1, keepdims=True)                   # [N, K]
-    kw_grid = kw.T.reshape(kk, h, w)
-    kw_full = _upsample_channels(kw_grid, hh, ww)
-    p = kw_full * labels.probs
-    p /= p.sum(axis=0, keepdims=True)
-    return PseudoLabels(probs=p, valid=p.max(axis=0) >= tau)
+    kw /= kw.sum(axis=-1, keepdims=True)                  # [..., N, K]
+    kw_grid = kw.swapaxes(-1, -2).reshape(*lead, kk, h, w)
+    p = _upsample_first(kw_grid, hh, ww) * labels.probs
+    p /= p.sum(axis=-3, keepdims=True)
+    return PseudoLabels(probs=p, valid=p.max(axis=-3) >= tau)
 
 
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
@@ -238,17 +251,6 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected [3, H, W], got {img.shape}")
     return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-
-
-def downscale_gray(g: np.ndarray, target: int = 64) -> np.ndarray:
-    """Block-mean downscale of a square grayscale image to target x target."""
-    h, w = g.shape
-    if (h, w) == (target, target):
-        return g
-    if h % target or w % target:
-        raise ValueError(f"{h}x{w} not divisible by target {target}")
-    bh, bw = h // target, w // target
-    return g.reshape(target, bh, target, bw).mean(axis=(1, 3))
 
 
 def ssim(a: np.ndarray, b: np.ndarray, window: int = 8) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import format_kv_lines, parse_kv_lines
 from .pnm import decode_ppm, read_pgm, read_ppm, read_ppm_raw, write_pgm, write_ppm
-from .tensor import interp_matrix
+from .tensor import _upsample_first
 
 __all__ = [
     "SceneSpec",
@@ -212,8 +212,7 @@ def _value_noise(rng: np.random.Generator, size: int) -> np.ndarray:
     norm = 0.0
     for lattice, amp in ((max(2, size // 8), 1.0), (max(2, size // 4), 0.5)):
         grid = rng.uniform(-1.0, 1.0, size=(lattice, lattice))
-        m = interp_matrix(lattice, size)
-        total += amp * (m @ grid @ m.T)
+        total += amp * _upsample_first(grid, size, size)
         norm += amp
     return total / norm
 

@@ -1011,6 +1011,13 @@ def interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     return m
 
 
+def _upsample_first(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of x [..., C, H, W] to [..., C, out_h, out_w]."""
+    h, w = x.shape[-2:]
+    return np.matmul(np.matmul(interp_matrix(h, out_h), x),
+                     interp_matrix(w, out_w).T)
+
+
 def _upsample_last(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of x [..., H, W, C] to [..., out_h, out_w, C]."""
     *lead, h, w, c = x.shape
@@ -1037,18 +1044,15 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int,
         h, w = x.shape[-2:]
     if out_h < h or out_w < w:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
-    if channels_last:
-        out = _upsample_last(x.data, out_h, out_w)
-    else:
-        ay = interp_matrix(h, out_h)                     # [outH, H]
-        ax = interp_matrix(w, out_w)                     # [outW, W]
-        out = np.matmul(np.matmul(ay, x.data), ax.T)
+    out = (_upsample_last if channels_last else _upsample_first)(
+        x.data, out_h, out_w)
 
     def build():
         def bwd(g):
             if channels_last:
                 return (_upsample_last_grad(g, h, w),)
-            return (np.matmul(np.matmul(ay.T, g), ax),)
+            return (np.matmul(np.matmul(interp_matrix(h, out_h).T, g),
+                              interp_matrix(w, out_w)),)
         return bwd
     return _emit(out, (x,), build, "upsample_bilinear")
 

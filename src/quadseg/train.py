@@ -20,16 +20,16 @@ import numpy as np
 from .adaptation import (
     PrototypeBank,
     PseudoLabels,
-    batch_prototype,
     correct_pseudo_labels,
     decode_pseudo_labels,
-    ema_update,
+    grid_probs,
     initialize_bank,
     pair_two_way,
     read_pairs,
     read_pseudo_labels_raw,
     save_pseudo_labels,
     to_grayscale,
+    track_prototypes,
     warmup_pseudo_labels,
 )
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -95,13 +95,6 @@ def _class_weights(cfg: RunConfig) -> np.ndarray:
     w = np.ones(cfg.num_classes)
     w[-1] = cfg.class_weight_pl
     return w
-
-
-def _grid_probs(probs: np.ndarray, gh: int, gw: int) -> np.ndarray:
-    """Block-mean [K, H, W] probabilities down to [gh*gw, K] token rows."""
-    k, h, w = probs.shape
-    pooled = probs.reshape(k, gh, h // gh, gw, w // gw).mean(axis=(2, 4))
-    return pooled.reshape(k, gh * gw).T
 
 
 def _restore_params(data, cfg: RunConfig) -> dict[str, Tensor]:
@@ -295,25 +288,10 @@ def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
             _, maps, dims = infer_target_sourcefree(params, enc, dec, chunk)
             gh, gw = dims[0]
             for feats in augmented_features(maps, dims):
-                yield feats, _grid_probs(next(labels).probs, gh, gw)
+                yield feats, grid_probs(next(labels).probs, gh, gw)
 
     initialize_bank(bank, batches())
     return bank
-
-
-def _correct_and_track(pls: list, feats: np.ndarray, grid: tuple[int, int],
-                       bank: PrototypeBank, cfg: RunConfig) -> list:
-    """Correct each item's pseudo-labels with its augmented features
-    ``feats`` [B, N, D], then move the prototypes toward the corrections."""
-    pls = [correct_pseudo_labels(pl, f, grid, bank, cfg.temperature, cfg.tau)
-           for pl, f in zip(pls, feats)]
-    for f, pl in zip(feats, pls):       # prototypes trail the corrections
-        gp = _grid_probs(pl.probs, *grid)
-        for c in range(cfg.num_classes):
-            proto = batch_prototype(f, gp, c)
-            if proto is not None:
-                ema_update(bank, c, proto)
-    return pls
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -348,7 +326,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     def label(j: int) -> PseudoLabels:
         return decode_pseudo_labels(*plabels[j], cfg.num_classes, cfg.tau)
 
-    if pairs_path is not None and os.path.exists(pairs_path):
+    if pairs_path is not None:
         src_paths = [image_path(root, "source", i) for i in src.ids]
         tgt_paths = [image_path(root, "target", i) for i in train_ids]
         pairset = read_pairs(pairs_path, src_paths, tgt_paths)
@@ -388,15 +366,20 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 out.logits_s, np.stack([s.label for s, _, _ in batch]),
                 class_weights=weights)
             if cfg.self_training:
-                pls = [pl for _, _, pl in batch]
+                pls = PseudoLabels(         # [B, K, H, W] and [B, H, W]
+                    probs=np.stack([pl.probs for _, _, pl in batch]),
+                    valid=np.stack([pl.valid for _, _, pl in batch]))
                 if correcting:
-                    pls = _correct_and_track(
-                        pls, augmented_features(out.maps_t, out.dims),
-                        out.grid, bank, cfg)
-                l_t, _ = seg_cross_entropy(
-                    out.logits_t, np.stack([pl.hard() for pl in pls]),
-                    valid=np.stack([pl.valid for pl in pls]),
-                    class_weights=weights)
+                    feats = augmented_features(out.maps_t, out.dims)
+                    pls = correct_pseudo_labels(pls, feats, out.grid, bank,
+                                                cfg.temperature, cfg.tau)
+                    # prototypes trail the corrections, item by item
+                    for i, gp in enumerate(grid_probs(pls.probs, *out.grid)):
+                        track_prototypes(bank, feats[i], gp)
+                    del feats   # 2 MB at batch 2: free before the backward
+                l_t, _ = seg_cross_entropy(out.logits_t, pls.hard(),
+                                           valid=pls.valid,
+                                           class_weights=weights)
             if cfg.adversarial:
                 probs_s = mask_probs(out.logits_s)
                 probs_t = mask_probs(out.logits_t)

@@ -1,6 +1,7 @@
 """What ``adapt`` keeps: pseudo-labels with or without their directory give
 the same run, the warm-up checkpoint is released once restored, and each
-step is freed before the next one's forward; ``evaluate`` and a resumed
+step is freed before the next one's forward, and each step corrects its
+pseudo-labels in one call; ``evaluate`` and a resumed
 ``warmup`` release their checkpoint too.  What the training summaries
 evaluate: the target-val IoU once per logged row, not again at the end."""
 
@@ -80,6 +81,24 @@ def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):
     assert len(seen) == _CFG.iterations
     assert [ckpt_dead for ckpt_dead, _ in seen] == [True] * _CFG.iterations
     assert [out_dead for _, out_dead in seen] == [True] * _CFG.iterations
+
+
+def test_adapt_corrects_each_batch_in_one_call(warm, tmp_path, monkeypatch):
+    """At batch 2 each step corrects both items' pseudo-labels in one
+    ``correct_pseudo_labels`` call, over [2, K, H, W] labels and [2, N, D]
+    features."""
+    data, wck = warm
+    shapes = []
+    correct = train.correct_pseudo_labels
+
+    def counting(labels, feats, *args, **kwargs):
+        shapes.append((labels.probs.shape[0], feats.shape[0]))
+        return correct(labels, feats, *args, **kwargs)
+
+    monkeypatch.setattr(train, "correct_pseudo_labels", counting)
+    cfg = dataclasses.replace(_CFG, batch=2)
+    train.adapt(cfg, data, wck, str(tmp_path / "a.ckpt"))
+    assert shapes == [(2, 2)] * cfg.iterations
 
 
 def _trace_release(monkeypatch, hook):

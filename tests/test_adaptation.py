@@ -12,15 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadseg.adaptation import (
-    _upsample_channels,
     PairSet,
     PrototypeBank,
     PseudoLabels,
-    batch_prototype,
+    class_sums,
     correct_pseudo_labels,
     decode_pseudo_labels,
-    downscale_gray,
     ema_update,
+    grid_probs,
     initialize_bank,
     load_pseudo_labels,
     pair_two_way,
@@ -30,13 +29,22 @@ from quadseg.adaptation import (
     ssim,
     ssim_matrix,
     to_grayscale,
+    track_prototypes,
     warmup_pseudo_labels,
     write_pairs,
 )
+from quadseg.tensor import interp_matrix
 
 # ---------------------------------------------------------------------------
 # batch prototypes and EMA
 # ---------------------------------------------------------------------------
+
+
+def batch_prototype(feats, probs, c):
+    """Class c's weighted centroid over one batch from ``class_sums``, or
+    None when the class is absent."""
+    sums, weights = class_sums(feats, probs)
+    return sums[c] / weights[c] if weights[c] > 0.0 else None
 
 
 def test_batch_prototype_single_pixel():
@@ -79,6 +87,75 @@ def test_batch_prototype_empty_class_signals_none():
     feats = np.ones((3, 2))
     probs = np.tile([0.9, 0.1], (3, 1))
     assert batch_prototype(feats, probs, 1) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(2, 6), k=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_class_sums_match_a_per_pixel_loop(n, d, k, seed):
+    """Each class's feature sum equals, bit for bit, a loop adding the
+    weighted features of the tokens whose argmax is that class, in token
+    order (``sum(axis=0)`` over two or more columns adds row by row; the
+    prototype features always have more than one).  The total weight is
+    the numpy sum of the weights that loop visits (a 1-D sum is pairwise,
+    so a running scalar would differ in the last bit past eight tokens)."""
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(n, d))
+    probs = rng.dirichlet(np.ones(k), size=n)
+    sums, weights = class_sums(feats, probs)
+    for c in range(k):
+        loop_sum, seen = np.zeros(d), []
+        for i in range(n):
+            if probs[i].argmax() == c:
+                loop_sum += probs[i, c] * feats[i]
+                seen.append(probs[i, c])
+        np.testing.assert_array_equal(sums[c], loop_sum)
+        assert weights[c] == np.array(seen).sum()
+
+
+def test_tracking_leaves_an_absent_class_alone():
+    bank = PrototypeBank.create(3, 2)
+    bank.eta[:] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    before = bank.eta.copy()
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+    probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2]])
+    track_prototypes(bank, feats, probs)            # class 1 is absent
+    np.testing.assert_array_equal(bank.eta[1], before[1])
+    np.testing.assert_array_equal(bank.weight, [1.0, 0.0, 1.0])
+    for c in (0, 2):
+        want = PrototypeBank.create(3, 2)
+        want.eta[:] = before
+        ema_update(want, c, batch_prototype(feats, probs, c))
+        np.testing.assert_array_equal(bank.eta[c], want.eta[c])
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), d=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_ema_update_over_classes_equals_per_class_calls(k, d, seed, data):
+    classes = data.draw(st.lists(st.integers(0, k - 1), min_size=1,
+                                 max_size=k, unique=True))
+    rng = np.random.default_rng(seed)
+    eta, rows = rng.normal(size=(k, d)), rng.normal(size=(len(classes), d))
+    one, each = PrototypeBank.create(k, d), PrototypeBank.create(k, d)
+    one.eta[:] = each.eta[:] = eta
+    ema_update(one, np.array(classes), rows)
+    for c, row in zip(classes, rows):
+        ema_update(each, c, row)
+    np.testing.assert_array_equal(one.eta, each.eta)
+    np.testing.assert_array_equal(one.weight, each.weight)
+
+
+def test_grid_probs_over_a_batch_equals_per_item():
+    rng = np.random.default_rng(12)
+    probs = np.ascontiguousarray(
+        rng.dirichlet(np.ones(3), size=(2, 8, 12)).transpose(0, 3, 1, 2))
+    got = grid_probs(probs, 2, 3)
+    assert got.shape == (2, 6, 3)
+    for b in range(2):
+        np.testing.assert_array_equal(got[b], grid_probs(probs[b], 2, 3))
+        want = probs[b].reshape(3, 2, 4, 3, 4).mean(axis=(2, 4))
+        np.testing.assert_array_equal(got[b], want.reshape(3, 6).T)
 
 
 def test_ema_single_step_arithmetic():
@@ -240,6 +317,15 @@ def test_correction_upsamples_grid_affinity():
     assert (out.probs.argmax(axis=0) == 0).all()
 
 
+def _upsample_channels(arr, out_h, out_w):
+    """Bilinear resize of [K, h, w] as one einsum: the correction's own
+    resampler before it shared the engine's channels-first rule."""
+    k, h, w = arr.shape
+    ay = interp_matrix(h, out_h)
+    ax = interp_matrix(w, out_w)
+    return np.einsum("pi,kiw,qw->kpq", ay, arr, ax, optimize=True)
+
+
 def _correct_broadcast(labels, feats, grid, bank, temperature, tau):
     """The correction with every class distance from one [N, K, D]
     broadcast, as it was first written."""
@@ -271,6 +357,59 @@ def test_correction_matches_broadcast_distances_bit_for_bit(k):
     want = _correct_broadcast(labels, feats, grid, bank, 0.7, 0.6)
     np.testing.assert_array_equal(out.probs, want.probs)
     np.testing.assert_array_equal(out.valid, want.valid)
+
+
+def _random_correction_case(rng, lead, k, grid, d, scale=4):
+    """Labels [*lead, k, H, W] at ``scale`` times the grid, features
+    [*lead, N, D] and an initialized bank."""
+    logits = rng.normal(size=(*lead, k, grid[0] * scale, grid[1] * scale))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=-3, keepdims=True)
+    labels = PseudoLabels(probs=probs, valid=probs.max(axis=-3) >= 0.6)
+    feats = rng.normal(size=(*lead, grid[0] * grid[1], d))
+    bank = PrototypeBank.create(k, d)
+    bank.eta[:] = rng.normal(size=(k, d))
+    bank.initialized = True
+    return labels, feats, bank
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), k=st.integers(2, 3), g=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_batched_correction_equals_per_item_calls(b, k, g, seed):
+    """One call over [B, K, H, W] labels and [B, N, D] features gives each
+    item's per-item result bit for bit."""
+    labels, feats, bank = _random_correction_case(
+        np.random.default_rng(seed), (b,), k, (g, g), 6)
+    out = correct_pseudo_labels(labels, feats, (g, g), bank, 0.7, 0.6)
+    assert out.probs.shape == labels.probs.shape
+    for i in range(b):
+        one = correct_pseudo_labels(
+            PseudoLabels(probs=labels.probs[i], valid=labels.valid[i]),
+            feats[i], (g, g), bank, 0.7, 0.6)
+        np.testing.assert_array_equal(out.probs[i], one.probs)
+        np.testing.assert_array_equal(out.valid[i], one.valid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 3), gh=st.integers(1, 16), gw=st.integers(1, 16),
+       scale=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2 ** 31 - 1))
+def test_correction_matches_the_einsum_resampler(k, gh, gw, scale, seed):
+    """The affinity map is resampled by the engine's channels-first
+    bilinear rule.  On square grids, the only ones a square crop gives,
+    this equals the einsum resampler it replaced bit for bit.  The two sum
+    in different orders on non-square grids, where the einsum differs in
+    the last bit on about a quarter of shapes, so those are held to
+    rounding."""
+    labels, feats, bank = _random_correction_case(
+        np.random.default_rng(seed), (), k, (gh, gw), 5, scale)
+    out = correct_pseudo_labels(labels, feats, (gh, gw), bank, 0.7, 0.6)
+    want = _correct_broadcast(labels, feats, (gh, gw), bank, 0.7, 0.6)
+    if gh == gw:
+        np.testing.assert_array_equal(out.probs, want.probs)
+        np.testing.assert_array_equal(out.valid, want.valid)
+    else:
+        np.testing.assert_allclose(out.probs, want.probs, rtol=1e-13,
+                                   atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +472,7 @@ def test_chunked_inference_matches_per_image():
     from quadseg.decoder import augmented_features, mask_probs
     from quadseg.model import INFER_CHUNK, infer_target_sourcefree, init_model_params
     from quadseg.tensor import Tensor
-    from quadseg.train import _grid_probs, _init_bank
+    from quadseg.train import _init_bank
 
     cfg = RunConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
                     sr_ratios=(2, 1), embed_dim=8, crop=32)
@@ -350,7 +489,7 @@ def test_chunked_inference_matches_per_image():
         np.testing.assert_array_equal(pl.probs, probs)
         np.testing.assert_array_equal(pl.valid, probs.max(axis=0) >= 0.6)
         feats.append((augmented_features(maps, dims),
-                      _grid_probs(pl.probs, *dims[0])))
+                      grid_probs(pl.probs, *dims[0])))
     bank = _init_bank(params, cfg, images, plabels)
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)
@@ -457,15 +596,10 @@ def test_ssim_size_mismatch_rejected():
         ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=8)
 
 
-def test_grayscale_and_downscale():
+def test_grayscale_luma():
     img = np.zeros((3, 4, 4))
     img[0] = 1.0
     np.testing.assert_allclose(to_grayscale(img), 0.299, atol=1e-15)
-    g = np.arange(16.0).reshape(4, 4)
-    d = downscale_gray(g, 2)
-    np.testing.assert_allclose(d, [[2.5, 4.5], [10.5, 12.5]], atol=1e-12)
-    with pytest.raises(ValueError):
-        downscale_gray(np.zeros((6, 6)), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,18 @@ def test_missing_checkpoint_exits_one(chain, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_missing_pairs_file_exits_one(chain, tmp_path, capsys):
+    """A named pair file is always read: a missing one is an error, never
+    a silent fallback to pairing on the fly."""
+    out = str(tmp_path / "a.ckpt")
+    rc = cli.main(["adapt", "--data", chain["data"], "--warmup", chain["wck"],
+                   "--out", out, "--pairs", str(tmp_path / "no-such-file.tsv")]
+                  + _FAST)
+    assert rc == 1
+    assert "no-such-file.tsv" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # verification command
 # ---------------------------------------------------------------------------
