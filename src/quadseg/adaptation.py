@@ -153,6 +153,9 @@ class PseudoLabels:
         return self.probs.max(axis=-3)
 
 
+_DIST_ROWS = 64     # token rows per block of the class distances
+
+
 def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
                           grid: tuple[int, int], bank: PrototypeBank,
                           temperature: float = 1.0,
@@ -177,12 +180,19 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
         raise ValueError(f"{feats.shape[-2]} features for grid {h}x{w}")
     if feats.shape[-1] != bank.eta.shape[1]:
         raise ValueError(f"feature dim {feats.shape[-1]} vs bank {bank.eta.shape[1]}")
-    dist = np.empty((*feats.shape[:-1], kk))
-    diff = np.empty_like(feats)     # one [..., N, D] buffer for every class
-    for c in range(kk):
-        np.subtract(feats, bank.eta[c], out=diff)
-        diff *= diff
-        dist[..., c] = diff.sum(axis=-1)
+    # squared distances over the flattened token rows, _DIST_ROWS rows at
+    # a time through one block-sized scratch; each row sums along D alone
+    rows = feats.reshape(-1, feats.shape[-1])
+    dist = np.empty((rows.shape[0], kk))
+    diff = np.empty((min(_DIST_ROWS, rows.shape[0]), rows.shape[1]))
+    for lo in range(0, rows.shape[0], _DIST_ROWS):
+        block = rows[lo:lo + _DIST_ROWS]
+        d = diff[:len(block)]
+        for c in range(kk):
+            np.subtract(block, bank.eta[c], out=d)
+            d *= d
+            dist[lo:lo + len(block), c] = d.sum(axis=-1)
+    dist = dist.reshape(*feats.shape[:-1], kk)
     z = -np.sqrt(dist) / temperature
     z -= z.max(axis=-1, keepdims=True)
     kw = np.exp(z)

@@ -41,13 +41,12 @@ from .tensor import (
     ShapeError,
     Tensor,
     conv2d,
-    depthwise_conv2d,
     gather,
-    gelu,
     layer_norm,
     linear,
-    multi_head_attention,
     reshape,
+    residual_attention,
+    residual_mix_ffn,
     stack,
     transpose,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "init_encoder_params",
     "trunc_normal",
     "patch_embed",
-    "sequence_reduce",
     "attention",
     "mix_ffn",
     "quad_block",
@@ -209,47 +207,33 @@ def patch_merge(params: dict, prefix: str, tokens: Tensor,
     return to_tokens(y), (h + 1) // 2, (w + 1) // 2
 
 
-def sequence_reduce(params: dict, prefix: str, tokens: Tensor,
-                    h: int, w: int, ratio: int) -> Tensor:
-    """Shrink the key/value sequence by folding ratio x ratio token tiles and
-    projecting back to C channels.  The projection is learned and applied
-    even at ratio 1."""
-    *lead, _, c = tokens.shape
-    x = tokens
-    if ratio > 1:
-        if h % ratio or w % ratio:
-            raise ShapeError(f"token grid {h}x{w} not divisible by ratio {ratio}")
-        k = len(lead)
-        x = reshape(x, (*lead, h // ratio, ratio, w // ratio, ratio, c))
-        x = transpose(x, (*range(k), k, k + 2, k + 1, k + 3, k + 4))
-        x = reshape(x, (*lead, (h // ratio) * (w // ratio), ratio * ratio * c))
-    return linear(x, params[f"{prefix}.wsr"], params[f"{prefix}.bsr"])
+_ATTN_WEIGHTS = ("wq", "bq", "wsr", "bsr", "wk", "bk", "wv", "bv", "wo", "bo")
+_FFN_WEIGHTS = ("w1", "b1", "dw", "bdw", "w2", "b2")
 
 
 def attention(params: dict, prefix: str, q_tokens: Tensor, kv_tokens: Tensor,
-              h: int, w: int, heads: int, ratio: int, route=None) -> Tensor:
-    """Efficient multi-head attention over [..., N, C] tokens.  Self-attention
-    is the special case ``q_tokens is kv_tokens``; cross-attention reads
-    queries from one stream and keys/values from another.  The key/value
-    path is sequence-reduced.  ``route = (q_rows, kv_rows)`` pairs rows of the
-    leading axis after the projections: output row i attends with query row
-    ``q_rows[i]`` over key/value row ``kv_rows[i]``."""
-    def proj(m, x):
-        return linear(x, params[f"{prefix}.w{m}"], params[f"{prefix}.b{m}"])
-
-    q = proj("q", q_tokens)
-    red = sequence_reduce(params, prefix, kv_tokens, h, w, ratio)
-    return proj("o", multi_head_attention(q, proj("k", red), proj("v", red),
-                                          heads, route))
+              residual: Tensor, h: int, w: int, heads: int, ratio: int,
+              route=None) -> Tensor:
+    """Residual efficient multi-head attention over [..., N, C] tokens, one
+    ``residual_attention`` op: ``attn(q_tokens, kv_tokens) + residual``.
+    Self-attention is the special case ``q_tokens is kv_tokens``;
+    cross-attention reads queries from one stream and keys/values from
+    another.  The key/value path is sequence-reduced: ratio x ratio token
+    tiles fold into one row, projected back to C channels even at ratio 1.
+    ``route = (q_rows, kv_rows)`` pairs rows of the leading axis after the
+    projections: output row i attends with query row ``q_rows[i]`` over
+    key/value row ``kv_rows[i]``."""
+    return residual_attention(
+        q_tokens, kv_tokens, residual,
+        [params[f"{prefix}.{m}"] for m in _ATTN_WEIGHTS], (h, w), heads,
+        ratio, route)
 
 
 def mix_ffn(params: dict, prefix: str, tokens: Tensor, h: int, w: int) -> Tensor:
-    """Expand -> depthwise 3x3 over the token grid -> GELU -> project."""
-    x = linear(tokens, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    s = depthwise_conv2d(to_grid(x, h, w), params[f"{prefix}.dw"],
-                         stride=1, padding=1, channels_last=True)
-    x = gelu(to_tokens(s) + params[f"{prefix}.bdw"])
-    return linear(x, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    """Residual Mix-FFN, one ``residual_mix_ffn`` op: expand -> depthwise
+    3x3 over the token grid -> GELU -> project, plus the input tokens."""
+    return residual_mix_ffn(
+        tokens, *(params[f"{prefix}.{m}"] for m in _FFN_WEIGHTS), (h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +252,9 @@ def _sublayers(params: dict, pre: str, q_in: Tensor, kv_in: Tensor,
                residual: Tensor, h: int, w: int, heads: int, ratio: int,
                route=None) -> Tensor:
     """Residual attention, then residual Mix-FFN."""
-    hat = attention(params, f"{pre}.attn", q_in, kv_in, h, w, heads, ratio,
-                    route) + residual
-    return mix_ffn(params, f"{pre}.ffn", hat, h, w) + hat
+    hat = attention(params, f"{pre}.attn", q_in, kv_in, residual, h, w,
+                    heads, ratio, route)
+    return mix_ffn(params, f"{pre}.ffn", hat, h, w)
 
 
 def quad_block(params: dict, cfg: EncoderConfig, stage: int, layer: int,

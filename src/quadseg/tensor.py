@@ -26,6 +26,8 @@ __all__ = [
     "matmul",
     "linear",
     "multi_head_attention",
+    "residual_attention",
+    "residual_mix_ffn",
     "add",
     "sub",
     "mul",
@@ -296,9 +298,14 @@ def _emit(out_data: np.ndarray, parents: Sequence[Tensor], backward_builder,
     """
     if computes:
         _check_finite(out_data, opname)
-    if _ACTIVE_TAPE is None or not any(_tracked(p) for p in parents):
+    if not _recording(parents):
         return Tensor(out_data)
     return _ACTIVE_TAPE._record(out_data, parents, backward_builder())
+
+
+def _recording(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` records a rule on the active tape."""
+    return _ACTIVE_TAPE is not None and any(_tracked(p) for p in parents)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -406,25 +413,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (a, b), build, "matmul")
 
 
+def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """``xd @ wd + bd`` on arrays, the arithmetic of ``linear``."""
+    out = np.matmul(xd, wd)
+    out += bd
+    return out
+
+
+def _linear_grads(g: np.ndarray, xd, wd, xshape: tuple, wshape: tuple,
+                  need_b: bool):
+    """(gx, gw, gb) of ``linear``: gx and gw as in ``_matmul_grads`` (each
+    needs the other operand), gb only with ``need_b``."""
+    gx, gw = _matmul_grads(g, xd, wd, xshape, wshape)
+    return gx, gw, _unbroadcast(g, wshape[1:]) if need_b else None
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one op: x [..., K], w [K, N], b [N].  Bit-identical
     to ``matmul(x, w) + b``, values and gradients."""
     _check_matmul(x, w, "linear")
     if w.data.ndim != 2 or b.shape != w.shape[1:]:
         raise ShapeError(f"linear weight {w.shape} / bias {b.shape} mismatch")
-    out = np.matmul(x.data, w.data)
-    out += b.data
+    out = _affine(x.data, w.data, b.data)
 
     def build():
         xd = x.data if _tracked(w) else None
         wd = w.data if _tracked(x) else None
         need_b = _tracked(b)
-        xshape, wshape, bshape = x.shape, w.shape, b.shape
-
-        def bwd(g):
-            gx, gw = _matmul_grads(g, xd, wd, xshape, wshape)
-            return (gx, gw, _unbroadcast(g, bshape) if need_b else None)
-        return bwd
+        xshape, wshape = x.shape, w.shape
+        return lambda g: _linear_grads(g, xd, wd, xshape, wshape, need_b)
     return _emit(out, (x, w, b), build, "linear")
 
 
@@ -575,23 +592,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # every mean is sum / n, which is what np.mean computes, without its
+    # Python wrapper
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gamma.data + beta.data
 
     def build():
-        n = x.shape[-1]
         gd = gamma.data
 
         def bwd(g):
             gxhat = g * gd
             # standard layernorm backward over the normalized axis
             gx = inv * (gxhat
-                        - gxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+                        - gxhat.sum(axis=-1, keepdims=True) / n
+                        - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True) / n)
             axes = tuple(range(g.ndim - 1))
             ggamma = (g * xhat).sum(axis=axes) if g.ndim > 1 else g * xhat
             gbeta = g.sum(axis=axes) if g.ndim > 1 else g.copy()
@@ -672,23 +691,31 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x), via erf."""
-    phi_cdf = _erf(x.data * _INV_SQRT2)
+def _gelu_cdf(xd: np.ndarray) -> np.ndarray:
+    """Phi(x), the Gaussian CDF that GELU multiplies x by."""
+    phi_cdf = _erf(xd * _INV_SQRT2)
     phi_cdf += 1.0
     phi_cdf *= 0.5
+    return phi_cdf
+
+
+def _gelu_slope(xd: np.ndarray, phi_cdf: np.ndarray) -> np.ndarray:
+    """d/dx of x * Phi(x); the one rule that fault injection perturbs."""
+    pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
+    d = phi_cdf + xd * pdf
+    if _FAULT_INJECTION:
+        d = d * 1.01
+    return d
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Exact Gaussian-CDF GELU: x * Phi(x), via erf."""
+    phi_cdf = _gelu_cdf(x.data)
     out = x.data * phi_cdf
 
     def build():
         xd = x.data
-
-        def bwd(g):
-            pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-            d = phi_cdf + xd * pdf
-            if _FAULT_INJECTION:
-                d = d * 1.01
-            return (g * d,)
-        return bwd
+        return lambda g: (g * _gelu_slope(xd, phi_cdf),)
     return _emit(out, (x,), build, "gelu")
 
 
@@ -734,6 +761,58 @@ def softplus(x: Tensor) -> Tensor:
 # attention
 # ---------------------------------------------------------------------------
 
+def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, heads: int,
+            route=None):
+    """The attention core of ``multi_head_attention`` on arrays: its output
+    and ``grads(g, need_q, need_k, need_v)``, which maps the output
+    gradient to (gq, gk, gv), each None unless needed.  ``grads`` holds
+    arrays only."""
+    *lead, n, c = qd.shape
+    nr, dh, nl = kd.shape[-2], c // heads, len(lead)
+    keep = tuple(range(nl))
+    split = (*keep, nl + 1, nl, nl + 2)      # [.., M, h, dh] <-> [.., h, M, dh]
+    k_split = (*keep, nl + 1, nl + 2, nl)    # [.., Nr, h, dh] -> [.., h, dh, Nr]
+    qh = np.ascontiguousarray(qd.reshape(*lead, n, heads, dh).transpose(split))
+    kt = np.ascontiguousarray(kd.reshape(*lead, nr, heads, dh).transpose(k_split))
+    vh = np.ascontiguousarray(vd.reshape(*lead, nr, heads, dh).transpose(split))
+    q_rows = kv_rows = None
+    if route is not None:
+        q_rows, kv_rows = list(route[0]), list(route[1])
+        qh, kt, vh = qh[q_rows], kt[kv_rows], vh[kv_rows]
+    scale = 1.0 / math.sqrt(dh)
+    scores = np.matmul(qh, kt) * scale                    # [.., h, N, Nr]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    o = np.matmul(s, vh)                                  # [.., h, N, dh]
+    out = np.ascontiguousarray(o.transpose(split)).reshape(o.shape[:-3] + (n, c))
+    shape = tuple(lead)
+
+    def merge(gh, rows, perm, like):
+        # undo the gather (scatter-add), then the head split
+        if gh is None:
+            return None
+        if rows is not None:
+            gh = _scatter_rows(gh, rows, shape[0])
+        return np.ascontiguousarray(gh.transpose(perm)).reshape(like)
+
+    def grads(g, need_q, need_k, need_v):
+        go = np.ascontiguousarray(
+            g.reshape(g.shape[:-1] + (heads, dh)).transpose(split))
+        gv = np.matmul(s.swapaxes(-1, -2), go) if need_v else None
+        gq = gk = None
+        if need_q or need_k:
+            gs = np.matmul(go, vh.swapaxes(-1, -2))
+            gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
+            if need_q:
+                gq = np.matmul(gz, kt.swapaxes(-1, -2))
+            if need_k:
+                gk = np.matmul(qh.swapaxes(-1, -2), gz)
+        return (merge(gq, q_rows, split, shape + (n, c)),
+                merge(gk, kv_rows, tuple(np.argsort(k_split)), shape + (nr, c)),
+                merge(gv, kv_rows, split, shape + (nr, c)))
+    return out, grads
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                          route=None) -> Tensor:
     """Scaled dot-product attention as one op: queries q [..., N, C] over
@@ -752,53 +831,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             or k.shape[:-2] != tuple(lead):
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}, heads {heads}")
-    nr, dh, nl = k.shape[-2], c // heads, len(lead)
-    keep = tuple(range(nl))
-    split = (*keep, nl + 1, nl, nl + 2)      # [.., M, h, dh] <-> [.., h, M, dh]
-    k_split = (*keep, nl + 1, nl + 2, nl)    # [.., Nr, h, dh] -> [.., h, dh, Nr]
-    qh = np.ascontiguousarray(q.data.reshape(*lead, n, heads, dh).transpose(split))
-    kt = np.ascontiguousarray(k.data.reshape(*lead, nr, heads, dh).transpose(k_split))
-    vh = np.ascontiguousarray(v.data.reshape(*lead, nr, heads, dh).transpose(split))
-    q_rows = kv_rows = None
-    if route is not None:
-        q_rows, kv_rows = list(route[0]), list(route[1])
-        qh, kt, vh = qh[q_rows], kt[kv_rows], vh[kv_rows]
-    scale = 1.0 / math.sqrt(dh)
-    scores = np.matmul(qh, kt) * scale                    # [.., h, N, Nr]
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    o = np.matmul(s, vh)                                  # [.., h, N, dh]
-    out = np.ascontiguousarray(o.transpose(split)).reshape(o.shape[:-3] + (n, c))
+    out, grads = _attend(q.data, k.data, v.data, heads, route)
 
     def build():
-        need_q, need_k, need_v = _tracked(q), _tracked(k), _tracked(v)
-        k_merge = tuple(np.argsort(k_split))
-        shape = tuple(lead)
-
-        def merge(gh, rows, perm, like):
-            # undo the gather (scatter-add), then the head split
-            if gh is None:
-                return None
-            if rows is not None:
-                gh = _scatter_rows(gh, rows, shape[0])
-            return np.ascontiguousarray(gh.transpose(perm)).reshape(like)
-
-        def bwd(g):
-            go = np.ascontiguousarray(
-                g.reshape(g.shape[:-1] + (heads, dh)).transpose(split))
-            gv = np.matmul(s.swapaxes(-1, -2), go) if need_v else None
-            gq = gk = None
-            if need_q or need_k:
-                gs = np.matmul(go, vh.swapaxes(-1, -2))
-                gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * scale
-                if need_q:
-                    gq = np.matmul(gz, kt.swapaxes(-1, -2))
-                if need_k:
-                    gk = np.matmul(qh.swapaxes(-1, -2), gz)
-            return (merge(gq, q_rows, split, shape + (n, c)),
-                    merge(gk, kv_rows, k_merge, shape + (nr, c)),
-                    merge(gv, kv_rows, split, shape + (nr, c)))
-        return bwd
+        need = (_tracked(q), _tracked(k), _tracked(v))
+        return lambda g: grads(g, *need)
     return _emit(out, (q, k, v), build, "multi_head_attention")
 
 
@@ -906,8 +943,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         raise ShapeError(f"conv2d bias {b.shape} for weight {w.shape}")
     xp = _pad(_as_last(x.data, channels_last), padding)
     m = xp.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
+    sm, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(          # [M, Ho, Wo, kh, kw, Cin]
+        xp, (m, h_out, w_out, kh, kw, cin),
+        (sm, stride * sh, stride * sw, sh, sw, sc), writeable=False)
     cols = win.reshape(m, h_out * w_out, kh * kw * cin)  # (kh, kw, Cin) columns
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = np.matmul(cols, wmat.T)
@@ -944,6 +983,38 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     return _emit(_from_last(out, channels_last), parents, build, "conv2d")
 
 
+def _depthwise_taps(xp: np.ndarray, wt: np.ndarray, stride: int, h_out: int,
+                    w_out: int) -> np.ndarray:
+    """Per-channel convolution of the padded [M, Hp, Wp, C] input with taps
+    wt [kh, kw, C], summed tap by tap in (i, j) order: [M, Ho, Wo, C]."""
+    kh, kw, c = wt.shape
+    out = np.zeros((xp.shape[0], h_out, w_out, c))
+    for i in range(kh):
+        for j in range(kw):
+            out += _tap(xp, i, j, stride, h_out, w_out) * wt[i, j]
+    return out
+
+
+def _depthwise_grads(g4: np.ndarray, xw, wt: np.ndarray, pshape: tuple,
+                     stride: int, need_x: bool):
+    """Backward of ``_depthwise_taps`` from g4 [M, Ho, Wo, C]: the padded
+    input gradient (``pshape``) if ``need_x``, and the tap gradient
+    [kh, kw, C] if the padded input ``xw`` is given; else None."""
+    kh, kw, c = wt.shape
+    h_out, w_out = g4.shape[1:3]
+    gw = np.empty((kh, kw, c)) if xw is not None else None
+    gpad = np.zeros(pshape) if need_x else None
+    for i in range(kh):
+        for j in range(kw):
+            if xw is not None:
+                gw[i, j] = np.einsum("mhwc,mhwc->c",
+                                     _tap(xw, i, j, stride, h_out, w_out), g4)
+            if need_x:
+                view = _tap(gpad, i, j, stride, h_out, w_out)
+                view += g4 * wt[i, j]
+    return gpad, gw
+
+
 def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
                      channels_last: bool = False) -> Tensor:
     """Per-channel convolution with w [C, kh, kw] over x [..., C, H, W], or
@@ -955,10 +1026,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
         raise ShapeError(f"depthwise channel mismatch: input {x.shape}, weight {w.shape}")
     xp = _pad(_as_last(x.data, channels_last), padding)
     wt = w.data.transpose(1, 2, 0)                       # [kh, kw, C]
-    out = np.zeros((xp.shape[0], h_out, w_out, c))
-    for i in range(kh):
-        for j in range(kw):
-            out += _tap(xp, i, j, stride, h_out, w_out) * wt[i, j]
+    out = _depthwise_taps(xp, wt, stride, h_out, w_out)
     out = out.reshape(lead + (h_out, w_out, c))
 
     def build():
@@ -967,17 +1035,8 @@ def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
         pshape = xp.shape
 
         def bwd(g):
-            g4 = _as_last(g, channels_last)
-            gw = np.empty((kh, kw, c)) if xw is not None else None
-            gpad = np.zeros(pshape) if need_x else None
-            for i in range(kh):
-                for j in range(kw):
-                    if xw is not None:
-                        gw[i, j] = np.einsum("mhwc,mhwc->c",
-                                             _tap(xw, i, j, stride, h_out, w_out), g4)
-                    if need_x:
-                        view = _tap(gpad, i, j, stride, h_out, w_out)
-                        view += g4 * wt[i, j]
+            gpad, gw = _depthwise_grads(_as_last(g, channels_last), xw, wt,
+                                        pshape, stride, need_x)
             gx = None
             if need_x:
                 gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, c))
@@ -1130,6 +1189,196 @@ def pyramid_fuse(parts: Sequence[Tensor], w: Tensor, b: Tensor,
             return (*gparts, gw, _unbroadcast(g, bshape) if need_b else None)
         return bwd
     return _emit(out, (*parts, w, b), build, "pyramid_fuse")
+
+
+# ---------------------------------------------------------------------------
+# encoder sublayers
+# ---------------------------------------------------------------------------
+
+def _tile_axes(nl: int) -> tuple[int, ...]:
+    """Axes that swap the two middle axes of [.., h/r, r, w/r, r, C]; the
+    permutation is its own inverse."""
+    return (*range(nl), nl, nl + 2, nl + 1, nl + 3, nl + 4)
+
+
+def _fold_tiles(x: np.ndarray, h: int, w: int, r: int) -> np.ndarray:
+    """[..., h*w, C] row-major tokens -> [..., (h/r)*(w/r), r*r*C]: each
+    r x r token tile as one row, in (row, column, channel) order."""
+    if r == 1:
+        return x
+    *lead, _, c = x.shape
+    t = x.reshape(*lead, h // r, r, w // r, r, c).transpose(_tile_axes(len(lead)))
+    return np.ascontiguousarray(t).reshape(*lead, (h // r) * (w // r), r * r * c)
+
+
+def _unfold_tiles(g: np.ndarray, h: int, w: int, r: int) -> np.ndarray:
+    """Backward of ``_fold_tiles``: [..., (h/r)*(w/r), r*r*C] -> [..., h*w, C]."""
+    if r == 1:
+        return g
+    *lead, _, rrc = g.shape
+    c = rrc // (r * r)
+    t = g.reshape(*lead, h // r, w // r, r, r, c).transpose(_tile_axes(len(lead)))
+    return np.ascontiguousarray(t).reshape(*lead, h * w, c)
+
+
+def residual_attention(q_in: Tensor, kv_in: Tensor, residual: Tensor,
+                       weights: Sequence[Tensor], grid: tuple[int, int],
+                       heads: int, ratio: int, route=None) -> Tensor:
+    """Efficient multi-head attention plus its residual as one op:
+
+        q   = q_in @ wq + bq
+        red = fold(kv_in) @ wsr + bsr
+        out = multi_head_attention(q, red @ wk + bk, red @ wv + bv) @ wo + bo
+              + residual
+
+    ``q_in`` and ``kv_in`` are [..., h*w, C] tokens on the row-major
+    ``grid`` (h, w).  ``fold`` turns each ``ratio`` x ``ratio`` tile of
+    kv_in's grid into one row of ratio*ratio*C values, so the keys and
+    values are (h/ratio)*(w/ratio) rows; wsr [ratio*ratio*C, C] projects
+    even at ratio 1, where fold is the identity.  ``weights`` is (wq, bq,
+    wsr, bsr, wk, bk, wv, bv, wo, bo), each weight [C, C] but wsr, each
+    bias [C].  ``heads`` and ``route`` are those of
+    ``multi_head_attention``; residual has the output's shape.
+
+    Values and gradients equal the composed linear, reshape, transpose,
+    multi_head_attention and add ops bit for bit: the backward runs the
+    same kernels, and the parts reach the tape in the order the composed
+    ops reach a shared input (residual, then kv_in, then q_in).
+    """
+    h, w = grid
+    *lead, n, c = q_in.shape
+    if kv_in.shape != q_in.shape or n != h * w or c % heads:
+        raise ShapeError(f"attention inputs q {q_in.shape}, kv {kv_in.shape} "
+                         f"do not fit grid {h}x{w} with {heads} heads")
+    if h % ratio or w % ratio:
+        raise ShapeError(f"token grid {h}x{w} not divisible by ratio {ratio}")
+    sq, vec = (c, c), (c,)
+    wshapes = [sq, vec, (ratio * ratio * c, c), vec, sq, vec, sq, vec, sq, vec]
+    if [t.shape for t in weights] != wshapes:
+        raise ShapeError(f"attention weights {[t.shape for t in weights]} "
+                         f"are not {wshapes}")
+    wq, bq, wsr, bsr, wk, bk, wv, bv, wo, bo = weights
+    parents = (residual, kv_in, q_in, *weights)
+    fold = _fold_tiles(kv_in.data, h, w, ratio)
+    red = _affine(fold, wsr.data, bsr.data)
+    att, attend_grads = _attend(_affine(q_in.data, wq.data, bq.data),
+                                _affine(red, wk.data, bk.data),
+                                _affine(red, wv.data, bv.data), heads, route)
+    if residual.shape != att.shape:
+        raise ShapeError(f"attention residual {residual.shape} for output "
+                         f"{att.shape}")
+    if not _recording(parents):     # no rule will read them: free them now
+        fold = red = attend_grads = None
+    out = _affine(att, wo.data, bo.data)
+    out += residual.data
+
+    def build():
+        t_res, t_kv, t_q = _tracked(residual), _tracked(kv_in), _tracked(q_in)
+        twq, tbq, twsr, tbsr, twk, tbk, twv, tbv, two, tbo = map(_tracked, weights)
+        # which intermediate outputs the composed ops would track
+        need_q = t_q or twq or tbq
+        need_red = t_kv or twsr or tbsr
+        need_k = need_red or twk or tbk
+        need_v = need_red or twv or tbv
+        need_att = need_q or need_k or need_v
+        # each projection keeps its input for the weight's part and its
+        # weight for the input's
+        q_x, q_w = (q_in.data if twq else None), (wq.data if t_q else None)
+        sr_x, sr_w = (fold if twsr else None), (wsr.data if t_kv else None)
+        k_x, k_w = (red if twk else None), (wk.data if need_red else None)
+        v_x, v_w = (red if twv else None), (wv.data if need_red else None)
+        o_x, o_w = (att if two else None), (wo.data if need_att else None)
+        qshape, fshape, rshape, ashape = q_in.shape, fold.shape, red.shape, att.shape
+        wsr_shape = wshapes[2]
+        none = (None, None, None)
+
+        def bwd(g):
+            gatt, gwo, gbo = _linear_grads(g, o_x, o_w, ashape, sq, tbo)
+            gq = gk = gv = None
+            if need_att:
+                gq, gk, gv = attend_grads(gatt, need_q, need_k, need_v)
+            gq_in, gwq, gbq = (_linear_grads(gq, q_x, q_w, qshape, sq, tbq)
+                               if need_q else none)
+            gred_k, gwk, gbk = (_linear_grads(gk, k_x, k_w, rshape, sq, tbk)
+                                if need_k else none)
+            gred_v, gwv, gbv = (_linear_grads(gv, v_x, v_w, rshape, sq, tbv)
+                                if need_v else none)
+            gkv = gwsr = gbsr = None
+            if need_red:
+                gfold, gwsr, gbsr = _linear_grads(gred_v + gred_k, sr_x, sr_w,
+                                                  fshape, wsr_shape, tbsr)
+                if t_kv:
+                    gkv = _unfold_tiles(gfold, h, w, ratio)
+            return (g if t_res else None, gkv, gq_in,
+                    gwq, gbq, gwsr, gbsr, gwk, gbk, gwv, gbv, gwo, gbo)
+        return bwd
+    return _emit(out, parents, build, "residual_attention")
+
+
+def residual_mix_ffn(x: Tensor, w1: Tensor, b1: Tensor, dw: Tensor,
+                     bdw: Tensor, w2: Tensor, b2: Tensor,
+                     grid: tuple[int, int]) -> Tensor:
+    """Mix-FFN plus its residual as one op:
+
+        out = gelu(depthwise(x @ w1 + b1) + bdw) @ w2 + b2 + x
+
+    x is [..., h*w, C] tokens on the row-major ``grid`` (h, w); w1 [C, E]
+    and b1 [E] expand, dw [E, 3, 3] is a depthwise 3x3 with zero padding 1
+    over the token grid and bdw [E] its bias, w2 [E, C] and b2 [C]
+    project back.
+
+    Values and gradients equal the composed linear, reshape,
+    depthwise_conv2d, add, gelu, linear and add ops bit for bit.  x is
+    recorded twice, so that its two parts (the residual's, then the
+    expansion's) reach the tape in the order the composed ops reach it.
+    """
+    h, w = grid
+    *lead, n, c = x.shape
+    e = w1.shape[-1]
+    want = [(c, e), (e,), (e, 3, 3), (e,), (e, c), (c,)]
+    got = [t.shape for t in (w1, b1, dw, bdw, w2, b2)]
+    if n != h * w or got != want:
+        raise ShapeError(f"mix-ffn input {x.shape} on grid {h}x{w}: weights "
+                         f"{got} are not {want}")
+    x1shape = (*lead, n, e)
+    xp = _pad(_affine(x.data, w1.data, b1.data).reshape(-1, h, w, e), 1)
+    wt = dw.data.transpose(1, 2, 0)                      # [3, 3, E]
+    pre = _depthwise_taps(xp, wt, 1, h, w).reshape(x1shape)
+    pre += bdw.data
+    phi_cdf = _gelu_cdf(pre)
+    act = pre * phi_cdf
+    parents = (x, x, w1, b1, dw, bdw, w2, b2)
+    if not _recording(parents):     # no rule will read them: free them now
+        xp = pre = phi_cdf = None
+    out = _affine(act, w2.data, b2.data)
+    out += x.data
+
+    def build():
+        tx, tw1, tb1, tdw, tbdw, tw2, tb2 = map(
+            _tracked, (x, w1, b1, dw, bdw, w2, b2))
+        need_x1 = tx or tw1 or tb1           # the expansion's output
+        need_pre = need_x1 or tdw or tbdw    # the GELU's input
+        x_x, x_w = (x.data if tw1 else None), (w1.data if tx else None)
+        a_x, a_w = (act if tw2 else None), (w2.data if need_pre else None)
+        xw = xp if tdw else None
+        xshape, pshape = x.shape, xp.shape
+
+        def bwd(g):
+            gact, gw2, gb2 = _linear_grads(g, a_x, a_w, x1shape, (e, c), tb2)
+            gx = gw1 = gb1 = gdw = gbdw = None
+            if need_pre:
+                gpre = gact * _gelu_slope(pre, phi_cdf)
+                gbdw = _unbroadcast(gpre, (e,)) if tbdw else None
+                gpad, gdw = _depthwise_grads(gpre.reshape(-1, h, w, e), xw, wt,
+                                             pshape, 1, need_x1)
+                if gdw is not None:
+                    gdw = np.ascontiguousarray(gdw.transpose(2, 0, 1))
+                if need_x1:
+                    gx1 = np.ascontiguousarray(_crop(gpad, 1)).reshape(x1shape)
+                    gx, gw1, gb1 = _linear_grads(gx1, x_x, x_w, xshape, (c, e), tb1)
+            return (g if tx else None, gx, gw1, gb1, gdw, gbdw, gw2, gb2)
+        return bwd
+    return _emit(out, parents, build, "residual_mix_ffn")
 
 
 # ---------------------------------------------------------------------------

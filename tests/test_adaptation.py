@@ -390,6 +390,23 @@ def test_batched_correction_equals_per_item_calls(b, k, g, seed):
         np.testing.assert_array_equal(out.valid[i], one.valid)
 
 
+@pytest.mark.parametrize("b,g", [(3, 5), (2, 16), (1, 9)])
+def test_blocked_distances_match_the_broadcast_per_item(b, g):
+    """The distances run over the flattened [B*N, D] rows in fixed blocks,
+    which here straddle items (75 and 81 rows) or align with them (2 x 256);
+    every item still equals the one-broadcast correction bit for bit at
+    the default feature width."""
+    labels, feats, bank = _random_correction_case(
+        np.random.default_rng(50 + b), (b,), 2, (g, g), 512)
+    out = correct_pseudo_labels(labels, feats, (g, g), bank, 0.7, 0.6)
+    for i in range(b):
+        want = _correct_broadcast(
+            PseudoLabels(probs=labels.probs[i], valid=labels.valid[i]),
+            feats[i], (g, g), bank, 0.7, 0.6)
+        np.testing.assert_array_equal(out.probs[i], want.probs)
+        np.testing.assert_array_equal(out.valid[i], want.valid)
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(2, 3), gh=st.integers(1, 16), gw=st.integers(1, 16),
        scale=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2 ** 31 - 1))

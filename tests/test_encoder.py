@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadseg.encoder import (
     EncoderConfig,
@@ -13,7 +15,6 @@ from quadseg.encoder import (
     patch_embed,
     patch_merge,
     quad_block,
-    sequence_reduce,
     trunc_normal,
 )
 from quadseg.tensor import (
@@ -21,9 +22,14 @@ from quadseg.tensor import (
     Tape,
     Tensor,
     conv2d,
+    depthwise_conv2d,
     finite_diff_check,
+    gelu,
+    linear,
+    multi_head_attention,
     reshape,
     stack,
+    transpose,
     tsum,
 )
 
@@ -78,6 +84,111 @@ def test_patch_embed_rejects_indivisible():
         patch_embed(params, Tensor(np.zeros((3, 6, 6))), patch=4)
 
 
+# ---------------------------------------------------------------------------
+# the sublayers composed from primitive ops: the oracle of the fused
+# residual_attention and residual_mix_ffn ops that attention and mix_ffn call
+# ---------------------------------------------------------------------------
+
+
+def sequence_reduce(params: dict, prefix: str, tokens: Tensor,
+                    h: int, w: int, ratio: int) -> Tensor:
+    """Shrink the key/value sequence by folding ratio x ratio token tiles and
+    projecting back to C channels.  The projection is learned and applied
+    even at ratio 1."""
+    *lead, _, c = tokens.shape
+    x = tokens
+    if ratio > 1:
+        k = len(lead)
+        x = reshape(x, (*lead, h // ratio, ratio, w // ratio, ratio, c))
+        x = transpose(x, (*range(k), k, k + 2, k + 1, k + 3, k + 4))
+        x = reshape(x, (*lead, (h // ratio) * (w // ratio), ratio * ratio * c))
+    return linear(x, params[f"{prefix}.wsr"], params[f"{prefix}.bsr"])
+
+
+def composed_attention(params, prefix, q_tokens, kv_tokens, residual, h, w,
+                       heads, ratio, route=None):
+    def proj(m, x):
+        return linear(x, params[f"{prefix}.w{m}"], params[f"{prefix}.b{m}"])
+
+    q = proj("q", q_tokens)
+    red = sequence_reduce(params, prefix, kv_tokens, h, w, ratio)
+    return proj("o", multi_head_attention(q, proj("k", red), proj("v", red),
+                                          heads, route)) + residual
+
+
+def composed_mix_ffn(params, prefix, tokens, h, w):
+    x = linear(tokens, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+    s = depthwise_conv2d(reshape(x, x.shape[:-2] + (h, w, x.shape[-1])),
+                         params[f"{prefix}.dw"], stride=1, padding=1,
+                         channels_last=True)
+    x = gelu(reshape(s, x.shape) + params[f"{prefix}.bdw"])
+    return linear(x, params[f"{prefix}.w2"], params[f"{prefix}.b2"]) + tokens
+
+
+def _sublayer_arrays(rng, c, e, ratio):
+    """Attention weights under "a.", Mix-FFN weights under "f.", scaled so
+    that GELU sees both branches of its erf."""
+    shapes = {"a.wsr": (ratio * ratio * c, c), "a.bsr": (c,),
+              "f.w1": (c, e), "f.b1": (e,), "f.dw": (e, 3, 3), "f.bdw": (e,),
+              "f.w2": (e, c), "f.b2": (c,)}
+    for m in ("q", "k", "v", "o"):
+        shapes[f"a.w{m}"], shapes[f"a.b{m}"] = (c, c), (c,)
+    return {k: rng.normal(scale=0.8, size=v) for k, v in shapes.items()}
+
+
+def _run_sublayers(attn, ffn, arrays, xs, wiring, grid, heads, ratio, route,
+                   seed):
+    """Output bytes and every leaf gradient's bytes of ffn(attn(...)), with
+    each input also read by a later op, as the encoder's streams are."""
+    h, w = grid
+    with Tape() as tape:
+        p = {k: tape.watch(Tensor(v.copy())) for k, v in arrays.items()}
+        q, kv, res = (tape.watch(Tensor(x.copy())) for x in xs)
+        if wiring != "cross":               # self-attention: one LN output
+            kv = q
+        if wiring == "aliased":             # ... that is its residual too
+            res = q
+        hat = attn(p, "a", q, kv, res, h, w, heads, ratio, route)
+        out = ffn(p, "f", hat, h, w)
+        rng = np.random.default_rng(seed)
+        loss = tsum(out * Tensor(rng.normal(size=out.shape)))
+        for t in (hat, q, kv, res):         # later consumers of each input
+            loss = loss + tsum(t * Tensor(rng.normal(size=t.shape)))
+        tape.backward(loss)
+        leaves = [*p.values(), q, kv, res]
+        return [out.data.tobytes()] + [tape.grad(t).tobytes() for t in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(heads=st.sampled_from([1, 2]), width=st.integers(1, 3),
+       ratio=st.sampled_from([1, 2]), tiles=st.tuples(st.integers(1, 3),
+                                                       st.integers(1, 3)),
+       lead=st.sampled_from([(), (1,), (3,), (2, 2)]), routed=st.booleans(),
+       wiring=st.sampled_from(["self", "cross", "aliased"]),
+       seed=st.integers(0, 2 ** 16))
+def test_fused_sublayers_equal_composed_ops_bytewise(heads, width, ratio, tiles,
+                                                      lead, routed, wiring, seed):
+    """attention and mix_ffn (one op each) against the linear, reshape,
+    transpose, multi_head_attention, depthwise, gelu and add ops they
+    replace: the output and every gradient, byte for byte.  Self, cross and
+    aliased (q = kv = residual) wiring, ratios 1 and 2, the routed pair and
+    leading batch dims."""
+    c, grid = heads * width, (ratio * tiles[0], ratio * tiles[1])
+    route = ((0, 1, 1, 0), (0, 1, 0, 1)) if routed else None
+    if routed:
+        lead = (2,) + lead[1:]
+        wiring = "cross" if wiring == "aliased" else wiring
+    rng = np.random.default_rng(seed)
+    arrays = _sublayer_arrays(rng, c, 2 * c, ratio)
+    n = grid[0] * grid[1]
+    out_lead = (4,) + lead[1:] if routed else lead
+    xs = [rng.normal(size=(*lead, n, c)), rng.normal(size=(*lead, n, c)),
+          rng.normal(size=(*out_lead, n, c))]
+    args = (arrays, xs, wiring, grid, heads, ratio, route, seed + 1)
+    assert _run_sublayers(attention, mix_ffn, *args) \
+        == _run_sublayers(composed_attention, composed_mix_ffn, *args)
+
+
 def test_sequence_reduce_shapes():
     rng = np.random.default_rng(2)
     c, h, w, r = 8, 16, 16, 4
@@ -112,7 +223,7 @@ def test_attention_shapes_with_reduction():
     c, h, w, r, heads = 8, 8, 8, 2, 2
     p = _attn_params(rng, c, r)
     x = Tensor(rng.normal(size=(h * w, c)))
-    out = attention(p, "a", x, x, h, w, heads, r)
+    out = attention(p, "a", x, x, x, h, w, heads, r)
     assert out.shape == (h * w, c)
 
 
@@ -125,8 +236,8 @@ def test_attention_cross_uses_kv_stream():
     q = Tensor(rng.normal(size=(16, c)))
     kv1 = Tensor(rng.normal(size=(16, c)))
     kv2 = Tensor(np.zeros((16, c)))
-    out1 = attention(p, "a", q, kv1, h, w, 1, 1)
-    out2 = attention(p, "a", q, kv2, h, w, 1, 1)
+    out1 = attention(p, "a", q, kv1, q, h, w, 1, 1)
+    out2 = attention(p, "a", q, kv2, q, h, w, 1, 1)
     assert np.abs(out1.data - out2.data).max() > 1e-6
 
 
@@ -138,8 +249,9 @@ def test_attention_permutation_equivariance_at_unit_ratio():
     p = _attn_params(rng, c, 1)
     x = rng.normal(size=(16, c))
     perm = rng.permutation(16)
-    out = attention(p, "a", Tensor(x), Tensor(x), h, w, 2, 1).data
-    out_p = attention(p, "a", Tensor(x[perm]), Tensor(x[perm]), h, w, 2, 1).data
+    xt, xp = Tensor(x), Tensor(x[perm])
+    out = attention(p, "a", xt, xt, xt, h, w, 2, 1).data
+    out_p = attention(p, "a", xp, xp, xp, h, w, 2, 1).data
     inv = np.empty_like(perm)
     inv[perm] = np.arange(16)
     np.testing.assert_allclose(out_p[inv], out, atol=1e-12)
@@ -152,12 +264,12 @@ def test_self_attention_is_cross_attention_with_shared_input():
     c = 4
     p = _attn_params(rng, c, 1)
     x = Tensor(rng.normal(size=(16, c)))
-    self_out = attention(p, "a", x, x, 4, 4, 1, 1).data
+    self_out = attention(p, "a", x, x, x, 4, 4, 1, 1).data
     np.testing.assert_array_equal(
-        self_out, attention(p, "a", x, Tensor(x.data.copy()), 4, 4, 1, 1).data)
+        self_out, attention(p, "a", x, Tensor(x.data.copy()), x, 4, 4, 1, 1).data)
     pair = Tensor(np.stack([x.data, x.data]))
-    routed = attention(p, "a", pair, pair, 4, 4, 1, 1,
-                       route=((0, 1, 1, 0), (0, 1, 0, 1))).data
+    routed = attention(p, "a", pair, pair, Tensor(np.stack([x.data] * 4)),
+                       4, 4, 1, 1, route=((0, 1, 1, 0), (0, 1, 0, 1))).data
     for row in routed:
         np.testing.assert_array_equal(row, self_out)
 
@@ -170,7 +282,7 @@ def test_attention_gradient():
     weight = Tensor(rng.normal(size=(16, c)))
 
     err = finite_diff_check(
-        lambda t: tsum(attention(p, "a", t, t, h, w, 2, r) * weight),
+        lambda t: tsum(attention(p, "a", t, t, t, h, w, 2, r) * weight),
         Tensor(x0))
     assert err < 1e-6
 

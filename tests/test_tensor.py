@@ -34,6 +34,8 @@ from quadseg.tensor import (
     pyramid_fuse,
     relu,
     reshape,
+    residual_attention,
+    residual_mix_ffn,
     set_fault_injection,
     softmax,
     softplus,
@@ -760,6 +762,94 @@ def test_fused_primitive_shape_errors():
         multi_head_attention(q, q, q, 4)                     # 6 channels, 4 heads
     with pytest.raises(ShapeError):
         multi_head_attention(q, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 2)
+
+
+# ---------------------------------------------------------------------------
+# the encoder sublayer ops: residual attention and residual Mix-FFN
+# ---------------------------------------------------------------------------
+
+# (lead dims, grid, C, heads, ratio, route): ratio 1 and 2, the routed pair
+# and a four-row stack with a batch dim, one and two heads
+_SUBLAYER_CASES = [((), (4, 2), 4, 2, 2, None),
+                   ((2,), (2, 3), 2, 1, 1, _ROUTE),
+                   ((4, 2), (2, 2), 4, 2, 2, None),
+                   ((2, 1), (2, 2), 2, 2, 1, _ROUTE)]
+
+
+def _attn_arrays(case, seed):
+    """q_in, kv_in, residual, then wq, bq, wsr, bsr, wk, bk, wv, bv, wo, bo."""
+    lead, (h, w), c, _, r, route = case
+    rng = np.random.default_rng(seed)
+    out_lead = (len(route[0]),) + lead[1:] if route else lead
+    shapes = [(*lead, h * w, c), (*lead, h * w, c), (*out_lead, h * w, c)]
+    shapes += [(c, c), (c,), (r * r * c, c), (c,)] + [(c, c), (c,)] * 3
+    return [rng.normal(scale=0.7, size=s) for s in shapes]
+
+
+def _ffn_arrays(lead, grid, c, e, seed):
+    """x, then w1, b1, dw, bdw, w2, b2."""
+    rng = np.random.default_rng(seed)
+    shapes = [(*lead, grid[0] * grid[1], c), (c, e), (e,), (e, 3, 3), (e,),
+              (e, c), (c,)]
+    return [rng.normal(scale=0.7, size=s) for s in shapes]
+
+
+@pytest.mark.parametrize("case", _SUBLAYER_CASES)
+def test_grad_residual_attention_every_input(case):
+    _, grid, _, heads, ratio, route = case
+    arrays = [Tensor(a) for a in _attn_arrays(case, 150)]
+    for i, arr in enumerate(arrays):
+        def op(t, i=i):
+            args = list(arrays)
+            args[i] = t
+            return residual_attention(args[0], args[1], args[2], args[3:], grid,
+                                      heads, ratio, route)
+        _check(_weighted(op, arrays[2].shape, 151 + i), arr.shape, 170 + i)
+
+
+@pytest.mark.parametrize("lead,grid", [((), (3, 2)), ((2,), (2, 2)),
+                                       ((4, 2), (1, 3))])
+def test_grad_residual_mix_ffn_every_input(lead, grid):
+    arrays = [Tensor(a) for a in _ffn_arrays(lead, grid, 2, 4, 190)]
+    for i, arr in enumerate(arrays):
+        def op(t, i=i):
+            args = list(arrays)
+            args[i] = t
+            return residual_mix_ffn(*args, grid)
+        _check(_weighted(op, arrays[0].shape, 191 + i), arr.shape, 200 + i)
+
+
+def test_injected_gelu_fault_is_caught_through_the_mix_ffn_op():
+    """The fused Mix-FFN takes its GELU slope from the rule that fault
+    injection perturbs, so finite differences through the op catch it."""
+    arrays = [Tensor(a) for a in _ffn_arrays((2,), (2, 2), 2, 4, 210)]
+    f = _weighted(lambda t: residual_mix_ffn(t, *arrays[1:], (2, 2)),
+                  arrays[0].shape, 211)
+    assert finite_diff_check(f, arrays[0]) < TOL
+    set_fault_injection(True)
+    try:
+        err = finite_diff_check(f, arrays[0])
+    finally:
+        set_fault_injection(False)
+    assert err > 1e-4
+
+
+def test_sublayer_op_shape_errors():
+    a = [Tensor(x) for x in _attn_arrays(_SUBLAYER_CASES[0], 220)]
+    with pytest.raises(ShapeError, match="ratio"):           # 4x2 grid, ratio 4
+        residual_attention(a[0], a[1], a[2], a[3:], (4, 2), 2, 4)
+    with pytest.raises(ShapeError):                          # 8 tokens, 3x3 grid
+        residual_attention(a[0], a[1], a[2], a[3:], (3, 3), 2, 1)
+    with pytest.raises(ShapeError):                          # wsr for ratio 2
+        residual_attention(a[0], a[1], a[2], a[3:], (4, 2), 2, 1)
+    with pytest.raises(ShapeError):                          # residual [4, C]
+        residual_attention(a[0], a[1], Tensor(np.zeros((4, 4))), a[3:], (4, 2),
+                           2, 2)
+    f = [Tensor(x) for x in _ffn_arrays((), (2, 2), 2, 4, 221)]
+    with pytest.raises(ShapeError):                          # 4 tokens, 2x3 grid
+        residual_mix_ffn(*f, (2, 3))
+    with pytest.raises(ShapeError):                          # a 5x5 depthwise
+        residual_mix_ffn(*f[:3], Tensor(np.zeros((4, 5, 5))), *f[4:], (2, 2))
 
 
 # ---------------------------------------------------------------------------

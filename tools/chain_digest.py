@@ -1,7 +1,7 @@
 """Digest of a tiny end-to-end chain's output files.
 
     python3 tools/chain_digest.py CHECKOUT [--seed S] [--batch B] \
-        [--set KEY=VALUE ...]
+        [--set KEY=VALUE ...] [--against OTHER_CHECKOUT]
 
 Runs ``generate`` (4 training images per domain, 2 held out) -> ``pair``
 -> ``warmup`` -> ``adapt`` twice (pairing on the fly, then from the
@@ -15,7 +15,9 @@ and both adaptations.
 The output is one ``sha256  relpath`` line per file the chain wrote, in
 path order.  Two checkouts whose chains write the same bytes print the
 same listing, so a ``diff`` of two listings shows whether a change keeps
-every output of its parent.
+every output of its parent.  ``--against OTHER_CHECKOUT`` runs the chain in
+both checkouts and prints instead each path whose bytes differ, or that
+only one chain wrote; it exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ def run_chain(checkout: str, seed: int = 0, batch: int = 2,
         return tree_listing(work)
 
 
+def differing_paths(listing: list[str], other: list[str]) -> list[str]:
+    """Paths of two listings whose digests differ or that only one has, in
+    path order."""
+    a, b = ({rel: digest for digest, rel in (line.split("  ", 1) for line in l)}
+            for l in (listing, other))
+    return sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="repository checkout to run")
@@ -87,9 +97,21 @@ def main(argv=None) -> int:
     parser.add_argument("--batch", type=int, default=2)
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="config override (repeatable)")
+    parser.add_argument("--against", metavar="OTHER_CHECKOUT",
+                        help="print the paths whose bytes differ from this "
+                             "checkout's chain; exit 1 if any")
     args = parser.parse_args(argv)
-    print("\n".join(run_chain(args.checkout, args.seed, args.batch, args.set)))
-    return 0
+    listing = run_chain(args.checkout, args.seed, args.batch, args.set)
+    if args.against is None:
+        print("\n".join(listing))
+        return 0
+    other = run_chain(args.against, args.seed, args.batch, args.set)
+    differ = differing_paths(listing, other)
+    for rel in differ:
+        print(rel)
+    print(f"{len(differ)} paths differ ({len(listing)} and {len(other)} files)",
+          file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
