@@ -27,6 +27,7 @@ __all__ = [
     "PrototypeBank",
     "PseudoLabels",
     "PairSet",
+    "class_argmax",
     "class_sums",
     "grid_probs",
     "ema_update",
@@ -64,6 +65,20 @@ class PrototypeBank:
     def create(cls, num_classes: int, dim: int, lam: float = 0.9999):
         return cls(eta=np.zeros((num_classes, dim)),
                    weight=np.zeros(num_classes), lam=lam)
+
+
+def class_argmax(scores: np.ndarray) -> np.ndarray:
+    """uint8 class map of finite [..., K, H, W] scores: the index of the
+    largest score along the class axis, the first one on ties, as
+    ``argmax(axis=-3)``.  A running ``>`` over the K class planes avoids
+    the class-last copy and per-pixel argmax of numpy's axis argmax."""
+    best = scores[..., 0, :, :]
+    out = np.zeros(best.shape, np.uint8)
+    for c in range(1, scores.shape[-3]):
+        row = scores[..., c, :, :]
+        out[row > best] = c
+        best = np.maximum(best, row)
+    return out
 
 
 def class_sums(feats: np.ndarray, probs: np.ndarray):
@@ -147,7 +162,7 @@ class PseudoLabels:
     valid: np.ndarray             # [..., H, W] bool, max prob >= tau
 
     def hard(self) -> np.ndarray:
-        return self.probs.argmax(axis=-3).astype(np.uint8)
+        return class_argmax(self.probs)
 
     def confidence(self) -> np.ndarray:
         return self.probs.max(axis=-3)

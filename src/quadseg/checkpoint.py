@@ -57,11 +57,17 @@ def _sync(fh) -> None:
 def save_checkpoint(path: str, tensors: dict, config_text: str,
                     step: int) -> None:
     """``tensors`` maps names to Tensors or arrays; names must be
-    non-empty ASCII without whitespace, and the config text ASCII.  Writes
+    non-empty ASCII without whitespace, and the config text ASCII lines
+    joined by single newlines (no trailing newline, ``\r``, ``\x0b``,
+    ``\x0c`` or ``\x1c``-``\x1e``), so that it loads back exactly.  Writes
     ``path`` (manifest) and ``path + '.bin'``, each through a temporary
     file replaced into place, the binary first."""
     if not config_text.isascii():
         raise CheckpointError("config text is not ASCII")
+    cfg_lines = config_text.splitlines()
+    if "\n".join(cfg_lines) != config_text:
+        raise CheckpointError("config text would not load back exactly: "
+                              "only inner newlines may break its lines")
     arrays: dict[str, np.ndarray] = {}
     for name, t in tensors.items():
         if not name or not name.isascii() or any(ch.isspace() for ch in name):
@@ -80,7 +86,6 @@ def save_checkpoint(path: str, tensors: dict, config_text: str,
                 digest.update(view)
                 fh.write(view)
             _sync(fh)
-        cfg_lines = config_text.splitlines()
         lines = [MAGIC, f"step {step}", f"sha256 {digest.hexdigest()}",
                  f"config-lines {len(cfg_lines)}", *cfg_lines,
                  f"tensors {len(arrays)}"]

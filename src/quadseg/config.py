@@ -185,8 +185,11 @@ def parse_kv_lines(text: str) -> dict[str, str]:
 
 
 def serialize_config(cfg: RunConfig) -> str:
+    """The config as sorted ``key = value`` lines joined by newlines, with
+    no trailing one, so that a checkpoint stores the text exactly."""
     return format_kv_lines(
-        {name: _to_text(getattr(cfg, name)) for name in _FIELDS})
+        {name: _to_text(getattr(cfg, name)) for name in _FIELDS}
+    ).removesuffix("\n")
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

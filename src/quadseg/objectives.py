@@ -191,8 +191,9 @@ def lr_schedule(step: int, base: float, warmup: int, total: int | None) -> float
 
 
 # elements per block of the fused AdamW update; one block-sized scratch
-# array serves every block, so the update's temporaries stay in cache
-_ADAM_BLOCK = 8192
+# array serves every block, and the five block arrays (256 KiB each) stay
+# in L2 while a block's ufuncs sweep them
+_ADAM_BLOCK = 32768
 
 
 class AdamW:
@@ -279,15 +280,17 @@ class AdamW:
         count changes.  Returns the lr used."""
         if not self._holds(params):
             self._adopt(params)
-        g = np.empty(self._flat.size)         # lives for this step only
-        for name, p, _, start, stop in self._adopted:
+        parts = []
+        for name, p, _, _, _ in self._adopted:
             gi = grads.get(name)
             if gi is None:
                 raise KeyError(f"no gradient for parameter {name!r}")
             if np.shape(gi) != p.data.shape:
                 raise ShapeError(f"gradient for {name!r} has shape "
                                  f"{np.shape(gi)}, parameter {p.data.shape}")
-            g[start:stop] = np.ravel(gi)
+            parts.append(np.ravel(gi))
+        g = np.empty(self._flat.size)         # lives for this step only
+        np.concatenate(parts, out=g)
         if not math.isfinite(g.dot(g)):
             for name, _, _, start, stop in self._adopted:
                 if not np.isfinite(g[start:stop]).all():

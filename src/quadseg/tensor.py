@@ -670,16 +670,22 @@ def _erf(x: np.ndarray) -> np.ndarray:
     runs only on the elements with |x| >= 1."""
     if x.ndim == 0:                 # a numpy scalar result could not take put
         return _erf(x.reshape(1))[0]
-    a = np.abs(x)
-    big = np.flatnonzero(a >= 1.0)
-    # the first branch runs on every lane; bound the lanes that put overwrites
-    xs = np.copysign(np.minimum(a, 1.0), x) if big.size else x
-    z = xs * xs
+    with np.errstate(over="ignore"):    # |x| > 1.3e154 squares to inf
+        z = x * x
+    # for finite x, x*x rounds to >= 1 exactly when |x| >= 1; inf and NaN
+    # fall on the same side as |x| >= 1 does
+    big = np.flatnonzero(z >= 1.0)
+    xs = x
+    if big.size:
+        # the first branch runs on every lane; bound the lanes put overwrites
+        xs = x.copy()
+        xs.put(big, 1.0)
+        z.put(big, 1.0)
     y = _polevl(z, _ERF_T)
     y *= xs
     y /= _p1evl(z, _ERF_U)
     if big.size:
-        v = np.minimum(a.take(big), _ERF_CLAMP)
+        v = np.minimum(np.abs(x.take(big)), _ERF_CLAMP)
         p, q = _polevl(v, _ERF_P), _p1evl(v, _ERF_Q)
         np.multiply(v, v, out=v)
         np.negative(v, out=v)
@@ -863,18 +869,14 @@ def _from_last(data: np.ndarray, channels_last: bool) -> np.ndarray:
     return data if channels_last else np.moveaxis(data, -1, -3)
 
 
-def _pad(xb: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial axes of [M, H, W, C] (cheaper than np.pad)."""
+def _pad(xb: np.ndarray, ph: int, pw: int | None = None) -> np.ndarray:
+    """Zero-pad the spatial axes of [M, H, W, C] by ph rows and pw (default
+    ph) columns on each side (cheaper than np.pad)."""
+    pw = ph if pw is None else pw
     m, h, w, c = xb.shape
-    xp = np.zeros((m, h + 2 * padding, w + 2 * padding, c))
-    xp[:, padding:padding + h, padding:padding + w] = xb
+    xp = np.zeros((m, h + 2 * ph, w + 2 * pw, c))
+    xp[:, ph:ph + h, pw:pw + w] = xb
     return xp
-
-
-def _tap(xp: np.ndarray, i: int, j: int, stride: int, h_out: int,
-         w_out: int) -> np.ndarray:
-    """View of the padded input that kernel tap (i, j) reads: [M, Ho, Wo, C]."""
-    return xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
 
 
 def _crop(gpad: np.ndarray, padding: int) -> np.ndarray:
@@ -983,66 +985,83 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     return _emit(_from_last(out, channels_last), parents, build, "conv2d")
 
 
-def _depthwise_taps(xp: np.ndarray, wt: np.ndarray, stride: int, h_out: int,
-                    w_out: int) -> np.ndarray:
-    """Per-channel convolution of the padded [M, Hp, Wp, C] input with taps
-    wt [kh, kw, C], summed tap by tap in (i, j) order: [M, Ho, Wo, C]."""
-    kh, kw, c = wt.shape
-    out = np.zeros((xp.shape[0], h_out, w_out, c))
+def _depthwise_taps(xp: np.ndarray, dw: np.ndarray,
+                    flip: bool = False) -> np.ndarray:
+    """Per-channel correlation of the padded [M, h+kh-1, w+kw-1, C] input
+    with the taps dw [C, kh, kw]: [M, h, w, C].
+
+    Tap (i, j) reads xp at offset (i, j), or at (kh-1-i, kw-1-j) with
+    ``flip``; either way the taps add in (i, j) order, starting from +0.0.
+    Each tap is one multiply by its weights tiled over a row of w pixels,
+    so the inner loops run over w*C contiguous values."""
+    c, kh, kw = dw.shape
+    m, hp, wp = xp.shape[:3]
+    h, w = hp - kh + 1, wp - kw + 1
+    rows = xp.reshape(m, hp, wp * c)
+    wrow = np.empty((kh, kw, w, c))
+    wrow[...] = dw.transpose(1, 2, 0)[:, :, None]
+    wrow = wrow.reshape(kh, kw, w * c)
+    out = np.zeros((m, h, w * c))
     for i in range(kh):
+        a = kh - 1 - i if flip else i
         for j in range(kw):
-            out += _tap(xp, i, j, stride, h_out, w_out) * wt[i, j]
-    return out
+            b = (kw - 1 - j if flip else j) * c
+            out += rows[:, a:a + h, b:b + w * c] * wrow[i, j]
+    return out.reshape(m, h, w, c)
 
 
-def _depthwise_grads(g4: np.ndarray, xw, wt: np.ndarray, pshape: tuple,
-                     stride: int, need_x: bool):
-    """Backward of ``_depthwise_taps`` from g4 [M, Ho, Wo, C]: the padded
-    input gradient (``pshape``) if ``need_x``, and the tap gradient
-    [kh, kw, C] if the padded input ``xw`` is given; else None."""
-    kh, kw, c = wt.shape
-    h_out, w_out = g4.shape[1:3]
-    gw = np.empty((kh, kw, c)) if xw is not None else None
-    gpad = np.zeros(pshape) if need_x else None
-    for i in range(kh):
-        for j in range(kw):
-            if xw is not None:
-                gw[i, j] = np.einsum("mhwc,mhwc->c",
-                                     _tap(xw, i, j, stride, h_out, w_out), g4)
-            if need_x:
-                view = _tap(gpad, i, j, stride, h_out, w_out)
-                view += g4 * wt[i, j]
-    return gpad, gw
+def _depthwise_grads(g4: np.ndarray, xw, dw: np.ndarray, padding: int,
+                     need_x: bool):
+    """Backward of ``_depthwise_taps`` at ``padding`` from g4 [M, h, w, C]:
+    the input gradient [M, H, W, C] if ``need_x``, and the tap gradient
+    [C, kh, kw] if the padded input ``xw`` is given; else None.
+
+    The input gradient is the flipped taps' correlation over g4 padded by
+    kernel - 1 - padding.  Each element adds the products that scattering
+    each tap's g4 * dw[:, i, j] into a zeroed padded gradient would add, in
+    the same (i, j) order, plus +-0.0 products from the padding; adding
+    +-0.0 leaves a sum started at +0.0 unchanged, so the bytes are equal."""
+    c, kh, kw = dw.shape
+    h, w = g4.shape[1:3]
+    gx = gw = None
+    if need_x:
+        gx = _depthwise_taps(_pad(g4, kh - 1 - padding, kw - 1 - padding), dw,
+                             flip=True)
+    if xw is not None:
+        gw = np.empty((c, kh, kw))
+        for i in range(kh):
+            for j in range(kw):
+                gw[:, i, j] = np.einsum("mhwc,mhwc->c",
+                                        xw[:, i:i + h, j:j + w], g4)
+    return gx, gw
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1,
+def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 1,
                      channels_last: bool = False) -> Tensor:
-    """Per-channel convolution with w [C, kh, kw] over x [..., C, H, W], or
-    x [..., H, W, C] with ``channels_last``."""
+    """Per-channel stride-1 convolution with w [C, kh, kw] over
+    x [..., C, H, W], or x [..., H, W, C] with ``channels_last``; the
+    padding must be below each kernel side."""
     cw, kh, kw = w.shape
     lead, c, h_in, w_in, h_out, w_out = _conv_dims(
-        x, kh, kw, stride, padding, channels_last, "depthwise")
+        x, kh, kw, 1, padding, channels_last, "depthwise")
     if c != cw:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape}, weight {w.shape}")
+    if not 0 <= padding < min(kh, kw):
+        raise ShapeError(f"depthwise padding {padding} for a {kh}x{kw} kernel")
     xp = _pad(_as_last(x.data, channels_last), padding)
-    wt = w.data.transpose(1, 2, 0)                       # [kh, kw, C]
-    out = _depthwise_taps(xp, wt, stride, h_out, w_out)
-    out = out.reshape(lead + (h_out, w_out, c))
+    out = _depthwise_taps(xp, w.data).reshape(lead + (h_out, w_out, c))
 
     def build():
         need_x = _tracked(x)
         xw = xp if _tracked(w) else None
-        pshape = xp.shape
+        wd = w.data
 
         def bwd(g):
-            gpad, gw = _depthwise_grads(_as_last(g, channels_last), xw, wt,
-                                        pshape, stride, need_x)
-            gx = None
-            if need_x:
-                gx = _crop(gpad, padding).reshape(lead + (h_in, w_in, c))
+            gx, gw = _depthwise_grads(_as_last(g, channels_last), xw, wd,
+                                      padding, need_x)
+            if gx is not None:
+                gx = gx.reshape(lead + (h_in, w_in, c))
                 gx = np.ascontiguousarray(_from_last(gx, channels_last))
-            if gw is not None:
-                gw = np.ascontiguousarray(gw.transpose(2, 0, 1))
             return (gx, gw)
         return bwd
     return _emit(_from_last(out, channels_last), (x, w), build, "depthwise_conv2d")
@@ -1171,6 +1190,11 @@ def pyramid_fuse(parts: Sequence[Tensor], w: Tensor, b: Tensor,
               for k, p in enumerate(parts)]
         need_b = _tracked(b)
         shapes = [p.shape for p in parts]
+        # per part: the first part on its grid with the same values, whose
+        # weight-gradient rows it shares
+        first: dict = {}
+        twin = [first.setdefault((tuple(grids[k]), id(p.data)), k)
+                for k, p in enumerate(parts)]
         wshape, bshape = w.shape, b.shape
 
         def bwd(g):
@@ -1182,10 +1206,13 @@ def pyramid_fuse(parts: Sequence[Tensor], w: Tensor, b: Tensor,
                     gg = _upsample_last_grad(g.reshape(*lead, out_h, out_w, n),
                                              h, wd).reshape(*lead, h * wd, n)
                 for k in ks:
-                    gparts[k], gwk = _matmul_grads(gg, xs[k], ws[k], shapes[k],
-                                                   (widths[k], n))
-                    if gwk is not None:
-                        gw[bounds[k]:bounds[k + 1]] = gwk
+                    j = twin[k]
+                    gparts[k], gwk = _matmul_grads(
+                        gg, xs[k] if j == k else None, ws[k], shapes[k],
+                        (widths[k], n))
+                    if gw is not None:
+                        gw[bounds[k]:bounds[k + 1]] = \
+                            gwk if j == k else gw[bounds[j]:bounds[j + 1]]
             return (*gparts, gw, _unbroadcast(g, bshape) if need_b else None)
         return bwd
     return _emit(out, (*parts, w, b), build, "pyramid_fuse")
@@ -1342,8 +1369,7 @@ def residual_mix_ffn(x: Tensor, w1: Tensor, b1: Tensor, dw: Tensor,
                          f"{got} are not {want}")
     x1shape = (*lead, n, e)
     xp = _pad(_affine(x.data, w1.data, b1.data).reshape(-1, h, w, e), 1)
-    wt = dw.data.transpose(1, 2, 0)                      # [3, 3, E]
-    pre = _depthwise_taps(xp, wt, 1, h, w).reshape(x1shape)
+    pre = _depthwise_taps(xp, dw.data).reshape(x1shape)
     pre += bdw.data
     phi_cdf = _gelu_cdf(pre)
     act = pre * phi_cdf
@@ -1361,7 +1387,7 @@ def residual_mix_ffn(x: Tensor, w1: Tensor, b1: Tensor, dw: Tensor,
         x_x, x_w = (x.data if tw1 else None), (w1.data if tx else None)
         a_x, a_w = (act if tw2 else None), (w2.data if need_pre else None)
         xw = xp if tdw else None
-        xshape, pshape = x.shape, xp.shape
+        xshape, dwd = x.shape, dw.data
 
         def bwd(g):
             gact, gw2, gb2 = _linear_grads(g, a_x, a_w, x1shape, (e, c), tb2)
@@ -1369,13 +1395,11 @@ def residual_mix_ffn(x: Tensor, w1: Tensor, b1: Tensor, dw: Tensor,
             if need_pre:
                 gpre = gact * _gelu_slope(pre, phi_cdf)
                 gbdw = _unbroadcast(gpre, (e,)) if tbdw else None
-                gpad, gdw = _depthwise_grads(gpre.reshape(-1, h, w, e), xw, wt,
-                                             pshape, 1, need_x1)
-                if gdw is not None:
-                    gdw = np.ascontiguousarray(gdw.transpose(2, 0, 1))
+                gx1, gdw = _depthwise_grads(gpre.reshape(-1, h, w, e), xw, dwd,
+                                            1, need_x1)
                 if need_x1:
-                    gx1 = np.ascontiguousarray(_crop(gpad, 1)).reshape(x1shape)
-                    gx, gw1, gb1 = _linear_grads(gx1, x_x, x_w, xshape, (c, e), tb1)
+                    gx, gw1, gb1 = _linear_grads(gx1.reshape(x1shape), x_x, x_w,
+                                                 xshape, (c, e), tb1)
             return (g if tx else None, gx, gw1, gb1, gdw, gbdw, gw2, gb2)
         return bwd
     return _emit(out, parents, build, "residual_mix_ffn")

@@ -20,6 +20,7 @@ import numpy as np
 from .adaptation import (
     PrototypeBank,
     PseudoLabels,
+    class_argmax,
     correct_pseudo_labels,
     decode_pseudo_labels,
     grid_probs,
@@ -152,7 +153,7 @@ def predict_mask(params: dict, cfg: RunConfig, image: np.ndarray) -> np.ndarray:
     """Hard class map for one target image via the source-free path."""
     logits, _, _ = infer_target_sourcefree(params, cfg.encoder_config(),
                                            cfg.decoder_config(), Tensor(image))
-    return logits.data.argmax(axis=0).astype(np.uint8)
+    return class_argmax(logits.data)
 
 
 def _mean_iou(params, cfg, samples) -> float:

@@ -15,6 +15,7 @@ from quadseg.adaptation import (
     PairSet,
     PrototypeBank,
     PseudoLabels,
+    class_argmax,
     class_sums,
     correct_pseudo_labels,
     decode_pseudo_labels,
@@ -38,6 +39,23 @@ from quadseg.tensor import interp_matrix
 # ---------------------------------------------------------------------------
 # batch prototypes and EMA
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(), (1,), (2,), (2, 3)]), st.integers(2, 4),
+       st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 2**16))
+def test_class_argmax_equals_numpy_argmax_with_ties(lead, k, h, w, levels,
+                                                    seed):
+    """The running compare picks numpy's class, the first maximum on ties;
+    few distinct score levels make ties common, and -0.0 ties +0.0."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels + 1, size=(*lead, k, h, w)) - levels / 2
+    scores[rng.random(scores.shape) < 0.2] = -0.0
+    got = class_argmax(scores)
+    assert got.dtype == np.uint8 and got.shape == (*lead, h, w)
+    np.testing.assert_array_equal(got, scores.argmax(axis=-3))
+
 
 
 def batch_prototype(feats, probs, c):

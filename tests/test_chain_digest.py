@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "chain_digest.py")
 
@@ -68,3 +70,31 @@ def test_against_the_same_checkout_exits_zero():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("0 paths differ")
+
+
+def test_sweep_runs_each_case_in_both_checkouts(monkeypatch, capsys):
+    """--sweep runs seeds 0, 1, 4 at batch 1-3 and seed 1 / batch 2 with
+    each override, in both checkouts, and prints one line per case."""
+    tool = _tool()
+    calls = []
+
+    def fake(checkout, seed, batch, sets):
+        calls.append((checkout, seed, batch, list(sets)))
+        digest = "1" if checkout == "b" and sets == ["crop=64"] else "0"
+        return [digest * 64 + "  out.bin", "2" * 64 + "  same"]
+    monkeypatch.setattr(tool, "run_chain", fake)
+    assert tool.main(["a", "--against", "b", "--sweep"]) == 1
+    cases = [(s, b, []) for s in (0, 1, 4) for b in (1, 2, 3)] + [
+        (1, 2, [kv]) for kv in ("share_branch_weights=false",
+                                "label_correction=false", "crop=64")]
+    assert calls == [(side, *case) for case in cases for side in "ab"]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cases)
+    assert lines[0] == "seed 0 batch 1: 0 of 2 paths differ"
+    assert lines[-1] == "seed 1 batch 2 crop=64: 1 of 2 paths differ out.bin"
+
+
+def test_sweep_needs_against(capsys):
+    tool = _tool()
+    with pytest.raises(SystemExit):
+        tool.main(["a", "--sweep"])

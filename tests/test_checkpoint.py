@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from quadseg import checkpoint
 from quadseg.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from quadseg.config import RunConfig, parse_config, serialize_config
 
 
 def _tensors(seed=0):
@@ -168,6 +169,40 @@ def test_random_checkpoints_round_trip_bit_exactly(ckpt):
             got = data.tensors[name]
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+_ASCII_TEXT = st.text(alphabet=[chr(c) for c in range(128)], max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ASCII_TEXT, _CONFIG,
+                 st.sampled_from(["", "\n", "a\n", "a\r\nb", "\x1c",
+                                  "a\n\nb"])))
+def test_config_text_round_trips_exactly_or_raises(config):
+    """Any ASCII config text either loads back exactly or is refused
+    before a file is written: exactly the texts with a trailing newline or
+    a \\r, \\x0b, \\x0c or \\x1c-\\x1e line break are refused."""
+    refused = config.endswith("\n") or any(ch in config
+                                           for ch in "\r\x0b\x0c\x1c\x1d\x1e")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.ckpt")
+        if refused:
+            with pytest.raises(CheckpointError):
+                save_checkpoint(path, {"x": np.ones(2)}, config, 3)
+            assert os.listdir(tmp) == []
+        else:
+            save_checkpoint(path, {"x": np.ones(2)}, config, 3)
+            assert load_checkpoint(path).config_text == config
+
+
+def test_serialized_config_round_trips_exactly(tmp_path):
+    """A run's config text has no trailing newline, so its checkpoint
+    stores it exactly."""
+    text = serialize_config(RunConfig())
+    path = str(tmp_path / "c.ckpt")
+    save_checkpoint(path, {"x": np.ones(1)}, text, 0)
+    assert load_checkpoint(path).config_text == text
+    assert parse_config(text) == RunConfig()
 
 
 @settings(max_examples=150, deadline=None)

@@ -119,7 +119,7 @@ def composed_attention(params, prefix, q_tokens, kv_tokens, residual, h, w,
 def composed_mix_ffn(params, prefix, tokens, h, w):
     x = linear(tokens, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     s = depthwise_conv2d(reshape(x, x.shape[:-2] + (h, w, x.shape[-1])),
-                         params[f"{prefix}.dw"], stride=1, padding=1,
+                         params[f"{prefix}.dw"], padding=1,
                          channels_last=True)
     x = gelu(reshape(s, x.shape) + params[f"{prefix}.bdw"])
     return linear(x, params[f"{prefix}.w2"], params[f"{prefix}.b2"]) + tokens

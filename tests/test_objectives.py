@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadseg import objectives
 from quadseg.objectives import (
     AdamW,
     DiscConfig,
@@ -526,6 +529,37 @@ def test_adamw_flat_update_equals_per_parameter_loop(wd):
     for g in grads[3:]:
         second.step(resumed_p, g)
     assert _bits(resumed_p) == _bits(want_p)
+
+
+def _signed_zeros_grad(rng, shape):
+    g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4)
+    g[rng.random(shape) < 0.1] = -0.0
+    return g
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.integers(0, 20000), min_size=1, max_size=4),
+       st.integers(0, 2**16))
+def test_adamw_bytes_do_not_depend_on_the_block_size(sizes, seed):
+    """Parameters and moments after 3 steps are the same bytes whether the
+    fused update runs in blocks of 7, 8192 or 32768 elements; the sizes
+    put the block seams inside and between parameters."""
+    rng = np.random.default_rng(seed)
+    init = {f"p{i}": rng.normal(size=n) for i, n in enumerate(sizes)}
+    init["s"] = rng.normal(size=(3, 2))
+    grads = [{k: _signed_zeros_grad(rng, v.shape) for k, v in init.items()}
+             for _ in range(3)]
+    seen = []
+    for block in (7, 8192, 32768):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(objectives, "_ADAM_BLOCK", block)
+            params = _fresh(init)
+            opt = AdamW(lr=3e-2, weight_decay=0.01, warmup=1, total=5)
+            for g in grads:
+                opt.step(params, g)
+        seen.append((_bits(params),
+                     {k: v.tobytes() for k, v in opt.state_tensors().items()}))
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_adamw_diverged_names_first_nonfinite_parameter_and_keeps_state():

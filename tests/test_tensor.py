@@ -164,7 +164,7 @@ def test_depthwise_matches_loop_reference():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 6, 6))
     w = rng.normal(size=(3, 3, 3))
-    out = depthwise_conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+    out = depthwise_conv2d(Tensor(x), Tensor(w), padding=1).data
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     ref = np.zeros_like(x)
     for c in range(3):
@@ -172,6 +172,65 @@ def test_depthwise_matches_loop_reference():
             for j in range(6):
                 ref[c, i, j] = (xp[c, i:i + 3, j:j + 3] * w[c]).sum()
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def _scatter_depthwise(x, w, g):
+    """The per-tap form depthwise_conv2d computed before its full-width
+    taps, kept as the oracle: the output sums the nine strided tap
+    products into zeros in (i, j) order; the input gradient scatters each
+    tap's g * w[:, i, j] into a zeroed padded buffer, in the same order,
+    and crops it; the tap gradient is one channel sum per tap.  x and g
+    are [M, H, W, C], w is [C, 3, 3], padding 1."""
+    m, h, wd, c = x.shape
+    xp = np.zeros((m, h + 2, wd + 2, c))
+    xp[:, 1:h + 1, 1:wd + 1] = x
+    out = np.zeros(x.shape)
+    gpad = np.zeros(xp.shape)
+    gw = np.empty((3, 3, c))
+    for i in range(3):
+        for j in range(3):
+            tap = xp[:, i:i + h, j:j + wd]
+            out += tap * w[:, i, j]
+            gpad[:, i:i + h, j:j + wd] += g * w[:, i, j]
+            gw[i, j] = np.einsum("mhwc,mhwc->c", tap, g)
+    return out, gpad[:, 1:h + 1, 1:wd + 1], gw.transpose(2, 0, 1)
+
+
+def _signed_zeros(rng, a, frac):
+    """a with about ``frac`` of its entries set to +0.0 or -0.0."""
+    a[rng.random(a.shape) < frac] = 0.0
+    a[rng.random(a.shape) < frac / 2] = -0.0
+    return a
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 16), st.integers(1, 16),
+       st.integers(1, 64), st.sampled_from([0.0, 0.3, 0.9]),
+       st.integers(0, 2**16))
+def test_depthwise_equals_the_per_tap_scatter_bytewise(m, h, wd, c, zeros,
+                                                       seed):
+    """Output, input gradient and tap gradient of the full-width taps equal
+    the per-tap scatter form byte for byte, square and non-square grids,
+    with +-0.0 in the input, the taps and the output gradient."""
+    rng = np.random.default_rng(seed)
+    x = _signed_zeros(rng, rng.normal(size=(m, h, wd, c)), zeros)
+    w = _signed_zeros(rng, rng.normal(size=(c, 3, 3)), zeros)
+    g = _signed_zeros(rng, rng.normal(size=(m, h, wd, c)), zeros)
+    with Tape() as tape:
+        xt, wt = tape.watch(Tensor(x)), tape.watch(Tensor(w))
+        out = depthwise_conv2d(xt, wt, channels_last=True)
+        gx, gw = out.node.backward_fn(g)
+    want = _scatter_depthwise(x, w, g)
+    for got, ref in zip((out.data, gx, gw), want):
+        assert got.shape == ref.shape
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_depthwise_rejects_padding_beyond_the_kernel():
+    x, w = Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 3, 3)))
+    depthwise_conv2d(x, w, padding=2)
+    with pytest.raises(ShapeError):
+        depthwise_conv2d(x, w, padding=3)
 
 
 def test_upsample_constant_preserved():
@@ -929,6 +988,60 @@ def test_pyramid_fuse_is_per_item_bitwise():
             np.testing.assert_array_equal(full[i, j], one.data)
 
 
+_REPEAT_GRIDS = [(4, 8), (2, 4), (1, 2), (2, 2), (4, 1), (1, 4)]
+
+
+@st.composite
+def _fuse_with_repeats(draw):
+    """Parts on grids of an (4, 8) output, some of them the same Tensor as
+    an earlier part, on its grid or on another grid of as many tokens."""
+    lead = draw(st.sampled_from([(), (2,)]))
+    specs = []              # (grid, width, index of the repeated part)
+    for _ in range(draw(st.integers(2, 6))):
+        if specs and draw(st.booleans()):
+            k = draw(st.integers(0, len(specs) - 1))
+            (h, w), c, _ = specs[k]
+            grid = draw(st.sampled_from(
+                [gr for gr in _REPEAT_GRIDS if gr[0] * gr[1] == h * w]))
+            specs.append((grid, c, k))
+        else:
+            specs.append((draw(st.sampled_from(_REPEAT_GRIDS)),
+                          draw(st.integers(1, 4)), None))
+    return lead, specs, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuse_with_repeats())
+def test_pyramid_fuse_repeated_part_equals_a_copy_bytewise(case):
+    """A part passed twice as the same Tensor gives the output and every
+    gradient (each part's, the weight's and the bias's) that an
+    equal-valued copy of it gives, byte for byte: its shared weight
+    gradient rows are those the copy computes."""
+    lead, specs, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(*lead, h * w, c)) for (h, w), c, _ in specs]
+    n = 3
+    wb = [rng.normal(size=(sum(c for _, c, _ in specs), n)), rng.normal(size=n)]
+    g = rng.normal(size=(*lead, 32, n))
+    grids = [grid for grid, _, _ in specs]
+    results = []
+    for repeat in (True, False):
+        with Tape() as tape:
+            parts: list = []
+            for a, (_, _, k) in zip(arrays, specs):
+                if k is None:
+                    parts.append(tape.watch(Tensor(a.copy())))
+                elif repeat:
+                    parts.append(parts[k])
+                else:
+                    parts.append(tape.watch(Tensor(parts[k].data.copy())))
+            w, b = (tape.watch(Tensor(a.copy())) for a in wb)
+            out = pyramid_fuse(parts, w, b, grids, 4, 8)
+            grads = out.node.backward_fn(g)
+        results.append([out.data.tobytes()] + [gr.tobytes() for gr in grads])
+    assert results[0] == results[1]
+
+
 def test_pyramid_fuse_shape_errors():
     p4, p2 = Tensor(np.zeros((16, 3))), Tensor(np.zeros((4, 3)))
     w, b = Tensor(np.zeros((6, 2))), Tensor(np.zeros(2))
@@ -1032,6 +1145,17 @@ def test_erf_is_exactly_one_from_six(mags, negative):
 def test_erf_is_odd_bit_for_bit(xs):
     x = np.array(xs)
     assert np.array_equal(_erf(-x).view(np.int64), (-_erf(x)).view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(), st.floats(0.999, 1.001), st.floats(1e153, 1e155),
+                 st.sampled_from([np.nextafter(1.0, 0.0), 1.0,
+                                  -np.nextafter(1.0, 0.0), 5e-324])))
+def test_erf_square_range_test_equals_the_abs_test(x):
+    """_erf picks its |x| >= 1 lanes by x*x >= 1: the same lanes."""
+    v = np.array([x])
+    with np.errstate(over="ignore"):
+        assert (v * v >= 1.0)[0] == (np.abs(v) >= 1.0)[0]
 
 
 def test_erf_monotone_across_branch_seams():

@@ -1,7 +1,7 @@
 """Digest of a tiny end-to-end chain's output files.
 
     python3 tools/chain_digest.py CHECKOUT [--seed S] [--batch B] \
-        [--set KEY=VALUE ...] [--against OTHER_CHECKOUT]
+        [--set KEY=VALUE ...] [--against OTHER_CHECKOUT [--sweep]]
 
 Runs ``generate`` (4 training images per domain, 2 held out) -> ``pair``
 -> ``warmup`` -> ``adapt`` twice (pairing on the fly, then from the
@@ -17,7 +17,12 @@ path order.  Two checkouts whose chains write the same bytes print the
 same listing, so a ``diff`` of two listings shows whether a change keeps
 every output of its parent.  ``--against OTHER_CHECKOUT`` runs the chain in
 both checkouts and prints instead each path whose bytes differ, or that
-only one chain wrote; it exits 1 if there is any.
+only one chain wrote; it exits 1 if there is any.  ``--sweep`` (with
+``--against``) compares the two checkouts over the matrix of
+``sweep_cases`` instead of one seed and batch: seeds 0, 1 and 4 at batch
+1-3, then seed 1 at batch 2 with each of ``share_branch_weights=false``,
+``label_correction=false`` and ``crop=64``.  It prints one line per case,
+with the paths that differ, and exits 1 if any case differs.
 """
 
 from __future__ import annotations
@@ -90,6 +95,30 @@ def differing_paths(listing: list[str], other: list[str]) -> list[str]:
     return sorted(rel for rel in a.keys() | b.keys() if a.get(rel) != b.get(rel))
 
 
+def sweep_cases() -> list[tuple[int, int, list[str]]]:
+    """(seed, batch, config overrides) of each ``--sweep`` case."""
+    cases = [(seed, batch, []) for seed in (0, 1, 4) for batch in (1, 2, 3)]
+    cases += [(1, 2, [kv]) for kv in ("share_branch_weights=false",
+                                      "label_correction=false", "crop=64")]
+    return cases
+
+
+def sweep(checkout: str, other: str, sets: list[str]) -> int:
+    """Compare the two checkouts' chains on every sweep case, one line
+    each; the number of cases that differ."""
+    failed = 0
+    for seed, batch, case_sets in sweep_cases():
+        case_sets = [*sets, *case_sets]
+        listing = run_chain(checkout, seed, batch, case_sets)
+        differ = differing_paths(listing,
+                                 run_chain(other, seed, batch, case_sets))
+        failed += bool(differ)
+        print(" ".join([f"seed {seed} batch {batch}", *case_sets]) +
+              f": {len(differ)} of {len(listing)} paths differ" +
+              "".join(f" {rel}" for rel in differ), flush=True)
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="repository checkout to run")
@@ -100,7 +129,14 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="OTHER_CHECKOUT",
                         help="print the paths whose bytes differ from this "
                              "checkout's chain; exit 1 if any")
+    parser.add_argument("--sweep", action="store_true",
+                        help="with --against: compare every sweep case "
+                             "instead of one seed and batch")
     args = parser.parse_args(argv)
+    if args.sweep:
+        if args.against is None:
+            parser.error("--sweep needs --against")
+        return 1 if sweep(args.checkout, args.against, args.set) else 0
     listing = run_chain(args.checkout, args.seed, args.batch, args.set)
     if args.against is None:
         print("\n".join(listing))
