@@ -23,6 +23,8 @@ __all__ = [
     "apply_overrides",
     "parse_kv_lines",
     "format_kv_lines",
+    "value_text",
+    "parse_value",
 ]
 
 
@@ -135,7 +137,9 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _to_text(value) -> str:
+def value_text(value) -> str:
+    """A field value as ``key = value`` text: bools as true/false, tuples
+    comma-joined, floats by ``repr`` so that they read back exactly."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -145,22 +149,28 @@ def _to_text(value) -> str:
     return str(value)
 
 
-def _from_text(name: str, text: str):
-    kind = _FIELDS[name].type
+def parse_value(key: str, kind: str, text: str):
+    """The value that ``value_text`` wrote for a field of annotated type
+    ``kind``; malformed text raises ``ValueError`` naming ``key``."""
     text = text.strip()
-    if kind == "bool":
-        if text not in ("true", "false"):
-            raise ValueError(f"{name}: expected true/false, got {text!r}")
-        return text == "true"
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "tuple[int, ...]":
-        if not text:
-            raise ValueError(f"{name}: empty tuple")
-        return tuple(int(v) for v in text.split(","))
-    raise AssertionError(f"unhandled field type {kind!r} for {name}")
+    try:
+        if kind == "bool":
+            if text not in ("true", "false"):
+                raise ValueError
+            return text == "true"
+        if kind == "int":
+            return int(text)
+        if kind == "float":
+            return float(text)
+        if kind in ("tuple[int, ...]", "tuple[str, ...]"):
+            if not text:
+                raise ValueError
+            items = text.split(",")
+            return tuple(map(int, items)) if kind == "tuple[int, ...]" \
+                else tuple(items)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind}, got {text!r}") from None
+    raise AssertionError(f"unhandled field type {kind!r} for {key}")
 
 
 def format_kv_lines(items: dict[str, str]) -> str:
@@ -188,7 +198,7 @@ def serialize_config(cfg: RunConfig) -> str:
     """The config as sorted ``key = value`` lines joined by newlines, with
     no trailing one, so that a checkpoint stores the text exactly."""
     return format_kv_lines(
-        {name: _to_text(getattr(cfg, name)) for name in _FIELDS}
+        {name: value_text(getattr(cfg, name)) for name in _FIELDS}
     ).removesuffix("\n")
 
 
@@ -202,7 +212,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     unknown = sorted(set(items) - set(_FIELDS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    values = {name: _from_text(name, raw) for name, raw in items.items()}
+    values = {name: parse_value(name, _FIELDS[name].type, raw)
+              for name, raw in items.items()}
     return dataclasses.replace(base or RunConfig(), **values)
 
 

@@ -15,6 +15,7 @@ global state.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import format_kv_lines, parse_kv_lines
+from .config import format_kv_lines, parse_kv_lines, parse_value, value_text
 from .pnm import decode_ppm, read_pgm, read_ppm, read_ppm_raw, write_pgm, write_ppm
 from .tensor import _upsample_first
 
@@ -94,8 +95,8 @@ class SceneSpec:
             raise ValueError("background levels must lie in [0, 1]")
         if not (0.0 < self.contrast_min <= self.contrast_max <= 1.0):
             raise ValueError("contrast range must lie in (0, 1]")
-        if self.noise_amp < 0.0 or self.tint < 0.0:
-            raise ValueError("noise_amp and tint must be nonnegative")
+        if not (0.0 <= self.noise_amp < math.inf and 0.0 <= self.tint < math.inf):
+            raise ValueError("noise_amp and tint must be finite and nonnegative")
 
 
 @dataclass
@@ -418,33 +419,26 @@ def _write_sample(root: str, domain: str, s: Sample,
 
 def write_scene_specs(path: str, src: SceneSpec, tgt: SceneSpec) -> None:
     _check_domain_invariant(src, tgt)
-    items = {}
-    for prefix, spec in (("source", src), ("target", tgt)):
-        for f in dataclasses.fields(SceneSpec):
-            v = getattr(spec, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(v)
-            elif isinstance(v, float):
-                v = repr(v)
-            items[f"{prefix}.{f.name}"] = str(v)
+    items = {f"{prefix}.{f.name}": value_text(getattr(spec, f.name))
+             for prefix, spec in (("source", src), ("target", tgt))
+             for f in dataclasses.fields(SceneSpec)}
     with open(path, "w") as fh:
         fh.write(format_kv_lines(items))
 
 
 def read_scene_specs(path: str) -> tuple[SceneSpec, SceneSpec]:
+    """Both domains' specs from ``write_scene_specs`` text; a missing,
+    unknown or malformed key raises ``ValueError`` naming it."""
     with open(path) as fh:
         items = parse_kv_lines(fh.read())
     specs = []
     for prefix in ("source", "target"):
         kwargs = {}
         for f in dataclasses.fields(SceneSpec):
-            raw = items.pop(f"{prefix}.{f.name}")
-            if f.type == "tuple[str, ...]":
-                kwargs[f.name] = tuple(raw.split(","))
-            elif f.type == "int":
-                kwargs[f.name] = int(raw)
-            else:
-                kwargs[f.name] = float(raw)
+            key = f"{prefix}.{f.name}"
+            if key not in items:
+                raise ValueError(f"spec is missing key {key!r}")
+            kwargs[f.name] = parse_value(key, f.type, items.pop(key))
         specs.append(SceneSpec(**kwargs))
     if items:
         raise ValueError(f"unknown spec keys: {', '.join(sorted(items))}")

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, to_grid, to_tokens, trunc_normal
+from .encoder import EncoderConfig, to_grid, trunc_normal
 from .tensor import (
     ShapeError,
     Tensor,
     _upsample_last,
-    concat,
     gather,
     linear,
     pyramid_fuse,
@@ -102,24 +101,22 @@ def _unify(params: dict, enc_cfg: EncoderConfig, stage_feats: list[Tensor],
 
 def unify_and_upsample(params: dict, enc_cfg: EncoderConfig,
                        stage_feats: list[Tensor],
-                       dims: list[tuple[int, int]]) -> Tensor:
-    """Map each per-stage token tensor to embed_dim channels, upsample all to
-    the stage-0 grid and concatenate: phi [..., h0*w0, num_stages*embed_dim]."""
-    h0, w0 = dims[0]
-    return concat([u if (h, w) == (h0, w0) else
-                   to_tokens(upsample_bilinear(to_grid(u, h, w), h0, w0,
-                                               channels_last=True))
-                   for u, (h, w) in zip(_unify(params, enc_cfg, stage_feats,
-                                               dims), dims)], axis=-1)
+                       dims: list[tuple[int, int]]) -> np.ndarray:
+    """phi [..., h0*w0, num_stages*embed_dim] as a plain array: each
+    per-stage token tensor mapped to embed_dim channels, upsampled to the
+    stage-0 grid and concatenated (``augmented_features`` of one map
+    list)."""
+    units = _unify(params, enc_cfg, stage_feats, dims)
+    return augmented_features(([u.data for u in units],), dims)
 
 
-def augmented_features(maps: tuple[list, list],
+def augmented_features(maps: tuple[list, ...],
                        dims: list[tuple[int, int]]) -> np.ndarray:
     """The augmented features [phi_a, phi_b] [..., h0*w0,
     2*num_stages*embed_dim] of a head's (self, cross) per-stage unified
     maps, as a plain array: built off the tape, for the prototype
-    machinery only.  Each stage is upsampled to the stage-0 grid as
-    ``upsample_bilinear`` does and written into its column block."""
+    machinery only.  Each stage is upsampled bilinearly to the stage-0
+    grid and written into its column block; one map list gives phi."""
     h0, w0 = dims[0]
     parts = [(u, hw) for m in maps for u, hw in zip(m, dims)]
     lead = parts[0][0].shape[:-2]

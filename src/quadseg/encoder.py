@@ -101,10 +101,6 @@ class EncoderConfig:
     def num_stages(self) -> int:
         return len(self.channels)
 
-    def stage_grid(self, hw: int, stage: int) -> int:
-        """Token-grid side length of ``stage`` for a ``hw`` x ``hw`` image."""
-        return hw // (self.patch * (1 << stage))
-
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """N(0, std^2) truncated to +-2 std, by rejection."""

@@ -197,18 +197,16 @@ _ADAM_BLOCK = 32768
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named parameter dict.
+    """Decoupled-weight-decay Adam over one named parameter dict.
 
-    The first ``step``, and the first after ``load_state``, adopts the
+    The first ``step``, or ``load_state`` if it comes first, adopts the
     parameters: it copies them, in dict order, into one flat float64
     buffer, rebinds each ``Tensor.data`` to its view of that buffer, and
     lays the moments out the same way.  Every step then gathers the
     gradients into one flat array and updates all parameters together,
-    block by block, in place.  A later call with other parameter tensors,
-    or with arrays rebound behind the optimizer's back, adopts them afresh
-    and keeps the moments of the names it already knew; moments of names
-    not in the new dict stay in the state too.  State round-trips through
-    checkpoints via ``state_tensors`` / ``load_state``.
+    block by block, in place.  The optimizer serves the dict it adopted
+    and no other.  State round-trips through checkpoints via
+    ``state_tensors`` / ``load_state``.
     """
 
     def __init__(self, lr: float, weight_decay: float = 0.01,
@@ -221,54 +219,27 @@ class AdamW:
         self.warmup = warmup
         self.total = total
         self.t = 0
-        # per-name moments: loaded arrays until the next adoption, then
-        # views of the flat moment buffers, in parameter order
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-        # (name, tensor, its data view, start, stop) per adopted parameter
-        self._adopted: list[tuple] = []
+        self._params: dict[str, Tensor] | None = None     # the adopted dict
+        # (name, shape, start, stop) per parameter, in dict order
+        self._spans: list[tuple[str, tuple, int, int]] = []
         self._flat = self._m = self._v = np.empty(0)
 
     def lr_at(self, step: int) -> float:
         return lr_schedule(step, self.lr, self.warmup, self.total)
 
-    def _holds(self, params: dict[str, Tensor]) -> bool:
-        """Whether ``params`` are exactly the adopted tensors, in order, each
-        still holding its view of the flat buffer."""
-        return len(params) == len(self._adopted) and all(
-            name == a[0] and p is a[1] and p.data is a[2]
-            for (name, p), a in zip(params.items(), self._adopted))
-
     def _adopt(self, params: dict[str, Tensor]) -> None:
         total = sum(p.data.size for p in params.values())
-        flat, m, v = np.empty(total), np.zeros(total), np.zeros(total)
-        adopted, mviews, vviews = [], {}, {}
+        self._flat, self._m, self._v = np.empty(total), np.zeros(total), \
+            np.zeros(total)
         start = 0
         for name, p in params.items():
             stop = start + p.data.size
-            shape = p.data.shape
-            view = flat[start:stop].reshape(shape)
+            view = self._flat[start:stop].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            mviews[name] = m[start:stop].reshape(shape)
-            vviews[name] = v[start:stop].reshape(shape)
-            for known, fresh in ((self.m, mviews), (self.v, vviews)):
-                if name in known:
-                    if known[name].shape != shape:
-                        raise ShapeError(f"optimizer moment for {name!r} has "
-                                         f"shape {known[name].shape}, "
-                                         f"parameter {shape}")
-                    fresh[name][...] = known[name]
-            adopted.append((name, p, view, start, stop))
+            self._spans.append((name, view.shape, start, stop))
             start = stop
-        # moments of names not adopted now (loaded, or from an earlier
-        # parameter dict) stay in the state, detached from the old buffers
-        for known, fresh in ((self.m, mviews), (self.v, vviews)):
-            for name, arr in known.items():
-                if name not in params:
-                    fresh[name] = np.array(arr)
-        self._adopted, self._flat, self._m, self._v = adopted, flat, m, v
-        self.m, self.v = mviews, vviews
+        self._params = params
 
     def step(self, params: dict[str, Tensor],
              grads: dict[str, np.ndarray]) -> float:
@@ -277,22 +248,26 @@ class AdamW:
         ``params``: a missing one raises ``KeyError``.  A non-finite
         gradient raises ``OptimizerDiverged`` naming the first such
         parameter.  On any of these errors no parameter, moment or step
-        count changes.  Returns the lr used."""
-        if not self._holds(params):
+        count changes.  ``params`` must be the dict this optimizer adopted
+        (the first step adopts it); another dict raises ``ValueError``.
+        Returns the lr used."""
+        if self._params is None:
             self._adopt(params)
+        elif params is not self._params:
+            raise ValueError("AdamW steps only the parameter dict it adopted")
         parts = []
-        for name, p, _, _, _ in self._adopted:
+        for name, shape, _, _ in self._spans:
             gi = grads.get(name)
             if gi is None:
                 raise KeyError(f"no gradient for parameter {name!r}")
-            if np.shape(gi) != p.data.shape:
+            if np.shape(gi) != shape:
                 raise ShapeError(f"gradient for {name!r} has shape "
-                                 f"{np.shape(gi)}, parameter {p.data.shape}")
+                                 f"{np.shape(gi)}, parameter {shape}")
             parts.append(np.ravel(gi))
         g = np.empty(self._flat.size)         # lives for this step only
         np.concatenate(parts, out=g)
         if not math.isfinite(g.dot(g)):
-            for name, _, _, start, stop in self._adopted:
+            for name, _, start, stop in self._spans:
                 if not np.isfinite(g[start:stop]).all():
                     raise OptimizerDiverged(name, self.t + 1)
         self.t += 1
@@ -329,19 +304,34 @@ class AdamW:
         return lr
 
     def state_tensors(self) -> dict[str, np.ndarray]:
+        """``opt.m.<name>`` and ``opt.v.<name>`` of each adopted parameter,
+        in parameter order; empty before the first step, whose moments are
+        all zero."""
         out: dict[str, np.ndarray] = {}
-        for name, m in self.m.items():
-            out[f"opt.m.{name}"] = m
-            out[f"opt.v.{name}"] = self.v[name]
+        if self.t == 0:
+            return out
+        for name, shape, start, stop in self._spans:
+            out[f"opt.m.{name}"] = self._m[start:stop].reshape(shape)
+            out[f"opt.v.{name}"] = self._v[start:stop].reshape(shape)
         return out
 
-    def load_state(self, tensors: dict[str, np.ndarray], t: int) -> None:
-        """Restore the step count and the moments; the next ``step`` adopts
-        the parameters again with these moments."""
+    def load_state(self, params: dict[str, Tensor],
+                   tensors: dict[str, np.ndarray], t: int) -> None:
+        """Adopt ``params`` at step count ``t`` with the moments
+        ``tensors`` holds for them; moments of other names are ignored and
+        a missing one stays zero.  Raises ``ValueError`` once the optimizer
+        has adopted a dict."""
+        if self._params is not None:
+            raise ValueError("AdamW already adopted its parameters")
+        self._adopt(params)
+        for name, shape, start, stop in self._spans:
+            for key, flat in ((f"opt.m.{name}", self._m),
+                              (f"opt.v.{name}", self._v)):
+                arr = tensors.get(key)
+                if arr is None:
+                    continue
+                if arr.shape != shape:
+                    raise ShapeError(f"optimizer moment {key!r} has shape "
+                                     f"{arr.shape}, parameter {shape}")
+                flat[start:stop] = arr.ravel()
         self.t = t
-        for key, arr in tensors.items():
-            if key.startswith("opt.m."):
-                self.m[key[len("opt.m."):]] = np.array(arr)
-            elif key.startswith("opt.v."):
-                self.v[key[len("opt.v."):]] = np.array(arr)
-        self._adopted = []

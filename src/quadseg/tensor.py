@@ -22,7 +22,6 @@ __all__ = [
     "TapeError",
     "Tensor",
     "Tape",
-    "tensor",
     "matmul",
     "linear",
     "multi_head_attention",
@@ -170,11 +169,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-
-def tensor(data) -> Tensor:
-    """Constant tensor (no tape node)."""
-    return Tensor(data)
 
 
 def _wrap(x) -> Tensor:
@@ -1112,23 +1106,16 @@ def _upsample_last_grad(g: np.ndarray, h: int, w: int) -> np.ndarray:
     return np.matmul(interp_matrix(w, out_w).T, gw.reshape(*lead, h, out_w, c))
 
 
-def upsample_bilinear(x: Tensor, out_h: int, out_w: int,
-                      channels_last: bool = False) -> Tensor:
-    """Bilinear resize of x [..., C, H, W], or x [..., H, W, C] with
-    ``channels_last``, under the half-pixel-centers convention."""
-    if channels_last:
-        h, w = x.shape[-3:-1]
-    else:
-        h, w = x.shape[-2:]
+def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
+    """Bilinear resize of x [..., C, H, W] under the half-pixel-centers
+    convention."""
+    h, w = x.shape[-2:]
     if out_h < h or out_w < w:
         raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
-    out = (_upsample_last if channels_last else _upsample_first)(
-        x.data, out_h, out_w)
+    out = _upsample_first(x.data, out_h, out_w)
 
     def build():
         def bwd(g):
-            if channels_last:
-                return (_upsample_last_grad(g, h, w),)
             return (np.matmul(np.matmul(interp_matrix(h, out_h).T, g),
                               interp_matrix(w, out_w)),)
         return bwd

@@ -1,8 +1,12 @@
 """Training drivers: source-only warm-up, paired adaptation, evaluation.
 
-Both loops draw every stochastic choice (batch membership, augmentation,
-initialization) from rng streams keyed by ``(seed, phase, step)``, so a rerun
-with the same config writes byte-identical checkpoints, logs, and masks.
+Both phases run one step loop (``_run_steps``: the steps, the periodic
+target-val IoU and the CSV log) over a per-phase step function, and every
+update is one ``_descend``: a backward sweep of a tape that watches the
+parameters, then an AdamW step.  Every stochastic choice (batch membership,
+augmentation, initialization) comes from rng streams keyed by ``(seed,
+phase, step)``, so a rerun with the same config writes byte-identical
+checkpoints, logs, and masks.
 
 The adaptation step interleaves two optimizers on one define-by-run tape:
 the pair forward and segmentation losses are recorded on the generator tape,
@@ -113,35 +117,24 @@ def _restore_params(data, cfg: RunConfig) -> dict[str, Tensor]:
     return params
 
 
-def _opt_state(tensors: dict, critic: bool) -> dict:
-    """Split persisted optimizer moments by owner (model vs discriminator)."""
-    out = {}
-    for key, arr in tensors.items():
-        if not key.startswith(("opt.m.", "opt.v.")):
-            continue
-        if key.split(".", 2)[2].startswith("disc.") == critic:
-            out[key] = arr
-    return out
+def _adamw(cfg: RunConfig, lr: float, wd: float, total: int | None) -> AdamW:
+    return AdamW(lr=lr, weight_decay=wd, betas=(cfg.adam_beta1, cfg.adam_beta2),
+                 eps=cfg.adam_eps, warmup=cfg.warmup_steps, total=total)
 
 
-class _Log:
-    def __init__(self, path: str | None):
-        self.path = path
-        if path:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write(LOG_HEADER + "\n")
+def _watching(params: dict) -> Tape:
+    """A fresh tape with every parameter of ``params`` watched."""
+    tape = Tape()
+    for p in params.values():
+        tape.watch(p)
+    return tape
 
-    def row(self, step, l_s="", l_t="", d="", g="", lr="", tgt_iou=""):
-        if not self.path:
-            return
 
-        def fmt(v):
-            return f"{v:.6f}" if isinstance(v, float) else str(v)
-
-        with open(self.path, "a") as fh:
-            fh.write(",".join(fmt(v) for v in
-                              (step, l_s, l_t, d, g, lr, tgt_iou)) + "\n")
+def _descend(tape: Tape, root: Tensor, params: dict, opt: AdamW) -> float:
+    """Sweep ``tape`` back from ``root``, then step ``opt`` on the
+    gradients of ``params``; returns the lr used."""
+    tape.backward(root)
+    return opt.step(params, {name: tape.grad(p) for name, p in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +168,32 @@ def source_val_iou(params: dict, cfg: RunConfig, root: str) -> float:
     return _mean_iou(params, cfg, samples)
 
 
+def _run_steps(cfg: RunConfig, first: int, last: int, run_step, params: dict,
+               tgt_val, log_path: str | None) -> float:
+    """Run steps ``first`` to ``last``; ``run_step(step)`` returns the
+    logged ``(l_s, l_t, d, g, lr)``.  The target-val IoU is evaluated every
+    ``eval_every`` steps and at ``last``.  ``log_path``, if given, gets
+    ``LOG_HEADER`` and one row per step.  Returns the last IoU logged, or,
+    when no step ran, the IoU of ``params`` as they are."""
+
+    def fmt(v):
+        return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+    if log_path:
+        os.makedirs(os.path.dirname(os.path.abspath(log_path)), exist_ok=True)
+    tgt_iou = None
+    with open(log_path or os.devnull, "w", buffering=1) as log:  # row by row
+        log.write(LOG_HEADER + "\n")
+        for step in range(first, last + 1):
+            *losses, lr = run_step(step)
+            periodic = step % cfg.eval_every == 0 or step == last
+            if periodic:
+                tgt_iou = _mean_iou(params, cfg, tgt_val)
+            log.write(",".join([str(step), *map(fmt, losses), f"{lr:.8g}",
+                                fmt(tgt_iou) if periodic else ""]) + "\n")
+    return _mean_iou(params, cfg, tgt_val) if tgt_iou is None else tgt_iou
+
+
 # ---------------------------------------------------------------------------
 # warm-up
 # ---------------------------------------------------------------------------
@@ -189,9 +208,7 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
     """
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
     # constant lr after the ramp: the decay horizon belongs to adaptation
-    opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay,
-                betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps,
-                warmup=cfg.warmup_steps, total=None)
+    opt = _adamw(cfg, cfg.lr, cfg.weight_decay, None)
     start = 0
     if resume is None:
         params = init_model_params(enc, dec, _rng(cfg.seed, _RNG_INIT, 0))
@@ -203,36 +220,30 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                 f"warmup_iterations = {cfg.warmup_iterations}")
         _check_architecture(parse_config(data.config_text), cfg)
         params = _restore_params(data, cfg)
-        opt.load_state(_opt_state(data.tensors, critic=False), data.step)
+        opt.load_state(params, data.tensors, data.step)
         start = data.step
         del data                    # parameters and moments are copied out
     src = load_corpus(root, "source", list_image_ids(root, "source"))
     tgt_val = load_corpus(root, "target", split_target_ids(root)[1])
     weights = _class_weights(cfg)
-    log = _Log(log_path)
-    tgt_iou = None                  # the last logged target-val IoU
-    for step in range(start + 1, cfg.warmup_iterations + 1):
+
+    def run_step(step: int) -> tuple:
         rng = _rng(cfg.seed, _RNG_WARMUP, step)
         batch = rng.choice(len(src), size=min(cfg.batch, len(src)),
                            replace=False)
         samples = [augment(src[int(i)], rng, crop=cfg.crop) for i in batch]
-        with Tape() as tape:
-            for p in params.values():
-                tape.watch(p)
+        tape = _watching(params)
+        with tape:
             logits, _, _ = infer_target_sourcefree(
                 params, enc, dec, Tensor(np.stack([s.image for s in samples])))
             loss, _ = seg_cross_entropy(
                 logits, np.stack([s.label for s in samples]),
                 class_weights=weights)
             total = (1.0 / len(batch)) * loss
-            tape.backward(total)
-        grads = {name: tape.grad(p) for name, p in params.items()}
-        lr = opt.step(params, grads)
-        periodic = step % cfg.eval_every == 0 or step == cfg.warmup_iterations
-        if periodic:
-            tgt_iou = _mean_iou(params, cfg, tgt_val)
-        log.row(step, l_s=total.item(), lr=f"{lr:.8g}",
-                tgt_iou=tgt_iou if periodic else "")
+        return total.item(), "", "", "", _descend(tape, total, params, opt)
+
+    tgt_iou = _run_steps(cfg, start + 1, cfg.warmup_iterations, run_step,
+                         params, tgt_val, log_path)
     save_checkpoint(ckpt_out, {**params, **opt.state_tensors()},
                     serialize_config(cfg), cfg.warmup_iterations)
     tgt = load_corpus(root, "target", split_target_ids(root)[0],
@@ -240,8 +251,6 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
     for i, pl in zip(tgt.ids, warmup_pseudo_labels(
             params, enc, dec, (s.image for s in tgt), cfg.tau)):
         save_pseudo_labels(ckpt_out + ".plabels", i, pl)
-    if tgt_iou is None:             # no step ran
-        tgt_iou = _mean_iou(params, cfg, tgt_val)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
             "target_val_iou": tgt_iou}
@@ -311,12 +320,8 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     del data                        # its tensors are not read again
     disc_cfg = cfg.disc_config()
     disc = init_disc_params(disc_cfg, _rng(cfg.seed, _RNG_DISC, 0))
-    g_opt = AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay,
-                  betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps,
-                  warmup=cfg.warmup_steps, total=cfg.iterations)
-    d_opt = AdamW(lr=cfg.disc_lr, weight_decay=0.0,
-                  betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps,
-                  warmup=cfg.warmup_steps, total=cfg.iterations)
+    g_opt = _adamw(cfg, cfg.lr, cfg.weight_decay, cfg.iterations)
+    d_opt = _adamw(cfg, cfg.disc_lr, 0.0, cfg.iterations)
 
     train_ids, val_ids = split_target_ids(root)
     src = load_corpus(root, "source", list_image_ids(root, "source"))
@@ -354,11 +359,9 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             batch.append((s, *_augment_target(tgt[tj], label(tj), rng,
                                               cfg.crop)))
         n = len(batch)
-        gtape = Tape()
+        gtape = _watching(params)
         l_t = g_term = Tensor(0.0)
         with gtape:
-            for p in params.values():
-                gtape.watch(p)
             out = forward_pair(params, enc, dec,
                                Tensor(np.stack([s.image for s, _, _ in batch])),
                                Tensor(np.stack([t for _, t, _ in batch])),
@@ -387,15 +390,12 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         d_val = ""
         if cfg.adversarial:
             # source masks play the real role, target masks the fake role
-            with Tape() as dtape:
-                for p in disc.values():
-                    dtape.watch(p)
+            dtape = _watching(disc)
+            with dtape:
                 d_total = disc_loss(
                     discriminator_forward(disc, disc_cfg, probs_s.detach()),
                     discriminator_forward(disc, disc_cfg, probs_t.detach()))
-                dtape.backward(d_total)
-            d_grads = {name: dtape.grad(p) for name, p in disc.items()}
-            d_opt.step(disc, d_grads)
+            _descend(dtape, d_total, disc, d_opt)
             d_val = d_total.item()
             with gtape:
                 # patch means over the batch, summed like the other terms
@@ -404,30 +404,20 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         with gtape:
             total = (1.0 / n) * total_loss(l_s, l_t, g_term,
                                            cfg.beta1, cfg.beta2)
-            gtape.backward(total)
-        grads = {name: gtape.grad(p) for name, p in params.items()}
-        lr = g_opt.step(params, grads)
+        lr = _descend(gtape, total, params, g_opt)
         return (l_s.item() / n,
                 l_t.item() / n if cfg.self_training else "",
                 d_val,
                 g_term.item() / n if cfg.adversarial else "",
-                f"{lr:.8g}")
+                lr)
 
-    log = _Log(log_path)
-    tgt_iou = None                  # the last logged target-val IoU
-    for step in range(1, cfg.iterations + 1):
-        logged = run_step(step)
-        periodic = step % cfg.eval_every == 0 or step == cfg.iterations
-        if periodic:
-            tgt_iou = _mean_iou(params, cfg, tgt_val)
-        log.row(step, *logged, tgt_iou=tgt_iou if periodic else "")
+    tgt_iou = _run_steps(cfg, 1, cfg.iterations, run_step, params, tgt_val,
+                         log_path)
     tensors = {**params, **g_opt.state_tensors()}
     if cfg.adversarial:
         tensors.update(disc)
         tensors.update(d_opt.state_tensors())
     save_checkpoint(ckpt_out, tensors, serialize_config(cfg), cfg.iterations)
-    if tgt_iou is None:             # no step ran
-        tgt_iou = _mean_iou(params, cfg, tgt_val)
     return {"checkpoint": ckpt_out, "target_val_iou": tgt_iou}
 
 

@@ -200,3 +200,32 @@ def test_summaries_evaluate_when_no_step_ran(warm, tmp_path, monkeypatch):
     summary = train.adapt(none, data, wck, out)
     assert len(calls) == n_val
     assert summary["target_val_iou"] == _direct_target_iou(wck, data)
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_warmup_resumed_at_its_last_step_rewrites_its_checkpoint(
+        warm, tmp_path, steps):
+    """With no step left, ``load_state`` alone adopts the parameters and
+    their moments, and the checkpoint comes back byte for byte (a 0-step
+    warm-up's holds no moments); the log holds only its header."""
+    data, wck = warm
+    cfg = dataclasses.replace(_CFG, warmup_iterations=steps)
+    if steps != _CFG.warmup_iterations:
+        wck = str(tmp_path / "w.ckpt")
+        train.warmup(cfg, data, wck)
+    again = str(tmp_path / "again.ckpt")
+    train.warmup(cfg, data, again, resume=wck, log_path=again + ".csv")
+    for suffix in ("", ".bin"):
+        assert _read(again + suffix) == _read(wck + suffix)
+    assert _read(again + ".csv") == (train.LOG_HEADER + "\n").encode()
+    assert any(k.startswith("opt.") for k in load_checkpoint(again).tensors) \
+        == (steps > 0)
+
+
+def test_zero_step_adapt_writes_only_the_log_header(warm, tmp_path):
+    data, wck = warm
+    out = str(tmp_path / "a0.ckpt")
+    train.adapt(dataclasses.replace(_CFG, iterations=0), data, wck, out,
+                log_path=str(tmp_path / "logs" / "a0.csv"))
+    assert _read(str(tmp_path / "logs" / "a0.csv")) \
+        == (train.LOG_HEADER + "\n").encode()

@@ -1,9 +1,14 @@
 """Config round-trips, override plumbing, and CLI smoke runs on a tiny set."""
 
+import dataclasses
 import hashlib
 import os
+import string
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadseg import cli, tensor
 from quadseg.adaptation import pair_two_way, read_pairs, to_grayscale
@@ -12,12 +17,15 @@ from quadseg.config import (
     apply_overrides,
     parse_config,
     serialize_config,
+    value_text,
 )
 from quadseg.dataset import (
+    SceneSpec,
     image_path,
     iou,
     list_image_ids,
     load_sample,
+    read_scene_specs,
     source_spec,
     split_target_ids,
     target_spec,
@@ -132,6 +140,211 @@ def test_builder_configs_mirror_run_config():
     # the critic scores softmax probability maps, one plane per class
     assert disc.in_channels == cfg.num_classes
     assert disc.channels == cfg.disc_channels
+
+
+# ---------------------------------------------------------------------------
+# config and scene-spec text: round trips and rejections (hypothesis)
+# ---------------------------------------------------------------------------
+
+_ANY_FLOAT = st.floats(allow_nan=False)
+_UNIT = st.floats(0.0, 1.0)
+_POSITIVE = st.integers(1, 10**6)
+
+
+def _ints(lo, hi, n):
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(tuple)
+
+
+# a valid value of every RunConfig field, given the default architecture
+# (so crop keeps to multiples of 32 and channels to multiples of heads)
+_FIELD_VALUES = {
+    "channels": st.tuples(*(st.integers(1, 64).map(lambda c, h=h: c * h)
+                            for h in RunConfig().heads)),
+    "depths": _ints(0, 3, 4),
+    "heads": st.just(RunConfig().heads),
+    "sr_ratios": st.just(RunConfig().sr_ratios),
+    "ffn_expand": _POSITIVE,
+    "share_branch_weights": st.booleans(),
+    "embed_dim": _POSITIVE,
+    "num_classes": st.integers(2, 50),
+    "extra_hidden": st.booleans(),
+    "share_heads": st.booleans(),
+    "disc_channels": st.lists(st.integers(1, 256), max_size=4).map(
+        lambda c: (*c, 1)),
+    "leaky_slope": _ANY_FLOAT,
+    "lr": _ANY_FLOAT,
+    "disc_lr": _ANY_FLOAT,
+    "weight_decay": _ANY_FLOAT,
+    "adam_beta1": _ANY_FLOAT,
+    "adam_beta2": _ANY_FLOAT,
+    "adam_eps": _ANY_FLOAT,
+    "warmup_steps": st.integers(-10**6, 10**6),
+    "iterations": st.integers(0, 10**6),
+    "warmup_iterations": st.integers(0, 10**6),
+    "batch": _POSITIVE,
+    "seed": st.integers(-2**70, 2**70),
+    "beta1": _ANY_FLOAT,
+    "beta2": _ANY_FLOAT,
+    "tau": _UNIT,
+    "temperature": st.floats(0.0, exclude_min=True),
+    "lambda_ema": st.floats(0.0, 1.0, exclude_max=True),
+    "class_weight_pl": _ANY_FLOAT,
+    "crop": st.sampled_from([32, 64, 96, 128]),
+    "self_training": st.booleans(),
+    "adversarial": st.booleans(),
+    "label_correction": st.booleans(),
+    "use_cross_src": st.booleans(),
+    "use_cross_tgt": st.booleans(),
+    "eval_every": _POSITIVE,
+}
+
+
+def test_field_values_cover_every_config_field():
+    assert set(_FIELD_VALUES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@st.composite
+def _changes(draw):
+    names = draw(st.sets(st.sampled_from(sorted(_FIELD_VALUES))))
+    return {name: draw(_FIELD_VALUES[name]) for name in sorted(names)}
+
+
+@st.composite
+def _configs(draw):
+    return dataclasses.replace(RunConfig(), **draw(_changes()))
+
+
+# a suffix that makes any field's text malformed: no int, float, bool or
+# tuple of them, and no background family, ends in one
+_GARBLE = st.sampled_from(["x", "?", ",", " x", "..", "=1"])
+# any one-line text, for values that may or may not parse
+_LINE = st.text(string.ascii_letters + string.digits + string.punctuation + " ",
+                max_size=12)
+
+
+def _replace_value(text, index, value):
+    lines = text.splitlines()
+    key = lines[index].split(" = ", 1)[0]
+    lines[index] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", key
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs())
+def test_config_text_round_trips(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs(), _changes())
+def test_overrides_round_trip(cfg, changes):
+    """A flag carries a value in the file syntax and sets exactly it."""
+    overrides = {name: value_text(v) for name, v in changes.items()}
+    assert apply_overrides(cfg, overrides) == dataclasses.replace(cfg, **changes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs(), st.data())
+def test_a_garbled_config_value_raises_value_error_naming_it(cfg, data):
+    text = serialize_config(cfg)
+    index = data.draw(st.integers(0, len(text.splitlines()) - 1))
+    value = text.splitlines()[index].split(" = ", 1)[1]
+    bad, key = _replace_value(text, index, value + data.draw(_GARBLE))
+    with pytest.raises(ValueError, match=key):
+        parse_config(bad)
+    other, _ = _replace_value(text, index, data.draw(_LINE))
+    try:
+        parse_config(other)
+    except ValueError:
+        pass
+
+
+_SPEC_FLOATS = st.floats(0.0, 1e6)
+
+
+@st.composite
+def _spec_pairs(draw):
+    """Two specs that share their geometry, as ``write_scene_specs`` needs."""
+    lines = sorted(draw(st.lists(st.integers(1, 6), min_size=2, max_size=2)))
+    widths = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+    geometry = dict(size=draw(st.sampled_from([32, 64, 96, 128])),
+                    lines_min=lines[0], lines_max=lines[1],
+                    width_min=widths[0], width_max=widths[1])
+
+    def spec():
+        levels = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
+        contrast = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                        min_size=2, max_size=2)))
+        return SceneSpec(**geometry, backgrounds=tuple(draw(st.lists(
+            st.sampled_from(["flat", "gradient", "noise"]), min_size=1,
+            max_size=4))), bg_level_min=levels[0], bg_level_max=levels[1],
+            contrast_min=contrast[0], contrast_max=contrast[1],
+            noise_amp=draw(_SPEC_FLOATS), tint=draw(_SPEC_FLOATS),
+            seed=draw(st.integers(0, 2**64)))
+    return spec(), spec()
+
+
+def _spec_text(src, tgt):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spec.txt")
+        write_scene_specs(path, src, tgt)
+        with open(path) as fh:
+            return fh.read()
+
+
+def _read_spec_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spec.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return read_scene_specs(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_pairs())
+def test_scene_spec_text_round_trips(specs):
+    text = _spec_text(*specs)
+    assert _read_spec_text(text) == specs
+    assert _spec_text(*_read_spec_text(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_pairs(), st.data())
+def test_a_dropped_or_garbled_spec_key_raises_value_error_naming_it(specs,
+                                                                     data):
+    lines = _spec_text(*specs).splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    key, value = lines[index].split(" = ", 1)
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        _read_spec_text("\n".join(lines[:index] + lines[index + 1:]))
+    bad, _ = _replace_value("\n".join(lines), index, value + data.draw(_GARBLE))
+    with pytest.raises(ValueError):
+        _read_spec_text(bad)
+    other, _ = _replace_value("\n".join(lines), index, data.draw(_LINE))
+    try:
+        _read_spec_text(other)
+    except ValueError:
+        pass
+
+
+def test_generate_names_a_missing_or_malformed_spec_key(tmp_path, capsys):
+    """A spec file without a key, or with a value that does not parse,
+    exits 1 with a message naming the key, not with a traceback."""
+    text = _spec_text(source_spec(7), target_spec(7))
+    for name, bad, want in (
+            ("missing", text.replace("source.tint = 0.06\n", ""),
+             "spec is missing key 'source.tint'"),
+            ("malformed", text.replace("source.size = 64", "source.size = abc"),
+             "source.size: expected int, got 'abc'"),
+            ("infinite", text.replace("source.tint = 0.06", "source.tint = inf"),
+             "noise_amp and tint must be finite")):
+        spec_file = tmp_path / f"{name}.txt"
+        spec_file.write_text(bad)
+        assert cli.main(["generate", "--out", str(tmp_path / name), "--spec",
+                         str(spec_file), "--train", "1", "--val", "1"]) == 1
+        assert want in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

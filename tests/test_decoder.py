@@ -51,14 +51,13 @@ from quadseg.tensor import (
     Tape,
     TapeError,
     Tensor,
-    concat,
+    _upsample_last,
     finite_diff_check,
     gather,
     linear,
     relu,
     stack,
     tsum,
-    upsample_bilinear,
 )
 
 DESK_ENC = EncoderConfig()
@@ -103,7 +102,7 @@ def test_zero_features_give_zero_phi():
     feats = [Tensor(np.zeros((h * w, c)))
              for (h, w), c in zip(dims, DESK_ENC.channels)]
     phi = unify_and_upsample(params, DESK_ENC, feats, dims)
-    np.testing.assert_array_equal(phi.data, 0.0)
+    np.testing.assert_array_equal(phi, 0.0)
 
 
 def test_constant_last_stage_upsampled_stays_constant():
@@ -112,7 +111,7 @@ def test_constant_last_stage_upsampled_stays_constant():
     feats = [Tensor(np.zeros((h * w, c)))
              for (h, w), c in zip(dims, DESK_ENC.channels)]
     feats[3] = Tensor(np.ones((4, DESK_ENC.channels[3])))
-    phi = unify_and_upsample(params, DESK_ENC, feats, dims).data
+    phi = unify_and_upsample(params, DESK_ENC, feats, dims)
     last = phi[:, 3 * DESK_DEC.embed_dim:]
     for col in last.T:
         np.testing.assert_allclose(col, col[0], atol=1e-12)
@@ -145,9 +144,9 @@ def test_mask_probs_normalized():
 
 
 def _augmented_features_by_concat(maps, dims):
-    """The augmented features as built before: each stage upsampled through
-    the Tensor op, the stages concatenated, then the two maps; kept as the
-    oracle of the preallocated build."""
+    """The augmented features as built before: each stage upsampled by the
+    channels-last kernel, the stages concatenated, then the two maps; kept
+    as the oracle of the preallocated build."""
     h0, w0 = dims[0]
 
     def phi(m):
@@ -155,8 +154,7 @@ def _augmented_features_by_concat(maps, dims):
         for u, (h, w) in zip(m, dims):
             if (h, w) != (h0, w0):
                 lead, c = u.shape[:-2], u.shape[-1]
-                u = upsample_bilinear(Tensor(u.reshape(lead + (h, w, c))), h0,
-                                      w0, channels_last=True).data
+                u = _upsample_last(u.reshape(lead + (h, w, c)), h0, w0)
                 u = u.reshape(lead + (h0 * w0, c))
             parts.append(u)
         return np.concatenate(parts, axis=-1)
@@ -240,8 +238,9 @@ def _composed_head(params, dec, feats, dims, head, self_name, cross_name):
     the fuse layer, hidden layer and classifier.  Kept as the oracle of the
     fused head."""
     pre = f"dec.{head}"
-    joined = concat([unify_and_upsample(params, DESK_ENC, feats[n], dims)
-                     for n in (self_name, cross_name)], axis=-1)
+    joined = Tensor(np.concatenate(
+        [unify_and_upsample(params, DESK_ENC, feats[n], dims)
+         for n in (self_name, cross_name)], axis=-1))
     x = relu(linear(joined, params[f"{pre}.fuse.w"], params[f"{pre}.fuse.b"]))
     if dec.extra_hidden:
         x = relu(linear(x, params[f"{pre}.hidden.w"], params[f"{pre}.hidden.b"]))
@@ -276,8 +275,8 @@ def test_fused_head_matches_concat_then_fuse(extra_hidden, share_heads,
                                         cross_t))
     np.testing.assert_array_equal(
         augmented_features(maps_t, dims),
-        concat([unify_and_upsample(params, DESK_ENC, streams[n], dims)
-                for n in ("t", cross_t)], axis=-1).data)
+        np.concatenate([unify_and_upsample(params, DESK_ENC, streams[n], dims)
+                        for n in ("t", cross_t)], axis=-1))
     single, dims = encoder_forward_single(params, DESK_ENC, img_t)
     tok, _ = decode_single(params, DESK_ENC, dec, single, dims)
     _assert_close(tok, _composed_head(params, dec, {"t": single}, dims, tgt,

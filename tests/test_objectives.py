@@ -331,6 +331,7 @@ def test_alternating_updates_drive_g_loss_down():
     rng = np.random.default_rng(11)
     dparams = init_disc_params(MICRO_DISC, rng)
     gen_logits = Tensor(rng.normal(size=(8, 8, 2)))
+    gen = {"g": gen_logits}         # the one dict the generator's AdamW adopts
     src_probs = np.random.default_rng(12).dirichlet([1, 1], size=(8, 8))
     src_probs = np.ascontiguousarray(src_probs.transpose(2, 0, 1))
 
@@ -354,7 +355,7 @@ def test_alternating_updates_drive_g_loss_down():
             probs = transpose(softmax(gen_logits), (2, 0, 1))
             g = gen_adv_loss(discriminator_forward(dparams, MICRO_DISC, probs))
             tape.backward(g)
-            opt.step({"g": gen_logits}, {"g": tape.grad(gen_logits)})
+            opt.step(gen, {"g": tape.grad(gen_logits)})
         return g.item()
 
     warm = AdamW(lr=5e-3, weight_decay=0.0, warmup=0, total=None)
@@ -438,7 +439,7 @@ def test_adamw_state_roundtrip_resumes_identically():
     snap = {k: v.copy() for k, v in opt2.state_tensors().items()}
     t_snap = opt2.t
     opt3 = AdamW(lr=1e-2, warmup=2, total=10)
-    opt3.load_state(snap, t_snap)
+    opt3.load_state(p2, snap, t_snap)
     for g in grads[3:]:
         opt3.step(p2, g)
     np.testing.assert_array_equal(p1["x"].data, p2["x"].data)
@@ -525,7 +526,7 @@ def test_adamw_flat_update_equals_per_parameter_loop(wd):
     snap = {k: v.copy() for k, v in first.state_tensors().items()}
     resumed_p = {k: Tensor(p.data.copy()) for k, p in resumed_p.items()}
     second = make()
-    second.load_state(snap, first.t)
+    second.load_state(resumed_p, snap, first.t)
     for g in grads[3:]:
         second.step(resumed_p, g)
     assert _bits(resumed_p) == _bits(want_p)
@@ -600,10 +601,10 @@ def test_adamw_requires_every_gradient_of_the_right_shape():
     assert opt.t == 1
 
 
-def test_adamw_adopts_parameters_into_one_buffer_and_follows_rebinds():
-    """After a step every parameter is a view of one flat buffer; a tensor
-    rebound to a new array, or a dict with another parameter, is adopted
-    again with the moments of the names already known."""
+def test_adamw_adopts_one_parameter_dict_into_one_buffer_once():
+    """After a step every parameter is a view of one flat buffer; a step
+    with another dict, or a ``load_state`` after the adoption, raises
+    ``ValueError`` and changes nothing."""
     init, grads = _adam_problem(143)
     params, opt = _fresh(init), AdamW(lr=1e-2)
     want_p, oracle = _fresh(init), _PerParamAdamW(AdamW(lr=1e-2))
@@ -612,39 +613,40 @@ def test_adamw_adopts_parameters_into_one_buffer_and_follows_rebinds():
     flat = params["s"].data.base
     assert flat is not None and flat.ndim == 1
     assert all(p.data.base is flat for p in params.values())
-    params["a.w"].data = params["a.w"].data.copy()
+    state = {k: v.tobytes() for k, v in opt.state_tensors().items()}
+    for other in (dict(params), {k: p for k, p in params.items() if k != "s"}):
+        with pytest.raises(ValueError):
+            opt.step(other, grads[1])
+    with pytest.raises(ValueError):
+        opt.load_state(params, opt.state_tensors(), 5)
+    assert opt.t == 1 and _bits(params) == _bits(want_p)
+    assert {k: v.tobytes() for k, v in opt.state_tensors().items()} == state
     opt.step(params, grads[1])
     oracle.step(want_p, grads[1])
     assert _bits(params) == _bits(want_p)
-    # a dict without "s" is adopted afresh; the moments of "s" stay in the
-    # state as they were, and come back into use when "s" returns
-    fewer = {k: p for k, p in params.items() if k != "s"}
-    s_m, s_v = opt.m["s"].copy(), opt.v["s"].copy()
-    opt.step(fewer, {k: grads[2][k] for k in fewer})
-    oracle.step({k: p for k, p in want_p.items() if k != "s"},
-                {k: grads[2][k] for k in fewer})
-    assert opt.m["s"].tobytes() == s_m.tobytes()
-    assert opt.v["s"].tobytes() == s_v.tobytes()
-    assert set(opt.state_tensors()) == {f"opt.{m}.{k}" for k in init
-                                         for m in "mv"}
-    opt.step(params, grads[3])
-    oracle.step(want_p, grads[3])
-    assert _bits(params) == _bits(want_p)
 
 
-def test_adamw_keeps_loaded_moments_of_names_it_does_not_adopt():
-    """Moments that ``load_state`` brings for a name outside the parameter
-    dict survive the adoption and are written by ``state_tensors``."""
+def test_adamw_load_state_takes_only_the_moments_of_its_parameters():
+    """``load_state`` adopts the parameters with their own moments: those of
+    other names (a critic's ``opt.*.disc.*``) are ignored and a missing one
+    stays zero, so the resumed steps equal the per-parameter loop's."""
     init, grads = _adam_problem(144)
     params, opt = _fresh(init), AdamW(lr=1e-2)
+    want_p, oracle = _fresh(init), _PerParamAdamW(AdamW(lr=1e-2))
     opt.step(params, grads[0])
+    oracle.step(want_p, grads[0])
     snap = {k: v.copy() for k, v in opt.state_tensors().items()}
-    extra_m, extra_v = np.arange(6.0).reshape(2, 3), np.full((2, 3), 0.5)
-    snap["opt.m.gone"], snap["opt.v.gone"] = extra_m, extra_v
-    resumed = AdamW(lr=1e-2)
-    resumed.load_state(snap, opt.t)
-    resumed.step(params, grads[1])
-    state = resumed.state_tensors()
-    assert state["opt.m.gone"].tobytes() == extra_m.tobytes()
-    assert state["opt.v.gone"].tobytes() == extra_v.tobytes()
-    assert set(state) == set(snap)
+    snap["opt.m.disc.conv0.w"] = snap["opt.v.disc.conv0.w"] = np.ones((2, 3))
+    del snap["opt.m.s"], snap["opt.v.s"]
+    oracle.m["s"][...] = oracle.v["s"][...] = 0.0
+    resumed_p, resumed = _fresh({k: p.data for k, p in params.items()}), \
+        AdamW(lr=1e-2)
+    resumed.load_state(resumed_p, snap, opt.t)
+    assert list(resumed.state_tensors()) == [f"opt.{m}.{k}" for k in init
+                                             for m in "mv"]
+    resumed.step(resumed_p, grads[1])
+    oracle.step(want_p, grads[1])
+    assert _bits(resumed_p) == _bits(want_p)
+    for k in init:
+        assert resumed.state_tensors()[f"opt.m.{k}"].tobytes() \
+            == oracle.m[k].tobytes()

@@ -655,8 +655,10 @@ def test_grad_depthwise_batched_and_channels_last():
 def test_grad_upsample_batched_and_channels_last():
     _check(_weighted(lambda t: upsample_bilinear(t, 6, 8), (2, 3, 6, 8), 57),
            (2, 3, 3, 4), 58)
-    _check(_weighted(lambda t: upsample_bilinear(t, 6, 8, channels_last=True),
-                     (2, 6, 8, 3), 59), (2, 3, 4, 3), 60)
+    # a channels-last input through transposes: [..., H, W, C] -> [..., C, H, W]
+    _check(_weighted(lambda t: transpose(upsample_bilinear(
+        transpose(t, (0, 3, 1, 2)), 6, 8), (0, 2, 3, 1)), (2, 6, 8, 3), 59),
+        (2, 3, 4, 3), 60)
 
 
 def test_grad_gather_and_stack():
@@ -677,8 +679,6 @@ def test_channels_last_matches_channels_first():
         (conv2d(Tensor(x), w, 2, 1), conv2d(xl, w, 2, 1, channels_last=True)),
         (depthwise_conv2d(Tensor(x), dw),
          depthwise_conv2d(xl, dw, channels_last=True)),
-        (upsample_bilinear(Tensor(x), 12, 9),
-         upsample_bilinear(xl, 12, 9, channels_last=True)),
     ]
     for first, last in pairs:
         np.testing.assert_allclose(first.data, last.data.transpose(0, 3, 1, 2),
@@ -694,7 +694,7 @@ def test_batched_ops_are_per_item_bitwise():
     dw = Tensor(rng.normal(size=(4, 3, 3)))
     ops = [lambda t: conv2d(t, w, 2, 1, channels_last=True),
            lambda t: depthwise_conv2d(t, dw, channels_last=True),
-           lambda t: upsample_bilinear(t, 16, 16, channels_last=True)]
+           lambda t: upsample_bilinear(t, 16, 16)]
     for op in ops:
         full = op(Tensor(x)).data
         for i in range(3):
@@ -936,10 +936,12 @@ def _composed_fuse(grids, out_h, out_w):
         *parts, w, b = args
         ups = []
         for p, (h, wd) in zip(parts, grids):
-            lead = p.shape[:-2]
-            g = upsample_bilinear(reshape(p, (*lead, h, wd, p.shape[-1])),
-                                  out_h, out_w, channels_last=True)
-            ups.append(reshape(g, (*lead, out_h * out_w, p.shape[-1])))
+            lead, c, n = p.shape[:-2], p.shape[-1], len(p.shape)
+            g = transpose(reshape(p, (*lead, h, wd, c)),
+                          (*range(n - 2), n, n - 2, n - 1))
+            g = transpose(upsample_bilinear(g, out_h, out_w),
+                          (*range(n - 2), n - 1, n, n - 2))
+            ups.append(reshape(g, (*lead, out_h * out_w, c)))
         return linear(concat(ups, axis=-1), w, b)
     return fuse
 
