@@ -10,6 +10,7 @@ converters, so a flag accepts exactly the file syntax for that field.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .decoder import DecoderConfig
@@ -81,6 +82,12 @@ class RunConfig:
         for name in ("eval_every", "embed_dim", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a nan or inf rate, weight or slope passes every range check below
+        # and dies mid-training as a non-finite forward
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         # re-raise structural violations now, not when warmup or adapt
         # first builds the part
         enc = self.encoder_config()

@@ -19,9 +19,9 @@ from .encoder import trunc_normal
 from .tensor import (
     ShapeError,
     Tensor,
-    conv2d,
-    leaky_relu,
+    gather,
     log_softmax,
+    patch_critic,
     reshape,
     softplus,
     tmean,
@@ -76,21 +76,21 @@ def init_disc_params(cfg: DiscConfig, rng: np.random.Generator) -> dict[str, Ten
     return p
 
 
-def discriminator_forward(params: dict, cfg: DiscConfig, probs: Tensor) -> Tensor:
+def discriminator_forward(params: dict, cfg: DiscConfig, *probs: Tensor):
     """Mask probabilities [..., C, H, W] -> patch logits [..., 1, H', W'];
-    leading dims are a batch.
+    leading dims are a batch.  Several same-shaped maps run through the
+    critic in one pass and come back as a tuple of logits, in order.
 
-    Leaky-ReLU between layers, none after the last.  Raises a shape error
-    when the input is smaller than the stack's receptive stride chain.
+    The critic is one ``patch_critic`` op: leaky-ReLU between layers, none
+    after the last.  Raises a shape error when the input is smaller than
+    the stack's receptive stride chain.
     """
-    x = probs
-    last = len(cfg.channels) - 1
-    for i in range(len(cfg.channels)):
-        x = conv2d(x, params[f"disc.conv{i}.w"], stride=2, padding=1,
-                   b=params[f"disc.conv{i}.b"])
-        if i < last:
-            x = leaky_relu(x, cfg.leaky_slope)
-    return x
+    ws = [params[f"disc.conv{i}.w"] for i in range(len(cfg.channels))]
+    bs = [params[f"disc.conv{i}.b"] for i in range(len(cfg.channels))]
+    if len(probs) == 1:
+        return patch_critic(probs[0], ws, bs, cfg.leaky_slope)
+    logits = patch_critic(probs, ws, bs, cfg.leaky_slope)
+    return tuple(gather(logits, i) for i in range(len(probs)))
 
 
 # ---------------------------------------------------------------------------

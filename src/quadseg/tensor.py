@@ -46,6 +46,7 @@ __all__ = [
     "leaky_relu",
     "softplus",
     "conv2d",
+    "patch_critic",
     "depthwise_conv2d",
     "upsample_bilinear",
     "pyramid_fuse",
@@ -903,20 +904,63 @@ def _col2im(gcols: np.ndarray, stride: int, pshape: tuple) -> np.ndarray:
     return full[:, :hp, :wp]
 
 
-def _conv_dims(x: Tensor, kh: int, kw: int, stride: int, padding: int,
+def _conv_dims(shape: tuple, kh: int, kw: int, stride: int, padding: int,
                channels_last: bool, opname: str):
-    """(lead dims, C, H, W, Ho, Wo) of a convolution input."""
+    """(lead dims, C, H, W, Ho, Wo) of a convolution input of ``shape``."""
     if channels_last:
-        *lead, h_in, w_in, c = x.shape
+        *lead, h_in, w_in, c = shape
     else:
-        *lead, c, h_in, w_in = x.shape
+        *lead, c, h_in, w_in = shape
     h_out = _conv_out_size(h_in, kh, stride, padding)
     w_out = _conv_out_size(w_in, kw, stride, padding)
     if h_out < 1 or w_out < 1:
         raise ShapeError(
-            f"{opname} output would be {h_out}x{w_out} for input {x.shape}, "
+            f"{opname} output would be {h_out}x{w_out} for input {shape}, "
             f"kernel {kh}x{kw}, stride {stride}, padding {padding}")
     return tuple(lead), c, h_in, w_in, h_out, w_out
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, h_out: int,
+            w_out: int) -> np.ndarray:
+    """Window columns [M, Ho*Wo, kh*kw*C] of the padded [M, Hp, Wp, C]
+    input: one row per output pixel, in (kh, kw, C) order."""
+    m, _, _, cin = xp.shape
+    sm, sh, sw, sc = xp.strides
+    win = np.lib.stride_tricks.as_strided(          # [M, Ho, Wo, kh, kw, Cin]
+        xp, (m, h_out, w_out, kh, kw, cin),
+        (sm, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+    return win.reshape(m, h_out * w_out, kh * kw * cin)
+
+
+def _input_grad(g2: np.ndarray, wmat: np.ndarray, h_out: int, w_out: int,
+                kh: int, kw: int, stride: int, padding: int,
+                pshape: tuple) -> np.ndarray:
+    """Input gradient [M, H, W, C_in] (a cropped view) of a convolution
+    over a padded [M, Hp, Wp, C_in] input (``pshape``) from its output
+    gradient g2 [M, Ho*Wo, C_out]: tap-major column gradients g2 @ wmat,
+    folded back by ``_col2im``."""
+    m, cin = pshape[0], pshape[-1]
+    gcols = np.ascontiguousarray(np.matmul(g2, wmat).reshape(
+        m, h_out, w_out, kh, kw, cin).transpose(3, 4, 0, 1, 2, 5))
+    return _crop(_col2im(gcols, stride, pshape), padding)
+
+
+def _input_grad_first(g: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
+                      stride: int, padding: int, pshape: tuple) -> np.ndarray:
+    """``_input_grad`` from and to channels-first: g [M, C_out, Ho, Wo] ->
+    [M, C_in, H, W].  Each tap's column gradients are wmat[:, tap]^T @ g,
+    laid out [M, C_in, Ho, Wo], so ``_col2im`` adds runs of Wo values
+    instead of C_in; it pays where Wo > C_in.  Both gemms sum the same C_out
+    products of each element in the same order, so the values equal
+    ``_input_grad``'s (the critic's tests compare them bit for bit)."""
+    m, cout, h_out, w_out = g.shape
+    _, hp, wp, cin = pshape
+    wtaps = np.ascontiguousarray(wmat.T.reshape(kh, kw, 1, cin, cout))
+    gcols = np.matmul(wtaps, g.reshape(m, cout, h_out * w_out))
+    gx = _col2im(gcols.reshape(kh, kw, m * cin, h_out, w_out, 1), stride,
+                 (m * cin, hp, wp, 1))
+    return _crop(gx, padding).reshape(m, cin, hp - 2 * padding,
+                                      wp - 2 * padding)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
@@ -931,7 +975,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     (leading axes, then H and W, or then the flattened token axis)."""
     cout, cin_w, kh, kw = w.shape
     lead, cin, h_in, w_in, h_out, w_out = _conv_dims(
-        x, kh, kw, stride, padding, channels_last, "conv2d")
+        x.shape, kh, kw, stride, padding, channels_last, "conv2d")
     if cin != cin_w:
         raise ShapeError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
     fused = b is not None
@@ -939,11 +983,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         raise ShapeError(f"conv2d bias {b.shape} for weight {w.shape}")
     xp = _pad(_as_last(x.data, channels_last), padding)
     m = xp.shape[0]
-    sm, sh, sw, sc = xp.strides
-    win = np.lib.stride_tricks.as_strided(          # [M, Ho, Wo, kh, kw, Cin]
-        xp, (m, h_out, w_out, kh, kw, cin),
-        (sm, stride * sh, stride * sw, sh, sw, sc), writeable=False)
-    cols = win.reshape(m, h_out * w_out, kh * kw * cin)  # (kh, kw, Cin) columns
+    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = np.matmul(cols, wmat.T)
     if fused:
@@ -965,9 +1005,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
                 gw = np.ascontiguousarray(
                     gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
             if need_x:
-                gcols = np.ascontiguousarray(np.matmul(g2, wmat).reshape(
-                    m, h_out, w_out, kh, kw, cin).transpose(3, 4, 0, 1, 2, 5))
-                gx = _crop(_col2im(gcols, stride, pshape), padding)
+                gx = _input_grad(g2, wmat, h_out, w_out, kh, kw, stride,
+                                 padding, pshape)
                 gx = gx.reshape(lead + (h_in, w_in, cin))
                 gx = np.ascontiguousarray(_from_last(gx, channels_last))
             if need_b:
@@ -977,6 +1016,135 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             return (gx, gw, gb) if fused else (gx, gw)
         return bwd
     return _emit(_from_last(out, channels_last), parents, build, "conv2d")
+
+
+def patch_critic(x: Tensor | Sequence[Tensor], ws: Sequence[Tensor],
+                 bs: Sequence[Tensor], slope: float) -> Tensor:
+    """The patch critic as one op: per layer a stride-2, padding-1
+    convolution with w [C_out, C_in, kh, kw] plus its bias b [C_out], and
+    a leaky ReLU of ``slope`` between layers (none after the last).
+
+    ``x`` is one map [..., C, H, W], whose logits [..., C_last, H', W']
+    come back, or a sequence of same-shaped maps, whose logits come back
+    stacked on a new leading axis.  The maps run through each layer
+    together, channels-last.  Values and gradients equal, bit for bit,
+    those of ``conv2d`` (with ``b``) and ``leaky_relu`` ops run once per
+    map: each item is its own gemm, each map's weight and bias gradients
+    are reduced as ``conv2d`` reduces them, and the maps' parts add last
+    map first, as the tape adds the parts of repeated calls."""
+    xs = [x] if isinstance(x, Tensor) else list(x)
+    shape = xs[0].shape
+    if any(t.shape != shape for t in xs) or len(ws) != len(bs):
+        raise ShapeError(f"patch_critic: maps {[t.shape for t in xs]}, "
+                         f"{len(ws)} weights, {len(bs)} biases")
+    lead = shape[:-3]
+    items = math.prod(lead)
+    m = len(xs) * items
+    last = len(ws) - 1
+    layers = []     # (output shape, columns, wmat, pshape, leaky slopes)
+    act = None
+    for j, (w, b) in enumerate(zip(ws, bs)):
+        cout, cin_w, kh, kw = w.shape
+        _, cin, h_in, w_in, h_out, w_out = _conv_dims(
+            shape if j == 0 else act.shape, kh, kw, 2, 1, j > 0,
+            f"patch_critic layer {j}")
+        if cin != cin_w or b.shape != (cout,):
+            raise ShapeError(f"patch_critic layer {j}: weight {w.shape} and "
+                             f"bias {b.shape} for {cin} input channels")
+        if j == 0:
+            xp = np.zeros((m, h_in + 2, w_in + 2, cin))
+            for i, t in enumerate(xs):
+                xp[i * items:(i + 1) * items, 1:1 + h_in, 1:1 + w_in] = \
+                    _as_last(t.data, False)
+        else:
+            xp = _pad(act, 1)
+        cols = _im2col(xp, kh, kw, 2, h_out, w_out)
+        wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+        z = np.matmul(cols, wmat.T)
+        z += b.data
+        z = z.reshape(m, h_out, w_out, cout)
+        _check_finite(z, f"patch_critic layer {j}")
+        # the leaky ReLU as z times its slopes, what the backward reads
+        slopes = None if j == last else np.where(z > 0.0, 1.0, slope)
+        layers.append((z.shape, cols, wmat, xp.shape, slopes))
+        act = z if j == last else z * slopes
+    out = np.moveaxis(act, -1, 1)
+    out = out.reshape((len(xs),) + lead + out.shape[1:])
+
+    def build():
+        need_x = [_tracked(t) for t in xs]
+        need_w = [_tracked(w) for w in ws]
+        need_b = [_tracked(b) for b in bs]
+        # layer j's input gradient is needed if any gradient at or below
+        # layer j - 1 is; it is formed channels-first where Wo > C_in
+        need_g, below = [], any(need_x)
+        for j in range(last + 1):
+            need_g.append(below)
+            below = below or need_w[j] or need_b[j]
+        grad_first = [need_g[j] and zshape[2] > pshape[-1]
+                 for j, (zshape, _, _, pshape, _) in enumerate(layers)]
+        rules = []      # (z shape, kernel, columns, wmat, pshape, mask)
+        for j, (zshape, cols, wmat, pshape, mask) in enumerate(layers):
+            if j == last or not need_g[j + 1]:
+                mask = None
+            elif grad_first[j + 1]:
+                mask = np.ascontiguousarray(np.moveaxis(mask, -1, 1))
+            rules.append((zshape, ws[j].shape[2:], cols if need_w[j] else None,
+                          wmat, pshape, mask))
+        maps = [slice(i * items, (i + 1) * items) for i in range(len(xs))]
+
+        def add_maps(parts):
+            total = None
+            for part in reversed(parts):
+                total = part if total is None else total + part
+            return total
+
+        def bwd(g):
+            gws, gbs = [None] * (last + 1), [None] * (last + 1)
+            _, h_out, w_out, cout = rules[-1][0]
+            g = np.ascontiguousarray(g).reshape(m, cout, h_out, w_out)
+            is_first = True         # g is [M, C, H, W], else [M, H, W, C]
+            for j in range(last, -1, -1):
+                (_, h_out, w_out, cout), (kh, kw), cols, wmat, pshape, \
+                    mask = rules[j]
+                if mask is not None:
+                    g = g * mask
+                g_first = g if is_first else None
+                g2 = None if is_first else g.reshape(m, h_out * w_out, cout)
+                if g_first is None and (need_b[j] or grad_first[j]):
+                    g_first = np.ascontiguousarray(np.moveaxis(g, -1, 1))
+                if g2 is None and (need_w[j] or
+                                   (need_g[j] and not grad_first[j])):
+                    g2 = np.moveaxis(g, 1, -1).reshape(m, h_out * w_out, cout)
+                if need_w[j]:
+                    gw = add_maps([np.tensordot(g2[s], cols[s],
+                                                axes=([0, 1], [0, 1]))
+                                   for s in maps])
+                    gws[j] = np.ascontiguousarray(
+                        gw.reshape(cout, kh, kw, -1).transpose(0, 3, 1, 2))
+                if need_b[j]:
+                    gbs[j] = add_maps([_unbroadcast(
+                        g_first[s].reshape(lead + (cout, h_out, w_out)),
+                        (cout, 1, 1)).reshape(cout) for s in maps])
+                if not need_g[j]:
+                    break
+                if grad_first[j]:
+                    g = _input_grad_first(g_first, wmat, kh, kw, 2, 1, pshape)
+                else:
+                    g = _input_grad(g2, wmat, h_out, w_out, kh, kw, 2, 1,
+                                    pshape)
+                is_first = grad_first[j]
+            gxs = [None] * len(maps)
+            if any(need_x):
+                if not is_first:
+                    g = np.moveaxis(g, -1, 1)
+                gxs = [np.ascontiguousarray(g[s]).reshape(shape) if need
+                       else None for s, need in zip(maps, need_x)]
+            return (*gxs, *gws, *gbs)
+        return bwd
+    # each layer's output is checked above
+    return _emit(out[0] if isinstance(x, Tensor) else out, (*xs, *ws, *bs),
+                 build, "patch_critic", computes=False)
 
 
 def _depthwise_taps(xp: np.ndarray, dw: np.ndarray,
@@ -1037,7 +1205,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, padding: int = 1,
     padding must be below each kernel side."""
     cw, kh, kw = w.shape
     lead, c, h_in, w_in, h_out, w_out = _conv_dims(
-        x, kh, kw, 1, padding, channels_last, "depthwise")
+        x.shape, kh, kw, 1, padding, channels_last, "depthwise")
     if c != cw:
         raise ShapeError(f"depthwise channel mismatch: input {x.shape}, weight {w.shape}")
     if not 0 <= padding < min(kh, kw):

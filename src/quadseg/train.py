@@ -11,7 +11,8 @@ checkpoints, logs, and masks.
 The adaptation step interleaves two optimizers on one define-by-run tape:
 the pair forward and segmentation losses are recorded on the generator tape,
 the discriminator then takes its own step on detached mask probabilities,
-and the generator tape is re-entered to score its masks against the *updated*
+scoring the source (real) and target (fake) masks in one stacked pass, and
+the generator tape is re-entered to score its masks against the *updated*
 discriminator before the single backward sweep.
 """
 
@@ -385,16 +386,17 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                            valid=pls.valid,
                                            class_weights=weights)
             if cfg.adversarial:
-                probs_s = mask_probs(out.logits_s)
+                # only the critic reads the source masks, and only detached
+                probs_s = mask_probs(out.logits_s.detach())
                 probs_t = mask_probs(out.logits_t)
         d_val = ""
         if cfg.adversarial:
-            # source masks play the real role, target masks the fake role
+            # source masks play the real role, target masks the fake role;
+            # the critic scores both in one pass
             dtape = _watching(disc)
             with dtape:
-                d_total = disc_loss(
-                    discriminator_forward(disc, disc_cfg, probs_s.detach()),
-                    discriminator_forward(disc, disc_cfg, probs_t.detach()))
+                d_total = disc_loss(*discriminator_forward(
+                    disc, disc_cfg, probs_s, probs_t.detach()))
             _descend(dtape, d_total, disc, d_opt)
             d_val = d_total.item()
             with gtape:

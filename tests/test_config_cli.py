@@ -1,5 +1,6 @@
 """Config round-trips, override plumbing, and CLI smoke runs on a tiny set."""
 
+import collections
 import dataclasses
 import hashlib
 import os
@@ -146,7 +147,7 @@ def test_builder_configs_mirror_run_config():
 # config and scene-spec text: round trips and rejections (hypothesis)
 # ---------------------------------------------------------------------------
 
-_ANY_FLOAT = st.floats(allow_nan=False)
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _UNIT = st.floats(0.0, 1.0)
 _POSITIVE = st.integers(1, 10**6)
 
@@ -186,7 +187,7 @@ _FIELD_VALUES = {
     "beta1": _ANY_FLOAT,
     "beta2": _ANY_FLOAT,
     "tau": _UNIT,
-    "temperature": st.floats(0.0, exclude_min=True),
+    "temperature": st.floats(0.0, exclude_min=True, allow_infinity=False),
     "lambda_ema": st.floats(0.0, 1.0, exclude_max=True),
     "class_weight_pl": _ANY_FLOAT,
     "crop": st.sampled_from([32, 64, 96, 128]),
@@ -387,6 +388,24 @@ def test_malformed_set_flag_exits_one(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                 if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_non_finite_float_setting_exits_one(tmp_path, capsys, name, value):
+    """Each float field refuses nan and infinities in the config itself:
+    one error line naming the field, before any data is read."""
+    rc = cli.main(["warmup", "--data", str(tmp_path / "none"), "--out",
+                   str(tmp_path / "w.ckpt"), "--set", f"{name}={value}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"quadseg: error: {name} must be finite, "
+                   f"got {float(value)!r}\n")
+    assert not os.path.exists(tmp_path / "w.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # CLI pipeline on a four-image benchmark
 # ---------------------------------------------------------------------------
@@ -577,11 +596,43 @@ def test_tape_size_does_not_grow_with_batch(workspace, tmp_path):
                   str(tmp_path / f"a{batch}.ckpt"))
     assert len(sizes[1]) == 3        # warm-up, critic, generator
     assert sizes[1] == sizes[2] == sizes[3]
-    # each encoder sublayer is one op and the four streams stay one stack
-    # from the embed to the heads (177 nodes here); composing the sublayers
-    # from linear, reshape, depthwise and add ops took 238, and splitting
-    # and restacking the streams around each block, merge and head 276
-    assert sizes[1][2] <= 177
+    # each encoder sublayer is one op, the four streams stay one stack
+    # from the embed to the heads and the critic is one op (168 nodes
+    # here); the critic as 9 conv2d and leaky_relu ops, plus a recorded
+    # softmax of the source masks, took 177; composing the sublayers from
+    # linear, reshape, depthwise and add ops 238, and splitting and
+    # restacking the streams around each block, merge and head 276
+    assert sizes[1][2] <= 168
+    assert sizes[1][1] == 19        # the critic's 10 leaves, 1 pass, the loss
+
+
+def test_each_critic_pass_is_one_tape_node(chain, tmp_path):
+    """An adapt step scores the real and fake masks in one critic pass: the
+    critic's tape holds one ``patch_critic`` node and the loss on its two
+    halves, and the generator's tape one more ``patch_critic`` node.  The
+    critic as a per-map conv2d + leaky_relu chain recorded 10 conv2d and 8
+    leaky_relu nodes on the critic's tape and 5 and 4 on the generator's."""
+    from quadseg.train import adapt
+    sweep = tensor.Tape.backward
+    kinds = []
+
+    def counting(tape, root):
+        kinds.append(collections.Counter(
+            n.backward_fn.__qualname__.split(".")[0] for n in tape.nodes
+            if n.backward_fn is not None))
+        sweep(tape, root)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor.Tape, "backward", counting)
+        adapt(RunConfig(iterations=1, eval_every=1), chain["data"],
+              chain["wck"], str(tmp_path / "a.ckpt"))
+    critic, generator = kinds
+    assert critic == {"patch_critic": 1, "gather": 2, "neg": 1,
+                      "softplus": 2, "tmean": 2, "add": 1}
+    assert generator["patch_critic"] == 1
+    assert "leaky_relu" not in generator
+    # the target masks' softmax; the source masks are read detached only
+    assert generator["softmax"] == 1
 
 
 def test_missing_checkpoint_exits_one(chain, capsys):

@@ -280,6 +280,27 @@ def test_disc_gradient():
     assert finite_diff_check(f, params[name].copy()) < 1e-5
 
 
+@pytest.mark.parametrize("name", ["fake", "disc.conv0.w", "disc.conv0.b",
+                                  "disc.conv1.w", "disc.conv1.b"])
+def test_disc_loss_gradient_with_both_maps_in_one_pass(name):
+    """The critic's loss as the critic step forms it, real and fake maps
+    scored in one pass: gradients of a map and of every parameter match
+    central differences."""
+    rng = np.random.default_rng(150)
+    params = init_disc_params(MICRO_DISC, rng)
+    for k in ("disc.conv0.b", "disc.conv1.b"):
+        params[k] = Tensor(rng.normal(size=params[k].shape) * 0.1)
+    real, fake = rng.random((2, 2, 8, 8)), rng.random((2, 2, 8, 8))
+
+    def f(t):
+        trial = params if name == "fake" else {**params, name: t}
+        probs = Tensor(real), t if name == "fake" else Tensor(fake)
+        return disc_loss(*discriminator_forward(trial, MICRO_DISC, *probs))
+
+    x = Tensor(fake) if name == "fake" else params[name].copy()
+    assert finite_diff_check(f, x) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # adversarial and total losses
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from quadseg.tensor import (
     matmul,
     multi_head_attention,
     neg,
+    patch_critic,
     pyramid_fuse,
     relu,
     reshape,
@@ -821,6 +822,101 @@ def test_fused_primitive_shape_errors():
         multi_head_attention(q, q, q, 4)                     # 6 channels, 4 heads
     with pytest.raises(ShapeError):
         multi_head_attention(q, Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), 2)
+
+
+# ---------------------------------------------------------------------------
+# the patch critic: one op for the conv2d + leaky_relu chain over many maps
+# ---------------------------------------------------------------------------
+
+_CRITIC_CHANNELS = (2, 8, 16, 32, 64, 1)      # the desk-scale critic
+
+
+def _critic_inputs(maps, lead, crop, seed):
+    """``maps`` probability maps, then each layer's weight and bias."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.random((*lead, 2, crop, crop)) for _ in range(maps)]
+    for cin, cout in zip(_CRITIC_CHANNELS, _CRITIC_CHANNELS[1:]):
+        arrays += [rng.normal(size=(cout, cin, 4, 4)) * 0.2,
+                   rng.normal(size=(cout,)) * 0.1]
+    return arrays
+
+
+def _critic_chain(x, ws, bs, slope=0.2):
+    for j, (w, b) in enumerate(zip(ws, bs)):
+        x = conv2d(x, w, stride=2, padding=1, b=b)
+        if j < len(ws) - 1:
+            x = leaky_relu(x, slope)
+    return x
+
+
+def _fused_critic(maps):
+    def f(*ts):
+        xs, params = ts[:maps], ts[maps:]
+        return patch_critic(xs[0] if maps == 1 else xs, params[0::2],
+                            params[1::2], 0.2)
+    return f
+
+
+def _composed_critic(maps):
+    """The oracle: the chain once per map, the logits stacked."""
+    def f(*ts):
+        xs, params = ts[:maps], ts[maps:]
+        outs = [_critic_chain(x, params[0::2], params[1::2]) for x in xs]
+        return outs[0] if maps == 1 else stack(outs)
+    return f
+
+
+@pytest.mark.parametrize("crop", [32, 64])
+@pytest.mark.parametrize("lead", [(), (2,), (3,)])
+@pytest.mark.parametrize("maps", [1, 2])
+def test_patch_critic_matches_the_per_map_chain_bitwise(maps, lead, crop):
+    """Values, the maps' gradients and every weight and bias gradient equal
+    the conv2d + leaky_relu chain's, byte for byte; at crop 64 the first two
+    layers take the channels-first input gradient, at crop 32 the first."""
+    _same_bytes(_fused_critic(maps), _composed_critic(maps),
+                _critic_inputs(maps, lead, crop, 140 + crop), 141)
+
+
+@pytest.mark.parametrize("watch", ["maps", "params"])
+def test_patch_critic_gradients_of_a_watched_part(watch):
+    """As the critic runs in training: the critic's step watches only its
+    parameters (detached maps), the generator's only the maps."""
+    maps = 2 if watch == "params" else 1
+    inputs = _critic_inputs(maps, (2,), 64, 142)
+    results = []
+    for fn in (_fused_critic(maps), _composed_critic(maps)):
+        with Tape() as tape:
+            ts = [Tensor(a.copy()) for a in inputs]
+            watched = ts[:maps] if watch == "maps" else ts[maps:]
+            for t in watched:
+                tape.watch(t)
+            out = fn(*ts)
+            w = Tensor(np.random.default_rng(143).normal(size=out.shape))
+            tape.backward(tsum(out * w))
+            results.append([out.data] + [tape.grad(t) for t in watched])
+    for got, want in zip(*results):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_patch_critic_is_one_node_and_checks_shapes():
+    inputs = _critic_inputs(2, (2,), 32, 144)
+    with Tape() as tape:
+        ts = [tape.watch(Tensor(a)) for a in inputs]
+        out = _fused_critic(2)(*ts)
+    assert out.shape == (2, 2, 1, 1, 1) and len(tape.nodes) == len(ts) + 1
+    x, params = Tensor(inputs[0]), [Tensor(a) for a in inputs[2:]]
+    with pytest.raises(ShapeError):             # maps of different shapes
+        patch_critic([x, Tensor(inputs[1][:1])], params[0::2], params[1::2],
+                     0.2)
+    with pytest.raises(ShapeError):             # 16 px runs out at layer 4
+        patch_critic(Tensor(inputs[0][..., :16, :16]), params[0::2],
+                     params[1::2], 0.2)
+    with pytest.raises(ShapeError):             # a bias of the wrong width
+        patch_critic(x, params[0::2], [params[3], *params[3::2]], 0.2)
+    bad = np.array(inputs[0])
+    bad[0, 0, 0, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="patch_critic layer 0"):
+        patch_critic(Tensor(bad), params[0::2], params[1::2], 0.2)
 
 
 # ---------------------------------------------------------------------------

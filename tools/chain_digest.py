@@ -21,8 +21,10 @@ only one chain wrote; it exits 1 if there is any.  ``--sweep`` (with
 ``--against``) compares the two checkouts over the matrix of
 ``sweep_cases`` instead of one seed and batch: seeds 0, 1 and 4 at batch
 1-3, then seed 1 at batch 2 with each of ``share_branch_weights=false``,
-``label_correction=false`` and ``crop=64``.  It prints one line per case,
-with the paths that differ, and exits 1 if any case differs.
+``label_correction=false`` and ``crop=64``, and seed 1 at batch 3 with
+``crop=64`` (the five-layer critic at full depth on an odd batch).  It
+prints one line per case, with the paths that differ, and exits 1 if any
+case differs.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def sweep_cases() -> list[tuple[int, int, list[str]]]:
     cases = [(seed, batch, []) for seed in (0, 1, 4) for batch in (1, 2, 3)]
     cases += [(1, 2, [kv]) for kv in ("share_branch_weights=false",
                                       "label_correction=false", "crop=64")]
+    cases.append((1, 3, ["crop=64"]))
     return cases
 
 
