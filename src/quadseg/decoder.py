@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderConfig, to_grid, trunc_normal
+from .encoder import EncoderConfig, trunc_normal
 from .tensor import (
     ShapeError,
     Tensor,
@@ -36,8 +36,7 @@ from .tensor import (
     pyramid_fuse,
     relu,
     softmax,
-    transpose,
-    upsample_bilinear,
+    tokens_to_map,
 )
 
 __all__ = [
@@ -194,12 +193,11 @@ def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
 
 def logits_to_grid(logits: Tensor, h: int, w: int,
                    out_h: int | None = None, out_w: int | None = None) -> Tensor:
-    """[..., h*w, K] token logits -> [..., K, H, W] map, optionally upsampled."""
-    n = len(logits.shape) + 1
-    g = transpose(to_grid(logits, h, w), (*range(n - 3), n - 1, n - 3, n - 2))
-    if out_h is not None and (out_h, out_w) != (h, w):
-        g = upsample_bilinear(g, out_h, out_w)
-    return g
+    """[..., h*w, K] token logits -> [..., K, H, W] map, optionally upsampled,
+    as one ``tokens_to_map`` op."""
+    if out_h is None:
+        out_h, out_w = h, w
+    return tokens_to_map(logits, (h, w), out_h, out_w)
 
 
 def mask_probs(logits_grid: Tensor) -> Tensor:

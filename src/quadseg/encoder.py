@@ -40,15 +40,14 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
-    conv2d,
     gather,
     layer_norm,
     linear,
-    reshape,
+    patchify,
     residual_attention,
     residual_mix_ffn,
     stack,
-    transpose,
+    token_conv2d,
 )
 
 __all__ = [
@@ -62,8 +61,6 @@ __all__ = [
     "patch_merge",
     "encoder_forward",
     "encoder_forward_single",
-    "to_grid",
-    "to_tokens",
 ]
 
 
@@ -169,38 +166,21 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[st
 # token / spatial plumbing
 # ---------------------------------------------------------------------------
 
-def to_grid(tokens: Tensor, h: int, w: int) -> Tensor:
-    """[..., h*w, C] row-major tokens -> [..., h, w, C] (a free reshape)."""
-    return reshape(tokens, tokens.shape[:-2] + (h, w, tokens.shape[-1]))
-
-
-def to_tokens(x: Tensor) -> Tensor:
-    """[..., h, w, C] -> [..., h*w, C]."""
-    return reshape(x, x.shape[:-3] + (x.shape[-3] * x.shape[-2], x.shape[-1]))
-
-
 def patch_embed(params: dict, img: Tensor, patch: int) -> tuple[Tensor, int, int]:
     """Fold non-overlapping ``patch`` x ``patch`` pixels of img [..., Cin, H, W]
     into one token each, then apply the learned linear projection.  Returns
     (tokens [..., h*w, C], h, w)."""
-    *lead, cin, hh, ww = img.shape
-    if hh % patch or ww % patch:
-        raise ShapeError(f"image {hh}x{ww} not divisible by patch {patch}")
-    h, w = hh // patch, ww // patch
-    k = len(lead)
-    x = reshape(img, (*lead, cin, h, patch, w, patch))
-    x = transpose(x, (*range(k), k + 1, k + 3, k, k + 2, k + 4))  # [.., h, w, Cin, p, p]
-    x = reshape(x, (*lead, h * w, cin * patch * patch))
-    tokens = linear(x, params["embed.w"], params["embed.b"])
-    return tokens, h, w
+    tokens = linear(patchify(img, patch), params["embed.w"], params["embed.b"])
+    return tokens, img.shape[-2] // patch, img.shape[-1] // patch
 
 
 def patch_merge(params: dict, prefix: str, tokens: Tensor,
                 h: int, w: int) -> tuple[Tensor, int, int]:
-    """Overlapped downsampling between stages: 3x3 stride-2 convolution."""
-    y = conv2d(to_grid(tokens, h, w), params[f"{prefix}.w"], stride=2,
-               padding=1, channels_last=True, b=params[f"{prefix}.b"])
-    return to_tokens(y), (h + 1) // 2, (w + 1) // 2
+    """Overlapped downsampling between stages: 3x3 stride-2 convolution
+    over the [..., h*w, C] tokens' grid, one ``token_conv2d`` op."""
+    y = token_conv2d(tokens, params[f"{prefix}.w"], params[f"{prefix}.b"],
+                     (h, w), stride=2, padding=1)
+    return y, (h + 1) // 2, (w + 1) // 2
 
 
 _ATTN_WEIGHTS = ("wq", "bq", "wsr", "bsr", "wk", "bk", "wv", "bv", "wo", "bo")

@@ -20,13 +20,9 @@ from .tensor import (
     ShapeError,
     Tensor,
     gather,
-    log_softmax,
+    log_likelihood,
     patch_critic,
-    reshape,
-    softplus,
-    tmean,
-    transpose,
-    tsum,
+    softplus_means,
 )
 
 __all__ = [
@@ -122,7 +118,7 @@ def seg_cross_entropy(logits: Tensor, labels: np.ndarray,
         else valid.astype(bool)
     if mask.shape != labels.shape:
         raise ShapeError(f"valid mask {mask.shape} vs labels {labels.shape}")
-    n_valid = int(mask.sum())
+    n_valid = np.count_nonzero(mask)
     if n_valid == 0:
         return Tensor(0.0), 0
     onehot = ((labels[..., None, :, :] == np.arange(k)[:, None, None])
@@ -140,20 +136,19 @@ def seg_cross_entropy(logits: Tensor, labels: np.ndarray,
     total_w = onehot.transpose(to_hwk).reshape(items, -1).sum(axis=-1)
     live = mask.reshape(items, -1).any(axis=-1)
     scale = np.divide(-1.0, total_w, out=np.zeros(items), where=live)
-    weighted = log_softmax(logits, axis=-3) * Tensor(onehot)
-    per_item = tsum(reshape(transpose(weighted, to_hwk), (items, -1)), axis=-1)
-    return tsum(per_item * Tensor(scale)), n_valid
+    return log_likelihood(logits, onehot, scale), n_valid
 
 
 def disc_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
     """Train D to score real high, fake low: softplus(-D(real)) + softplus(D(fake)),
-    each averaged over patches."""
-    return tmean(softplus(-d_real)) + tmean(softplus(d_fake))
+    each averaged over patches; one ``softplus_means`` op."""
+    return softplus_means((d_real, d_fake), (-1, 1))
 
 
 def gen_adv_loss(d_fake: Tensor) -> Tensor:
-    """Non-saturating generator term: push D(fake) toward real."""
-    return tmean(softplus(-d_fake))
+    """Non-saturating generator term: push D(fake) toward real, mean
+    softplus(-D(fake)) as one ``softplus_means`` op."""
+    return softplus_means((d_fake,), (-1,))
 
 
 def total_loss(l_seg_s: Tensor, l_seg_t: Tensor, g_loss: Tensor,

@@ -34,21 +34,26 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
+    "patchify",
     "stack",
     "gather",
     "tsum",
     "tmean",
     "softmax",
     "log_softmax",
+    "log_likelihood",
     "layer_norm",
     "gelu",
     "relu",
     "leaky_relu",
     "softplus",
+    "softplus_means",
     "conv2d",
+    "token_conv2d",
     "patch_critic",
     "depthwise_conv2d",
     "upsample_bilinear",
+    "tokens_to_map",
     "pyramid_fuse",
     "interp_matrix",
     "finite_diff_check",
@@ -64,9 +69,10 @@ _FAULT_INJECTION = False
 
 # Finite checks on every op that computes new values; cheap at desk scale
 # and turns numeric blowups into immediate hard errors.  Ops that only move
-# values (reshape, transpose, concat, stack, gather, neg) skip the check:
-# their output is finite whenever their inputs are, so a bad value still
-# raises at the op that made it.
+# values (reshape, transpose, concat, stack, gather, neg, patchify, and
+# tokens_to_map without a resize) skip the check: their output is finite
+# whenever their inputs are, so a bad value still raises at the op that
+# made it.  A fused op checks its own output once.
 FINITE_CHECKS = True
 
 
@@ -480,6 +486,31 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _emit(out, tuple(parts), build, "concat", computes=False)
 
 
+def patchify(img: Tensor, patch: int) -> Tensor:
+    """[..., C, H, W] -> [..., (H/patch)*(W/patch), C*patch*patch]: each
+    non-overlapping patch x patch tile as one row, in (channel, row,
+    column) order, and the rows in row-major tile order.  One op; values
+    and gradient equal the composed reshape, transpose and reshape."""
+    *lead, c, hh, ww = img.shape
+    if hh % patch or ww % patch:
+        raise ShapeError(f"image {hh}x{ww} not divisible by patch {patch}")
+    h, w, k = hh // patch, ww // patch, len(lead)
+    perm = (*range(k), k + 1, k + 3, k, k + 2, k + 4)    # [.., h, w, C, p, p]
+    out = np.ascontiguousarray(img.data.reshape(
+        *lead, c, h, patch, w, patch).transpose(perm))
+
+    def build():
+        inv = tuple(np.argsort(perm))
+        tiles, shape = out.shape, img.shape
+
+        def bwd(g):
+            return (np.ascontiguousarray(g.reshape(tiles).transpose(inv))
+                    .reshape(shape),)
+        return bwd
+    return _emit(out.reshape(*lead, h * w, c * patch * patch), (img,), build,
+                 "patchify", computes=False)
+
+
 def stack(parts: Sequence[Tensor]) -> Tensor:
     """Join equal-shaped tensors along a new leading axis."""
     out = np.stack([p.data for p in parts])
@@ -581,6 +612,42 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
             return (g - soft * g.sum(axis=axis, keepdims=True),)
         return bwd
     return _emit(out, (x,), build, "log_softmax")
+
+
+def log_likelihood(logits: Tensor, weights: np.ndarray,
+                   scale: np.ndarray) -> Tensor:
+    """``sum_i scale[i] * sum(weights[i] * log_softmax(logits[i]))`` as one
+    op, the class axis being -3: logits and the constant weights are
+    [..., K, H, W], the leading dims index the items, and scale holds one
+    constant per item.
+
+    Values and the logits' gradient equal, bit for bit, the composed
+    log_softmax(axis=-3), mul, transpose to (h, w, k), reshape to one row
+    per item, per-row tsum, mul by scale and tsum: each item's sum runs
+    over the same contiguous (h, w, k) copy.  The one finite check, on the
+    output, still sees every non-finite logit: it turns its pixel's log-
+    softmax into NaN or -inf, and NaN * 0 and inf * 0 are NaN."""
+    *lead, k, h, w = logits.shape
+    items, n = math.prod(lead), len(lead)
+    if np.shape(weights) != logits.shape or np.shape(scale) != (items,):
+        raise ShapeError(f"log_likelihood: weights {np.shape(weights)} and "
+                         f"scale {np.shape(scale)} for logits {logits.shape}")
+    xd = logits.data
+    z = xd - xd.max(axis=-3, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-3, keepdims=True))
+    to_hwk = (*range(n), n + 1, n + 2, n)
+    per_item = np.ascontiguousarray((lsm * weights).transpose(to_hwk)) \
+        .reshape(items, -1).sum(axis=-1)
+    out = np.asarray((per_item * scale).sum())
+
+    def build():
+        soft = np.exp(lsm)
+
+        def bwd(g):
+            gw = (g * scale).reshape(tuple(lead) + (1, 1, 1)) * weights
+            return (gw - soft * gw.sum(axis=-3, keepdims=True),)
+        return bwd
+    return _emit(out, (logits,), build, "log_likelihood")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
@@ -756,6 +823,50 @@ def softplus(x: Tensor) -> Tensor:
             return (g * sig,)
         return bwd
     return _emit(out, (x,), build, "softplus")
+
+
+def softplus_means(xs: Sequence[Tensor], signs: Sequence[int]) -> Tensor:
+    """``sum_i mean(softplus(signs[i] * xs[i]))`` as one op, each sign +1
+    or -1; the means add in order.
+
+    Values and gradients equal, bit for bit, the composed neg (for a sign
+    of -1), softplus, tmean and add ops.  The output also adds +0.0 for
+    each x - x summed, which leaves the sum of means (never -0.0) as it is
+    but turns it into NaN if any x is NaN or infinite, so the one finite
+    check, on the output, sees every non-finite x, even one that the
+    softplus would saturate to 0."""
+    if len(xs) != len(signs) or not xs or any(s not in (1, -1) for s in signs):
+        raise ShapeError(f"softplus_means: {len(xs)} inputs, signs {signs}")
+    vs = [-x.data if s < 0 else x.data for x, s in zip(xs, signs)]
+    total = None
+    for v in vs:
+        m = (np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))).mean()
+        total = m if total is None else total + m
+    for x in xs:
+        total = total + (x.data - x.data).sum()
+
+    def build():
+        rules = []      # per input: its shape, softplus slope and sign
+        for x, v, s in zip(xs, vs, signs):
+            if not _tracked(x):
+                rules.append(None)
+                continue
+            z = np.exp(-np.abs(v))
+            sig = np.where(v >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+            rules.append((x.shape, sig, s))
+
+        def bwd(g):
+            parts = []
+            for rule in rules:
+                if rule is None:
+                    parts.append(None)
+                    continue
+                shape, sig, s = rule
+                part = np.broadcast_to(g / sig.size, shape) * sig
+                parts.append(-part if s < 0 else part)
+            return tuple(parts)
+        return bwd
+    return _emit(np.asarray(total), tuple(xs), build, "softplus_means")
 
 
 # ---------------------------------------------------------------------------
@@ -963,6 +1074,36 @@ def _input_grad_first(g: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
                                       wp - 2 * padding)
 
 
+def _conv(xl: np.ndarray, w: Tensor, b: Tensor | None, stride: int,
+          padding: int, h_out: int, w_out: int):
+    """The convolution of ``conv2d`` on xl [M, H, W, C_in], plus b if
+    given: its output [M, Ho*Wo, C_out], its window columns, and
+    ``grads(g2, need_x, wcols)``, which maps the output gradient g2
+    [M, Ho*Wo, C_out] to (gx, gw): gx, a cropped [M, H, W, C_in] view, if
+    ``need_x``, and gw if the columns ``wcols`` are passed; else None.
+    ``grads`` holds arrays only, and not the columns."""
+    cout, cin, kh, kw = w.shape
+    xp = _pad(xl, padding)
+    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = np.matmul(cols, wmat.T)
+    if b is not None:
+        out += b.data
+    pshape = xp.shape
+
+    def grads(g2, need_x, wcols):
+        gx = gw = None
+        if wcols is not None:
+            gw = np.tensordot(g2, wcols, axes=([0, 1], [0, 1]))
+            gw = np.ascontiguousarray(
+                gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+        if need_x:
+            gx = _input_grad(g2, wmat, h_out, w_out, kh, kw, stride, padding,
+                             pshape)
+        return gx, gw
+    return out, cols, grads
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
            channels_last: bool = False, b: Tensor | None = None) -> Tensor:
     """Direct cross-correlation with w [C_out, C_in, kh, kw] over
@@ -981,13 +1122,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
     fused = b is not None
     if fused and b.shape != (cout,):
         raise ShapeError(f"conv2d bias {b.shape} for weight {w.shape}")
-    xp = _pad(_as_last(x.data, channels_last), padding)
-    m = xp.shape[0]
-    cols = _im2col(xp, kh, kw, stride, h_out, w_out)
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = np.matmul(cols, wmat.T)
-    if fused:
-        out += b.data
+    xl = _as_last(x.data, channels_last)
+    m = xl.shape[0]
+    out, cols, grads = _conv(xl, w, b, stride, padding, h_out, w_out)
     out = out.reshape(lead + (h_out, w_out, cout))
     parents = (x, w, b) if fused else (x, w)
 
@@ -995,18 +1132,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
         need_x = _tracked(x)
         wcols = cols if _tracked(w) else None
         need_b = fused and _tracked(b)
-        pshape = xp.shape
 
         def bwd(g):
             g2 = _as_last(g, channels_last).reshape(m, h_out * w_out, cout)
-            gx = gw = gb = None
-            if wcols is not None:
-                gw = np.tensordot(g2, wcols, axes=([0, 1], [0, 1]))
-                gw = np.ascontiguousarray(
-                    gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+            gx, gw = grads(g2, need_x, wcols)
+            gb = None
             if need_x:
-                gx = _input_grad(g2, wmat, h_out, w_out, kh, kw, stride,
-                                 padding, pshape)
                 gx = gx.reshape(lead + (h_in, w_in, cin))
                 gx = np.ascontiguousarray(_from_last(gx, channels_last))
             if need_b:
@@ -1016,6 +1147,42 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0,
             return (gx, gw, gb) if fused else (gx, gw)
         return bwd
     return _emit(_from_last(out, channels_last), parents, build, "conv2d")
+
+
+def token_conv2d(tokens: Tensor, w: Tensor, b: Tensor, grid: tuple[int, int],
+                 stride: int, padding: int) -> Tensor:
+    """``conv2d`` with ``channels_last`` and bias b over tokens
+    [..., h*w, C_in] on the row-major ``grid`` (h, w), as one op: tokens
+    [..., Ho*Wo, C_out] out.
+
+    Values and gradients equal, bit for bit, reshaping the tokens to the
+    grid, ``conv2d`` and reshaping its output back to tokens."""
+    h, wd = grid
+    *lead, n, cin = tokens.shape
+    cout, cin_w, kh, kw = w.shape
+    _, _, _, _, h_out, w_out = _conv_dims(
+        (*lead, h, wd, cin), kh, kw, stride, padding, True, "token_conv2d")
+    if n != h * wd or cin != cin_w or b.shape != (cout,):
+        raise ShapeError(f"token_conv2d: tokens {tokens.shape} on grid "
+                         f"{h}x{wd}, weight {w.shape}, bias {b.shape}")
+    xl = tokens.data.reshape(-1, h, wd, cin)
+    m = xl.shape[0]
+    out, cols, grads = _conv(xl, w, b, stride, padding, h_out, w_out)
+
+    def build():
+        need_x = _tracked(tokens)
+        wcols = cols if _tracked(w) else None
+        need_b = _tracked(b)
+        shape = tokens.shape
+
+        def bwd(g):
+            gx, gw = grads(g.reshape(m, h_out * w_out, cout), need_x, wcols)
+            if need_x:
+                gx = np.ascontiguousarray(gx).reshape(shape)
+            return (gx, gw, _unbroadcast(g, (cout,)) if need_b else None)
+        return bwd
+    return _emit(out.reshape(*lead, h_out * w_out, cout), (tokens, w, b),
+                 build, "token_conv2d")
 
 
 def patch_critic(x: Tensor | Sequence[Tensor], ws: Sequence[Tensor],
@@ -1288,6 +1455,41 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
                               interp_matrix(w, out_w)),)
         return bwd
     return _emit(out, (x,), build, "upsample_bilinear")
+
+
+def tokens_to_map(tokens: Tensor, grid: tuple[int, int], out_h: int,
+                  out_w: int) -> Tensor:
+    """[..., h*w, K] tokens on the row-major ``grid`` (h, w) -> a
+    [..., K, out_h, out_w] map as one op: the channels moved before the
+    grid, then a bilinear resize when (out_h, out_w) differs from the grid.
+
+    Values and gradients equal, bit for bit, the composed reshape to the
+    grid, transpose and ``upsample_bilinear``.  Without a resize the op only
+    moves values and makes no finite check."""
+    h, w = grid
+    *lead, n, k = tokens.shape
+    if n != h * w:
+        raise ShapeError(f"tokens {tokens.shape} are not on grid {h}x{w}")
+    if out_h < h or out_w < w:
+        raise ShapeError(f"upsample target {out_h}x{out_w} smaller than input {h}x{w}")
+    nl = len(lead)
+    perm = (*range(nl), nl + 2, nl, nl + 1)
+    out = np.ascontiguousarray(tokens.data.reshape(*lead, h, w, k).transpose(perm))
+    resize = (out_h, out_w) != (h, w)
+    if resize:
+        out = _upsample_first(out, out_h, out_w)
+
+    def build():
+        inv = tuple(np.argsort(perm))
+        shape = tokens.shape
+
+        def bwd(g):
+            if resize:
+                g = np.matmul(np.matmul(interp_matrix(h, out_h).T, g),
+                              interp_matrix(w, out_w))
+            return (np.ascontiguousarray(g.transpose(inv)).reshape(shape),)
+        return bwd
+    return _emit(out, (tokens,), build, "tokens_to_map", computes=resize)
 
 
 def pyramid_fuse(parts: Sequence[Tensor], w: Tensor, b: Tensor,

@@ -596,23 +596,24 @@ def test_tape_size_does_not_grow_with_batch(workspace, tmp_path):
                   str(tmp_path / f"a{batch}.ckpt"))
     assert len(sizes[1]) == 3        # warm-up, critic, generator
     assert sizes[1] == sizes[2] == sizes[3]
-    # each encoder sublayer is one op, the four streams stay one stack
-    # from the embed to the heads and the critic is one op (168 nodes
-    # here); the critic as 9 conv2d and leaky_relu ops, plus a recorded
-    # softmax of the source masks, took 177; composing the sublayers from
-    # linear, reshape, depthwise and add ops 238, and splitting and
-    # restacking the streams around each block, merge and head 276
-    assert sizes[1][2] <= 168
-    assert sizes[1][1] == 19        # the critic's 10 leaves, 1 pass, the loss
+    # each encoder sublayer, merge, class-map resample and loss is one op,
+    # the four streams stay one stack from the embed to the heads and the
+    # critic is one op (144 nodes here); the merges as reshape, conv2d and
+    # reshape, the resamples as reshape, transpose and upsample, and the
+    # losses as 7- and 3-op chains took 168; the critic as 9 conv2d and
+    # leaky_relu ops, plus a recorded softmax of the source masks, 177;
+    # composing the sublayers from linear, reshape, depthwise and add ops
+    # 238, and splitting and restacking the streams around each block,
+    # merge and head 276
+    assert sizes[1][2] <= 144
+    assert sizes[1][0] == 118       # 92 watched parameters and 26 op nodes
+    # the critic's 10 leaves, 1 pass, its 2 halves and the one-op loss
+    assert sizes[1][1] == 14
 
 
-def test_each_critic_pass_is_one_tape_node(chain, tmp_path):
-    """An adapt step scores the real and fake masks in one critic pass: the
-    critic's tape holds one ``patch_critic`` node and the loss on its two
-    halves, and the generator's tape one more ``patch_critic`` node.  The
-    critic as a per-map conv2d + leaky_relu chain recorded 10 conv2d and 8
-    leaky_relu nodes on the critic's tape and 5 and 4 on the generator's."""
-    from quadseg.train import adapt
+def _op_kinds_per_sweep(run) -> list:
+    """The op kinds on each tape that ``run()`` sweeps, in sweep order: a
+    Counter of the op that defined each recorded rule."""
     sweep = tensor.Tape.backward
     kinds = []
 
@@ -624,15 +625,50 @@ def test_each_critic_pass_is_one_tape_node(chain, tmp_path):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor.Tape, "backward", counting)
-        adapt(RunConfig(iterations=1, eval_every=1), chain["data"],
-              chain["wck"], str(tmp_path / "a.ckpt"))
-    critic, generator = kinds
-    assert critic == {"patch_critic": 1, "gather": 2, "neg": 1,
-                      "softplus": 2, "tmean": 2, "add": 1}
+        run()
+    return kinds
+
+
+def test_each_critic_pass_is_one_tape_node(chain, tmp_path):
+    """An adapt step scores the real and fake masks in one critic pass: the
+    critic's tape holds one ``patch_critic`` node, the gathers of its two
+    halves and the one-op loss, and the generator's tape one more
+    ``patch_critic`` node and its one-op loss.  The critic as a per-map
+    conv2d + leaky_relu chain recorded 10 conv2d and 8 leaky_relu nodes on
+    the critic's tape and 5 and 4 on the generator's; its losses as neg,
+    softplus, tmean and add ops 6 nodes and 3."""
+    from quadseg.train import adapt
+    # tau = 0.5 leaves every pseudo-label pixel valid: the target loss runs
+    critic, generator = _op_kinds_per_sweep(lambda: adapt(
+        RunConfig(iterations=1, eval_every=1, tau=0.5), chain["data"],
+        chain["wck"], str(tmp_path / "a.ckpt")))
+    assert critic == {"patch_critic": 1, "gather": 2, "softplus_means": 1}
     assert generator["patch_critic"] == 1
-    assert "leaky_relu" not in generator
+    assert generator["softplus_means"] == 1
+    # the source and the target segmentation loss, one op each
+    assert generator["log_likelihood"] == 2
+    for composed in ("leaky_relu", "neg", "softplus", "tmean", "log_softmax",
+                     "transpose", "reshape", "upsample_bilinear", "conv2d"):
+        assert composed not in generator
     # the target masks' softmax; the source masks are read detached only
     assert generator["softmax"] == 1
+
+
+def test_warmup_step_records_26_op_nodes(chain, tmp_path):
+    """A warm-up step's tape holds one node per encoder sublayer, merge,
+    decoder layer, class-map resample and loss.  The image is not watched,
+    so its patch extraction records nothing.  The merges as reshape, conv2d
+    and reshape, the resample as reshape, transpose and upsample, and the
+    loss as a 7-op chain recorded 40 op nodes."""
+    from quadseg.train import warmup
+    (kinds,) = _op_kinds_per_sweep(lambda: warmup(
+        RunConfig(warmup_iterations=1, eval_every=1), chain["data"],
+        str(tmp_path / "w.ckpt")))
+    assert kinds == {"linear": 6, "layer_norm": 4, "residual_attention": 4,
+                     "residual_mix_ffn": 4, "token_conv2d": 3,
+                     "pyramid_fuse": 1, "relu": 1, "tokens_to_map": 1,
+                     "log_likelihood": 1, "mul": 1}
+    assert sum(kinds.values()) == 26
 
 
 def test_missing_checkpoint_exits_one(chain, capsys):

@@ -618,13 +618,16 @@ def test_no_backward_closure_holds_a_tensor(monkeypatch):
         for p in [*params.values(), *disc.values()]:
             tape.watch(p)
         out = forward_pair(params, DESK_ENC, DESK_DEC, img_s, img_t)
-        discriminator_forward(disc, DiscConfig(), mask_probs(out.logits_t))
+        seg_cross_entropy(out.logits_s, rng.integers(0, 2, (2, 32, 32)))
+        gen_adv_loss(discriminator_forward(disc, DiscConfig(),
+                                           mask_probs(out.logits_t)))
         infer_target_sourcefree(params, DESK_ENC, DESK_DEC, img_t)
     rules = [n.backward_fn for n in tape.nodes if n.backward_fn is not None]
     assert len(rules) == len(recorded)
     assert {_op_kind(f) for f in rules} == set(recorded)
-    assert {"residual_attention", "residual_mix_ffn", "linear", "conv2d",
-            "layer_norm", "pyramid_fuse"} <= set(recorded)
+    assert {"residual_attention", "residual_mix_ffn", "linear", "token_conv2d",
+            "layer_norm", "pyramid_fuse", "tokens_to_map", "log_likelihood",
+            "patch_critic", "softplus_means"} <= set(recorded)
     leaky = [f.__qualname__ for f in rules if _holds_tensor(f, set())]
     assert leaky == []
 

@@ -26,8 +26,13 @@ from quadseg.tensor import (
     Tensor,
     finite_diff_check,
     gather,
+    log_likelihood,
     log_softmax,
+    reshape,
     softmax,
+    softplus,
+    softplus_means,
+    tmean,
     transpose,
     tsum,
 )
@@ -231,6 +236,135 @@ def test_ce_gradient():
     assert err < 1e-6
 
 
+def _composed_ce(logits, labels, valid=None, class_weights=None):
+    """The loss as the 7-op chain ``log_likelihood`` replaced: log_softmax
+    over the class axis, mul by the one-hot weights, transpose to (h, w,
+    k), reshape to one row per item, per-row tsum, mul by each item's
+    scale, tsum.  The weights and scales are ``seg_cross_entropy``'s."""
+    lead, (k, h, w) = logits.shape[:-3], logits.shape[-3:]
+    mask = np.ones(labels.shape, bool) if valid is None else valid
+    if not mask.any():
+        return Tensor(0.0), 0
+    onehot = ((labels[..., None, :, :] == np.arange(k)[:, None, None])
+              & mask[..., None, :, :]).astype(np.float64)
+    if class_weights is not None:
+        onehot *= np.asarray(class_weights)[:, None, None]
+    items, n = int(np.prod(lead)), len(lead)
+    to_hwk = (*range(n), n + 1, n + 2, n)
+    total_w = onehot.transpose(to_hwk).reshape(items, -1).sum(axis=-1)
+    live = mask.reshape(items, -1).any(axis=-1)
+    scale = np.divide(-1.0, total_w, out=np.zeros(items), where=live)
+    weighted = log_softmax(logits, axis=-3) * Tensor(onehot)
+    per_item = tsum(reshape(transpose(weighted, to_hwk), (items, -1)), axis=-1)
+    return tsum(per_item * Tensor(scale)), int(mask.sum())
+
+
+@st.composite
+def _ce_cases(draw):
+    """(logits, labels, valid, class_weights, root gradient): batch 1-3,
+    K 2-3, small grids, weights off, integer or order-sensitive; the valid
+    mask may be all true, random with an all-invalid item, or all false."""
+    batch, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(batch, k, h, w)) * draw(st.sampled_from([0.5, 3.0, 40.0]))
+    labels = rng.integers(0, k, size=(batch, h, w))
+    kind = draw(st.sampled_from(["none", "random", "dead item", "all invalid"]))
+    valid = None if kind == "none" else rng.random((batch, h, w)) > 0.4
+    if kind == "dead item":
+        valid[draw(st.integers(0, batch - 1))] = False
+    elif kind == "all invalid":
+        valid[...] = False
+    cw = draw(st.sampled_from([None, "int", "frac"]))
+    if cw is not None:
+        cw = (rng.integers(1, 12, size=k).astype(float) if cw == "int"
+              else rng.uniform(0.1, 9.0, size=k))
+    root = draw(st.sampled_from([1.0, 0.5, -1.0, -3.0]))
+    return logits, labels, valid, cw, root
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ce_cases(), st.booleans())
+def test_ce_equals_the_composed_chain_bitwise(case, unbatched):
+    """The one-op loss and the chain it replaced give the same bytes: the
+    value, the valid count and the logits' gradient, the sign of every zero
+    included; with no valid pixel both return a constant 0 and count 0."""
+    x, labels, valid, cw, root = case
+    if unbatched:                   # no leading dims: the one-item case
+        x, labels = x[0], labels[0]
+        valid = None if valid is None else valid[0]
+    results = []
+    for loss_of in (seg_cross_entropy, _composed_ce):
+        logits = Tensor(x.copy())
+        with Tape() as tape:
+            tape.watch(logits)
+            loss, n_valid = loss_of(logits, labels, valid=valid,
+                                    class_weights=cw)
+            if n_valid:
+                tape.backward(loss * Tensor(root))
+                grad = tape.grad(logits).tobytes()
+            else:
+                assert loss.node is None and loss.item() == 0.0
+                grad = None
+        results.append((loss.data.tobytes(), n_valid, grad))
+    assert results[0] == results[1]
+
+
+def test_ce_is_one_tape_node():
+    logits = Tensor(np.random.default_rng(4).normal(size=(2, 2, 4, 4)))
+    with Tape() as tape:
+        tape.watch(logits)
+        seg_cross_entropy(logits, np.zeros((2, 4, 4), int),
+                          valid=np.eye(4, dtype=bool)[None].repeat(2, 0))
+    assert len(tape.nodes) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["valid", "invalid", "dead item"])
+@pytest.mark.parametrize("cls", [0, 1])
+def test_ce_raises_on_a_non_finite_logit(bad, where, cls):
+    """The one finite check, on the loss, sees a NaN or an infinity in any
+    logit: at a valid pixel, at an invalid one, and in an item without a
+    valid pixel, whose scale is 0."""
+    x = np.random.default_rng(5).normal(size=(2, 2, 4, 4))
+    valid = np.ones((2, 4, 4), bool)
+    valid[0, 1, 2] = False
+    valid[1] = where != "dead item"
+    item, pixel = (0, (1, 2)) if where == "invalid" else \
+        (1, (3, 0)) if where == "dead item" else (0, (0, 3))
+    x[(item, cls) + pixel] = bad
+    labels = np.zeros((2, 4, 4), int)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="log_likelihood"):
+            seg_cross_entropy(Tensor(x), labels, valid=valid,
+                              class_weights=np.array([1.0, 10.0]))
+
+
+def test_log_likelihood_checks_its_shapes():
+    x = Tensor(np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        log_likelihood(x, np.zeros((2, 2, 3)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        log_likelihood(x, np.zeros((2, 2, 3, 3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_ce_gradient_with_a_valid_mask(lead):
+    """Central differences of the one-op loss over a batch with a dead item
+    and a random valid mask, class weights on."""
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 3, size=(*lead, 3, 4))
+    valid = rng.random((*lead, 3, 4)) > 0.3
+    if lead:
+        valid[1] = False
+    err = finite_diff_check(
+        lambda t: seg_cross_entropy(t, labels, valid=valid,
+                                    class_weights=np.array([0.3, 1.0, 7.1]))[0],
+        Tensor(rng.normal(size=(*lead, 3, 3, 4))))
+    assert err < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # discriminator
 # ---------------------------------------------------------------------------
@@ -323,6 +457,122 @@ def test_gen_loss_decreases_when_fake_scores_rise():
     lo = gen_adv_loss(Tensor(np.full((1, 2, 2), -1.0))).item()
     hi = gen_adv_loss(Tensor(np.full((1, 2, 2), 1.0))).item()
     assert hi < lo
+
+
+def _composed_disc_loss(d_real, d_fake):
+    """The 6-op chain ``disc_loss`` replaced: neg, softplus and tmean per
+    half, then add."""
+    return tmean(softplus(-d_real)) + tmean(softplus(d_fake))
+
+
+def _composed_gen_loss(d_fake):
+    """The 3-op chain ``gen_adv_loss`` replaced."""
+    return tmean(softplus(-d_fake))
+
+
+@st.composite
+def _critic_logits(draw, maps):
+    """``maps`` same-shaped [B, 1, h, w] logit maps (batch 1-3), at scales
+    from tiny to saturating, and a root gradient."""
+    shape = (draw(st.integers(1, 3)), 1, draw(st.integers(1, 4)),
+             draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 800.0]))
+    root = draw(st.sampled_from([1.0, 2.0, -0.5]))
+    return [rng.normal(size=shape) * scale for _ in range(maps)], root
+
+
+def _loss_bits(loss_of, arrays, root, watched):
+    """The loss's bytes and the bytes of each watched input's gradient."""
+    with Tape() as tape:
+        ts = [Tensor(a.copy()) for a in arrays]
+        for i in watched:
+            tape.watch(ts[i])
+        loss = loss_of(*ts)
+        tape.backward(loss * Tensor(root))
+        return [loss.data.tobytes()] + [tape.grad(ts[i]).tobytes()
+                                        for i in watched]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_critic_logits(2), st.sampled_from([(0, 1), (0,), (1,)]))
+def test_disc_loss_equals_the_composed_chain_bitwise(case, watched):
+    """The one-op critic loss and the chain it replaced: the value and the
+    gradient of each watched half, byte for byte."""
+    arrays, root = case
+    assert _loss_bits(disc_loss, arrays, root, watched) \
+        == _loss_bits(_composed_disc_loss, arrays, root, watched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_critic_logits(1))
+def test_gen_adv_loss_equals_the_composed_chain_bitwise(case):
+    arrays, root = case
+    assert _loss_bits(gen_adv_loss, arrays, root, (0,)) \
+        == _loss_bits(_composed_gen_loss, arrays, root, (0,))
+
+
+def test_critic_losses_through_one_stacked_pass_equal_the_chain():
+    """As the critic step forms it: both halves gathered from one stacked
+    critic output, so their gradient parts add at the gather's input."""
+    x = np.random.default_rng(151).normal(size=(2, 3, 1, 2, 2))
+    results = []
+    for loss_of in (disc_loss, _composed_disc_loss):
+        with Tape() as tape:
+            t = tape.watch(Tensor(x.copy()))
+            loss = loss_of(gather(t, 0), gather(t, 1))
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), tape.grad(t).tobytes()))
+    assert results[0] == results[1]
+
+
+def test_critic_losses_are_one_tape_node():
+    d = Tensor(np.zeros((2, 1, 2, 2)))
+    with Tape() as tape:
+        tape.watch(d)
+        disc_loss(d, d)
+        gen_adv_loss(d)
+    assert len(tape.nodes) == 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("loss", ["disc real", "disc fake", "gen"])
+def test_critic_losses_raise_on_a_non_finite_logit(bad, loss):
+    """NaN and both infinities raise, also the one that the softplus
+    saturates to 0 (+inf through neg, -inf on the fake half)."""
+    x = np.random.default_rng(152).normal(size=(2, 1, 2, 2))
+    y = x.copy()
+    y[1, 0, 1, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="softplus_means"):
+            if loss == "disc real":
+                disc_loss(Tensor(y), Tensor(x))
+            elif loss == "disc fake":
+                disc_loss(Tensor(x), Tensor(y))
+            else:
+                gen_adv_loss(Tensor(y))
+
+
+def test_softplus_means_checks_its_signs():
+    d = Tensor(np.zeros(3))
+    for xs, signs in (((d, d), (1,)), ((), ()), ((d,), (2,))):
+        with pytest.raises(ShapeError):
+            softplus_means(xs, signs)
+
+
+@pytest.mark.parametrize("half", [0, 1])
+def test_critic_loss_gradients(half):
+    """Central differences of the one-op critic loss in each half, and of
+    the generator's term."""
+    rng = np.random.default_rng(153 + half)
+    other = Tensor(rng.normal(size=(2, 1, 2, 3)) * 2.0)
+
+    def d_loss(t):
+        return disc_loss(t, other) if half == 0 else disc_loss(other, t)
+
+    x = Tensor(rng.normal(size=(2, 1, 2, 3)) * 2.0)
+    assert finite_diff_check(d_loss, x) < 1e-6
+    assert finite_diff_check(gen_adv_loss, x) < 1e-6
 
 
 def test_total_loss_arithmetic():

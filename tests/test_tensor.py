@@ -32,6 +32,7 @@ from quadseg.tensor import (
     multi_head_attention,
     neg,
     patch_critic,
+    patchify,
     pyramid_fuse,
     relu,
     reshape,
@@ -42,6 +43,8 @@ from quadseg.tensor import (
     softplus,
     stack,
     tmean,
+    token_conv2d,
+    tokens_to_map,
     transpose,
     tsum,
     upsample_bilinear,
@@ -375,6 +378,123 @@ def test_phase_col2im_matches_strided_adds(case, seed):
                                channels_last)
     assert got.shape == want.shape
     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the glue between the fused blocks: each one op against the chain it replaced
+# ---------------------------------------------------------------------------
+
+
+def _composed_token_conv(grid, stride, padding):
+    """reshape to the grid, conv2d channels-last with the bias, reshape back
+    to tokens: the 3-op merge ``token_conv2d`` replaced."""
+    def f(x, w, b):
+        y = conv2d(reshape(x, (*x.shape[:-2], *grid, x.shape[-1])), w, stride,
+                   padding, True, b)
+        *lead, ho, wo, c = y.shape
+        return reshape(y, (*lead, ho * wo, c))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conv_cases(), st.integers(0, 2**16))
+@example((3, 3, 2, 1, 8, 8, (4, 2), True), 0)       # the patch merges
+@example((3, 3, 2, 1, 7, 5, (), True), 1)
+def test_token_conv2d_matches_reshape_conv_reshape_bitwise(case, seed):
+    kh, kw, stride, padding, h, w, lead, _ = case
+    rng = np.random.default_rng(seed)
+    inputs = [rng.normal(size=(*lead, h * w, 2)),
+              rng.normal(size=(3, 2, kh, kw)), rng.normal(size=(3,))]
+    _same_bytes(lambda x, wt, b: token_conv2d(x, wt, b, (h, w), stride, padding),
+                _composed_token_conv((h, w), stride, padding), inputs,
+                seed + 1)
+
+
+def test_token_conv2d_gradients_and_shape_checks():
+    rng = np.random.default_rng(160)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((2, 15, 3), (4, 3, 3, 3), (4,)))
+    out_shape = (2, 6, 4)            # a 3x2 grid out of 5x3
+
+    def conv(x, w, b):
+        return token_conv2d(x, w, b, (5, 3), 2, 1)
+
+    _check(_weighted(lambda t: conv(t, w, b), out_shape, 161), x.shape, 162)
+    _check(_weighted(lambda t: conv(x, t, b), out_shape, 163), w.shape, 164)
+    _check(_weighted(lambda t: conv(x, w, t), out_shape, 165), b.shape, 166)
+    for grid, wt, bt in (((4, 4), w, b), ((5, 3), Tensor(np.zeros((4, 2, 3, 3))), b),
+                         ((5, 3), w, Tensor(np.zeros(3)))):
+        with pytest.raises(ShapeError):
+            token_conv2d(x, wt, bt, grid, 2, 1)
+
+
+def _composed_tokens_to_map(grid, out_h, out_w):
+    """reshape to the grid, transpose the channels before it, upsample: the
+    class-map resample ``tokens_to_map`` replaced."""
+    def f(x):
+        nl = x.data.ndim - 2
+        g = transpose(reshape(x, (*x.shape[:-2], *grid, x.shape[-1])),
+                      (*range(nl), nl + 2, nl, nl + 1))
+        return g if (out_h, out_w) == grid else upsample_bilinear(g, out_h, out_w)
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(), (1,), (2,), (3,), (4, 2)]), st.integers(2, 3),
+       st.integers(1, 6), st.integers(1, 6), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 2**16))
+@example((2,), 2, 16, 16, 48, 48, 0)        # logits of 64-px crops, batch 2
+def test_tokens_to_map_matches_reshape_transpose_upsample_bitwise(
+        lead, k, h, w, dh, dw, seed):
+    x = np.random.default_rng(seed).normal(size=(*lead, h * w, k))
+    _same_bytes(lambda t: tokens_to_map(t, (h, w), h + dh, w + dw),
+                _composed_tokens_to_map((h, w), h + dh, w + dw), [x], seed + 1)
+
+
+def test_tokens_to_map_gradient_checks_and_finite_check():
+    x = np.random.default_rng(170).normal(size=(2, 12, 3))
+    _check(_weighted(lambda t: tokens_to_map(t, (3, 4), 6, 8), (2, 3, 6, 8),
+                     171), x.shape, 172)
+    _check(_weighted(lambda t: tokens_to_map(t, (3, 4), 3, 4), (2, 3, 3, 4),
+                     173), x.shape, 174)
+    for grid, size in (((4, 4), (6, 8)), ((3, 4), (2, 8))):
+        with pytest.raises(ShapeError):
+            tokens_to_map(Tensor(x), grid, *size)
+    x[1, 5, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="tokens_to_map"):
+        tokens_to_map(Tensor(x), (3, 4), 6, 8)
+    # without a resize the op only moves values and checks nothing
+    assert np.isnan(tokens_to_map(Tensor(x), (3, 4), 3, 4).data).any()
+
+
+def _composed_patchify(patch):
+    """reshape, transpose and reshape: the patch extraction ``patchify``
+    replaced."""
+    def f(x):
+        *lead, c, hh, ww = x.shape
+        h, w, k = hh // patch, ww // patch, len(lead)
+        t = transpose(reshape(x, (*lead, c, h, patch, w, patch)),
+                      (*range(k), k + 1, k + 3, k, k + 2, k + 4))
+        return reshape(t, (*lead, h * w, c * patch * patch))
+    return f
+
+
+@pytest.mark.parametrize("lead,c,hw,patch", [((), 3, (8, 4), 4),
+                                             ((2,), 3, (8, 8), 4),
+                                             ((2, 3), 1, (6, 4), 2)])
+def test_patchify_matches_reshape_transpose_reshape_bitwise(lead, c, hw, patch):
+    x = np.random.default_rng(180).normal(size=(*lead, c, *hw))
+    _same_bytes(lambda t: patchify(t, patch), _composed_patchify(patch), [x],
+                181)
+
+
+def test_patchify_records_only_for_a_tracked_image():
+    x = np.random.default_rng(182).normal(size=(2, 3, 4, 4))
+    _check(_weighted(lambda t: patchify(t, 2), (2, 4, 12), 183), x.shape, 184)
+    with Tape() as tape:
+        out = patchify(Tensor(x), 2)
+        assert out.node is None and tape.nodes == []
+    with pytest.raises(ShapeError):
+        patchify(Tensor(x), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,14 @@ in BENCHMARK.json, else ``within bound``.  It flags every
 run whose ``failed`` count is above zero and every seed whose output
 digests differ between the two sides.  ``QF_THREADS`` is passed through as
 set (run.py uses one BLAS thread when it is unset).
+
+The checkout's path alone moves some readings.  Two byte-identical
+checkouts at different paths read ``predict_mask`` minima 2.2% apart
+(0.998-1.013 ms against 1.019-1.037 ms over 6 runs each, in both orders);
+on the warm-up's ``step_ms_min`` they were about 0.4% apart.  So run a
+control beside a claim, ``abab.py PARENT PARENT_COPY`` with PARENT_COPY a
+copy of the parent at another path, and treat a claim on ``infer_ms_min``
+below about 3% as unresolved.
 """
 
 from __future__ import annotations
