@@ -97,7 +97,9 @@ def class_sums(feats: np.ndarray, probs: np.ndarray):
         sel = hard == c
         if sel.any():
             w = probs[sel, c]
-            sums[c] = (w[:, None] * feats[sel]).sum(axis=0)
+            rows = feats[sel]       # a copy, weighted in place
+            rows *= w[:, None]
+            sums[c] = rows.sum(axis=0)
             weights[c] = w.sum()
     return sums, weights
 

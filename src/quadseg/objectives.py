@@ -255,10 +255,10 @@ class AdamW:
             gi = grads.get(name)
             if gi is None:
                 raise KeyError(f"no gradient for parameter {name!r}")
-            if np.shape(gi) != shape:
+            if gi.shape != shape:
                 raise ShapeError(f"gradient for {name!r} has shape "
-                                 f"{np.shape(gi)}, parameter {shape}")
-            parts.append(np.ravel(gi))
+                                 f"{gi.shape}, parameter {shape}")
+            parts.append(gi.reshape(-1))
         g = np.empty(self._flat.size)         # lives for this step only
         np.concatenate(parts, out=g)
         if not math.isfinite(g.dot(g)):

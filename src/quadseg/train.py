@@ -8,17 +8,26 @@ augmentation, initialization) comes from rng streams keyed by ``(seed,
 phase, step)``, so a rerun with the same config writes byte-identical
 checkpoints, logs, and masks.
 
-The adaptation step interleaves two optimizers on one define-by-run tape:
-the pair forward and segmentation losses are recorded on the generator tape,
-the discriminator then takes its own step on detached mask probabilities,
-scoring the source (real) and target (fake) masks in one stacked pass, and
-the generator tape is re-entered to score its masks against the *updated*
-discriminator before the single backward sweep.
+The adaptation step interleaves two optimizers on one define-by-run tape.
+The pair forward, the source loss and both mask softmaxes are recorded on
+the generator tape.  Two branches that never read each other's output then
+run side by side: the label job (the batch's pseudo-labels corrected
+against the prototype bank, which then trails them) on ``adapt``'s one
+worker thread, and the discriminator's own step on the detached masks,
+scoring the source (real) and target (fake) masks in one stacked pass, on
+the calling thread.  The generator tape is then re-entered to record the
+target loss on the job's labels and to score its masks against the
+*updated* discriminator before the single backward sweep.  With the
+critic off there is nothing to overlap, and the job runs on the calling
+thread in the critic's place.  The job is plain numpy on arrays and the bank; every tape and optimizer step stays on
+the calling thread, and the job adds nothing in a different order, so the
+bytes do not depend on which branch finishes first.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -273,6 +282,24 @@ def _augment_target(s: Sample, pl: PseudoLabels, rng: np.random.Generator,
                                    valid=out.label[-1] > 0.5)
 
 
+def _target_labels(pls: PseudoLabels, maps_t: tuple, dims: list,
+                   bank: PrototypeBank | None,
+                   cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The hard labels and validity that a step's target loss reads: the
+    batch's warm-up labels ``pls`` as they are, or, with a ``bank``,
+    corrected against it by the target head's augmented features, after
+    which the prototypes trail the corrections item by item.  Plain numpy
+    on arrays and the bank, never a tape, so it runs on a worker thread
+    beside the critic step."""
+    if bank is not None:
+        feats = augmented_features(maps_t, dims)
+        pls = correct_pseudo_labels(pls, feats, dims[0], bank,
+                                    cfg.temperature, cfg.tau)
+        for i, gp in enumerate(grid_probs(pls.probs, *dims[0])):
+            track_prototypes(bank, feats[i], gp)
+    return pls.hard(), pls.valid
+
+
 def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt) -> list:
     """Each target image's pseudo-labels as the planes ``save_pseudo_labels``
     persists (uint8 hard map, float64 confidence): read from the warm-up
@@ -370,25 +397,19 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             l_s, _ = seg_cross_entropy(
                 out.logits_s, np.stack([s.label for s, _, _ in batch]),
                 class_weights=weights)
-            if cfg.self_training:
-                pls = PseudoLabels(         # [B, K, H, W] and [B, H, W]
-                    probs=np.stack([pl.probs for _, _, pl in batch]),
-                    valid=np.stack([pl.valid for _, _, pl in batch]))
-                if correcting:
-                    feats = augmented_features(out.maps_t, out.dims)
-                    pls = correct_pseudo_labels(pls, feats, out.grid, bank,
-                                                cfg.temperature, cfg.tau)
-                    # prototypes trail the corrections, item by item
-                    for i, gp in enumerate(grid_probs(pls.probs, *out.grid)):
-                        track_prototypes(bank, feats[i], gp)
-                    del feats   # 2 MB at batch 2: free before the backward
-                l_t, _ = seg_cross_entropy(out.logits_t, pls.hard(),
-                                           valid=pls.valid,
-                                           class_weights=weights)
             if cfg.adversarial:
                 # only the critic reads the source masks, and only detached
                 probs_s = mask_probs(out.logits_s.detach())
                 probs_t = mask_probs(out.logits_t)
+        if cfg.self_training:
+            job = partial(_target_labels, PseudoLabels(
+                probs=np.stack([pl.probs for _, _, pl in batch]),
+                valid=np.stack([pl.valid for _, _, pl in batch])),
+                out.maps_t, out.dims, bank, cfg)
+            if cfg.adversarial:
+                # the labels run on the worker while the critic steps
+                # here; with no critic step the handoff would only cost
+                job = pool.submit(job).result
         d_val = ""
         if cfg.adversarial:
             # source masks play the real role, target masks the fake role;
@@ -399,11 +420,15 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                     disc, disc_cfg, probs_s, probs_t.detach()))
             _descend(dtape, d_total, disc, d_opt)
             d_val = d_total.item()
-            with gtape:
+        with gtape:
+            if cfg.self_training:
+                hard, valid = job()
+                l_t, _ = seg_cross_entropy(out.logits_t, hard, valid=valid,
+                                           class_weights=weights)
+            if cfg.adversarial:
                 # patch means over the batch, summed like the other terms
                 g_term = float(n) * gen_adv_loss(
                     discriminator_forward(disc, disc_cfg, probs_t))
-        with gtape:
             total = (1.0 / n) * total_loss(l_s, l_t, g_term,
                                            cfg.beta1, cfg.beta2)
         lr = _descend(gtape, total, params, g_opt)
@@ -413,8 +438,14 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 g_term.item() / n if cfg.adversarial else "",
                 lr)
 
-    tgt_iou = _run_steps(cfg, 1, cfg.iterations, run_step, params, tgt_val,
-                         log_path)
+    # imported here, so that the commands that never adapt do not load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one worker for the label job of each adversarial step; leaving the
+    # block joins it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        tgt_iou = _run_steps(cfg, 1, cfg.iterations, run_step, params,
+                             tgt_val, log_path)
     tensors = {**params, **g_opt.state_tensors()}
     if cfg.adversarial:
         tensors.update(disc)

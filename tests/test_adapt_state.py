@@ -3,16 +3,24 @@ the same run, the warm-up checkpoint is released once restored, and each
 step is freed before the next one's forward, and each step corrects its
 pseudo-labels in one call; ``evaluate`` and a resumed
 ``warmup`` release their checkpoint too.  What the training summaries
-evaluate: the target-val IoU once per logged row, not again at the end."""
+evaluate: the target-val IoU once per logged row, not again at the end.
+How ``adapt`` runs a step's label job on its worker thread beside the
+critic step: the bytes do not depend on which side finishes first, every
+tape sweep and optimizer step stays on the calling thread, an error on
+either side leaves no thread behind, and with no critic the job runs on
+the calling thread."""
 
 import dataclasses
 import os
 import shutil
+import sys
+import threading
+import time
 import weakref
 
 import pytest
 
-from quadseg import train
+from quadseg import objectives, tensor, train
 from quadseg.checkpoint import load_checkpoint
 from quadseg.config import RunConfig
 from quadseg.dataset import (source_spec, split_target_ids, target_spec,
@@ -229,3 +237,134 @@ def test_zero_step_adapt_writes_only_the_log_header(warm, tmp_path):
                 log_path=str(tmp_path / "logs" / "a0.csv"))
     assert _read(str(tmp_path / "logs" / "a0.csv")) \
         == (train.LOG_HEADER + "\n").encode()
+
+
+# tau 0.5 leaves pseudo-label pixels valid, so the corrected labels reach
+# the target loss and the bytes
+_OVERLAP = dataclasses.replace(_CFG, batch=2, tau=0.5)
+
+
+def _delayed(monkeypatch, name, seconds, threads=None):
+    """Wrap ``train.<name>`` to sleep ``seconds`` before it runs, noting
+    the thread of each call in ``threads``."""
+    inner = getattr(train, name)
+
+    def slow(*args, **kwargs):
+        if threads is not None:
+            threads.append(threading.get_ident())
+        time.sleep(seconds)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(train, name, slow)
+
+
+def test_adapt_output_does_not_depend_on_timing(warm, tmp_path,
+                                                monkeypatch):
+    """The checkpoint and log bytes are the same whether the label job or
+    the critic step finishes first: an undelayed run, one whose job sleeps
+    5 ms, one whose critic loss sleeps 5 ms, and one that hands the
+    interpreter lock between the threads every microsecond.  The
+    correction runs on the worker; every ``Tape.backward`` and
+    ``AdamW.step`` runs on the thread that called ``adapt``."""
+    data, wck = warm
+    main = threading.get_ident()
+    swept, stepped, job_threads = [], [], []
+    backward, step = tensor.Tape.backward, objectives.AdamW.step
+
+    def noted_backward(tape, root):
+        swept.append(threading.get_ident())
+        return backward(tape, root)
+
+    def noted_step(opt, params, grads):
+        stepped.append(threading.get_ident())
+        return step(opt, params, grads)
+
+    monkeypatch.setattr(tensor.Tape, "backward", noted_backward)
+    monkeypatch.setattr(objectives.AdamW, "step", noted_step)
+
+    def run(name):
+        out = str(tmp_path / f"{name}.ckpt")
+        train.adapt(_OVERLAP, data, wck, out, log_path=out + ".csv")
+        return [_read(out + s) for s in ("", ".bin", ".csv")]
+
+    plain = run("plain")
+    for delayed, threads in (("correct_pseudo_labels", job_threads),
+                             ("disc_loss", None)):
+        with monkeypatch.context() as m:
+            _delayed(m, delayed, 0.005, threads)
+            assert run(delayed) == plain
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run("switching") == plain
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(job_threads) == _OVERLAP.iterations
+    assert main not in job_threads
+    # a critic and a generator update per step, in each of the four runs
+    assert len(swept) == len(stepped) == 4 * 2 * _OVERLAP.iterations
+    assert set(swept) == set(stepped) == {main}
+
+
+def test_without_a_critic_the_job_runs_on_the_calling_thread(
+        warm, tmp_path, monkeypatch):
+    """With ``adversarial=false`` there is no critic step to overlap, so
+    the label job runs on the thread that called ``adapt`` and no worker
+    is started."""
+    data, wck = warm
+    threads = []
+    _delayed(monkeypatch, "correct_pseudo_labels", 0.0, threads)
+    before = threading.active_count()
+    train.adapt(dataclasses.replace(_OVERLAP, adversarial=False), data, wck,
+                str(tmp_path / "a.ckpt"))
+    assert threads == [threading.get_ident()] * _OVERLAP.iterations
+    assert threading.active_count() == before
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(
+        warm, tmp_path, monkeypatch):
+    """A ``FloatingPointError`` in the label job is raised by ``adapt`` as
+    it was raised in the job, no checkpoint is written, and the worker is
+    gone by then."""
+    data, wck = warm
+
+    def bad_update(*args, **kwargs):
+        raise FloatingPointError("non-finite prototype update")
+
+    monkeypatch.setattr(train, "track_prototypes", bad_update)
+    before = threading.active_count()
+    out = str(tmp_path / "a.ckpt")
+    with pytest.raises(FloatingPointError, match="non-finite prototype"):
+        train.adapt(_OVERLAP, data, wck, out)
+    assert threading.active_count() == before
+    assert not os.path.exists(out)
+
+
+def test_a_main_side_error_waits_for_the_running_job(warm, tmp_path,
+                                                     monkeypatch):
+    """A ``FloatingPointError`` in the critic step, raised while the
+    step's label job is still running, is what ``adapt`` raises; the job
+    has finished and the worker is gone by then."""
+    data, wck = warm
+    running, raised, finished = (threading.Event() for _ in range(3))
+    correct = train.correct_pseudo_labels
+
+    def held_job(*args, **kwargs):
+        running.set()
+        assert raised.wait(10)          # runs on past the critic's error
+        result = correct(*args, **kwargs)
+        finished.set()
+        return result
+
+    def bad_critic(*args, **kwargs):
+        assert running.wait(10) and not finished.is_set()
+        raised.set()
+        raise FloatingPointError("non-finite critic loss")
+
+    monkeypatch.setattr(train, "correct_pseudo_labels", held_job)
+    monkeypatch.setattr(train, "disc_loss", bad_critic)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="critic loss"):
+        train.adapt(_OVERLAP, data, wck, str(tmp_path / "a.ckpt"))
+    assert finished.is_set()
+    assert threading.active_count() == before

@@ -75,7 +75,7 @@ def test_against_the_same_checkout_exits_zero():
 def test_sweep_runs_each_case_in_both_checkouts(monkeypatch, capsys):
     """--sweep runs seeds 0, 1, 4 at batch 1-3, seed 1 / batch 2 with
     each override and seed 1 / batch 3 at crop 64, in both checkouts, and
-    prints one line per case."""
+    prints one line per case: 15 cases."""
     tool = _tool()
     calls = []
 
@@ -87,8 +87,10 @@ def test_sweep_runs_each_case_in_both_checkouts(monkeypatch, capsys):
     assert tool.main(["a", "--against", "b", "--sweep"]) == 1
     cases = [(s, b, []) for s in (0, 1, 4) for b in (1, 2, 3)] + [
         (1, 2, [kv]) for kv in ("share_branch_weights=false",
-                                "label_correction=false", "crop=64")] + [
+                                "label_correction=false", "adversarial=false",
+                                "self_training=false", "crop=64")] + [
         (1, 3, ["crop=64"])]
+    assert len(cases) == 15
     assert calls == [(side, *case) for case in cases for side in "ab"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(cases)

@@ -21,10 +21,13 @@ only one chain wrote; it exits 1 if there is any.  ``--sweep`` (with
 ``--against``) compares the two checkouts over the matrix of
 ``sweep_cases`` instead of one seed and batch: seeds 0, 1 and 4 at batch
 1-3, then seed 1 at batch 2 with each of ``share_branch_weights=false``,
-``label_correction=false`` and ``crop=64``, and seed 1 at batch 3 with
-``crop=64`` (the five-layer critic at full depth on an odd batch).  It
-prints one line per case, with the paths that differ, and exits 1 if any
-case differs.
+``label_correction=false``, ``adversarial=false``, ``self_training=false``
+and ``crop=64``, and seed 1 at batch 3 with ``crop=64`` (the five-layer
+critic at full depth on an odd batch), 15 cases.  The two toggles run
+each side of an adaptation step alone: the pseudo-label job with no
+critic step beside it, and the critic step with no job.  It prints one
+line per case, with the paths that differ, and exits 1 if any case
+differs.
 """
 
 from __future__ import annotations
@@ -101,7 +104,9 @@ def sweep_cases() -> list[tuple[int, int, list[str]]]:
     """(seed, batch, config overrides) of each ``--sweep`` case."""
     cases = [(seed, batch, []) for seed in (0, 1, 4) for batch in (1, 2, 3)]
     cases += [(1, 2, [kv]) for kv in ("share_branch_weights=false",
-                                      "label_correction=false", "crop=64")]
+                                      "label_correction=false",
+                                      "adversarial=false",
+                                      "self_training=false", "crop=64")]
     cases.append((1, 3, ["crop=64"]))
     return cases
 
