@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .pnm import read_f64, read_pgm, write_f64, write_pgm
+from .pnm import encode_f64, encode_pgm, read_f64, read_pgm, write_bytes
 from .tensor import _upsample_first
 from .decoder import mask_probs
 from .model import infer_target_sourcefree, stack_chunks
@@ -35,6 +35,7 @@ __all__ = [
     "initialize_bank",
     "correct_pseudo_labels",
     "warmup_pseudo_labels",
+    "pseudo_label_files",
     "save_pseudo_labels",
     "read_pseudo_labels_raw",
     "decode_pseudo_labels",
@@ -232,11 +233,20 @@ def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
             yield PseudoLabels(probs=probs, valid=probs.max(axis=0) >= tau)
 
 
+def pseudo_label_files(directory: str, sample_id: int,
+                       pl: PseudoLabels) -> tuple[tuple[str, bytes], ...]:
+    """The files that persist ``pl`` under ``directory`` as ``(path,
+    bytes)``: the hard-label PGM and the f64 max-probability map."""
+    stem = os.path.join(directory, f"{sample_id:04d}")
+    return ((stem + ".pgm", encode_pgm(pl.hard())),
+            (stem + ".conf", encode_f64(pl.confidence())))
+
+
 def save_pseudo_labels(directory: str, sample_id: int, pl: PseudoLabels) -> None:
-    """Persist as hard-label PGM plus f64 max-probability map."""
+    """Write ``pseudo_label_files`` of ``pl`` before returning."""
     os.makedirs(directory, exist_ok=True)
-    write_pgm(os.path.join(directory, f"{sample_id:04d}.pgm"), pl.hard())
-    write_f64(os.path.join(directory, f"{sample_id:04d}.conf"), pl.confidence())
+    for path, data in pseudo_label_files(directory, sample_id, pl):
+        write_bytes(path, data)
 
 
 def read_pseudo_labels_raw(directory: str,

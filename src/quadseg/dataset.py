@@ -24,7 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .config import format_kv_lines, parse_kv_lines, parse_value, value_text
-from .pnm import decode_ppm, read_pgm, read_ppm, read_ppm_raw, write_pgm, write_ppm
+from .pnm import (WriteBehind, decode_ppm, encode_pgm, encode_ppm, read_pgm,
+                  read_ppm, read_ppm_raw)
 from .tensor import _upsample_first
 
 __all__ = [
@@ -409,14 +410,6 @@ def load_corpus(root: str, domain: str, ids,
     return Corpus(ids, rasters, maxvals, labels)
 
 
-def _write_sample(root: str, domain: str, s: Sample,
-                  with_label: bool) -> None:
-    write_ppm(image_path(root, domain, s.id), s.image)
-    if with_label:
-        write_pgm(label_path(root, domain, s.id),
-                  np.where(s.label, 255, 0).astype(np.uint8))
-
-
 def write_scene_specs(path: str, src: SceneSpec, tgt: SceneSpec) -> None:
     _check_domain_invariant(src, tgt)
     items = {f"{prefix}.{f.name}": value_text(getattr(spec, f.name))
@@ -462,17 +455,30 @@ def write_dataset(root: str, src: SceneSpec, tgt: SceneSpec,
     ``n_train`` unlabeled training images (ids from 0) followed by
     ``n_val`` held-out validation images whose ids do have label files —
     the presence of a label marks the validation split.
+
+    Samples are generated and encoded here while one ``WriteBehind``
+    thread creates their files; ``spec.txt`` is written last, once every
+    image and label is.  Bad counts or specs raise ``ValueError`` before
+    anything is created.
     """
+    for name, n in (("n_train", n_train), ("n_val", n_val)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     _check_domain_invariant(src, tgt)
     for domain in ("source", "target"):
         for sub in ("images", "labels"):
             os.makedirs(os.path.join(root, domain, sub), exist_ok=True)
-    for s in generate_domain(src, n_train):
-        _write_sample(root, "source", s, with_label=True)
-    for s in generate_domain(tgt, n_train):
-        _write_sample(root, "target", s, with_label=False)
-    for s in generate_domain(tgt, n_val, start_id=n_train):
-        _write_sample(root, "target", s, with_label=True)
+    with WriteBehind() as out:
+        for domain, samples, with_label in (
+                ("source", generate_domain(src, n_train), True),
+                ("target", generate_domain(tgt, n_train), False),
+                ("target", generate_domain(tgt, n_val, start_id=n_train),
+                 True)):
+            for s in samples:
+                out.put(image_path(root, domain, s.id), encode_ppm(s.image))
+                if with_label:
+                    out.put(label_path(root, domain, s.id), encode_pgm(
+                        np.where(s.label, 255, 0).astype(np.uint8)))
     write_scene_specs(os.path.join(root, "spec.txt"), src, tgt)
 
 

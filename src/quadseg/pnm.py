@@ -9,16 +9,25 @@ parsing stopped.
 
 Confidence maps ride alongside as headerless little-endian float64 rasters;
 their shape comes from the paired PGM.
+
+Each writer is an encoder (``encode_ppm``, ``encode_pgm``, ``encode_f64``:
+array -> the file's bytes) and one write.  ``write_ppm`` and friends do both
+before they return; a loop that writes many files hands the encoded bytes
+to a ``WriteBehind`` instead, whose one worker thread creates the files
+while the loop computes the next ones.
 """
 
 from __future__ import annotations
 
 import os
+import queue
+import threading
 
 import numpy as np
 
-__all__ = ["PnmError", "read_ppm_raw", "decode_ppm", "read_ppm", "write_ppm",
-           "read_pgm", "write_pgm", "read_f64", "write_f64"]
+__all__ = ["PnmError", "read_ppm_raw", "decode_ppm", "read_ppm", "encode_ppm",
+           "write_ppm", "read_pgm", "encode_pgm", "write_pgm", "read_f64",
+           "encode_f64", "write_f64", "write_bytes", "WriteBehind"]
 
 _WS = b" \t\n\r\x0b\x0c"
 
@@ -108,17 +117,35 @@ def read_ppm(path: str) -> np.ndarray:
     return decode_ppm(*read_ppm_raw(path))
 
 
-def write_ppm(path: str, img: np.ndarray) -> None:
-    """float image [3, H, W] in [0, 1] -> P6 file (values quantized to 8 bits,
-    round-half-away handled by round-to-nearest-even of numpy)."""
+def write_bytes(path: str, data: bytes) -> None:
+    """Create (or truncate) ``path`` and write ``data``: the one write of
+    every writer here.  Unbuffered ``os`` calls, three system calls a file:
+    on a ``WriteBehind`` thread each one hands the interpreter lock back
+    and forth with the caller's thread."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+def encode_ppm(img: np.ndarray) -> bytes:
+    """float image [3, H, W] in [0, 1] -> P6 file bytes (values quantized to
+    8 bits, round-half-away handled by round-to-nearest-even of numpy)."""
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ValueError(f"expected [3, H, W] image, got {img.shape}")
     q = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     _, h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(q.transpose(1, 2, 0).tobytes())
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    return header + q.transpose(1, 2, 0).tobytes()
+
+
+def write_ppm(path: str, img: np.ndarray) -> None:
+    """``encode_ppm`` of ``img``, written to ``path``."""
+    write_bytes(path, encode_ppm(img))
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -127,8 +154,8 @@ def read_pgm(path: str) -> np.ndarray:
     return data.reshape(h, w).copy()
 
 
-def write_pgm(path: str, arr: np.ndarray, maxval: int = 255) -> None:
-    """uint8-compatible [H, W] array -> P5 file.  Class maps go in raw
+def encode_pgm(arr: np.ndarray, maxval: int = 255) -> bytes:
+    """uint8-compatible [H, W] array -> P5 file bytes.  Class maps go in raw
     (values 0/1, maxval 255 for viewer compatibility)."""
     arr = np.asarray(arr)
     if arr.ndim != 2:
@@ -136,9 +163,13 @@ def write_pgm(path: str, arr: np.ndarray, maxval: int = 255) -> None:
     if arr.min() < 0 or arr.max() > maxval:
         raise ValueError(f"values outside [0, {maxval}]")
     h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+    return header + arr.astype(np.uint8).tobytes()
+
+
+def write_pgm(path: str, arr: np.ndarray, maxval: int = 255) -> None:
+    """``encode_pgm`` of ``arr``, written to ``path``."""
+    write_bytes(path, encode_pgm(arr, maxval))
 
 
 def read_f64(path: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -155,7 +186,64 @@ def read_f64(path: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr.astype(np.float64, copy=False).reshape(shape)
 
 
-def write_f64(path: str, arr: np.ndarray) -> None:
+def encode_f64(arr: np.ndarray) -> bytes:
+    """Any float64-compatible array -> its raw little-endian f64 bytes."""
     arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-    with open(path, "wb") as fh:
-        fh.write(arr.astype("<f8", copy=False).tobytes())
+    return arr.astype("<f8", copy=False).tobytes()
+
+
+def write_f64(path: str, arr: np.ndarray) -> None:
+    """``encode_f64`` of ``arr``, written to ``path``."""
+    write_bytes(path, encode_f64(arr))
+
+
+_PENDING = 8            # files handed to a WriteBehind and not yet closed
+
+
+class WriteBehind:
+    """One worker thread that creates files from bytes the caller encoded.
+
+    ``put(path, data)`` queues one file and returns; once ``_PENDING`` files
+    are queued or being written it waits for the oldest to close.  The
+    worker only opens, writes and closes, in ``put`` order.  Leaving the
+    ``with`` block writes what is queued and joins the thread, also when
+    the block raised.  The worker's first error stops its writing and is
+    raised in the caller at the next ``put`` or on leaving the block (where
+    an error of the block itself takes precedence).
+    """
+
+    def __init__(self):
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._slots = threading.Semaphore(_PENDING)
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._run,
+                                        name="quadseg-writer")
+
+    def __enter__(self) -> "WriteBehind":
+        self._thread.start()
+        return self
+
+    def put(self, path: str, data: bytes) -> None:
+        self._check()
+        self._slots.acquire()
+        self._queue.put((path, data))
+
+    def _run(self) -> None:
+        while (item := self._queue.get()) is not None:
+            if self._error is None:
+                try:
+                    write_bytes(*item)
+                except Exception as e:
+                    self._error = e
+            self._slots.release()
+
+    def _check(self) -> None:
+        if self._error is not None:
+            raise self._error
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._queue.put(None)
+        self._thread.join()
+        if exc_type is None:
+            self._check()
+        return False

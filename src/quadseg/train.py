@@ -22,6 +22,10 @@ critic off there is nothing to overlap, and the job runs on the calling
 thread in the critic's place.  The job is plain numpy on arrays and the bank; every tape and optimizer step stays on
 the calling thread, and the job adds nothing in a different order, so the
 bytes do not depend on which branch finishes first.
+
+The warm-up's pseudo-labels and the evaluation's masks are encoded on the
+calling thread and created by one ``pnm.WriteBehind`` thread while the
+next images are inferred.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from .adaptation import (
     grid_probs,
     initialize_bank,
     pair_two_way,
+    pseudo_label_files,
     read_pairs,
     read_pseudo_labels_raw,
-    save_pseudo_labels,
     to_grayscale,
     track_prototypes,
     warmup_pseudo_labels,
@@ -76,7 +80,7 @@ from .objectives import (
     seg_cross_entropy,
     total_loss,
 )
-from .pnm import write_pgm
+from .pnm import WriteBehind, encode_pgm
 from .tensor import Tape, Tensor
 
 __all__ = ["warmup", "adapt", "evaluate", "predict_mask",
@@ -258,9 +262,13 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                     serialize_config(cfg), cfg.warmup_iterations)
     tgt = load_corpus(root, "target", split_target_ids(root)[0],
                       with_label=False)
-    for i, pl in zip(tgt.ids, warmup_pseudo_labels(
-            params, enc, dec, (s.image for s in tgt), cfg.tau)):
-        save_pseudo_labels(ckpt_out + ".plabels", i, pl)
+    plabel_dir = ckpt_out + ".plabels"
+    os.makedirs(plabel_dir, exist_ok=True)
+    with WriteBehind() as out:
+        for i, pl in zip(tgt.ids, warmup_pseudo_labels(
+                params, enc, dec, (s.image for s in tgt), cfg.tau)):
+            for path, data in pseudo_label_files(plabel_dir, i, pl):
+                out.put(path, data)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
             "target_val_iou": tgt_iou}
@@ -463,7 +471,9 @@ def evaluate(ckpt_path: str, root: str, out_dir: str) -> dict:
     """Source-free evaluation on the labeled target validation split.
 
     Writes one predicted-mask PGM per image plus ``report.csv`` (one row per
-    image, then a summary row).  No source image is read on this path.
+    image, then a summary row).  The masks are created on a ``WriteBehind``
+    thread while the next image is predicted; the report is written once
+    every mask is.  No source image is read on this path.
     """
     data = load_checkpoint(ckpt_path)
     cfg = parse_config(data.config_text)
@@ -474,11 +484,12 @@ def evaluate(ckpt_path: str, root: str, out_dir: str) -> dict:
     os.makedirs(mask_dir, exist_ok=True)
     rows = []
     scale = 255 // (cfg.num_classes - 1)
-    for s in load_corpus(root, "target", val_ids):
-        pred = predict_mask(params, cfg, s.image)
-        write_pgm(os.path.join(mask_dir, f"{s.id:04d}.pgm"),
-                  (pred * scale).astype(np.uint8))
-        rows.append((s.id, iou(pred, s.label.astype(int))))
+    with WriteBehind() as out:
+        for s in load_corpus(root, "target", val_ids):
+            pred = predict_mask(params, cfg, s.image)
+            out.put(os.path.join(mask_dir, f"{s.id:04d}.pgm"),
+                    encode_pgm((pred * scale).astype(np.uint8)))
+            rows.append((s.id, iou(pred, s.label.astype(int))))
     mean = float(np.mean([v for _, v in rows])) if rows else 1.0
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write("id,iou\n")

@@ -2,8 +2,9 @@
 
     python3 tools/traffic_lines.py CHECKOUT [--cases K]
 
-Traces ``CHECKOUT/src/quadseg`` line by line (``sys.settrace``) while it
-runs, in this process and through ``quadseg.cli.main``, the chain of
+Traces ``CHECKOUT/src/quadseg`` line by line (``sys.settrace``, and
+``threading.settrace`` for the worker threads it starts) while it runs,
+in this process and through ``quadseg.cli.main``, the chain of
 ``chain_digest.chain_commands`` for each case of ``chain_digest.sweep_cases``
 (or only the first K), each followed by a ``warmup --resume`` of the
 chain's finished warm-up, and then ``verify``.  Each case runs in its own
@@ -24,6 +25,7 @@ import io
 import os
 import sys
 import tempfile
+import threading
 import types
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
@@ -58,8 +60,9 @@ def executable_lines(path: str) -> dict[int, str]:
 
 def traced_lines(package_dir: str, run) -> set[tuple[str, int]]:
     """``(file, line)`` of every line under ``package_dir`` that ran while
-    ``run()`` ran.  A call counts its code object's first line, where a
-    function's entry instruction sits."""
+    ``run()`` ran, on this thread or on one that it started.  A call counts
+    its code object's first line, where a function's entry instruction
+    sits."""
     prefix = os.path.abspath(package_dir) + os.sep
     hits: set[tuple[str, int]] = set()
 
@@ -75,11 +78,13 @@ def traced_lines(package_dir: str, run) -> set[tuple[str, int]]:
         hits.add((co.co_filename, co.co_firstlineno))
         return local
 
+    threading.settrace(calls)
     sys.settrace(calls)
     try:
         run()
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     return hits
 
 
