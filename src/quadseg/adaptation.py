@@ -37,7 +37,6 @@ __all__ = [
     "warmup_pseudo_labels",
     "pseudo_label_files",
     "save_pseudo_labels",
-    "read_pseudo_labels_raw",
     "decode_pseudo_labels",
     "load_pseudo_labels",
     "to_grayscale",
@@ -58,14 +57,12 @@ class PrototypeBank:
     """Per-class EMA centroids in augmented-feature space ([K, D])."""
 
     eta: np.ndarray
-    weight: np.ndarray            # per-class accumulated update weight
     lam: float = 0.9999
     initialized: bool = False
 
     @classmethod
     def create(cls, num_classes: int, dim: int, lam: float = 0.9999):
-        return cls(eta=np.zeros((num_classes, dim)),
-                   weight=np.zeros(num_classes), lam=lam)
+        return cls(eta=np.zeros((num_classes, dim)), lam=lam)
 
 
 def class_argmax(scores: np.ndarray) -> np.ndarray:
@@ -121,7 +118,6 @@ def ema_update(bank: PrototypeBank, c, eta_prime: np.ndarray) -> None:
     if not np.all(np.isfinite(eta_prime)):
         raise FloatingPointError(f"non-finite prototype update for class {c}")
     bank.eta[c] = bank.lam * bank.eta[c] + (1.0 - bank.lam) * eta_prime
-    bank.weight[c] += 1.0
 
 
 def track_prototypes(bank: PrototypeBank, feats: np.ndarray,
@@ -148,7 +144,6 @@ def initialize_bank(bank: PrototypeBank, batches) -> None:
         weights += w
     nonzero = weights > 0
     bank.eta[nonzero] = sums[nonzero] / weights[nonzero, None]
-    bank.weight[:] = weights
     bank.initialized = True
 
 
@@ -249,15 +244,6 @@ def save_pseudo_labels(directory: str, sample_id: int, pl: PseudoLabels) -> None
         write_bytes(path, data)
 
 
-def read_pseudo_labels_raw(directory: str,
-                           sample_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """The persisted planes undecoded: the uint8 hard map and the float64
-    confidence map, both [H, W]."""
-    hard = read_pgm(os.path.join(directory, f"{sample_id:04d}.pgm"))
-    conf = read_f64(os.path.join(directory, f"{sample_id:04d}.conf"), hard.shape)
-    return hard, conf
-
-
 def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray, num_classes: int,
                          tau: float) -> PseudoLabels:
     """Rebuild soft probabilities from the hard map and its confidence.
@@ -270,8 +256,11 @@ def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray, num_classes: int,
 
 def load_pseudo_labels(directory: str, sample_id: int, num_classes: int,
                        tau: float) -> PseudoLabels:
-    """``decode_pseudo_labels`` of the persisted planes."""
-    return decode_pseudo_labels(*read_pseudo_labels_raw(directory, sample_id),
+    """``decode_pseudo_labels`` of the planes ``save_pseudo_labels``
+    persisted: the uint8 hard map and the float64 confidence, both [H, W]."""
+    stem = os.path.join(directory, f"{sample_id:04d}")
+    hard = read_pgm(stem + ".pgm")
+    return decode_pseudo_labels(hard, read_f64(stem + ".conf", hard.shape),
                                 num_classes, tau)
 
 

@@ -82,6 +82,12 @@ class RunConfig:
         for name in ("eval_every", "embed_dim", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the corpus labels line pixels 1 and background 0; the line's class
+        # weight, the target crops' anchor and the 0/255 masks all take the
+        # last class for the line, which is class 1 only when there are two
+        if self.num_classes != 2:
+            raise ValueError(f"num_classes must be 2 (background and line), "
+                             f"got {self.num_classes}")
         # a nan or inf rate, weight or slope passes every range check below
         # and dies mid-training as a non-finite forward
         for f in dataclasses.fields(self):

@@ -36,7 +36,6 @@ from .tensor import (
     pyramid_fuse,
     relu,
     softmax,
-    tokens_to_map,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "fuse_and_predict",
     "decode_pair",
     "decode_single",
-    "logits_to_grid",
     "mask_probs",
 ]
 
@@ -189,15 +187,6 @@ def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     head = "head" if dec_cfg.share_heads else "head_tgt"
     maps = [u.data for u in units]
     return fuse_and_predict(params, dec_cfg, head, units, units, dims), (maps, maps)
-
-
-def logits_to_grid(logits: Tensor, h: int, w: int,
-                   out_h: int | None = None, out_w: int | None = None) -> Tensor:
-    """[..., h*w, K] token logits -> [..., K, H, W] map, optionally upsampled,
-    as one ``tokens_to_map`` op."""
-    if out_h is None:
-        out_h, out_w = h, w
-    return tokens_to_map(logits, (h, w), out_h, out_w)
 
 
 def mask_probs(logits_grid: Tensor) -> Tensor:

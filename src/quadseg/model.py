@@ -14,7 +14,6 @@ from .decoder import (
     decode_pair,
     decode_single,
     init_decoder_params,
-    logits_to_grid,
 )
 from .encoder import (
     EncoderConfig,
@@ -22,7 +21,7 @@ from .encoder import (
     encoder_forward_single,
     init_encoder_params,
 )
-from .tensor import Tensor
+from .tensor import Tensor, tokens_to_map
 
 __all__ = ["PairOutput", "INFER_CHUNK", "init_model_params", "forward_pair",
            "infer_target_sourcefree", "stack_chunks"]
@@ -45,12 +44,8 @@ class PairOutput:               # leading batch dims of the images carry through
     logits_t: Tensor        # [..., num_classes, H, W]
     maps_t: tuple[list, list]   # target head's (self, cross) unified maps,
                                 # arrays [..., h_i*w_i, embed_dim] per stage
-    dims: list[tuple[int, int]]     # token grid per stage
-
-    @property
-    def grid(self) -> tuple[int, int]:
-        """Stage-0 token grid (h0, w0), the grid of the augmented features."""
-        return self.dims[0]
+    dims: list[tuple[int, int]]     # token grid per stage; dims[0] is the
+                                    # grid of the augmented features
 
 
 def init_model_params(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
@@ -67,11 +62,10 @@ def forward_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     feats, dims = encoder_forward(params, enc_cfg, img_s, img_t)
     tok_s, tok_t, maps_t = decode_pair(params, enc_cfg, dec_cfg, feats, dims,
                                        use_cross_src, use_cross_tgt)
-    h0, w0 = dims[0]
     hh, ww = img_s.shape[-2:]
     return PairOutput(
-        logits_s=logits_to_grid(tok_s, h0, w0, hh, ww),
-        logits_t=logits_to_grid(tok_t, h0, w0, hh, ww),
+        logits_s=tokens_to_map(tok_s, dims[0], hh, ww),
+        logits_t=tokens_to_map(tok_t, dims[0], hh, ww),
         maps_t=maps_t,
         dims=dims,
     )
@@ -86,9 +80,8 @@ def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
     per stage."""
     feats, dims = encoder_forward_single(params, enc_cfg, img)
     tok, maps = decode_single(params, enc_cfg, dec_cfg, feats, dims)
-    h0, w0 = dims[0]
     hh, ww = img.shape[-2:]
-    return logits_to_grid(tok, h0, w0, hh, ww), maps, dims
+    return tokens_to_map(tok, dims[0], hh, ww), maps, dims
 
 
 def stack_chunks(images: Iterable[np.ndarray]):

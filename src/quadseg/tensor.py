@@ -67,14 +67,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # the verify command's self-test that the gradient checker catches faults.
 _FAULT_INJECTION = False
 
-# Finite checks on every op that computes new values; cheap at desk scale
-# and turns numeric blowups into immediate hard errors.  Ops that only move
-# values (reshape, transpose, concat, stack, gather, neg, patchify, and
-# tokens_to_map without a resize) skip the check: their output is finite
-# whenever their inputs are, so a bad value still raises at the op that
-# made it.  A fused op checks its own output once.
-FINITE_CHECKS = True
-
 
 def set_fault_injection(enabled: bool) -> None:
     global _FAULT_INJECTION
@@ -97,13 +89,17 @@ def _as_array(data) -> np.ndarray:
     return arr
 
 
+# A finite check on every op that computes new values; cheap at desk scale
+# and turns numeric blowups into immediate hard errors.  Ops that only move
+# values (reshape, transpose, concat, stack, gather, neg, patchify, and
+# tokens_to_map without a resize) skip the check: their output is finite
+# whenever their inputs are, so a bad value still raises at the op that
+# made it.  A fused op checks its own output once.
 def _check_finite(arr: np.ndarray, opname: str) -> None:
     """Raise unless every element is finite.  A finite sum of squares
     proves that in one BLAS dot; only a non-finite one pays for the
     elementwise test.  It comes from a bad element, or from finite elements
     whose squares overflow (numpy warns), which does not raise."""
-    if not FINITE_CHECKS:
-        return
     flat = arr.ravel()
     if not math.isfinite(flat.dot(flat)) and not np.isfinite(arr).all():
         raise FloatingPointError(f"{opname}: non-finite values in forward output")

@@ -19,12 +19,16 @@ the calling thread.  The generator tape is then re-entered to record the
 target loss on the job's labels and to score its masks against the
 *updated* discriminator before the single backward sweep.  With the
 critic off there is nothing to overlap, and the job runs on the calling
-thread in the critic's place.  The job is plain numpy on arrays and the bank; every tape and optimizer step stays on
-the calling thread, and the job adds nothing in a different order, so the
-bytes do not depend on which branch finishes first.
+thread in the critic's place.  The job is plain numpy on arrays and the
+bank; every tape and optimizer step stays on the calling thread, and the
+job adds nothing in a different order, so the bytes do not depend on
+which branch finishes first.
 
-The warm-up's pseudo-labels and the evaluation's masks are encoded on the
-calling thread and created by one ``pnm.WriteBehind`` thread while the
+The warm-up ends with a pass that writes each target-train image's
+pseudo-label to ``CKPT.plabels/`` for inspection; no later command reads
+those files, since ``adapt`` makes the same labels in the forward that
+seeds its prototype bank.  They and the evaluation's masks are encoded on
+the calling thread and created by one ``pnm.WriteBehind`` thread while the
 next images are inferred.
 """
 
@@ -46,7 +50,6 @@ from .adaptation import (
     pair_two_way,
     pseudo_label_files,
     read_pairs,
-    read_pseudo_labels_raw,
     to_grayscale,
     track_prototypes,
     warmup_pseudo_labels,
@@ -216,7 +219,8 @@ def _run_steps(cfg: RunConfig, first: int, last: int, run_step, params: dict,
 def warmup(cfg: RunConfig, root: str, ckpt_out: str,
            resume: str | None = None, log_path: str | None = None) -> dict:
     """Source-only training through the source-free inference path, then a
-    pseudo-label pass over every target training image.
+    pseudo-label pass over every target training image, written to
+    ``ckpt_out + ".plabels"`` for inspection only.
 
     Returns a summary dict with the final source-val and target-val IoU.
     """
@@ -308,46 +312,58 @@ def _target_labels(pls: PseudoLabels, maps_t: tuple, dims: list,
     return pls.hard(), pls.valid
 
 
-def _load_or_make_plabels(params, cfg, warmup_ckpt, tgt) -> list:
-    """Each target image's pseudo-labels as the planes ``save_pseudo_labels``
-    persists (uint8 hard map, float64 confidence): read from the warm-up
-    checkpoint's ``.plabels`` directory, or made by the same inference pass
-    when it is missing.  ``decode_pseudo_labels`` turns them into
-    probabilities when a step or the bank pass reads them."""
-    plabel_dir = warmup_ckpt + ".plabels"
-    if os.path.isdir(plabel_dir):
-        return [read_pseudo_labels_raw(plabel_dir, i) for i in tgt.ids]
-    return [(pl.hard(), pl.confidence()) for pl in warmup_pseudo_labels(
-        params, cfg.encoder_config(), cfg.decoder_config(),
-        (s.image for s in tgt), cfg.tau)]
-
-
-def _init_bank(params, cfg, images, plabels) -> PrototypeBank:
+def _target_pass(params, cfg: RunConfig, tgt,
+                 correcting: bool) -> tuple[np.ndarray, np.ndarray,
+                                            PrototypeBank | None]:
+    """One source-free forward over the target-train ``Sample``s ``tgt``
+    (a ``Corpus``), a ``stack_chunks`` chunk at a time.  Returns each
+    image's pseudo-label planes as two ``[N, H, W]`` arrays, the uint8 hard
+    map and the float64 confidence (``decode_pseudo_labels`` turns them
+    into probabilities when a step reads them), and, when ``correcting``,
+    the prototype bank seeded from the same forward's augmented features,
+    else ``None``.  The bank reads the decoded planes, as the steps do,
+    not the softmax they came from."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
+    hard = np.empty((len(tgt), *tgt[0].image.shape[-2:]), np.uint8)
+    conf = np.empty(hard.shape)
+
+    def chunks():       # each chunk's first index, maps and grids, once
+        lo = 0          # its planes are stored
+        for chunk in stack_chunks(s.image for s in tgt):
+            logits, maps, dims = infer_target_sourcefree(params, enc, dec,
+                                                         chunk)
+            probs = mask_probs(logits).data
+            hard[lo:lo + len(probs)] = class_argmax(probs)
+            conf[lo:lo + len(probs)] = probs.max(axis=-3)
+            yield lo, maps, dims
+            lo += len(probs)
+
+    if not correcting:
+        for _ in chunks():
+            pass
+        return hard, conf, None
     bank = PrototypeBank.create(cfg.num_classes,
                                 2 * enc.num_stages * cfg.embed_dim,
                                 lam=cfg.lambda_ema)
-
-    def batches():                  # one (feats, probs) pair per image
-        labels = iter(plabels)
-        for chunk in stack_chunks(images):
-            _, maps, dims = infer_target_sourcefree(params, enc, dec, chunk)
-            gh, gw = dims[0]
-            for feats in augmented_features(maps, dims):
-                yield feats, grid_probs(next(labels).probs, gh, gw)
-
-    initialize_bank(bank, batches())
-    return bank
+    initialize_bank(bank, (      # one (feats, token probs) pair per image
+        (feats, grid_probs(decode_pseudo_labels(
+            hard[j], conf[j], cfg.num_classes, cfg.tau).probs, *dims[0]))
+        for lo, maps, dims in chunks()
+        for j, feats in enumerate(augmented_features(maps, dims), lo)))
+    return hard, conf, bank
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
           pairs_path: str | None = None, log_path: str | None = None) -> dict:
     """Paired adaptation from a warm-up checkpoint.
 
-    Ablation toggles: with ``self_training`` off the target segmentation
-    loss is dropped; ``adversarial`` off skips both discriminator and
-    generator adversarial terms; ``label_correction`` off uses the stored
-    warm-up pseudo-labels as-is.
+    Before the first step one source-free forward over target-train
+    (``_target_pass``) makes the pseudo-labels from the warm-up weights
+    and, when correcting, seeds the prototype bank; the warm-up's
+    ``.plabels`` files are not read.  Ablation toggles: with
+    ``self_training`` off the target segmentation loss is dropped;
+    ``adversarial`` off skips both discriminator and generator adversarial
+    terms; ``label_correction`` off uses the warm-up pseudo-labels as-is.
     """
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
     data = load_checkpoint(warmup_ckpt)
@@ -363,11 +379,6 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     src = load_corpus(root, "source", list_image_ids(root, "source"))
     tgt = load_corpus(root, "target", train_ids, with_label=False)
     tgt_val = load_corpus(root, "target", val_ids)
-    plabels = _load_or_make_plabels(params, cfg, warmup_ckpt, tgt)
-
-    def label(j: int) -> PseudoLabels:
-        return decode_pseudo_labels(*plabels[j], cfg.num_classes, cfg.tau)
-
     if pairs_path is not None:
         src_paths = [image_path(root, "source", i) for i in src.ids]
         tgt_paths = [image_path(root, "target", i) for i in train_ids]
@@ -375,10 +386,13 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     else:
         pairset = pair_two_way((to_grayscale(s.image) for s in src),
                                (to_grayscale(s.image) for s in tgt))
+    hard, conf, bank = _target_pass(params, cfg, tgt,
+                                    cfg.label_correction and cfg.self_training)
 
-    correcting = cfg.label_correction and cfg.self_training
-    bank = (_init_bank(params, cfg, (s.image for s in tgt),
-                       map(label, range(len(tgt)))) if correcting else None)
+    def label(j: int) -> PseudoLabels:
+        return decode_pseudo_labels(hard[j], conf[j], cfg.num_classes,
+                                    cfg.tau)
+
     weights = _class_weights(cfg)
 
     def run_step(step: int) -> tuple:

@@ -1,5 +1,7 @@
-"""What ``adapt`` keeps: pseudo-labels with or without their directory give
-the same run, the warm-up checkpoint is released once restored, and each
+"""What ``adapt`` keeps: it makes its pseudo-labels in the forward that
+seeds the prototype bank, the planes the warm-up's ``.plabels`` files hold,
+so the run is the same whether those files are intact, missing or damaged;
+the warm-up checkpoint is released once restored, and each
 step is freed before the next one's forward, and each step corrects its
 pseudo-labels in one call; ``evaluate`` and a resumed
 ``warmup`` release their checkpoint too.  What the training summaries
@@ -20,11 +22,14 @@ import weakref
 
 import pytest
 
-from quadseg import objectives, tensor, train
+import numpy as np
+
+from quadseg import cli, objectives, tensor, train
 from quadseg.checkpoint import load_checkpoint
-from quadseg.config import RunConfig
-from quadseg.dataset import (source_spec, split_target_ids, target_spec,
-                             write_dataset)
+from quadseg.config import RunConfig, value_text
+from quadseg.dataset import (load_corpus, source_spec, split_target_ids,
+                             target_spec, write_dataset)
+from quadseg.pnm import read_f64, read_pgm
 
 _CFG = RunConfig(warmup_iterations=2, iterations=3, eval_every=3)
 
@@ -44,21 +49,69 @@ def _read(path):
         return fh.read()
 
 
-def test_adapt_without_plabels_dir_writes_the_same_bytes(warm, tmp_path):
-    """The in-memory pseudo-label pass holds the planes the directory holds,
-    so the two runs write identical checkpoints and logs."""
+def _damage_plabels(plabels, case):
+    """Leave the warm-up's ``.plabels`` directory ``case``: intact, gone,
+    missing one ``.conf`` file, or with one ``.pgm`` cut short."""
+    first = os.path.join(plabels, sorted(os.listdir(plabels))[0])
+    stem = os.path.splitext(first)[0]
+    if case == "missing":
+        shutil.rmtree(plabels)
+    elif case == "conf-deleted":
+        os.remove(stem + ".conf")
+    elif case == "pgm-truncated":
+        with open(stem + ".pgm", "r+b") as fh:
+            fh.truncate(os.path.getsize(stem + ".pgm") // 2)
+
+
+@pytest.fixture(scope="module")
+def adapted(warm, tmp_path_factory):
+    """The checkpoint and log bytes of ``adapt`` from the intact warm-up."""
     data, wck = warm
-    bare = str(tmp_path / "bare" / "w.ckpt")
-    os.makedirs(os.path.dirname(bare))
+    out = str(tmp_path_factory.mktemp("adapted") / "a.ckpt")
+    train.adapt(_CFG, data, wck, out, log_path=out + ".csv")
+    return [_read(out + s) for s in ("", ".bin", ".csv")]
+
+
+@pytest.mark.parametrize(
+    "case", ["intact", "missing", "conf-deleted", "pgm-truncated"])
+def test_adapt_without_plabels_dir_writes_the_same_bytes(warm, adapted,
+                                                         tmp_path, case):
+    """``adapt`` never opens the warm-up's ``.plabels`` files, so with them
+    intact, missing, short of one file or holding a truncated one, the
+    command exits 0 and writes the checkpoint and log of the intact run."""
+    data, wck = warm
+    start = str(tmp_path / "w.ckpt")
     for suffix in ("", ".bin"):
-        shutil.copyfile(wck + suffix, bare + suffix)
-    assert not os.path.exists(bare + ".plabels")
-    outs = []
-    for name, start in (("with", wck), ("without", bare)):
-        out = str(tmp_path / f"{name}.ckpt")
-        train.adapt(_CFG, data, start, out, log_path=out + ".csv")
-        outs.append([_read(out + s) for s in ("", ".bin", ".csv")])
-    assert outs[0] == outs[1]
+        shutil.copyfile(wck + suffix, start + suffix)
+    shutil.copytree(wck + ".plabels", start + ".plabels")
+    _damage_plabels(start + ".plabels", case)
+    out = str(tmp_path / "a.ckpt")
+    sets = [arg for name in ("warmup_iterations", "iterations", "eval_every")
+            for arg in ("--set",
+                        f"{name}={value_text(getattr(_CFG, name))}")]
+    assert cli.main(["adapt", "--data", data, "--warmup", start, "--out", out,
+                     "--log", out + ".csv", *sets]) == 0
+    assert [_read(out + s) for s in ("", ".bin", ".csv")] == adapted
+
+
+@pytest.mark.parametrize("correcting", [True, False])
+def test_target_pass_planes_equal_the_warmup_files(warm, correcting):
+    """The planes ``adapt``'s target pass makes from the warm-up weights are
+    the ones the warm-up wrote to ``.plabels``, byte for byte, with or
+    without the bank."""
+    data, wck = warm
+    params = train._restore_params(load_checkpoint(wck), _CFG)
+    train_ids, _ = split_target_ids(data)
+    tgt = load_corpus(data, "target", train_ids, with_label=False)
+    hard, conf, bank = train._target_pass(params, _CFG, tgt, correcting)
+    assert (bank is not None) == correcting
+    assert hard.shape == conf.shape == (len(train_ids), *tgt[0].image.shape[1:])
+    for j, i in enumerate(train_ids):
+        stem = os.path.join(wck + ".plabels", f"{i:04d}")
+        want_hard = read_pgm(stem + ".pgm")
+        np.testing.assert_array_equal(hard[j], want_hard)
+        assert conf[j].tobytes() == read_f64(stem + ".conf",
+                                             want_hard.shape).tobytes()
 
 
 def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):

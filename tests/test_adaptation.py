@@ -25,7 +25,6 @@ from quadseg.adaptation import (
     load_pseudo_labels,
     pair_two_way,
     read_pairs,
-    read_pseudo_labels_raw,
     save_pseudo_labels,
     ssim,
     ssim_matrix,
@@ -34,6 +33,7 @@ from quadseg.adaptation import (
     warmup_pseudo_labels,
     write_pairs,
 )
+from quadseg.pnm import read_f64, read_pgm
 from quadseg.tensor import interp_matrix
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,6 @@ def test_tracking_leaves_an_absent_class_alone():
     probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2]])
     track_prototypes(bank, feats, probs)            # class 1 is absent
     np.testing.assert_array_equal(bank.eta[1], before[1])
-    np.testing.assert_array_equal(bank.weight, [1.0, 0.0, 1.0])
     for c in (0, 2):
         want = PrototypeBank.create(3, 2)
         want.eta[:] = before
@@ -161,7 +160,6 @@ def test_ema_update_over_classes_equals_per_class_calls(k, d, seed, data):
     for c, row in zip(classes, rows):
         ema_update(each, c, row)
     np.testing.assert_array_equal(one.eta, each.eta)
-    np.testing.assert_array_equal(one.weight, each.weight)
 
 
 def test_grid_probs_over_a_batch_equals_per_item():
@@ -500,17 +498,20 @@ def test_pseudo_label_pass_is_lazy():
 
 
 def test_chunked_inference_matches_per_image():
-    """Pseudo-labels and the initial prototype bank, computed INFER_CHUNK
-    images per forward with a ragged last chunk, equal the one-image-per-
-    forward results bit for bit."""
+    """Pseudo-labels, and the planes and initial prototype bank of
+    ``adapt``'s target pass, computed INFER_CHUNK images per forward with a
+    ragged last chunk, equal the one-image-per-forward results bit for
+    bit.  The bank is seeded from the decoded planes; with correction off
+    the pass fills the same planes and makes no bank."""
     from quadseg.config import RunConfig
+    from quadseg.dataset import Sample
     from quadseg.decoder import augmented_features, mask_probs
     from quadseg.model import INFER_CHUNK, infer_target_sourcefree, init_model_params
     from quadseg.tensor import Tensor
-    from quadseg.train import _init_bank
+    from quadseg.train import _target_pass
 
     cfg = RunConfig(channels=(4, 8), depths=(1, 1), heads=(1, 2),
-                    sr_ratios=(2, 1), embed_dim=8, crop=32)
+                    sr_ratios=(2, 1), embed_dim=8, crop=32, tau=0.6)
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
     params = init_model_params(enc, dec, np.random.default_rng(7))
     rng = np.random.default_rng(8)
@@ -523,14 +524,24 @@ def test_chunked_inference_matches_per_image():
         probs = mask_probs(logits).data
         np.testing.assert_array_equal(pl.probs, probs)
         np.testing.assert_array_equal(pl.valid, probs.max(axis=0) >= 0.6)
+        held = decode_pseudo_labels(pl.hard(), pl.confidence(), 2, tau=0.6)
         feats.append((augmented_features(maps, dims),
-                      grid_probs(pl.probs, *dims[0])))
-    bank = _init_bank(params, cfg, images, plabels)
+                      grid_probs(held.probs, *dims[0])))
+    samples = [Sample(img, None, i) for i, img in enumerate(images)]
+    hard, conf, bank = _target_pass(params, cfg, samples, True)
+    assert hard.dtype == np.uint8 and hard.shape == (len(images), 32, 32)
+    for j, pl in enumerate(plabels):
+        np.testing.assert_array_equal(hard[j], pl.hard())
+        np.testing.assert_array_equal(conf[j], pl.confidence())
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)
     initialize_bank(want, feats)
     np.testing.assert_array_equal(bank.eta, want.eta)
-    np.testing.assert_array_equal(bank.weight, want.weight)
+    assert bank.initialized
+    plain_hard, plain_conf, none = _target_pass(params, cfg, samples, False)
+    assert none is None
+    np.testing.assert_array_equal(plain_hard, hard)
+    np.testing.assert_array_equal(plain_conf, conf)
 
 
 def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
@@ -560,7 +571,8 @@ def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
     probs = np.exp(logits) / np.exp(logits).sum(axis=0)
     pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.5)
     save_pseudo_labels(str(tmp_path), 3, pl)
-    hard, conf = read_pseudo_labels_raw(str(tmp_path), 3)
+    hard = read_pgm(str(tmp_path / "0003.pgm"))
+    conf = read_f64(str(tmp_path / "0003.conf"), hard.shape)
     assert hard.dtype == np.uint8 and conf.dtype == np.float64
     np.testing.assert_array_equal(hard, pl.hard())
     np.testing.assert_array_equal(conf, pl.confidence())

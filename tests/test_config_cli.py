@@ -167,7 +167,7 @@ _FIELD_VALUES = {
     "ffn_expand": _POSITIVE,
     "share_branch_weights": st.booleans(),
     "embed_dim": _POSITIVE,
-    "num_classes": st.integers(2, 50),
+    "num_classes": st.just(2),
     "extra_hidden": st.booleans(),
     "share_heads": st.booleans(),
     "disc_channels": st.lists(st.integers(1, 256), max_size=4).map(
@@ -386,6 +386,20 @@ def test_malformed_set_flag_exits_one(tmp_path, capsys):
                    str(tmp_path / "w.ckpt"), "--set", "lr"])
     assert rc == 1
     assert "key=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_num_classes_other_than_two_exits_one(tmp_path, capsys, k):
+    """The corpus labels the line as class 1 of two; any other class count
+    is refused in the config itself, in one line naming the field, before
+    any data is read."""
+    rc = cli.main(["warmup", "--data", str(tmp_path / "none"), "--out",
+                   str(tmp_path / "w.ckpt"), "--set", f"num_classes={k}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"quadseg: error: num_classes must be 2 (background and line), "
+        f"got {k}\n")
+    assert not os.path.exists(tmp_path / "w.ckpt")
 
 
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)

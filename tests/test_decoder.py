@@ -23,7 +23,6 @@ from quadseg.decoder import (
     decode_single,
     fuse_and_predict,
     init_decoder_params,
-    logits_to_grid,
     mask_probs,
     unify_and_upsample,
 )
@@ -57,6 +56,7 @@ from quadseg.tensor import (
     linear,
     relu,
     stack,
+    tokens_to_map,
     tsum,
 )
 
@@ -81,7 +81,7 @@ def test_phi_shape_desk_config():
     """64x64 input: phi is [256 tokens, 4*C_e]; fused input is 8*C_e."""
     params = _desk_params(1)
     out = forward_pair(params, DESK_ENC, DESK_DEC, _img(2), _img(3))
-    assert out.grid == (16, 16)
+    assert out.dims[0] == (16, 16)
     assert augmented_features(out.maps_t, out.dims).shape \
         == (256, 8 * DESK_DEC.embed_dim)
     assert out.logits_s.shape == (2, 64, 64)
@@ -91,7 +91,7 @@ def test_phi_shape_desk_config():
 def test_phi_shape_32px_input():
     params = _desk_params(4)
     out = forward_pair(params, DESK_ENC, DESK_DEC, _img(5, 32), _img(6, 32))
-    assert out.grid == (8, 8)
+    assert out.dims[0] == (8, 8)
     assert augmented_features(out.maps_t, out.dims).shape \
         == (64, 8 * DESK_DEC.embed_dim)
 
@@ -132,7 +132,7 @@ def test_zero_classifier_uniform_softmax():
     dims = [(4, 4), (2, 2), (1, 1), (1, 1)]
     maps = [Tensor(rng.normal(size=(h * w, DESK_DEC.embed_dim))) for h, w in dims]
     logits = fuse_and_predict(params, DESK_DEC, "head", maps, maps, dims)
-    probs = mask_probs(logits_to_grid(logits, 4, 4))
+    probs = mask_probs(tokens_to_map(logits, (4, 4), 4, 4))
     np.testing.assert_allclose(probs.data, 0.5, atol=1e-15)
 
 
