@@ -159,12 +159,6 @@ class PseudoLabels:
     probs: np.ndarray             # [..., K, H, W], sums to 1 per pixel
     valid: np.ndarray             # [..., H, W] bool, max prob >= tau
 
-    def hard(self) -> np.ndarray:
-        return class_argmax(self.probs)
-
-    def confidence(self) -> np.ndarray:
-        return self.probs.max(axis=-3)
-
 
 _DIST_ROWS = 64     # token rows per block of the class distances
 
@@ -216,41 +210,45 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
     return PseudoLabels(probs=p, valid=p.max(axis=-3) >= tau)
 
 
-def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images,
-                         tau: float = 0.9) -> Iterator[PseudoLabels]:
-    """Source-free inference over ``images`` (same-sized [3, H, W] arrays),
-    yielding one label per image; valid where the max class probability
-    reaches ``tau``.  ``images`` is read a chunk at a time, so a generator
-    of images never has more than one chunk resident."""
+def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images) -> Iterator:
+    """Source-free inference over same-sized [3, H, W] ``images``, read a
+    ``stack_chunks`` chunk at a time.  Yields per chunk of n images the
+    pseudo-label planes, uint8 ``class_argmax`` and float64 max class
+    probability [n, H, W], with the forward's maps and token grids."""
     for chunk in stack_chunks(images):
-        logits = infer_target_sourcefree(params, enc_cfg, dec_cfg, chunk)[0]
-        for probs in mask_probs(logits).data:
-            yield PseudoLabels(probs=probs, valid=probs.max(axis=0) >= tau)
+        logits, maps, dims = infer_target_sourcefree(params, enc_cfg, dec_cfg,
+                                                     chunk)
+        probs = mask_probs(logits).data
+        yield class_argmax(probs), probs.max(axis=-3), maps, dims
+        del logits, maps, probs     # not held through the next forward
 
 
-def pseudo_label_files(directory: str, sample_id: int,
-                       pl: PseudoLabels) -> tuple[tuple[str, bytes], ...]:
-    """The files that persist ``pl`` under ``directory`` as ``(path,
-    bytes)``: the hard-label PGM and the f64 max-probability map."""
+def pseudo_label_files(directory: str, sample_id: int, hard: np.ndarray,
+                       conf: np.ndarray) -> tuple[tuple[str, bytes], ...]:
+    """The files that persist one image's planes under ``directory`` as
+    ``(path, bytes)``: the hard-label PGM and the f64 confidence map."""
     stem = os.path.join(directory, f"{sample_id:04d}")
-    return ((stem + ".pgm", encode_pgm(pl.hard())),
-            (stem + ".conf", encode_f64(pl.confidence())))
+    return ((stem + ".pgm", encode_pgm(hard)),
+            (stem + ".conf", encode_f64(conf)))
 
 
-def save_pseudo_labels(directory: str, sample_id: int, pl: PseudoLabels) -> None:
-    """Write ``pseudo_label_files`` of ``pl`` before returning."""
+def save_pseudo_labels(directory: str, sample_id: int, hard: np.ndarray,
+                       conf: np.ndarray) -> None:
+    """Write ``pseudo_label_files`` of the planes before returning."""
     os.makedirs(directory, exist_ok=True)
-    for path, data in pseudo_label_files(directory, sample_id, pl):
+    for path, data in pseudo_label_files(directory, sample_id, hard, conf):
         write_bytes(path, data)
 
 
 def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray, num_classes: int,
                          tau: float) -> PseudoLabels:
-    """Rebuild soft probabilities from the hard map and its confidence.
-    Exact for two classes; for more the non-argmax remainder is spread
-    uniformly."""
+    """Rebuild soft [..., K, H, W] probabilities from the [..., H, W] hard
+    map and its confidence.  Exact for two classes (but a class 1 at
+    confidence exactly 0.5 decodes as a tie, which ``class_argmax`` gives
+    to class 0); for more the non-argmax remainder is spread uniformly."""
+    hot = hard[..., None, :, :] == np.arange(num_classes)[:, None, None]
     rest = (1.0 - conf) / (num_classes - 1)
-    probs = np.where(hard == np.arange(num_classes)[:, None, None], conf, rest)
+    probs = np.where(hot, conf[..., None, :, :], rest[..., None, :, :])
     return PseudoLabels(probs=probs, valid=conf >= tau)
 
 

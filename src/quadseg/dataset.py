@@ -15,6 +15,7 @@ global state.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import math
 import os
 from dataclasses import dataclass
@@ -458,13 +459,20 @@ def write_dataset(root: str, src: SceneSpec, tgt: SceneSpec,
 
     Samples are generated and encoded here while one ``WriteBehind``
     thread creates their files; ``spec.txt`` is written last, once every
-    image and label is.  Bad counts or specs raise ``ValueError`` before
-    anything is created.
+    image and label is.  Bad counts or specs, or a ``root`` holding
+    ``spec.txt`` or an image or label file (two corpora would mix their
+    ids), raise ``ValueError`` before anything is created.
     """
     for name, n in (("n_train", n_train), ("n_val", n_val)):
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
     _check_domain_invariant(src, tgt)
+    held = [path for name in ("spec.txt", "*/images/*.ppm", "*/labels/*.pgm")
+            for path in sorted(glob.glob(os.path.join(glob.escape(root), name)))
+            if os.path.isfile(path)]
+    if held:
+        raise ValueError(f"{root} already holds a corpus ({held[0]}); "
+                         "write it to a new directory")
     for domain in ("source", "target"):
         for sub in ("images", "labels"):
             os.makedirs(os.path.join(root, domain, sub), exist_ok=True)
@@ -483,7 +491,13 @@ def write_dataset(root: str, src: SceneSpec, tgt: SceneSpec,
 
 
 def split_target_ids(root: str) -> tuple[list[int], list[int]]:
-    """(train ids, val ids) for the target domain: val ids have labels."""
+    """(train ids, val ids) for the target domain: val ids have labels.  A
+    label whose image is missing raises ``ValueError`` naming it."""
     ids = list_image_ids(root, "target")
-    labeled = {i for i in ids if os.path.exists(label_path(root, "target", i))}
+    labeled = {int(name[:4]) for name in os.listdir(
+        os.path.join(root, "target", "labels")) if name.endswith(".pgm")}
+    orphans = sorted(labeled.difference(ids))
+    if orphans:
+        raise ValueError(f"target label {label_path(root, 'target', orphans[0])}"
+                         " has no image")
     return [i for i in ids if i not in labeled], sorted(labeled)

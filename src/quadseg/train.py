@@ -24,12 +24,14 @@ bank; every tape and optimizer step stays on the calling thread, and the
 job adds nothing in a different order, so the bytes do not depend on
 which branch finishes first.
 
-The warm-up ends with a pass that writes each target-train image's
-pseudo-label to ``CKPT.plabels/`` for inspection; no later command reads
-those files, since ``adapt`` makes the same labels in the forward that
-seeds its prototype bank.  They and the evaluation's masks are encoded on
-the calling thread and created by one ``pnm.WriteBehind`` thread while the
-next images are inferred.
+Pseudo-labels have one producer, ``adaptation.warmup_pseudo_labels``, and
+travel as its (uint8 hard map, float64 confidence) planes: the warm-up
+writes them to ``CKPT.plabels/`` for inspection only, ``adapt`` makes them
+in the pass that seeds its prototype bank, and a step crops and flips an
+item's planes with its image before the label job decodes them.  Those
+files and the evaluation's masks are encoded on the calling thread and
+created by one ``pnm.WriteBehind`` thread while the next images are
+inferred.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 
 from .adaptation import (
     PrototypeBank,
-    PseudoLabels,
     class_argmax,
     correct_pseudo_labels,
     decode_pseudo_labels,
@@ -72,7 +73,6 @@ from .model import (
     forward_pair,
     infer_target_sourcefree,
     init_model_params,
-    stack_chunks,
 )
 from .objectives import (
     AdamW,
@@ -268,10 +268,11 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                       with_label=False)
     plabel_dir = ckpt_out + ".plabels"
     os.makedirs(plabel_dir, exist_ok=True)
+    planes = ((h, c) for hard, conf, _, _ in warmup_pseudo_labels(
+        params, enc, dec, (s.image for s in tgt)) for h, c in zip(hard, conf))
     with WriteBehind() as out:
-        for i, pl in zip(tgt.ids, warmup_pseudo_labels(
-                params, enc, dec, (s.image for s in tgt), cfg.tau)):
-            for path, data in pseudo_label_files(plabel_dir, i, pl):
+        for i, (h, c) in zip(tgt.ids, planes):
+            for path, data in pseudo_label_files(plabel_dir, i, h, c):
                 out.put(path, data)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
@@ -283,60 +284,46 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
 # ---------------------------------------------------------------------------
 
 
-def _augment_target(s: Sample, pl: PseudoLabels, rng: np.random.Generator,
-                    crop: int) -> tuple[np.ndarray, PseudoLabels]:
-    """Crop/flip image, probabilities and validity together (validity rides
-    as one more channel); crops are anchored on valid line pixels."""
-    anchor = pl.valid & (pl.hard() == pl.probs.shape[0] - 1)
-    out = augment(Sample(s.image, np.concatenate([pl.probs, pl.valid[None]]),
-                         s.id), rng, crop=crop, anchor=anchor)
-    return out.image, PseudoLabels(probs=out.label[:-1],
-                                   valid=out.label[-1] > 0.5)
-
-
-def _target_labels(pls: PseudoLabels, maps_t: tuple, dims: list,
+def _target_labels(planes: np.ndarray, maps_t: tuple, dims: list,
                    bank: PrototypeBank | None,
                    cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """The hard labels and validity that a step's target loss reads: the
-    batch's warm-up labels ``pls`` as they are, or, with a ``bank``,
-    corrected against it by the target head's augmented features, after
-    which the prototypes trail the corrections item by item.  Plain numpy
-    on arrays and the bank, never a tape, so it runs on a worker thread
-    beside the critic step."""
+    batch's augmented [B, 2, h, w] (hard, confidence) ``planes`` decoded,
+    and with a ``bank`` corrected against it by the target head's
+    augmented features, after which the prototypes trail the corrections
+    item by item.  Plain numpy on arrays and the bank, never a tape, so it
+    runs on a worker thread beside the critic step."""
+    pls = decode_pseudo_labels(planes[:, 0], planes[:, 1], cfg.num_classes,
+                               cfg.tau)
     if bank is not None:
         feats = augmented_features(maps_t, dims)
         pls = correct_pseudo_labels(pls, feats, dims[0], bank,
                                     cfg.temperature, cfg.tau)
         for i, gp in enumerate(grid_probs(pls.probs, *dims[0])):
             track_prototypes(bank, feats[i], gp)
-    return pls.hard(), pls.valid
+    return class_argmax(pls.probs), pls.valid
 
 
 def _target_pass(params, cfg: RunConfig, tgt,
                  correcting: bool) -> tuple[np.ndarray, np.ndarray,
                                             PrototypeBank | None]:
-    """One source-free forward over the target-train ``Sample``s ``tgt``
-    (a ``Corpus``), a ``stack_chunks`` chunk at a time.  Returns each
-    image's pseudo-label planes as two ``[N, H, W]`` arrays, the uint8 hard
-    map and the float64 confidence (``decode_pseudo_labels`` turns them
-    into probabilities when a step reads them), and, when ``correcting``,
-    the prototype bank seeded from the same forward's augmented features,
-    else ``None``.  The bank reads the decoded planes, as the steps do,
-    not the softmax they came from."""
+    """The warm-up weights' pseudo-label planes for the target-train
+    ``Sample``s ``tgt`` (a ``Corpus``), from one ``warmup_pseudo_labels``
+    pass, as two ``[N, H, W]`` arrays (uint8 hard map, float64
+    confidence), and, when ``correcting``, the prototype bank seeded from
+    the same forward's augmented features, else ``None``.  The bank reads
+    the decoded planes, as the steps do, not the softmax."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
     hard = np.empty((len(tgt), *tgt[0].image.shape[-2:]), np.uint8)
     conf = np.empty(hard.shape)
 
-    def chunks():       # each chunk's first index, maps and grids, once
-        lo = 0          # its planes are stored
-        for chunk in stack_chunks(s.image for s in tgt):
-            logits, maps, dims = infer_target_sourcefree(params, enc, dec,
-                                                         chunk)
-            probs = mask_probs(logits).data
-            hard[lo:lo + len(probs)] = class_argmax(probs)
-            conf[lo:lo + len(probs)] = probs.max(axis=-3)
-            yield lo, maps, dims
-            lo += len(probs)
+    def chunks():       # each chunk once its planes are stored
+        lo = 0
+        for h, c, maps, dims in warmup_pseudo_labels(
+                params, enc, dec, (s.image for s in tgt)):
+            hard[lo:lo + len(h)], conf[lo:lo + len(h)] = h, c
+            lo += len(h)
+            yield h, c, maps, dims
 
     if not correcting:
         for _ in chunks():
@@ -347,9 +334,9 @@ def _target_pass(params, cfg: RunConfig, tgt,
                                 lam=cfg.lambda_ema)
     initialize_bank(bank, (      # one (feats, token probs) pair per image
         (feats, grid_probs(decode_pseudo_labels(
-            hard[j], conf[j], cfg.num_classes, cfg.tau).probs, *dims[0]))
-        for lo, maps, dims in chunks()
-        for j, feats in enumerate(augmented_features(maps, dims), lo)))
+            h[j], c[j], cfg.num_classes, cfg.tau).probs, *dims[0]))
+        for h, c, maps, dims in chunks()
+        for j, feats in enumerate(augmented_features(maps, dims))))
     return hard, conf, bank
 
 
@@ -388,11 +375,6 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                                (to_grayscale(s.image) for s in tgt))
     hard, conf, bank = _target_pass(params, cfg, tgt,
                                     cfg.label_correction and cfg.self_training)
-
-    def label(j: int) -> PseudoLabels:
-        return decode_pseudo_labels(hard[j], conf[j], cfg.num_classes,
-                                    cfg.tau)
-
     weights = _class_weights(cfg)
 
     def run_step(step: int) -> tuple:
@@ -406,28 +388,32 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         for k in picks:
             si, tj = pairset.pairs[int(k)]
             s = augment(src[si], rng, crop=cfg.crop)
-            batch.append((s, *_augment_target(tgt[tj], label(tj), rng,
-                                              cfg.crop)))
+            # planes and image crop and flip together, anchored on valid
+            # pixels that decode as line (a 1 at exactly 0.5 decodes as 0)
+            h, c = hard[tj], conf[tj]
+            t = augment(Sample(tgt[tj].image, np.stack([h, c]), tj), rng,
+                        crop=cfg.crop,
+                        anchor=(h == 1) & (c >= cfg.tau) & (c > 0.5))
+            batch.append((s, t))
         n = len(batch)
         gtape = _watching(params)
         l_t = g_term = Tensor(0.0)
         with gtape:
             out = forward_pair(params, enc, dec,
-                               Tensor(np.stack([s.image for s, _, _ in batch])),
-                               Tensor(np.stack([t for _, t, _ in batch])),
+                               Tensor(np.stack([s.image for s, _ in batch])),
+                               Tensor(np.stack([t.image for _, t in batch])),
                                cfg.use_cross_src, cfg.use_cross_tgt)
             l_s, _ = seg_cross_entropy(
-                out.logits_s, np.stack([s.label for s, _, _ in batch]),
+                out.logits_s, np.stack([s.label for s, _ in batch]),
                 class_weights=weights)
             if cfg.adversarial:
                 # only the critic reads the source masks, and only detached
                 probs_s = mask_probs(out.logits_s.detach())
                 probs_t = mask_probs(out.logits_t)
         if cfg.self_training:
-            job = partial(_target_labels, PseudoLabels(
-                probs=np.stack([pl.probs for _, _, pl in batch]),
-                valid=np.stack([pl.valid for _, _, pl in batch])),
-                out.maps_t, out.dims, bank, cfg)
+            job = partial(_target_labels,
+                          np.stack([t.label for _, t in batch]),
+                          out.maps_t, out.dims, bank, cfg)
             if cfg.adversarial:
                 # the labels run on the worker while the critic steps
                 # here; with no critic step the handoff would only cost
@@ -444,8 +430,8 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             d_val = d_total.item()
         with gtape:
             if cfg.self_training:
-                hard, valid = job()
-                l_t, _ = seg_cross_entropy(out.logits_t, hard, valid=valid,
+                labels, valid = job()
+                l_t, _ = seg_cross_entropy(out.logits_t, labels, valid=valid,
                                            class_weights=weights)
             if cfg.adversarial:
                 # patch means over the batch, summed like the other terms

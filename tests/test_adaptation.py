@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadseg.adaptation import (
@@ -451,6 +451,9 @@ def test_correction_matches_the_einsum_resampler(k, gh, gw, scale, seed):
 
 
 def test_warmup_validity_thresholds():
+    """A zero classifier makes the two logits of every pixel equal: the
+    planes read class 0 at confidence exactly 0.5, valid at tau 0.5 and
+    not at 0.9."""
     from quadseg.decoder import DecoderConfig
     from quadseg.encoder import EncoderConfig
     from quadseg.model import init_model_params
@@ -459,21 +462,22 @@ def test_warmup_validity_thresholds():
                         sr_ratios=(1, 1))
     dec = DecoderConfig(embed_dim=8)
     params = init_model_params(enc, dec, np.random.default_rng(4))
-    # zero classifier -> exactly uniform logits -> max prob 0.5 everywhere
     params["dec.head.cls.w"].data[:] = 0.0
     params["dec.head.cls.b"].data[:] = 0.0
     img = np.random.default_rng(5).random((3, 16, 16))
-    (pl_strict,) = warmup_pseudo_labels(params, enc, dec, [img], tau=0.9)
-    assert not pl_strict.valid.any()
-    (pl_all,) = warmup_pseudo_labels(params, enc, dec, [img], tau=0.0)
+    ((hard, conf, _, _),) = warmup_pseudo_labels(params, enc, dec, [img])
+    assert hard.dtype == np.uint8 and hard.shape == conf.shape == (1, 16, 16)
+    assert not hard.any() and (conf == 0.5).all()
+    assert not decode_pseudo_labels(hard, conf, 2, tau=0.9).valid.any()
+    pl_all = decode_pseudo_labels(hard, conf, 2, tau=0.5)
     assert pl_all.valid.all()
-    np.testing.assert_allclose(pl_all.probs.sum(axis=0), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(pl_all.probs.sum(axis=-3), 1.0)
 
 
 def test_pseudo_label_pass_is_lazy():
-    """The pass pulls at most INFER_CHUNK images from a generator before
-    it yields the first label, so a corpus's float images are never all
-    resident at once."""
+    """The pass pulls one chunk of INFER_CHUNK images from a generator
+    before it yields that chunk's planes, so a corpus's float images are
+    never all resident at once."""
     from quadseg.decoder import DecoderConfig
     from quadseg.encoder import EncoderConfig
     from quadseg.model import INFER_CHUNK, init_model_params
@@ -490,19 +494,21 @@ def test_pseudo_label_pass_is_lazy():
             pulled.append(k)
             yield rng.random((3, 16, 16))
 
-    labels = warmup_pseudo_labels(params, enc, dec, images(), tau=0.5)
-    assert next(labels).probs.shape == (2, 16, 16)
-    assert 1 <= len(pulled) <= INFER_CHUNK
-    assert len(list(labels)) == 3 * INFER_CHUNK - 1
+    chunks = warmup_pseudo_labels(params, enc, dec, images())
+    hard, conf, _, _ = next(chunks)
+    assert hard.shape == conf.shape == (INFER_CHUNK, 16, 16)
+    assert len(pulled) == INFER_CHUNK
+    assert [len(h) for h, _, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK]
     assert len(pulled) == 3 * INFER_CHUNK
 
 
 def test_chunked_inference_matches_per_image():
-    """Pseudo-labels, and the planes and initial prototype bank of
-    ``adapt``'s target pass, computed INFER_CHUNK images per forward with a
-    ragged last chunk, equal the one-image-per-forward results bit for
-    bit.  The bank is seeded from the decoded planes; with correction off
-    the pass fills the same planes and makes no bank."""
+    """The planes ``warmup_pseudo_labels`` yields, and the planes and
+    initial prototype bank of ``adapt``'s target pass, computed
+    INFER_CHUNK images per forward with a ragged last chunk, equal the
+    one-image-per-forward results bit for bit.  The bank is seeded from
+    the decoded planes; with correction off the pass fills the same planes
+    and makes no bank."""
     from quadseg.config import RunConfig
     from quadseg.dataset import Sample
     from quadseg.decoder import augmented_features, mask_probs
@@ -516,23 +522,30 @@ def test_chunked_inference_matches_per_image():
     params = init_model_params(enc, dec, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     images = [rng.random((3, 32, 32)) for _ in range(2 * INFER_CHUNK + 1)]
-    plabels = list(warmup_pseudo_labels(params, enc, dec, images, tau=0.6))
-    assert len(plabels) == len(images)
-    feats = []
-    for img, pl in zip(images, plabels):
+    chunks = list(warmup_pseudo_labels(params, enc, dec, images))
+    assert [len(h) for h, _, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
+    want_hard, want_conf, feats = [], [], []
+    for img in images:
         logits, maps, dims = infer_target_sourcefree(params, enc, dec, Tensor(img))
         probs = mask_probs(logits).data
-        np.testing.assert_array_equal(pl.probs, probs)
-        np.testing.assert_array_equal(pl.valid, probs.max(axis=0) >= 0.6)
-        held = decode_pseudo_labels(pl.hard(), pl.confidence(), 2, tau=0.6)
+        want_hard.append(class_argmax(probs))
+        want_conf.append(probs.max(axis=0))
+        held = decode_pseudo_labels(want_hard[-1], want_conf[-1], 2, tau=0.6)
         feats.append((augmented_features(maps, dims),
                       grid_probs(held.probs, *dims[0])))
+    np.testing.assert_array_equal(np.concatenate([h for h, _, _, _ in chunks]),
+                                  want_hard)
+    np.testing.assert_array_equal(np.concatenate([c for _, c, _, _ in chunks]),
+                                  want_conf)
+    chunk_feats = [f for _, _, maps, dims in chunks
+                   for f in augmented_features(maps, dims)]
+    for got, (want, _) in zip(chunk_feats, feats, strict=True):
+        np.testing.assert_array_equal(got, want)
     samples = [Sample(img, None, i) for i, img in enumerate(images)]
     hard, conf, bank = _target_pass(params, cfg, samples, True)
     assert hard.dtype == np.uint8 and hard.shape == (len(images), 32, 32)
-    for j, pl in enumerate(plabels):
-        np.testing.assert_array_equal(hard[j], pl.hard())
-        np.testing.assert_array_equal(conf[j], pl.confidence())
+    np.testing.assert_array_equal(hard, want_hard)
+    np.testing.assert_array_equal(conf, want_conf)
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)
     initialize_bank(want, feats)
@@ -544,39 +557,92 @@ def test_chunked_inference_matches_per_image():
     np.testing.assert_array_equal(plain_conf, conf)
 
 
+def _softmax_planes(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (hard, confidence) planes of [2, ...] logits, as the warm-up
+    pass makes them."""
+    from quadseg.decoder import mask_probs
+    from quadseg.tensor import Tensor
+
+    with np.errstate(over="ignore"):      # a gap past the float range
+        probs = mask_probs(Tensor(logits.reshape(2, 1, -1))).data
+    return class_argmax(probs), probs.max(axis=-3)
+
+
+@st.composite
+def _logit_pairs(draw):
+    """A finite logit pair: two free draws, or one draw and a copy of it
+    moved 0-4 ulps either way (0 is an exact tie), in either order."""
+    a = draw(st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        b = draw(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        b, ulps = a, draw(st.integers(-4, 4))
+        with np.errstate(over="ignore"):
+            for _ in range(abs(ulps)):
+                b = float(np.nextafter(b, math.copysign(math.inf, ulps)))
+        assume(math.isfinite(b))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_logit_pairs(), min_size=1, max_size=12),
+       st.floats(0.0, 1.0))
+@example([(0.3, 0.30000000000000004), (2.0, 2.0), (-1e308, 1e308)], 0.5)
+def test_softmax_planes_decode_to_their_hard_map(pairs, tau):
+    """Planes made by a 2-class softmax decode back to their own hard map,
+    valid where the confidence reaches tau.  The one exception: a line
+    whose confidence rounds to exactly 0.5 decodes as a tie, which
+    ``class_argmax`` gives to the background."""
+    hard, conf = _softmax_planes(np.array(pairs, dtype=np.float64).T)
+    pl = decode_pseudo_labels(hard, conf, 2, tau)
+    assert (conf >= 0.5).all()
+    np.testing.assert_array_equal(class_argmax(pl.probs),
+                                  np.where(conf == 0.5, 0, hard))
+    np.testing.assert_array_equal(pl.valid, conf >= tau)
+
+
+def test_a_one_ulp_line_win_decodes_as_a_background_tie():
+    """The exception is reachable: logits one ulp apart give a hard 1 at
+    confidence exactly 0.5."""
+    hard, conf = _softmax_planes(np.array([0.3, np.nextafter(0.3, 1.0)]))
+    assert hard.item() == 1 and conf.item() == 0.5
+    assert class_argmax(decode_pseudo_labels(hard, conf, 2, 0.5).probs).item() == 0
+
+
 def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(2, 8, 8))
     probs = np.exp(logits - logits.max(axis=0))
     probs /= probs.sum(axis=0)
-    pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.9)
-    save_pseudo_labels(str(tmp_path), 7, pl)
+    save_pseudo_labels(str(tmp_path), 7, class_argmax(probs),
+                       probs.max(axis=0))
     back = load_pseudo_labels(str(tmp_path), 7, 2, tau=0.9)
     # hard labels and winning confidences survive bit-exactly; the losing
     # channel is reconstructed as 1 - conf, so the pair sums to exactly one
     np.testing.assert_array_equal(back.probs.argmax(axis=0),
-                                  pl.probs.argmax(axis=0))
-    np.testing.assert_array_equal(back.probs.max(axis=0), pl.probs.max(axis=0))
+                                  probs.argmax(axis=0))
+    np.testing.assert_array_equal(back.probs.max(axis=0), probs.max(axis=0))
     np.testing.assert_array_equal(back.probs.sum(axis=0), 1.0)
-    np.testing.assert_array_equal(back.valid, pl.valid)
+    np.testing.assert_array_equal(back.valid, probs.max(axis=0) >= 0.9)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
-    """The planes a run holds in memory, (hard map, confidence), decode bit
-    for bit to what ``load_pseudo_labels`` rebuilds from the files, and are
-    the planes the files hold."""
+    """The planes a run holds in memory, (hard map, confidence), are the
+    planes the files hold, and decode bit for bit to what
+    ``load_pseudo_labels`` rebuilds from the files, with or without
+    leading dims."""
     rng = np.random.default_rng(20 + k)
     logits = rng.normal(size=(k, 9, 7))
     probs = np.exp(logits) / np.exp(logits).sum(axis=0)
-    pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.5)
-    save_pseudo_labels(str(tmp_path), 3, pl)
-    hard = read_pgm(str(tmp_path / "0003.pgm"))
-    conf = read_f64(str(tmp_path / "0003.conf"), hard.shape)
-    assert hard.dtype == np.uint8 and conf.dtype == np.float64
-    np.testing.assert_array_equal(hard, pl.hard())
-    np.testing.assert_array_equal(conf, pl.confidence())
-    held = decode_pseudo_labels(pl.hard(), pl.confidence(), k, tau=0.5)
+    hard, conf = class_argmax(probs), probs.max(axis=0)
+    save_pseudo_labels(str(tmp_path), 3, hard, conf)
+    file_hard = read_pgm(str(tmp_path / "0003.pgm"))
+    file_conf = read_f64(str(tmp_path / "0003.conf"), hard.shape)
+    assert file_hard.dtype == np.uint8 and file_conf.dtype == np.float64
+    np.testing.assert_array_equal(file_hard, hard)
+    np.testing.assert_array_equal(file_conf, conf)
+    held = decode_pseudo_labels(hard, conf, k, tau=0.5)
     loaded = load_pseudo_labels(str(tmp_path), 3, k, tau=0.5)
     np.testing.assert_array_equal(held.probs, loaded.probs)
     np.testing.assert_array_equal(held.valid, loaded.valid)
@@ -584,6 +650,14 @@ def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
         np.testing.assert_array_equal(
             held.probs[c], np.where(hard == c, conf, (1.0 - conf) / (k - 1)))
     np.testing.assert_array_equal(held.valid, conf >= 0.5)
+    batched = decode_pseudo_labels(np.stack([hard, hard[::-1]]),
+                                   np.stack([conf, conf[::-1]]), k, tau=0.5)
+    assert batched.probs.shape == (2, k, 9, 7)
+    np.testing.assert_array_equal(batched.probs[0], held.probs)
+    np.testing.assert_array_equal(
+        batched.probs[1],
+        decode_pseudo_labels(hard[::-1], conf[::-1], k, tau=0.5).probs)
+    np.testing.assert_array_equal(batched.valid[0], held.valid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadseg.adaptation import PseudoLabels
+from quadseg import cli
+from quadseg.adaptation import PseudoLabels, decode_pseudo_labels
 from quadseg.dataset import (
     Sample,
     SceneSpec,
@@ -18,6 +19,7 @@ from quadseg.dataset import (
     crop_window,
     generate_domain,
     generate_sample,
+    image_path,
     iou,
     label_path,
     line_label,
@@ -295,30 +297,39 @@ def _loop_augment_target(s, pl, rng, crop):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), crop=st.sampled_from([32, 64]))
-def test_target_augment_matches_the_side_by_side_path(seed, crop):
-    """``train._augment_target`` (one ``augment`` call, validity riding as a
-    channel) gives bit-equal image, probabilities and validity, and leaves
-    the rng where the side-by-side path does."""
-    from quadseg.train import _augment_target
+@given(seed=st.integers(0, 2**32 - 1), crop=st.sampled_from([32, 64]),
+       tau=st.sampled_from([0.0, 0.5, 0.9]))
+def test_target_augment_matches_the_side_by_side_path(seed, crop, tau):
+    """The form ``adapt``'s step augments a target in: one ``augment`` of
+    the (hard, confidence) planes, anchored on the valid pixels that
+    decode as line, then the label job's decode.  It gives the image,
+    probabilities and validity of the side-by-side path on the decoded
+    labels bit for bit, and leaves the rng where that path does: crop and
+    flip only move elements, so they commute with the elementwise decode."""
     s = generate_sample(target_spec(2), seed % 5)
     rng = np.random.default_rng(seed)
     # background everywhere (some of it below tau) but a 4x4 patch of line
     # pixels (some below tau) near a corner, which few crop windows catch:
-    # the crop anchor is that patch's valid part
+    # the crop anchor is that patch's valid part.  Two line pixels at
+    # confidence exactly 0.5 near the opposite corner decode as ties and
+    # must not anchor the crop.
     line = 0.45 * rng.random(s.label.shape) ** 8
     r, c = rng.choice([0, 4, 56, 60], size=2)
     line[r:r + 4, c:c + 4] = rng.uniform(0.5, 1.0, (4, 4))
-    probs = np.stack([1.0 - line, line])
-    pl = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.9)
+    hard = (line > 0.5).astype(np.uint8)
+    conf = np.where(hard == 1, line, 1.0 - line)
+    hard[62 - r, 62 - c:64 - c] = 1
+    conf[62 - r, 62 - c:64 - c] = 0.5
     got_rng = np.random.default_rng(seed)
     want_rng = np.random.default_rng(seed)
-    img, got = _augment_target(s, pl, got_rng, crop)
-    want_img, want = _loop_augment_target(s, pl, want_rng, crop)
-    assert img.tobytes() == want_img.tobytes()
-    assert got.probs.tobytes() == want.probs.tobytes()
-    assert got.valid.dtype == bool and got.valid.shape == want.valid.shape
-    np.testing.assert_array_equal(got.valid, want.valid)
+    got = augment(Sample(s.image, np.stack([hard, conf]), s.id), got_rng,
+                  crop=crop, anchor=(hard == 1) & (conf >= tau) & (conf > 0.5))
+    want_img, want = _loop_augment_target(
+        s, decode_pseudo_labels(hard, conf, 2, tau), want_rng, crop)
+    labels = decode_pseudo_labels(got.label[0], got.label[1], 2, tau)
+    assert got.image.tobytes() == want_img.tobytes()
+    assert labels.probs.tobytes() == want.probs.tobytes()
+    np.testing.assert_array_equal(labels.valid, want.valid)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -658,6 +669,71 @@ def test_write_dataset_reruns_byte_identical(tmp_path):
         b1 = Path(r1, rel).read_bytes()
         b2 = Path(r2, rel).read_bytes()
         assert b1 == b2, rel
+
+
+def _tree_bytes(root):
+    return {os.path.relpath(os.path.join(d, name), root):
+            Path(d, name).read_bytes()
+            for d, _, names in os.walk(root) for name in names}
+
+
+@pytest.mark.parametrize("held", [
+    None, "spec.txt", "source/images/0000.ppm", "source/labels/0005.pgm",
+    "target/images/0007.ppm", "target/labels/0004.pgm"])
+def test_generate_refuses_a_directory_that_holds_a_corpus(tmp_path, capsys,
+                                                          held):
+    """``generate`` into a directory that holds ``spec.txt`` or any image
+    or label file (``None``: a whole 6/3 corpus) exits 1 with one line
+    naming the first such file and leaves the directory as it was; a 3/2
+    corpus written over a 6/3 one would mix their ids."""
+    out = str(tmp_path / "data")
+    if held is None:
+        assert cli.main(["generate", "--out", out, "--train", "6",
+                         "--val", "3"]) == 0
+        first = os.path.join(out, "spec.txt")
+    else:
+        first = os.path.join(out, held)
+        os.makedirs(os.path.dirname(first), exist_ok=True)
+        Path(first).write_bytes(b"")
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert cli.main(["generate", "--out", out, "--train", "3",
+                     "--val", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"quadseg: error: {out} already holds a corpus ({first}); "
+        "write it to a new directory\n")
+    assert _tree_bytes(out) == before
+
+
+def test_generate_accepts_a_directory_without_corpus_files(tmp_path):
+    """Empty corpus directories and files the corpus readers never read
+    do not make a directory a corpus."""
+    out = tmp_path / "data"
+    os.makedirs(out / "target" / "labels")
+    os.makedirs(out / "source" / "images")
+    (out / "notes.txt").write_text("kept\n")
+    (out / "source" / "images" / "README").write_text("kept\n")
+    assert cli.main(["generate", "--out", str(out), "--train", "2",
+                     "--val", "1"]) == 0
+    assert split_target_ids(str(out)) == ([0, 1], [2])
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_warmup_refuses_a_target_label_without_its_image(tmp_path, capsys):
+    """A target-val label whose image is gone makes the corpus unreadable:
+    ``warmup`` exits 1 with one line naming the label, before it trains,
+    rather than training on a smaller val split."""
+    data = str(tmp_path / "data")
+    write_dataset(data, *_tiny_specs(), n_train=3, n_val=3)
+    os.remove(image_path(data, "target", 4))
+    os.remove(image_path(data, "target", 3))
+    ckpt = str(tmp_path / "w.ckpt")
+    capsys.readouterr()
+    assert cli.main(["warmup", "--data", data, "--out", ckpt]) == 1
+    assert capsys.readouterr().err == (
+        f"quadseg: error: target label {label_path(data, 'target', 3)} "
+        "has no image\n")
+    assert not os.path.exists(ckpt)
 
 
 def test_scene_spec_roundtrip_and_invariant(tmp_path):

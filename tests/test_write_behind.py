@@ -108,17 +108,15 @@ def test_pseudo_label_files_equal_the_synchronous_writers(chain, tmp_path):
     params = train._restore_params(load_checkpoint(wck), _CFG)
     tgt = load_corpus(data, "target", split_target_ids(data)[0],
                       with_label=False)
-    pls = list(warmup_pseudo_labels(params, _CFG.encoder_config(),
-                                    _CFG.decoder_config(),
-                                    (s.image for s in tgt), _CFG.tau))
+    planes = [(h, c) for hard, conf, _, _ in warmup_pseudo_labels(
+        params, _CFG.encoder_config(), _CFG.decoder_config(),
+        (s.image for s in tgt)) for h, c in zip(hard, conf)]
     assert sorted(os.listdir(wck + ".plabels")) == sorted(
         f"{i:04d}.{ext}" for i in tgt.ids for ext in ("pgm", "conf"))
-    for i, pl in zip(tgt.ids, pls):
+    for i, (h, c) in zip(tgt.ids, planes, strict=True):
         stem = os.path.join(wck + ".plabels", f"{i:04d}")
-        assert _read(stem + ".pgm") == _reference(tmp_path, write_pgm,
-                                                  pl.hard())
-        assert _read(stem + ".conf") == _reference(tmp_path, write_f64,
-                                                   pl.confidence())
+        assert _read(stem + ".pgm") == _reference(tmp_path, write_pgm, h)
+        assert _read(stem + ".conf") == _reference(tmp_path, write_f64, c)
 
 
 def test_mask_files_equal_the_synchronous_writer(chain, tmp_path):
