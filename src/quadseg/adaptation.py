@@ -19,9 +19,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .pnm import encode_f64, encode_pgm, read_f64, read_pgm, write_bytes
-from .tensor import _upsample_first
+from .tensor import Tensor, _upsample_first, tokens_to_map
 from .decoder import mask_probs
-from .model import infer_target_sourcefree, stack_chunks
+from .model import infer_target_tokens, stack_chunks
 
 __all__ = [
     "PrototypeBank",
@@ -35,6 +35,7 @@ __all__ = [
     "initialize_bank",
     "correct_pseudo_labels",
     "warmup_pseudo_labels",
+    "pseudo_label_planes",
     "pseudo_label_files",
     "save_pseudo_labels",
     "decode_pseudo_labels",
@@ -213,14 +214,24 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images) -> Iterator:
     """Source-free inference over same-sized [3, H, W] ``images``, read a
     ``stack_chunks`` chunk at a time.  Yields per chunk of n images the
-    pseudo-label planes, uint8 ``class_argmax`` and float64 max class
-    probability [n, H, W], with the forward's maps and token grids."""
+    target head's token logits [n, h0*w0, K] as a float64 array, with the
+    forward's maps and token grids; ``pseudo_label_planes`` turns the
+    logits into the pseudo-label planes."""
     for chunk in stack_chunks(images):
-        logits, maps, dims = infer_target_sourcefree(params, enc_cfg, dec_cfg,
-                                                     chunk)
-        probs = mask_probs(logits).data
-        yield class_argmax(probs), probs.max(axis=-3), maps, dims
-        del logits, maps, probs     # not held through the next forward
+        tok, maps, dims = infer_target_tokens(params, enc_cfg, dec_cfg, chunk)
+        yield tok.data, maps, dims
+        del tok, maps               # not held through the next forward
+
+
+def pseudo_label_planes(tok: np.ndarray, grid: tuple[int, int], out_h: int,
+                        out_w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pseudo-label planes of [..., h*w, K] token logits on ``grid``,
+    resampled to [..., out_h, out_w]: the uint8 ``class_argmax`` and the
+    float64 max class probability of their softmax.  Every op works item
+    by item, so the planes of an item do not depend on which items are
+    derived with it."""
+    probs = mask_probs(tokens_to_map(Tensor(tok), grid, out_h, out_w)).data
+    return class_argmax(probs), probs.max(axis=-3)
 
 
 def pseudo_label_files(directory: str, sample_id: int, hard: np.ndarray,

@@ -351,10 +351,24 @@ def label_path(root: str, domain: str, sample_id: int) -> str:
     return os.path.join(root, domain, "labels", f"{sample_id:04d}.pgm")
 
 
+def _file_ids(directory: str, ext: str) -> list[int]:
+    """The sample ids that the ``ext`` files of ``directory`` name, in
+    listing order: each file's whole stem, so ids from 10000 on, which
+    ``image_path`` writes with five digits, read back.  A stem that is not
+    all digits raises ``ValueError`` naming the file."""
+    ids = []
+    for name in os.listdir(directory):
+        if name.endswith(ext):
+            stem = name[:-len(ext)]
+            if not (stem.isascii() and stem.isdigit()):
+                raise ValueError(f"{os.path.join(directory, name)}: the file "
+                                 "name is not a sample id")
+            ids.append(int(stem))
+    return ids
+
+
 def list_image_ids(root: str, domain: str) -> list[int]:
-    d = os.path.join(root, domain, "images")
-    return sorted(int(name[:4]) for name in os.listdir(d)
-                  if name.endswith(".ppm"))
+    return sorted(_file_ids(os.path.join(root, domain, "images"), ".ppm"))
 
 
 def _read_label(root: str, domain: str, sample_id: int) -> np.ndarray:
@@ -494,8 +508,7 @@ def split_target_ids(root: str) -> tuple[list[int], list[int]]:
     """(train ids, val ids) for the target domain: val ids have labels.  A
     label whose image is missing raises ``ValueError`` naming it."""
     ids = list_image_ids(root, "target")
-    labeled = {int(name[:4]) for name in os.listdir(
-        os.path.join(root, "target", "labels")) if name.endswith(".pgm")}
+    labeled = set(_file_ids(os.path.join(root, "target", "labels"), ".pgm"))
     orphans = sorted(labeled.difference(ids))
     if orphans:
         raise ValueError(f"target label {label_path(root, 'target', orphans[0])}"

@@ -24,7 +24,7 @@ from .encoder import (
 from .tensor import Tensor, tokens_to_map
 
 __all__ = ["PairOutput", "INFER_CHUNK", "init_model_params", "forward_pair",
-           "infer_target_sourcefree", "stack_chunks"]
+           "infer_target_tokens", "infer_target_sourcefree", "stack_chunks"]
 
 # Images per forward in the whole-corpus inference loops (pseudo-labels,
 # prototype bank).  Every op computes each batch item on its own, so the
@@ -71,15 +71,24 @@ def forward_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     )
 
 
+def infer_target_tokens(params: dict, enc_cfg: EncoderConfig,
+                        dec_cfg: DecoderConfig, img: Tensor):
+    """The source-free forward of the target image [..., 3, H, W] up to
+    the target head's token logits: single-stream encoder, target head
+    fused on (phi_t, phi_t).  Returns ``(tok [..., h0*w0, K], maps,
+    dims)``: the head's (self, cross) per-stage unified maps, here the same
+    arrays twice, and the token grid per stage."""
+    feats, dims = encoder_forward_single(params, enc_cfg, img)
+    tok, maps = decode_single(params, enc_cfg, dec_cfg, feats, dims)
+    return tok, maps, dims
+
+
 def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
                             dec_cfg: DecoderConfig, img: Tensor):
     """Predict a target mask from the target image [..., 3, H, W] alone:
-    single-stream encoder, target head fused on (phi_t, phi_t).  Returns
-    ``(logits [..., K, H, W], maps, dims)``: the head's (self, cross)
-    per-stage unified maps, here the same arrays twice, and the token grid
-    per stage."""
-    feats, dims = encoder_forward_single(params, enc_cfg, img)
-    tok, maps = decode_single(params, enc_cfg, dec_cfg, feats, dims)
+    ``infer_target_tokens`` with the token logits resampled to the image.
+    Returns ``(logits [..., K, H, W], maps, dims)``."""
+    tok, maps, dims = infer_target_tokens(params, enc_cfg, dec_cfg, img)
     hh, ww = img.shape[-2:]
     return tokens_to_map(tok, dims[0], hh, ww), maps, dims
 

@@ -24,14 +24,16 @@ bank; every tape and optimizer step stays on the calling thread, and the
 job adds nothing in a different order, so the bytes do not depend on
 which branch finishes first.
 
-Pseudo-labels have one producer, ``adaptation.warmup_pseudo_labels``, and
-travel as its (uint8 hard map, float64 confidence) planes: the warm-up
-writes them to ``CKPT.plabels/`` for inspection only, ``adapt`` makes them
-in the pass that seeds its prototype bank, and a step crops and flips an
-item's planes with its image before the label job decodes them.  Those
-files and the evaluation's masks are encoded on the calling thread and
-created by one ``pnm.WriteBehind`` thread while the next images are
-inferred.
+Pseudo-labels have one producer, ``adaptation.warmup_pseudo_labels``,
+which yields the target head's token logits, and one derivation,
+``adaptation.pseudo_label_planes``, which expands logits to the (uint8
+hard map, float64 confidence) planes: the warm-up writes each chunk's
+planes to ``CKPT.plabels/`` for inspection only; ``adapt`` holds the
+logits, a ninth of the planes' bytes, from the pass that seeds its
+prototype bank, and a step derives its items' planes and crops and flips
+them with the images before the label job decodes them.  Those files and
+the evaluation's masks are encoded on the calling thread and created by
+one ``pnm.WriteBehind`` thread while the next images are inferred.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .adaptation import (
     initialize_bank,
     pair_two_way,
     pseudo_label_files,
+    pseudo_label_planes,
     read_pairs,
     to_grayscale,
     track_prototypes,
@@ -268,12 +271,17 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                       with_label=False)
     plabel_dir = ckpt_out + ".plabels"
     os.makedirs(plabel_dir, exist_ok=True)
-    planes = ((h, c) for hard, conf, _, _ in warmup_pseudo_labels(
-        params, enc, dec, (s.image for s in tgt)) for h, c in zip(hard, conf))
+    size = tgt[0].image.shape[-2:]
+    lo = 0
     with WriteBehind() as out:
-        for i, (h, c) in zip(tgt.ids, planes):
-            for path, data in pseudo_label_files(plabel_dir, i, h, c):
-                out.put(path, data)
+        for tok, maps, dims in warmup_pseudo_labels(
+                params, enc, dec, (s.image for s in tgt)):
+            del maps                # not held through the next forward
+            for i, h, c in zip(tgt.ids[lo:],
+                               *pseudo_label_planes(tok, dims[0], *size)):
+                for path, data in pseudo_label_files(plabel_dir, i, h, c):
+                    out.put(path, data)
+            lo += len(tok)
     return {"checkpoint": ckpt_out,
             "source_val_iou": source_val_iou(params, cfg, root),
             "target_val_iou": tgt_iou}
@@ -305,39 +313,46 @@ def _target_labels(planes: np.ndarray, maps_t: tuple, dims: list,
 
 
 def _target_pass(params, cfg: RunConfig, tgt,
-                 correcting: bool) -> tuple[np.ndarray, np.ndarray,
+                 correcting: bool) -> tuple[np.ndarray, tuple[int, int],
                                             PrototypeBank | None]:
-    """The warm-up weights' pseudo-label planes for the target-train
-    ``Sample``s ``tgt`` (a ``Corpus``), from one ``warmup_pseudo_labels``
-    pass, as two ``[N, H, W]`` arrays (uint8 hard map, float64
-    confidence), and, when ``correcting``, the prototype bank seeded from
-    the same forward's augmented features, else ``None``.  The bank reads
-    the decoded planes, as the steps do, not the softmax."""
+    """The warm-up weights' pseudo-labels for the target-train ``Sample``s
+    ``tgt`` (a ``Corpus``), from one ``warmup_pseudo_labels`` pass, held as
+    the target head's token logits: one [N, h0*w0, K] float64 array, a
+    ninth of the bytes of the [N, H, W] planes that ``pseudo_label_planes``
+    expands them to, with its token ``grid`` (h0, w0).  When
+    ``correcting``, also the prototype bank seeded from the same forward's
+    augmented features, else ``None``.  The bank reads each chunk's
+    decoded planes, as the steps do, not the softmax."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
-    hard = np.empty((len(tgt), *tgt[0].image.shape[-2:]), np.uint8)
-    conf = np.empty(hard.shape)
+    size = tgt[0].image.shape[-2:]
+    tok = None
+    grid = None
 
-    def chunks():       # each chunk once its planes are stored
+    def chunks():       # each chunk once its logits are stored
+        nonlocal tok, grid
         lo = 0
-        for h, c, maps, dims in warmup_pseudo_labels(
+        for t, maps, dims in warmup_pseudo_labels(
                 params, enc, dec, (s.image for s in tgt)):
-            hard[lo:lo + len(h)], conf[lo:lo + len(h)] = h, c
-            lo += len(h)
-            yield h, c, maps, dims
+            if tok is None:
+                tok, grid = np.empty((len(tgt), *t.shape[1:])), dims[0]
+            tok[lo:lo + len(t)] = t
+            lo += len(t)
+            yield t, maps, dims
 
     if not correcting:
         for _ in chunks():
             pass
-        return hard, conf, None
+        return tok, grid, None
     bank = PrototypeBank.create(cfg.num_classes,
                                 2 * enc.num_stages * cfg.embed_dim,
                                 lam=cfg.lambda_ema)
     initialize_bank(bank, (      # one (feats, token probs) pair per image
         (feats, grid_probs(decode_pseudo_labels(
-            h[j], c[j], cfg.num_classes, cfg.tau).probs, *dims[0]))
-        for h, c, maps, dims in chunks()
-        for j, feats in enumerate(augmented_features(maps, dims))))
-    return hard, conf, bank
+            h, c, cfg.num_classes, cfg.tau).probs, *dims[0]))
+        for t, maps, dims in chunks()
+        for feats, h, c in zip(augmented_features(maps, dims),
+                               *pseudo_label_planes(t, dims[0], *size))))
+    return tok, grid, bank
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -345,9 +360,9 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     """Paired adaptation from a warm-up checkpoint.
 
     Before the first step one source-free forward over target-train
-    (``_target_pass``) makes the pseudo-labels from the warm-up weights
-    and, when correcting, seeds the prototype bank; the warm-up's
-    ``.plabels`` files are not read.  Ablation toggles: with
+    (``_target_pass``) makes the pseudo-labels from the warm-up weights,
+    kept as token logits, and, when correcting, seeds the prototype bank;
+    the warm-up's ``.plabels`` files are not read.  Ablation toggles: with
     ``self_training`` off the target segmentation loss is dropped;
     ``adversarial`` off skips both discriminator and generator adversarial
     terms; ``label_correction`` off uses the warm-up pseudo-labels as-is.
@@ -373,8 +388,9 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     else:
         pairset = pair_two_way((to_grayscale(s.image) for s in src),
                                (to_grayscale(s.image) for s in tgt))
-    hard, conf, bank = _target_pass(params, cfg, tgt,
-                                    cfg.label_correction and cfg.self_training)
+    tok, grid, bank = _target_pass(params, cfg, tgt,
+                                   cfg.label_correction and cfg.self_training)
+    size = tgt[0].image.shape[-2:]
     weights = _class_weights(cfg)
 
     def run_step(step: int) -> tuple:
@@ -390,7 +406,7 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             s = augment(src[si], rng, crop=cfg.crop)
             # planes and image crop and flip together, anchored on valid
             # pixels that decode as line (a 1 at exactly 0.5 decodes as 0)
-            h, c = hard[tj], conf[tj]
+            h, c = pseudo_label_planes(tok[tj], grid, *size)
             t = augment(Sample(tgt[tj].image, np.stack([h, c]), tj), rng,
                         crop=cfg.crop,
                         anchor=(h == 1) & (c >= cfg.tau) & (c > 0.5))

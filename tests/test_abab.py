@@ -1,5 +1,8 @@
-"""tools/abab.py: the alternating run order and the summary of canned runs."""
+"""tools/abab.py: the alternating run order, the summary of canned runs
+and the JSON record."""
 
+import json
+import math
 import os
 import sys
 
@@ -61,6 +64,77 @@ def test_verdicts_gain_beyond_and_within_bound():
     assert _verdicts(parent, worse, higher)[0] == "gain"
     assert _verdicts(parent, [p * 0.7 for p in parent],
                      higher)[0] == "beyond bound"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    """A parent whose q3 - q1 exceeds the bound times its median cannot
+    tell an unchanged metric from a worse one: ``unresolved``, unless
+    every change run reads better than every parent run.  A gain or a
+    median beyond the bound still reads as such."""
+    bounds = {"step_ms_min": (0.25, "lower"), "peak_rss_mb": (0.1, "lower")}
+    # setup_s-like: q1 0.8, q3 1.4, IQR 0.6 > 0.25 * median 1.0
+    parent = [0.6, 0.8, 0.8, 0.9, 1.0, 1.0, 1.1, 1.4, 1.4, 1.6]
+    assert _verdicts(parent, parent, bounds)[0] == "unresolved"
+    assert _verdicts(parent, [p * 1.1 for p in parent],
+                     bounds)[0] == "unresolved"
+    assert _verdicts(parent, [p * 1.3 for p in parent],
+                     bounds)[0] == "beyond bound"
+    apart = [0.5] * 10                  # every run below every parent run
+    assert _verdicts(parent, apart, bounds)[0] == "gain"
+    almost = [p - 0.05 for p in parent]   # better in every pair, not apart
+    assert _verdicts(parent, almost, bounds)[0] == "unresolved"
+    # apart, but by less than the parent's IQR: no gain, and not unresolved
+    assert abab.verdict(parent, [0.59] * 10, 0.25) == "within bound"
+    # higher is better: only runs above every parent run are apart
+    assert abab.verdict(parent, [0.59] * 10, 0.25, "higher") == "beyond bound"
+    assert abab.verdict(parent, [1.3] * 10, 0.25, "higher") == "unresolved"
+    assert abab.verdict(parent, parent, 0.25, "higher") == "unresolved"
+
+
+def test_record_holds_runs_probe_and_summary(tmp_path, monkeypatch):
+    """``--record`` writes one JSON file: every run's metrics, digest and
+    host facts, the probe before and after the runs, and per metric both
+    sides' median and quartiles, the pair wins and the verdict."""
+    records = []
+    for seed, (p, c) in enumerate([(12.0, 10.0), (12.4, 10.2), (12.2, 10.6),
+                                   (12.6, 12.8), (12.8, 10.4)]):
+        records += [dict(_rec("parent", seed, p, 57.5), host={"nproc": 2}),
+                    dict(_rec("change", seed, c, 56.5), host={"nproc": 2})]
+    for side in ("p", "c"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    seen = {}
+
+    def fake_pairs(checkouts, workloads, seeds, seconds, log=None):
+        seen["args"] = (sorted(checkouts), workloads, seeds, seconds)
+        return records
+
+    monkeypatch.setattr(abab, "run_pairs", fake_pairs)
+    monkeypatch.setattr(abab, "host_probe",
+                        lambda: {"gemm_s_min": 1e-3, "loop_s_min": 2e-3})
+    path = tmp_path / "BENCH_x.json"
+    assert abab.main([str(tmp_path / "p"), str(tmp_path / "c"), "--workload",
+                      "w", "--seeds", "0", "1", "--seconds", "3",
+                      "--record", str(path)]) == 0
+    assert seen["args"] == (["change", "parent"], ["w"], [0, 1], 3.0)
+    rec = json.loads(path.read_text())
+    assert rec["seconds"] == 3.0
+    assert rec["probe"] == {side: {"gemm_s_min": 1e-3, "loop_s_min": 2e-3}
+                            for side in ("before", "after")}
+    assert rec["runs"] == records
+    step = rec["summary"]["w"]["metrics"]["step_ms_min"]
+    assert rec["summary"]["w"]["pairs"] == 5
+    assert step["parent"] == {"median": 12.4, "q1": 12.2, "q3": 12.6}
+    assert step["change"] == {"median": 10.4, "q1": 10.2, "q3": 10.6}
+    assert (step["change_lower"], step["wins"]) == (4, 4)
+    assert step["verdict"] == "within bound"
+    assert rec["summary"]["w"]["metrics"]["peak_rss_mb"]["verdict"] == "gain"
+
+
+def test_host_probe_times_both_kernels():
+    probe = abab.host_probe(repeats=2)
+    assert sorted(probe) == ["gemm_s_min", "loop_s_min"]
+    assert all(0.0 < v < math.inf for v in probe.values())
 
 
 def test_bounds_come_from_the_benchmark_file():

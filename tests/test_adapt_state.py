@@ -1,6 +1,8 @@
 """What ``adapt`` keeps: it makes its pseudo-labels in the forward that
-seeds the prototype bank, the planes the warm-up's ``.plabels`` files hold,
-so the run is the same whether those files are intact, missing or damaged;
+seeds the prototype bank and holds them as token logits, whose planes are
+the ones the warm-up's ``.plabels`` files hold, so the run is the same
+whether those files are intact, missing or damaged, and no step holds the
+planes of the whole corpus;
 the warm-up checkpoint is released once restored, and each
 step is freed before the next one's forward, and each step corrects its
 pseudo-labels in one call; ``evaluate`` and a resumed
@@ -21,6 +23,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -94,24 +98,76 @@ def test_adapt_without_plabels_dir_writes_the_same_bytes(warm, adapted,
     assert [_read(out + s) for s in ("", ".bin", ".csv")] == adapted
 
 
-@pytest.mark.parametrize("correcting", [True, False])
-def test_target_pass_planes_equal_the_warmup_files(warm, correcting):
-    """The planes ``adapt``'s target pass makes from the warm-up weights are
-    the ones the warm-up wrote to ``.plabels``, byte for byte, with or
-    without the bank."""
+@pytest.fixture(scope="module")
+def held(warm):
+    """What ``adapt``'s target pass keeps, with and without the bank, and
+    the warm-up's ``.plabels`` planes of the same ids."""
     data, wck = warm
     params = train._restore_params(load_checkpoint(wck), _CFG)
     train_ids, _ = split_target_ids(data)
     tgt = load_corpus(data, "target", train_ids, with_label=False)
-    hard, conf, bank = train._target_pass(params, _CFG, tgt, correcting)
-    assert (bank is not None) == correcting
-    assert hard.shape == conf.shape == (len(train_ids), *tgt[0].image.shape[1:])
-    for j, i in enumerate(train_ids):
+    passes = {c: train._target_pass(params, _CFG, tgt, c) for c in (True, False)}
+    files = []
+    for i in train_ids:
         stem = os.path.join(wck + ".plabels", f"{i:04d}")
-        want_hard = read_pgm(stem + ".pgm")
-        np.testing.assert_array_equal(hard[j], want_hard)
-        assert conf[j].tobytes() == read_f64(stem + ".conf",
-                                             want_hard.shape).tobytes()
+        hard = read_pgm(stem + ".pgm")
+        files.append((hard, read_f64(stem + ".conf", hard.shape)))
+    return passes, files, tgt[0].image.shape[1:]
+
+
+@pytest.mark.parametrize("correcting", [True, False])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_target_pass_planes_equal_the_warmup_files(held, correcting, data):
+    """The target pass keeps one [N, h0*w0, K] float64 array of token
+    logits, one byte per pixel against the planes' nine, and planes
+    derived from it, for any subset of items in any order and any
+    chunking, are the ones the warm-up wrote to ``.plabels``, byte for
+    byte, with or without the bank."""
+    passes, files, (hh, ww) = held
+    tok, grid, bank = passes[correcting]
+    assert (bank is not None) == correcting
+    assert tok.dtype == np.float64
+    assert tok.shape == (len(files), grid[0] * grid[1], _CFG.num_classes)
+    assert tok.nbytes == len(files) * hh * ww
+    picks = data.draw(st.lists(st.integers(0, len(files) - 1), min_size=1,
+                               max_size=2 * len(files)))
+    step = data.draw(st.integers(1, len(picks)))
+    for lo in range(0, len(picks), step):
+        part = picks[lo:lo + step]
+        hard, conf = train.pseudo_label_planes(tok[part], grid, hh, ww)
+        for j, h, c in zip(part, hard, conf, strict=True):
+            assert h.dtype == np.uint8
+            assert h.tobytes() == files[j][0].tobytes()
+            assert c.tobytes() == files[j][1].tobytes()
+    # one item without a leading dim, as a step derives it
+    hard, conf = train.pseudo_label_planes(tok[picks[0]], grid, hh, ww)
+    assert hard.tobytes() == files[picks[0]][0].tobytes()
+    assert conf.tobytes() == files[picks[0]][1].tobytes()
+
+
+def test_adapt_steps_hold_no_full_resolution_planes(warm, tmp_path,
+                                                    monkeypatch):
+    """The step function ``adapt`` runs holds the pass's token logits and
+    no [N, H, W] array: the planes of a step's items are derived in the
+    step and freed with it."""
+    data, wck = warm
+    n = len(split_target_ids(data)[0])
+    seen = []
+    run = train._run_steps
+
+    def inspect(cfg, first, last, run_step, *rest):
+        seen.extend(c.cell_contents for c in run_step.__closure__
+                    if isinstance(c.cell_contents, np.ndarray))
+        return run(cfg, first, last, run_step, *rest)
+
+    monkeypatch.setattr(train, "_run_steps", inspect)
+    train.adapt(_CFG, data, wck, str(tmp_path / "a.ckpt"))
+    held = [a for a in seen if a.ndim and a.shape[0] == n]
+    assert len(held) == 1
+    assert held[0].dtype == np.float64 and held[0].ndim == 3
+    assert held[0].shape[2] == _CFG.num_classes
+    assert sum(a.nbytes for a in seen) < n * 64 * 64 * 2
 
 
 def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from quadseg.adaptation import (
     initialize_bank,
     load_pseudo_labels,
     pair_two_way,
+    pseudo_label_planes,
     read_pairs,
     save_pseudo_labels,
     ssim,
@@ -465,7 +466,8 @@ def test_warmup_validity_thresholds():
     params["dec.head.cls.w"].data[:] = 0.0
     params["dec.head.cls.b"].data[:] = 0.0
     img = np.random.default_rng(5).random((3, 16, 16))
-    ((hard, conf, _, _),) = warmup_pseudo_labels(params, enc, dec, [img])
+    ((tok, _, dims),) = warmup_pseudo_labels(params, enc, dec, [img])
+    hard, conf = pseudo_label_planes(tok, dims[0], 16, 16)
     assert hard.dtype == np.uint8 and hard.shape == conf.shape == (1, 16, 16)
     assert not hard.any() and (conf == 0.5).all()
     assert not decode_pseudo_labels(hard, conf, 2, tau=0.9).valid.any()
@@ -476,8 +478,8 @@ def test_warmup_validity_thresholds():
 
 def test_pseudo_label_pass_is_lazy():
     """The pass pulls one chunk of INFER_CHUNK images from a generator
-    before it yields that chunk's planes, so a corpus's float images are
-    never all resident at once."""
+    before it yields that chunk's token logits, so a corpus's float images
+    are never all resident at once."""
     from quadseg.decoder import DecoderConfig
     from quadseg.encoder import EncoderConfig
     from quadseg.model import INFER_CHUNK, init_model_params
@@ -495,24 +497,27 @@ def test_pseudo_label_pass_is_lazy():
             yield rng.random((3, 16, 16))
 
     chunks = warmup_pseudo_labels(params, enc, dec, images())
-    hard, conf, _, _ = next(chunks)
-    assert hard.shape == conf.shape == (INFER_CHUNK, 16, 16)
+    tok, _, dims = next(chunks)
+    assert tok.shape == (INFER_CHUNK, 4 * 4, 2) and dims[0] == (4, 4)
     assert len(pulled) == INFER_CHUNK
-    assert [len(h) for h, _, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK]
+    assert [len(t) for t, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK]
     assert len(pulled) == 3 * INFER_CHUNK
 
 
 def test_chunked_inference_matches_per_image():
-    """The planes ``warmup_pseudo_labels`` yields, and the planes and
-    initial prototype bank of ``adapt``'s target pass, computed
-    INFER_CHUNK images per forward with a ragged last chunk, equal the
-    one-image-per-forward results bit for bit.  The bank is seeded from
-    the decoded planes; with correction off the pass fills the same planes
-    and makes no bank."""
+    """The token logits ``warmup_pseudo_labels`` yields, the planes
+    ``pseudo_label_planes`` derives from them, and the logits and initial
+    prototype bank of ``adapt``'s target pass, computed INFER_CHUNK images
+    per forward with a ragged last chunk, equal the one-image-per-forward
+    results bit for bit.  The per-image planes are the softmax of
+    ``infer_target_sourcefree``'s logits, so the derivation is the
+    inference path's.  The bank is seeded from the decoded planes; with
+    correction off the pass fills the same logits and makes no bank."""
     from quadseg.config import RunConfig
     from quadseg.dataset import Sample
     from quadseg.decoder import augmented_features, mask_probs
-    from quadseg.model import INFER_CHUNK, infer_target_sourcefree, init_model_params
+    from quadseg.model import (INFER_CHUNK, infer_target_sourcefree,
+                               infer_target_tokens, init_model_params)
     from quadseg.tensor import Tensor
     from quadseg.train import _target_pass
 
@@ -523,9 +528,10 @@ def test_chunked_inference_matches_per_image():
     rng = np.random.default_rng(8)
     images = [rng.random((3, 32, 32)) for _ in range(2 * INFER_CHUNK + 1)]
     chunks = list(warmup_pseudo_labels(params, enc, dec, images))
-    assert [len(h) for h, _, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
-    want_hard, want_conf, feats = [], [], []
+    assert [len(t) for t, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
+    want_tok, want_hard, want_conf, feats = [], [], [], []
     for img in images:
+        want_tok.append(infer_target_tokens(params, enc, dec, Tensor(img))[0].data)
         logits, maps, dims = infer_target_sourcefree(params, enc, dec, Tensor(img))
         probs = mask_probs(logits).data
         want_hard.append(class_argmax(probs))
@@ -533,39 +539,37 @@ def test_chunked_inference_matches_per_image():
         held = decode_pseudo_labels(want_hard[-1], want_conf[-1], 2, tau=0.6)
         feats.append((augmented_features(maps, dims),
                       grid_probs(held.probs, *dims[0])))
-    np.testing.assert_array_equal(np.concatenate([h for h, _, _, _ in chunks]),
+    np.testing.assert_array_equal(np.concatenate([t for t, _, _ in chunks]),
+                                  want_tok)
+    planes = [pseudo_label_planes(t, dims[0], 32, 32) for t, _, dims in chunks]
+    np.testing.assert_array_equal(np.concatenate([h for h, _ in planes]),
                                   want_hard)
-    np.testing.assert_array_equal(np.concatenate([c for _, c, _, _ in chunks]),
+    np.testing.assert_array_equal(np.concatenate([c for _, c in planes]),
                                   want_conf)
-    chunk_feats = [f for _, _, maps, dims in chunks
+    chunk_feats = [f for _, maps, dims in chunks
                    for f in augmented_features(maps, dims)]
     for got, (want, _) in zip(chunk_feats, feats, strict=True):
         np.testing.assert_array_equal(got, want)
     samples = [Sample(img, None, i) for i, img in enumerate(images)]
-    hard, conf, bank = _target_pass(params, cfg, samples, True)
-    assert hard.dtype == np.uint8 and hard.shape == (len(images), 32, 32)
-    np.testing.assert_array_equal(hard, want_hard)
-    np.testing.assert_array_equal(conf, want_conf)
+    tok, grid, bank = _target_pass(params, cfg, samples, True)
+    assert tok.dtype == np.float64 and grid == dims[0]
+    np.testing.assert_array_equal(tok, want_tok)
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)
     initialize_bank(want, feats)
     np.testing.assert_array_equal(bank.eta, want.eta)
     assert bank.initialized
-    plain_hard, plain_conf, none = _target_pass(params, cfg, samples, False)
-    assert none is None
-    np.testing.assert_array_equal(plain_hard, hard)
-    np.testing.assert_array_equal(plain_conf, conf)
+    plain_tok, plain_grid, none = _target_pass(params, cfg, samples, False)
+    assert none is None and plain_grid == grid
+    np.testing.assert_array_equal(plain_tok, tok)
 
 
 def _softmax_planes(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (hard, confidence) planes of [2, ...] logits, as the warm-up
-    pass makes them."""
-    from quadseg.decoder import mask_probs
-    from quadseg.tensor import Tensor
-
+    """The (hard, confidence) planes of [n, 2] logits, as
+    ``pseudo_label_planes`` derives them from n tokens on a 1 x n grid."""
+    n = len(logits)
     with np.errstate(over="ignore"):      # a gap past the float range
-        probs = mask_probs(Tensor(logits.reshape(2, 1, -1))).data
-    return class_argmax(probs), probs.max(axis=-3)
+        return pseudo_label_planes(logits, (1, n), 1, n)
 
 
 @st.composite
@@ -593,7 +597,7 @@ def test_softmax_planes_decode_to_their_hard_map(pairs, tau):
     valid where the confidence reaches tau.  The one exception: a line
     whose confidence rounds to exactly 0.5 decodes as a tie, which
     ``class_argmax`` gives to the background."""
-    hard, conf = _softmax_planes(np.array(pairs, dtype=np.float64).T)
+    hard, conf = _softmax_planes(np.array(pairs, dtype=np.float64))
     pl = decode_pseudo_labels(hard, conf, 2, tau)
     assert (conf >= 0.5).all()
     np.testing.assert_array_equal(class_argmax(pl.probs),
@@ -604,7 +608,7 @@ def test_softmax_planes_decode_to_their_hard_map(pairs, tau):
 def test_a_one_ulp_line_win_decodes_as_a_background_tie():
     """The exception is reachable: logits one ulp apart give a hard 1 at
     confidence exactly 0.5."""
-    hard, conf = _softmax_planes(np.array([0.3, np.nextafter(0.3, 1.0)]))
+    hard, conf = _softmax_planes(np.array([[0.3, np.nextafter(0.3, 1.0)]]))
     assert hard.item() == 1 and conf.item() == 0.5
     assert class_argmax(decode_pseudo_labels(hard, conf, 2, 0.5).probs).item() == 0
 

@@ -736,6 +736,44 @@ def test_warmup_refuses_a_target_label_without_its_image(tmp_path, capsys):
     assert not os.path.exists(ckpt)
 
 
+def _touch(path):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    open(path, "wb").close()
+
+
+def test_ids_past_four_digits_round_trip(tmp_path):
+    """``image_path`` and ``label_path`` write ids from 10000 on with five
+    digits; both listings read every id back whole, beside a padded one."""
+    root = str(tmp_path)
+    for i in (999, 9999, 10000, 10001):
+        for domain in ("source", "target"):
+            _touch(image_path(root, domain, i))
+    _touch(label_path(root, "target", 10001))
+    assert os.path.exists(os.path.join(root, "target", "images", "0999.ppm"))
+    assert list_image_ids(root, "source") == [999, 9999, 10000, 10001]
+    assert split_target_ids(root) == ([999, 9999, 10000], [10001])
+
+
+@pytest.mark.parametrize("sub, name", [
+    ("images", "0003a.ppm"), ("images", "x.ppm"), ("images", ".ppm"),
+    ("images", "-3.ppm"), ("images", "\u0663.ppm"), ("labels", "0003 .pgm"),
+    ("labels", "3.pgm.pgm")])
+def test_ids_refuse_a_stem_that_is_not_a_number(tmp_path, sub, name):
+    """A corpus image or label whose stem is not all ASCII digits is
+    refused with one line that names it."""
+    root = str(tmp_path)
+    _touch(image_path(root, "target", 3))
+    os.makedirs(os.path.join(root, "target", "labels"))
+    bad = os.path.join(root, "target", sub, name)
+    _touch(bad)
+    with pytest.raises(ValueError) as err:
+        split_target_ids(root)
+    assert str(err.value) == f"{bad}: the file name is not a sample id"
+    if sub == "images":
+        with pytest.raises(ValueError, match="is not a sample id"):
+            list_image_ids(root, "target")
+
+
 def test_scene_spec_roundtrip_and_invariant(tmp_path):
     path = str(tmp_path / "spec.txt")
     src, tgt = source_spec(1), target_spec(1)

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from quadseg import cli, pnm, train
-from quadseg.adaptation import warmup_pseudo_labels
+from quadseg.adaptation import pseudo_label_planes, warmup_pseudo_labels
 from quadseg.checkpoint import load_checkpoint
 from quadseg.config import RunConfig
 from quadseg.dataset import (generate_sample, image_path, label_path,
@@ -108,9 +108,11 @@ def test_pseudo_label_files_equal_the_synchronous_writers(chain, tmp_path):
     params = train._restore_params(load_checkpoint(wck), _CFG)
     tgt = load_corpus(data, "target", split_target_ids(data)[0],
                       with_label=False)
-    planes = [(h, c) for hard, conf, _, _ in warmup_pseudo_labels(
+    size = tgt[0].image.shape[-2:]
+    planes = [(h, c) for tok, _, dims in warmup_pseudo_labels(
         params, _CFG.encoder_config(), _CFG.decoder_config(),
-        (s.image for s in tgt)) for h, c in zip(hard, conf)]
+        (s.image for s in tgt))
+        for h, c in zip(*pseudo_label_planes(tok, dims[0], *size))]
     assert sorted(os.listdir(wck + ".plabels")) == sorted(
         f"{i:04d}.{ext}" for i in tgt.ids for ext in ("pgm", "conf"))
     for i, (h, c) in zip(tgt.ids, planes, strict=True):

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark runs and their summary.
 
     python3 tools/abab.py PARENT CHANGE --workload warmup-sourcefree \
-        --seeds 41 42 43 44 45 [--seconds 15]
+        --seeds 41 42 43 44 45 [--seconds 15] [--record BENCH_x.json]
 
 PARENT and CHANGE are two checkouts of the repository.  For each workload
 and seed the tool runs ``perfbench/run.py --trace 0`` once in each
@@ -12,10 +12,20 @@ the number of pairs in which the change reads lower and a verdict: ``gain``
 when the change reads better in at least 9/10 of the pairs and its median
 beats the parent's by more than the parent's q3 - q1, ``beyond bound`` when
 its median is worse than the parent's by more than the metric's ``bound``
-in BENCHMARK.json, else ``within bound``.  It flags every
+in BENCHMARK.json, ``unresolved`` when the parent's q3 - q1 exceeds that
+bound times the parent's median (the runs spread too widely to tell an
+unchanged metric from a worse one) unless every change run reads better
+than every parent run, else ``within bound``.  It flags every
 run whose ``failed`` count is above zero and every seed whose output
 digests differ between the two sides.  ``QF_THREADS`` is passed through as
 set (run.py uses one BLAS thread when it is unset).
+
+``--record PATH`` also writes the batch as one JSON file: each run's host
+facts, metrics and digest; a host-speed probe taken in this process before
+and after the runs (the minimum time of a fixed 64x64 gemm and of a fixed
+Python loop), which makes batches on a drifting host comparable; and per
+workload and metric both sides' median and quartiles, the pair wins and
+the verdict.
 
 The checkout's path alone moves some readings.  Two byte-identical
 checkouts at different paths read ``predict_mask`` minima 2.2% apart
@@ -35,6 +45,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
@@ -57,10 +68,10 @@ def run_once(checkout: str, workload: str, seed: int,
     path = os.path.join(checkout, ".perfbench_work", "results",
                         f"{workload}-seed{seed}-trace0.json")
     with open(path, encoding="ascii") as fh:
-        digest = json.load(fh)["digest"]
+        stored = json.load(fh)
     return {"workload": workload, "seed": seed, "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "digest": digest}
+            "digest": stored["digest"], "host": stored["host"]}
 
 
 def run_pairs(checkouts: dict, workloads: list, seeds: list, seconds: float,
@@ -100,8 +111,8 @@ def read_bounds(path: str = BENCHMARK) -> dict:
 
 def verdict(parent: list, change: list, bound: float,
             better: str = "lower") -> str:
-    """``gain``, ``beyond bound`` or ``within bound`` for one metric's
-    paired values (see the module docstring)."""
+    """``gain``, ``beyond bound``, ``unresolved`` or ``within bound`` for
+    one metric's paired values (see the module docstring)."""
     sign = 1.0 if better == "lower" else -1.0
     (pm, p1, p3), (cm, _, _) = _quartiles(parent), _quartiles(change)
     wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
@@ -109,36 +120,67 @@ def verdict(parent: list, change: list, bound: float,
         return "gain"
     if sign * (cm - pm) > bound * abs(pm):
         return "beyond bound"
+    apart = (max(change) < min(parent) if better == "lower"
+             else min(change) > max(parent))
+    if p3 - p1 > bound * abs(pm) and not apart:
+        return "unresolved"
     return "within bound"
+
+
+def _by_seed(records: list) -> dict:
+    """workload -> seed -> side -> record."""
+    by = {}
+    for r in records:
+        by.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["side"]] = r
+    return by
+
+
+def compare(records: list, bounds: dict | None = None) -> dict:
+    """Per workload, the number of complete (parent, change) pairs and per
+    end-to-end metric both sides' median and quartiles, the pairs where the
+    change reads lower and where it reads better, and the verdict against
+    ``bounds`` (by default those of BENCHMARK.json; a metric it lacks has
+    no bound)."""
+    bounds = read_bounds() if bounds is None else bounds
+    out = {}
+    for workload, seeds in _by_seed(records).items():
+        pairs = [s for s in seeds.values() if all(side in s for side in SIDES)]
+        metrics = {}
+        for m in (pairs[0]["parent"]["metrics"] if pairs else ()):
+            vals = {side: [p[side]["metrics"][m] for p in pairs] for side in SIDES}
+            bound, better = bounds.get(m, (math.inf, "lower"))
+            sign = 1.0 if better == "lower" else -1.0
+            metrics[m] = {
+                **{side: dict(zip(("median", "q1", "q3"),
+                                  _quartiles(vals[side]))) for side in SIDES},
+                "change_lower": sum(c < p for p, c in
+                                    zip(vals["parent"], vals["change"])),
+                "wins": sum(sign * (c - p) < 0 for p, c in
+                            zip(vals["parent"], vals["change"])),
+                "verdict": verdict(vals["parent"], vals["change"], bound,
+                                   better)}
+        out[workload] = {"pairs": len(pairs), "metrics": metrics}
+    return out
 
 
 def summarize(records: list, bounds: dict | None = None) -> list[str]:
     """The report lines: per workload and metric, both sides' median
     [q1, q3], the relative change of the medians, the pairs where the
-    change reads lower and the verdict against ``bounds`` (by default
-    those of BENCHMARK.json; a metric it lacks has no bound); then one line
+    change reads lower and the verdict (see ``compare``); then one line
     per failed run and per seed whose digests differ between the sides."""
-    bounds = read_bounds() if bounds is None else bounds
     lines = []
-    by = {}
-    for r in records:
-        by.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["side"]] = r
-    for workload, seeds in by.items():
-        pairs = [s for s in seeds.values() if all(side in s for side in SIDES)]
-        lines.append(f"{workload}: {len(pairs)} pairs")
-        metrics = list(pairs[0]["parent"]["metrics"]) if pairs else []
-        for m in metrics:
-            vals = {side: [p[side]["metrics"][m] for p in pairs] for side in SIDES}
-            (pm, p1, p3), (cm, c1, c3) = (_quartiles(vals[s]) for s in SIDES)
-            lower = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+    by = _by_seed(records)
+    for workload, cmp in compare(records, bounds).items():
+        lines.append(f"{workload}: {cmp['pairs']} pairs")
+        for m, st in cmp["metrics"].items():
+            (pm, p1, p3), (cm, c1, c3) = (
+                (st[s]["median"], st[s]["q1"], st[s]["q3"]) for s in SIDES)
             rel = (cm - pm) / pm if pm else float("nan")
-            bound, better = bounds.get(m, (math.inf, "lower"))
             lines.append(f"  {m}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> "
                          f"{cm:.4g} [{c1:.4g}, {c3:.4g}] ({rel:+.1%}), "
-                         f"change lower in {lower}/{len(pairs)}, "
-                         + verdict(vals["parent"], vals["change"], bound,
-                                   better))
-        for seed, sides in seeds.items():
+                         f"change lower in {st['change_lower']}/"
+                         f"{cmp['pairs']}, {st['verdict']}")
+        for seed, sides in by[workload].items():
             for side, r in sides.items():
                 if r["failed"] > 0:
                     lines.append(f"  FAILED: {side} seed {seed} had "
@@ -151,6 +193,44 @@ def summarize(records: list, bounds: dict | None = None) -> list[str]:
     return lines
 
 
+def _loop(n: int) -> int:
+    acc = 0
+    for i in range(n):
+        acc += i
+    return acc
+
+
+def host_probe(repeats: int = 20) -> dict:
+    """The host's speed as this process sees it: the minimum time of a
+    fixed 64x64 float64 gemm (the engine's scale; small enough that
+    OpenBLAS runs it on one thread whatever its pool size), taken per call
+    over 100 calls, and of a fixed 100000-step Python loop."""
+    import numpy as np
+
+    a = np.random.default_rng(0).random((64, 64))
+    best = {"gemm_s_min": math.inf, "loop_s_min": math.inf}
+    for _ in range(repeats):
+        t = time.perf_counter()
+        for _ in range(100):
+            a @ a
+        best["gemm_s_min"] = min(best["gemm_s_min"],
+                                 (time.perf_counter() - t) / 100)
+        t = time.perf_counter()
+        _loop(100_000)
+        best["loop_s_min"] = min(best["loop_s_min"], time.perf_counter() - t)
+    return best
+
+
+def write_record(path: str, records: list, probes: dict, seconds: float,
+                 bounds: dict | None = None) -> None:
+    """The batch as one JSON file (see the module docstring)."""
+    record = {"seconds": seconds, "probe": probes,
+              "summary": compare(records, bounds), "runs": records}
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -159,6 +239,8 @@ def main(argv=None) -> int:
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--record", metavar="PATH",
+                        help="also write the batch as one JSON record")
     args = parser.parse_args(argv)
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
@@ -171,9 +253,13 @@ def main(argv=None) -> int:
               + ", ".join(f"{k} {v:.4g}" for k, v in rec["metrics"].items())
               + f", failed {rec['failed']}", flush=True)
 
+    probes = {"before": host_probe()} if args.record else {}
     records = run_pairs(checkouts, args.workload, args.seeds, args.seconds,
                         log=log)
     print("\n".join(summarize(records)))
+    if args.record:
+        probes["after"] = host_probe()
+        write_record(args.record, records, probes, args.seconds)
     return 0
 
 
