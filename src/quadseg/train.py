@@ -271,12 +271,12 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                       with_label=False)
     plabel_dir = ckpt_out + ".plabels"
     os.makedirs(plabel_dir, exist_ok=True)
-    size = tgt[0].image.shape[-2:]
     lo = 0
     with WriteBehind() as out:
         for tok, maps, dims in warmup_pseudo_labels(
                 params, enc, dec, (s.image for s in tgt)):
             del maps                # not held through the next forward
+            size = tgt[lo].image.shape[-2:]
             for i, h, c in zip(tgt.ids[lo:],
                                *pseudo_label_planes(tok, dims[0], *size)):
                 for path, data in pseudo_label_files(plabel_dir, i, h, c):
@@ -314,12 +314,14 @@ def _target_labels(planes: np.ndarray, maps_t: tuple, dims: list,
 
 def _target_pass(params, cfg: RunConfig, tgt,
                  correcting: bool) -> tuple[np.ndarray, tuple[int, int],
+                                            tuple[int, int],
                                             PrototypeBank | None]:
     """The warm-up weights' pseudo-labels for the target-train ``Sample``s
     ``tgt`` (a ``Corpus``), from one ``warmup_pseudo_labels`` pass, held as
     the target head's token logits: one [N, h0*w0, K] float64 array, a
     ninth of the bytes of the [N, H, W] planes that ``pseudo_label_planes``
-    expands them to, with its token ``grid`` (h0, w0).  When
+    expands them to, with its token ``grid`` (h0, w0) and the images'
+    ``size`` (H, W) that the expansion reads.  When
     ``correcting``, also the prototype bank seeded from the same forward's
     augmented features, else ``None``.  The bank reads each chunk's
     decoded planes, as the steps do, not the softmax."""
@@ -342,7 +344,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
     if not correcting:
         for _ in chunks():
             pass
-        return tok, grid, None
+        return tok, grid, size, None
     bank = PrototypeBank.create(cfg.num_classes,
                                 2 * enc.num_stages * cfg.embed_dim,
                                 lam=cfg.lambda_ema)
@@ -352,7 +354,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
         for t, maps, dims in chunks()
         for feats, h, c in zip(augmented_features(maps, dims),
                                *pseudo_label_planes(t, dims[0], *size))))
-    return tok, grid, bank
+    return tok, grid, size, bank
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -388,9 +390,8 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
     else:
         pairset = pair_two_way((to_grayscale(s.image) for s in src),
                                (to_grayscale(s.image) for s in tgt))
-    tok, grid, bank = _target_pass(params, cfg, tgt,
-                                   cfg.label_correction and cfg.self_training)
-    size = tgt[0].image.shape[-2:]
+    tok, grid, size, bank = _target_pass(
+        params, cfg, tgt, cfg.label_correction and cfg.self_training)
     weights = _class_weights(cfg)
 
     def run_step(step: int) -> tuple:
@@ -400,13 +401,14 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         rng = _rng(cfg.seed, _RNG_ADAPT, step)
         picks = rng.choice(len(pairset.pairs), size=cfg.batch,
                            replace=len(pairset.pairs) < cfg.batch)
+        pairs = [pairset.pairs[int(k)] for k in picks]
+        hard, conf = pseudo_label_planes(tok[[tj for _, tj in pairs]], grid,
+                                         *size)
         batch = []
-        for k in picks:
-            si, tj = pairset.pairs[int(k)]
+        for (si, tj), h, c in zip(pairs, hard, conf):
             s = augment(src[si], rng, crop=cfg.crop)
             # planes and image crop and flip together, anchored on valid
             # pixels that decode as line (a 1 at exactly 0.5 decodes as 0)
-            h, c = pseudo_label_planes(tok[tj], grid, *size)
             t = augment(Sample(tgt[tj].image, np.stack([h, c]), tj), rng,
                         crop=cfg.crop,
                         anchor=(h == 1) & (c >= cfg.tau) & (c > 0.5))

@@ -132,7 +132,7 @@ def test_record_holds_runs_probe_and_summary(tmp_path, monkeypatch):
 
 
 def test_host_probe_times_both_kernels():
-    probe = abab.host_probe(repeats=2)
+    probe = abab.host_probe()
     assert sorted(probe) == ["gemm_s_min", "loop_s_min"]
     assert all(0.0 < v < math.inf for v in probe.values())
 

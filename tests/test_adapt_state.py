@@ -125,8 +125,9 @@ def test_target_pass_planes_equal_the_warmup_files(held, correcting, data):
     chunking, are the ones the warm-up wrote to ``.plabels``, byte for
     byte, with or without the bank."""
     passes, files, (hh, ww) = held
-    tok, grid, bank = passes[correcting]
+    tok, grid, size, bank = passes[correcting]
     assert (bank is not None) == correcting
+    assert tuple(size) == (hh, ww)
     assert tok.dtype == np.float64
     assert tok.shape == (len(files), grid[0] * grid[1], _CFG.num_classes)
     assert tok.nbytes == len(files) * hh * ww

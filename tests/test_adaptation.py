@@ -551,16 +551,18 @@ def test_chunked_inference_matches_per_image():
     for got, (want, _) in zip(chunk_feats, feats, strict=True):
         np.testing.assert_array_equal(got, want)
     samples = [Sample(img, None, i) for i, img in enumerate(images)]
-    tok, grid, bank = _target_pass(params, cfg, samples, True)
+    tok, grid, size, bank = _target_pass(params, cfg, samples, True)
     assert tok.dtype == np.float64 and grid == dims[0]
+    assert tuple(size) == (32, 32)
     np.testing.assert_array_equal(tok, want_tok)
     want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
                                 lam=cfg.lambda_ema)
     initialize_bank(want, feats)
     np.testing.assert_array_equal(bank.eta, want.eta)
     assert bank.initialized
-    plain_tok, plain_grid, none = _target_pass(params, cfg, samples, False)
-    assert none is None and plain_grid == grid
+    plain_tok, plain_grid, plain_size, none = _target_pass(params, cfg,
+                                                           samples, False)
+    assert none is None and (plain_grid, plain_size) == (grid, size)
     np.testing.assert_array_equal(plain_tok, tok)
 
 

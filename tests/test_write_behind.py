@@ -13,6 +13,7 @@ loop; and the bytes do not depend on how slowly the worker writes.
 import dataclasses
 import hashlib
 import os
+import shutil
 import sys
 import threading
 import time
@@ -350,6 +351,26 @@ def test_evaluate_raises_a_failed_mask_write(chain, tmp_path):
         train.evaluate(wck, data, ev)
     assert not os.path.exists(os.path.join(ev, "report.csv"))
     assert threading.active_count() == before
+
+
+def test_warmup_with_every_target_image_labelled_writes_no_labels(chain,
+                                                                  tmp_path):
+    """A target corpus whose images all have labels leaves target-train
+    empty: the warm-up still trains, saves and returns, and its
+    ``.plabels`` directory stays empty."""
+    data, _, _ = chain
+    full = str(tmp_path / "data")
+    shutil.copytree(data, full)
+    train_ids, val_ids = split_target_ids(full)
+    for i in train_ids:
+        shutil.copyfile(label_path(full, "target", val_ids[0]),
+                        label_path(full, "target", i))
+    assert split_target_ids(full)[0] == []
+    wck = str(tmp_path / "w.ckpt")
+    out = train.warmup(dataclasses.replace(_CFG, warmup_iterations=1), full,
+                       wck)
+    assert out["checkpoint"] == wck and os.path.isfile(wck)
+    assert os.listdir(wck + ".plabels") == []
 
 
 def test_warmup_raises_a_failed_pseudo_label_write(chain, tmp_path):

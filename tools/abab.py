@@ -109,13 +109,19 @@ def read_bounds(path: str = BENCHMARK) -> dict:
     return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
 
 
+def pair_wins(parent: list, change: list, better: str = "lower") -> int:
+    """The pairs in which the change reads better than the parent."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
 def verdict(parent: list, change: list, bound: float,
             better: str = "lower") -> str:
     """``gain``, ``beyond bound``, ``unresolved`` or ``within bound`` for
     one metric's paired values (see the module docstring)."""
     sign = 1.0 if better == "lower" else -1.0
     (pm, p1, p3), (cm, _, _) = _quartiles(parent), _quartiles(change)
-    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    wins = pair_wins(parent, change, better)
     if wins >= 0.9 * len(parent) and sign * (pm - cm) > p3 - p1:
         return "gain"
     if sign * (cm - pm) > bound * abs(pm):
@@ -149,14 +155,12 @@ def compare(records: list, bounds: dict | None = None) -> dict:
         for m in (pairs[0]["parent"]["metrics"] if pairs else ()):
             vals = {side: [p[side]["metrics"][m] for p in pairs] for side in SIDES}
             bound, better = bounds.get(m, (math.inf, "lower"))
-            sign = 1.0 if better == "lower" else -1.0
             metrics[m] = {
                 **{side: dict(zip(("median", "q1", "q3"),
                                   _quartiles(vals[side]))) for side in SIDES},
                 "change_lower": sum(c < p for p, c in
                                     zip(vals["parent"], vals["change"])),
-                "wins": sum(sign * (c - p) < 0 for p, c in
-                            zip(vals["parent"], vals["change"])),
+                "wins": pair_wins(vals["parent"], vals["change"], better),
                 "verdict": verdict(vals["parent"], vals["change"], bound,
                                    better)}
         out[workload] = {"pairs": len(pairs), "metrics": metrics}
@@ -200,16 +204,20 @@ def _loop(n: int) -> int:
     return acc
 
 
-def host_probe(repeats: int = 20) -> dict:
+PROBE_REPEATS = 20
+
+
+def host_probe() -> dict:
     """The host's speed as this process sees it: the minimum time of a
     fixed 64x64 float64 gemm (the engine's scale; small enough that
     OpenBLAS runs it on one thread whatever its pool size), taken per call
-    over 100 calls, and of a fixed 100000-step Python loop."""
+    over 100 calls, and of a fixed 100000-step Python loop, each the best
+    of ``PROBE_REPEATS`` repeats."""
     import numpy as np
 
     a = np.random.default_rng(0).random((64, 64))
     best = {"gemm_s_min": math.inf, "loop_s_min": math.inf}
-    for _ in range(repeats):
+    for _ in range(PROBE_REPEATS):
         t = time.perf_counter()
         for _ in range(100):
             a @ a
