@@ -141,6 +141,7 @@ def initialize_bank(bank: PrototypeBank, batches) -> None:
     weights = np.zeros(k)
     for feats, probs in batches:
         s, w = class_sums(feats, probs)
+        del feats, probs            # not held while the next is made
         sums += s
         weights += w
     nonzero = weights > 0

@@ -522,9 +522,16 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
 
 def gather(a: Tensor, index) -> Tensor:
     """Pick along axis 0: an int drops the axis, a sequence of ints keeps it
-    and may repeat rows.  The backward rule scatter-adds into the rows."""
+    and may repeat rows.  Rows that form one ascending run inside the array
+    are picked as a view, not a copy.  The backward rule scatter-adds into
+    the rows."""
     rows = index if isinstance(index, int) else list(index)
-    out = a.data[rows]
+    if not isinstance(rows, int) and rows and 0 <= rows[0] \
+            and rows[-1] < a.shape[0] \
+            and rows == list(range(rows[0], rows[0] + len(rows))):
+        out = a.data[rows[0]:rows[-1] + 1]
+    else:
+        out = a.data[rows]
 
     def build():
         shape = a.shape

@@ -10,19 +10,14 @@ checkpoints, logs, and masks.
 
 The adaptation step interleaves two optimizers on one define-by-run tape.
 The pair forward, the source loss and both mask softmaxes are recorded on
-the generator tape.  Two branches that never read each other's output then
-run side by side: the label job (the batch's pseudo-labels corrected
-against the prototype bank, which then trails them) on ``adapt``'s one
-worker thread, and the discriminator's own step on the detached masks,
-scoring the source (real) and target (fake) masks in one stacked pass, on
-the calling thread.  The generator tape is then re-entered to record the
-target loss on the job's labels and to score its masks against the
-*updated* discriminator before the single backward sweep.  With the
-critic off there is nothing to overlap, and the job runs on the calling
-thread in the critic's place.  The job is plain numpy on arrays and the
-bank; every tape and optimizer step stays on the calling thread, and the
-job adds nothing in a different order, so the bytes do not depend on
-which branch finishes first.
+the generator tape.  The label job then runs (the batch's pseudo-labels
+corrected against the prototype bank, which then trails them), and its
+working set is freed before the discriminator's own step on the detached
+masks, scoring the source (real) and target (fake) masks in one stacked
+pass.  The generator tape is then re-entered to record the target loss on
+the job's labels and to score its masks against the *updated*
+discriminator before the single backward sweep.  Everything runs on the
+calling thread.
 
 Pseudo-labels have one producer, ``adaptation.warmup_pseudo_labels``,
 which yields the target head's token logits, and one derivation,
@@ -39,7 +34,6 @@ one ``pnm.WriteBehind`` thread while the next images are inferred.
 from __future__ import annotations
 
 import os
-from functools import partial
 
 import numpy as np
 
@@ -299,8 +293,8 @@ def _target_labels(planes: np.ndarray, maps_t: tuple, dims: list,
     batch's augmented [B, 2, h, w] (hard, confidence) ``planes`` decoded,
     and with a ``bank`` corrected against it by the target head's
     augmented features, after which the prototypes trail the corrections
-    item by item.  Plain numpy on arrays and the bank, never a tape, so it
-    runs on a worker thread beside the critic step."""
+    item by item.  Plain numpy on arrays and the bank, never a tape; it
+    runs before the critic step, so the two working sets never add."""
     pls = decode_pseudo_labels(planes[:, 0], planes[:, 1], cfg.num_classes,
                                cfg.tau)
     if bank is not None:
@@ -327,10 +321,15 @@ def _target_pass(params, cfg: RunConfig, tgt,
     decoded planes, as the steps do, not the softmax."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
     size = tgt[0].image.shape[-2:]
-    tok = None
-    grid = None
+    tok = grid = None
+    bank = PrototypeBank.create(cfg.num_classes,
+                                2 * enc.num_stages * cfg.embed_dim,
+                                lam=cfg.lambda_ema) if correcting else None
 
-    def chunks():       # each chunk once its logits are stored
+    def seeds():
+        """Store each chunk's logits; with a bank, then yield each image's
+        (augmented features, token probs).  Nothing of a chunk stays bound
+        through the next chunk's forward."""
         nonlocal tok, grid
         lo = 0
         for t, maps, dims in warmup_pseudo_labels(
@@ -339,21 +338,22 @@ def _target_pass(params, cfg: RunConfig, tgt,
                 tok, grid = np.empty((len(tgt), *t.shape[1:])), dims[0]
             tok[lo:lo + len(t)] = t
             lo += len(t)
-            yield t, maps, dims
+            if bank is None:
+                del t, maps
+                continue
+            feats = augmented_features(maps, dims)
+            hard, conf = pseudo_label_planes(t, grid, *size)
+            del t, maps
+            for i in range(len(feats)):
+                yield feats[i], grid_probs(decode_pseudo_labels(
+                    hard[i], conf[i], cfg.num_classes, cfg.tau).probs, *grid)
+            del feats, hard, conf
 
-    if not correcting:
-        for _ in chunks():
+    if bank is None:
+        for _ in seeds():       # yields nothing
             pass
-        return tok, grid, size, None
-    bank = PrototypeBank.create(cfg.num_classes,
-                                2 * enc.num_stages * cfg.embed_dim,
-                                lam=cfg.lambda_ema)
-    initialize_bank(bank, (      # one (feats, token probs) pair per image
-        (feats, grid_probs(decode_pseudo_labels(
-            h, c, cfg.num_classes, cfg.tau).probs, *dims[0]))
-        for t, maps, dims in chunks()
-        for feats, h, c in zip(augmented_features(maps, dims),
-                               *pseudo_label_planes(t, dims[0], *size))))
+    else:
+        initialize_bank(bank, seeds())
     return tok, grid, size, bank
 
 
@@ -429,13 +429,11 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 probs_s = mask_probs(out.logits_s.detach())
                 probs_t = mask_probs(out.logits_t)
         if cfg.self_training:
-            job = partial(_target_labels,
-                          np.stack([t.label for _, t in batch]),
-                          out.maps_t, out.dims, bank, cfg)
-            if cfg.adversarial:
-                # the labels run on the worker while the critic steps
-                # here; with no critic step the handoff would only cost
-                job = pool.submit(job).result
+            # the job's features and row copies are freed before the
+            # critic step allocates its own
+            labels, valid = _target_labels(
+                np.stack([t.label for _, t in batch]), out.maps_t, out.dims,
+                bank, cfg)
         d_val = ""
         if cfg.adversarial:
             # source masks play the real role, target masks the fake role;
@@ -448,7 +446,6 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
             d_val = d_total.item()
         with gtape:
             if cfg.self_training:
-                labels, valid = job()
                 l_t, _ = seg_cross_entropy(out.logits_t, labels, valid=valid,
                                            class_weights=weights)
             if cfg.adversarial:
@@ -464,14 +461,8 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
                 g_term.item() / n if cfg.adversarial else "",
                 lr)
 
-    # imported here, so that the commands that never adapt do not load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    # one worker for the label job of each adversarial step; leaving the
-    # block joins it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        tgt_iou = _run_steps(cfg, 1, cfg.iterations, run_step, params,
-                             tgt_val, log_path)
+    tgt_iou = _run_steps(cfg, 1, cfg.iterations, run_step, params, tgt_val,
+                         log_path)
     tensors = {**params, **g_opt.state_tensors()}
     if cfg.adversarial:
         tensors.update(disc)

@@ -8,18 +8,15 @@ step is freed before the next one's forward, and each step corrects its
 pseudo-labels in one call; ``evaluate`` and a resumed
 ``warmup`` release their checkpoint too.  What the training summaries
 evaluate: the target-val IoU once per logged row, not again at the end.
-How ``adapt`` runs a step's label job on its worker thread beside the
-critic step: the bytes do not depend on which side finishes first, every
-tape sweep and optimizer step stays on the calling thread, an error on
-either side leaves no thread behind, and with no critic the job runs on
-the calling thread."""
+How ``adapt`` runs a step: the label job, every tape sweep and every
+optimizer step on the calling thread, with no thread started, and the
+job's working set freed before the critic step; an error in the job or
+in the critic step propagates and writes no checkpoint."""
 
 import dataclasses
 import os
 import shutil
-import sys
 import threading
-import time
 import weakref
 
 import pytest
@@ -28,11 +25,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from quadseg import cli, objectives, tensor, train
+from quadseg import adaptation, cli, objectives, tensor, train
 from quadseg.checkpoint import load_checkpoint
 from quadseg.config import RunConfig, value_text
 from quadseg.dataset import (load_corpus, source_spec, split_target_ids,
                              target_spec, write_dataset)
+from quadseg.model import INFER_CHUNK
 from quadseg.pnm import read_f64, read_pgm
 
 _CFG = RunConfig(warmup_iterations=2, iterations=3, eval_every=3)
@@ -145,6 +143,40 @@ def test_target_pass_planes_equal_the_warmup_files(held, correcting, data):
     hard, conf = train.pseudo_label_planes(tok[picks[0]], grid, hh, ww)
     assert hard.tobytes() == files[picks[0]][0].tobytes()
     assert conf.tobytes() == files[picks[0]][1].tobytes()
+
+
+@pytest.mark.parametrize("correcting", [True, False])
+def test_target_pass_holds_one_chunk_per_forward(warm, monkeypatch,
+                                                 correcting):
+    """When the target pass runs a chunk's forward, no earlier chunk's
+    maps, logits or augmented features are alive, with or without the
+    bank: nothing of a chunk stays bound in the pass, its generator or
+    the bank's seeding through the next forward."""
+    data, wck = warm
+    params = train._restore_params(load_checkpoint(wck), _CFG)
+    train_ids, _ = split_target_ids(data)
+    tgt = load_corpus(data, "target", train_ids, with_label=False)
+    refs, alive = [], []
+    forward = adaptation.infer_target_tokens
+    features = train.augmented_features
+
+    def traced_forward(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        tok, maps, dims = forward(*args, **kwargs)
+        refs.extend(weakref.ref(a) for m in maps for a in m)
+        refs.append(weakref.ref(tok.data))
+        return tok, maps, dims
+
+    def traced_features(*args):
+        out = features(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(adaptation, "infer_target_tokens", traced_forward)
+    monkeypatch.setattr(train, "augmented_features", traced_features)
+    train._target_pass(params, _CFG, tgt, correcting)
+    assert alive == [0] * -(-len(tgt) // INFER_CHUNK)
+    assert len(alive) > 1
 
 
 def test_adapt_steps_hold_no_full_resolution_planes(warm, tmp_path,
@@ -349,132 +381,60 @@ def test_zero_step_adapt_writes_only_the_log_header(warm, tmp_path):
         == (train.LOG_HEADER + "\n").encode()
 
 
-# tau 0.5 leaves pseudo-label pixels valid, so the corrected labels reach
-# the target loss and the bytes
-_OVERLAP = dataclasses.replace(_CFG, batch=2, tau=0.5)
-
-
-def _delayed(monkeypatch, name, seconds, threads=None):
-    """Wrap ``train.<name>`` to sleep ``seconds`` before it runs, noting
-    the thread of each call in ``threads``."""
-    inner = getattr(train, name)
-
-    def slow(*args, **kwargs):
-        if threads is not None:
-            threads.append(threading.get_ident())
-        time.sleep(seconds)
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(train, name, slow)
-
-
-def test_adapt_output_does_not_depend_on_timing(warm, tmp_path,
-                                                monkeypatch):
-    """The checkpoint and log bytes are the same whether the label job or
-    the critic step finishes first: an undelayed run, one whose job sleeps
-    5 ms, one whose critic loss sleeps 5 ms, and one that hands the
-    interpreter lock between the threads every microsecond.  The
-    correction runs on the worker; every ``Tape.backward`` and
-    ``AdamW.step`` runs on the thread that called ``adapt``."""
+@pytest.mark.parametrize("critic", [True, False], ids=["critic", "no-critic"])
+def test_adapt_runs_on_the_calling_thread(warm, tmp_path, monkeypatch,
+                                          critic):
+    """Every label job, ``Tape.backward`` and ``AdamW.step`` runs on the
+    thread that called ``adapt``, which starts no thread, with and without
+    the critic; a step's label job runs before its critic step, and the
+    job's augmented features are dead by the critic's first forward."""
     data, wck = warm
-    main = threading.get_ident()
-    swept, stepped, job_threads = [], [], []
-    backward, step = tensor.Tape.backward, objectives.AdamW.step
+    main, before = threading.get_ident(), threading.active_count()
+    calls, feats = [], []
 
-    def noted_backward(tape, root):
-        swept.append(threading.get_ident())
-        return backward(tape, root)
+    def noted(name, inner):
+        def call(*args, **kwargs):
+            calls.append((name, threading.get_ident(),
+                          threading.active_count()))
+            if name == "critic":
+                assert all(f() is None for f in feats)
+            out = inner(*args, **kwargs)
+            if name == "features":
+                feats.append(weakref.ref(out))
+            return out
+        return call
 
-    def noted_step(opt, params, grads):
-        stepped.append(threading.get_ident())
-        return step(opt, params, grads)
-
-    monkeypatch.setattr(tensor.Tape, "backward", noted_backward)
-    monkeypatch.setattr(objectives.AdamW, "step", noted_step)
-
-    def run(name):
-        out = str(tmp_path / f"{name}.ckpt")
-        train.adapt(_OVERLAP, data, wck, out, log_path=out + ".csv")
-        return [_read(out + s) for s in ("", ".bin", ".csv")]
-
-    plain = run("plain")
-    for delayed, threads in (("correct_pseudo_labels", job_threads),
-                             ("disc_loss", None)):
-        with monkeypatch.context() as m:
-            _delayed(m, delayed, 0.005, threads)
-            assert run(delayed) == plain
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert run("switching") == plain
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(job_threads) == _OVERLAP.iterations
-    assert main not in job_threads
-    # a critic and a generator update per step, in each of the four runs
-    assert len(swept) == len(stepped) == 4 * 2 * _OVERLAP.iterations
-    assert set(swept) == set(stepped) == {main}
-
-
-def test_without_a_critic_the_job_runs_on_the_calling_thread(
-        warm, tmp_path, monkeypatch):
-    """With ``adversarial=false`` there is no critic step to overlap, so
-    the label job runs on the thread that called ``adapt`` and no worker
-    is started."""
-    data, wck = warm
-    threads = []
-    _delayed(monkeypatch, "correct_pseudo_labels", 0.0, threads)
-    before = threading.active_count()
-    train.adapt(dataclasses.replace(_OVERLAP, adversarial=False), data, wck,
+    for owner, attr, name in (
+            (train, "_target_labels", "job"),
+            (train, "augmented_features", "features"),
+            (train, "discriminator_forward", "critic"),
+            (tensor.Tape, "backward", "sweep"),
+            (objectives.AdamW, "step", "adamw")):
+        monkeypatch.setattr(owner, attr, noted(name, getattr(owner, attr)))
+    train.adapt(dataclasses.replace(_CFG, adversarial=critic), data, wck,
                 str(tmp_path / "a.ckpt"))
-    assert threads == [threading.get_ident()] * _OVERLAP.iterations
+    assert {(t, n) for _, t, n in calls} == {(main, before)}
+    names = [name for name, _, _ in calls if name != "features"]
+    step = ["job", "critic", "sweep", "adamw", "critic", "sweep", "adamw"] \
+        if critic else ["job", "sweep", "adamw"]
+    assert names == step * _CFG.iterations
     assert threading.active_count() == before
 
 
-def test_a_worker_error_reaches_the_caller_and_leaves_no_thread(
-        warm, tmp_path, monkeypatch):
-    """A ``FloatingPointError`` in the label job is raised by ``adapt`` as
-    it was raised in the job, no checkpoint is written, and the worker is
-    gone by then."""
+@pytest.mark.parametrize("hook, message", [
+    ("track_prototypes", "non-finite prototype update"),
+    ("disc_loss", "non-finite critic loss")], ids=["label-job", "critic-step"])
+def test_an_error_in_a_step_propagates_and_writes_no_checkpoint(
+        warm, tmp_path, monkeypatch, hook, message):
+    """A ``FloatingPointError`` in the label job or in the critic step is
+    what ``adapt`` raises, and no checkpoint file is written."""
     data, wck = warm
 
-    def bad_update(*args, **kwargs):
-        raise FloatingPointError("non-finite prototype update")
+    def bad(*args, **kwargs):
+        raise FloatingPointError(message)
 
-    monkeypatch.setattr(train, "track_prototypes", bad_update)
-    before = threading.active_count()
+    monkeypatch.setattr(train, hook, bad)
     out = str(tmp_path / "a.ckpt")
-    with pytest.raises(FloatingPointError, match="non-finite prototype"):
-        train.adapt(_OVERLAP, data, wck, out)
-    assert threading.active_count() == before
-    assert not os.path.exists(out)
-
-
-def test_a_main_side_error_waits_for_the_running_job(warm, tmp_path,
-                                                     monkeypatch):
-    """A ``FloatingPointError`` in the critic step, raised while the
-    step's label job is still running, is what ``adapt`` raises; the job
-    has finished and the worker is gone by then."""
-    data, wck = warm
-    running, raised, finished = (threading.Event() for _ in range(3))
-    correct = train.correct_pseudo_labels
-
-    def held_job(*args, **kwargs):
-        running.set()
-        assert raised.wait(10)          # runs on past the critic's error
-        result = correct(*args, **kwargs)
-        finished.set()
-        return result
-
-    def bad_critic(*args, **kwargs):
-        assert running.wait(10) and not finished.is_set()
-        raised.set()
-        raise FloatingPointError("non-finite critic loss")
-
-    monkeypatch.setattr(train, "correct_pseudo_labels", held_job)
-    monkeypatch.setattr(train, "disc_loss", bad_critic)
-    before = threading.active_count()
-    with pytest.raises(FloatingPointError, match="critic loss"):
-        train.adapt(_OVERLAP, data, wck, str(tmp_path / "a.ckpt"))
-    assert finished.is_set()
-    assert threading.active_count() == before
+    with pytest.raises(FloatingPointError, match=message):
+        train.adapt(_CFG, data, wck, out)
+    assert os.listdir(tmp_path) == []

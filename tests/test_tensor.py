@@ -790,6 +790,70 @@ def test_grad_gather_and_stack():
     _check(_weighted(lambda t: stack([t, other, t]), (3, 2, 3), 66), (2, 3), 67)
 
 
+def _gathered(rows, n, seed):
+    """``gather`` of ``rows`` from a watched [n, 3, 2] leaf, swept back
+    from its weighted sum: the leaf, the output and the leaf's gradient,
+    with the scatter-add that picking by copy backs up: each picked row's
+    weight added into its row, in row order."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, 3, 2)))
+    w = rng.normal(size=gather(Tensor(np.empty((n, 3, 2))), rows).shape)
+    tape = Tape()
+    tape.watch(x)
+    with tape:
+        out = gather(x, rows)
+        root = tsum(out * Tensor(w))
+    tape.backward(root)
+    want = np.zeros(x.shape)
+    for j, i in enumerate([rows] if isinstance(rows, int) else rows):
+        want[i] += w if isinstance(rows, int) else w[j]
+    return x, out, tape.grad(x), want
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gather_picks_an_ascending_run_as_a_view(data):
+    """Rows that form one ascending run inside the array come back as a
+    view of it, any other list of rows as a copy; the values are
+    ``a.data[rows]`` and the input gradient is the copying path's
+    scatter-add, byte for byte, either way."""
+    n = data.draw(st.integers(1, 6), label="n")
+    run = st.integers(0, n - 1).flatmap(
+        lambda lo: st.integers(lo + 1, n).map(lambda hi: range(lo, hi)))
+    rows = list(data.draw(st.one_of(
+        run, st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)),
+        label="rows"))
+    x, out, grad, want = _gathered(rows, n, data.draw(st.integers(0, 99)))
+    is_run = rows == list(range(rows[0], rows[0] + len(rows)))
+    assert np.shares_memory(out.data, x.data) == is_run
+    assert out.shape == x.data[rows].shape
+    assert out.data.tobytes() == x.data[rows].tobytes()
+    assert grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, [1, 1], [2, 1], [0, 2], [-2, -1],
+                                  (1, 2), [3]])
+def test_gather_picks_other_rows_as_before(rows):
+    """An int index (a numpy view, dropping the axis), repeated,
+    descending, gapped and negative rows, and runs given as a tuple or
+    reaching the last row."""
+    x, out, grad, want = _gathered(rows, 4, 7)
+    picked = x.data[rows if isinstance(rows, int) else list(rows)]
+    assert out.data.tobytes() == picked.tobytes()
+    assert out.shape == picked.shape
+    assert grad.tobytes() == want.tobytes()
+    copies = rows in ([1, 1], [2, 1], [0, 2], [-2, -1])
+    assert np.shares_memory(out.data, x.data) != copies
+
+
+def test_gather_refuses_rows_past_the_end():
+    """A run reaching past the last row raises as numpy's pick does,
+    instead of a slice cutting it short."""
+    x = Tensor(np.zeros((4, 2)))
+    with pytest.raises(IndexError):
+        gather(x, [3, 4])
+
+
 def test_channels_last_matches_channels_first():
     rng = np.random.default_rng(70)
     x = rng.normal(size=(2, 3, 6, 6))

@@ -24,8 +24,8 @@ only one chain wrote; it exits 1 if there is any.  ``--sweep`` (with
 ``label_correction=false``, ``adversarial=false``, ``self_training=false``
 and ``crop=64``, and seed 1 at batch 3 with ``crop=64`` (the five-layer
 critic at full depth on an odd batch), 15 cases.  The two toggles run
-each side of an adaptation step alone: the pseudo-label job with no
-critic step beside it, and the critic step with no job.  It prints one
+each half of an adaptation step alone: the pseudo-label job without the
+critic step after it, and the critic step with no job.  It prints one
 line per case, with the paths that differ, and exits 1 if any case
 differs.
 """
