@@ -25,8 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import format_kv_lines, parse_kv_lines, parse_value, value_text
-from .pnm import (WriteBehind, decode_ppm, encode_pgm, encode_ppm, read_pgm,
-                  read_ppm, read_ppm_raw)
+from .pnm import WriteBehind, encode_pgm, encode_ppm, read_pgm_raw, read_ppm
 from .tensor import _upsample_first
 
 __all__ = [
@@ -371,38 +370,48 @@ def list_image_ids(root: str, domain: str) -> list[int]:
     return sorted(_file_ids(os.path.join(root, domain, "images"), ".ppm"))
 
 
-def _read_label(root: str, domain: str, sample_id: int) -> np.ndarray:
-    return read_pgm(label_path(root, domain, sample_id)) > 127
+def _read_label(root: str, domain: str, sample_id: int,
+                size: tuple[int, int]) -> np.ndarray:
+    """The label of one [H, W] image of ``size``: a pixel is line when its
+    raw value is above half the file's maxval (above 127 at maxval 255).  A
+    label of another size raises ``ValueError`` naming the file."""
+    path = label_path(root, domain, sample_id)
+    raw, maxval = read_pgm_raw(path)
+    if raw.shape != size:
+        raise ValueError(f"{path}: label is {raw.shape[1]}x{raw.shape[0]}, "
+                         f"its image is {size[1]}x{size[0]}")
+    return raw > maxval // 2
 
 
 def load_sample(root: str, domain: str, sample_id: int,
                 with_label: bool = True) -> Sample:
+    """One sample read from its files: the pipeline's one sample reader."""
     img = read_ppm(image_path(root, domain, sample_id))
-    label = _read_label(root, domain, sample_id) if with_label else None
+    label = (_read_label(root, domain, sample_id, img.shape[-2:])
+             if with_label else None)
     return Sample(image=img, label=label, id=sample_id)
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """One domain's images held as their 8-bit PPM rasters.
+    """One domain's samples, read from disk when they are used.
 
-    Indexing or iterating yields float64 ``Sample``s decoded on the read by
-    ``pnm.decode_ppm``, bit-identical to ``load_sample``; a float image
-    lives only as long as its reader keeps it.  Rasters and labels are
-    read-only and shared by every ``Sample`` decoded from them.
+    It holds the domain's root, its ids and whether labels are read, and
+    no pixel data: indexing or iterating reads that sample's files through
+    ``load_sample``, so an image lives only as long as its reader keeps it.
     """
 
+    root: str
+    domain: str
     ids: list[int]
-    rasters: list[np.ndarray]      # uint8 [3, H, W]
-    maxvals: list[int]
-    labels: list[np.ndarray | None]
+    with_label: bool = True
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, k: int) -> Sample:
-        return Sample(image=decode_ppm(self.rasters[k], self.maxvals[k]),
-                      label=self.labels[k], id=self.ids[k])
+        return load_sample(self.root, self.domain, self.ids[k],
+                           self.with_label)
 
     def __iter__(self) -> Iterator[Sample]:
         return (self[k] for k in range(len(self)))
@@ -410,19 +419,19 @@ class Corpus:
 
 def load_corpus(root: str, domain: str, ids,
                 with_label: bool = True) -> Corpus:
-    """Read every image ``ids`` names (with its label) into a ``Corpus``."""
+    """The ``Corpus`` of ``ids``.  Nothing is read but, ``with_label``, one
+    listing of the labels directory: an id without a label file raises
+    ``ValueError`` naming the first such label, so a run stops before its
+    first step rather than at the step that reads it."""
     ids = list(ids)
-    rasters, maxvals, labels = [], [], []
-    for i in ids:
-        raster, maxval = read_ppm_raw(image_path(root, domain, i))
-        rasters.append(raster)
-        maxvals.append(maxval)
-        label = None
-        if with_label:
-            label = _read_label(root, domain, i)
-            label.flags.writeable = False
-        labels.append(label)
-    return Corpus(ids, rasters, maxvals, labels)
+    if with_label:
+        labeled = set(_file_ids(os.path.join(root, domain, "labels"), ".pgm"))
+        missing = [i for i in ids if i not in labeled]
+        if missing:
+            raise ValueError(f"{domain} label "
+                             f"{label_path(root, domain, missing[0])} "
+                             "is missing")
+    return Corpus(root, domain, ids, with_label)
 
 
 def write_scene_specs(path: str, src: SceneSpec, tgt: SceneSpec) -> None:

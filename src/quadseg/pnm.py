@@ -25,8 +25,8 @@ import threading
 
 import numpy as np
 
-__all__ = ["PnmError", "read_ppm_raw", "decode_ppm", "read_ppm", "encode_ppm",
-           "write_ppm", "read_pgm", "encode_pgm", "write_pgm", "read_f64",
+__all__ = ["PnmError", "read_ppm_raw", "read_ppm", "encode_ppm", "write_ppm",
+           "read_pgm_raw", "read_pgm", "encode_pgm", "write_pgm", "read_f64",
            "encode_f64", "write_f64", "write_bytes", "WriteBehind"]
 
 _WS = b" \t\n\r\x0b\x0c"
@@ -106,15 +106,11 @@ def read_ppm_raw(path: str) -> tuple[np.ndarray, int]:
     return data.reshape(h, w, 3).transpose(2, 0, 1), maxval
 
 
-def decode_ppm(raster: np.ndarray, maxval: int) -> np.ndarray:
-    """uint8 raster [3, H, W] -> float64 image in [0, 1]; the one decoding
-    rule behind ``read_ppm`` and every in-memory 8-bit corpus."""
-    return raster.astype(np.float64) / maxval
-
-
 def read_ppm(path: str) -> np.ndarray:
-    """P6 file -> float64 image [3, H, W] in [0, 1]."""
-    return decode_ppm(*read_ppm_raw(path))
+    """P6 file -> float64 image [3, H, W] in [0, 1]: each raw value over the
+    file's maxval."""
+    raster, maxval = read_ppm_raw(path)
+    return raster.astype(np.float64) / maxval
 
 
 def write_bytes(path: str, data: bytes) -> None:
@@ -148,10 +144,16 @@ def write_ppm(path: str, img: np.ndarray) -> None:
     write_bytes(path, encode_ppm(img))
 
 
+def read_pgm_raw(path: str) -> tuple[np.ndarray, int]:
+    """P5 file -> (read-only uint8 array [H, W] of raw sample values,
+    maxval)."""
+    data, w, h, maxval = _read_raster(path, b"P5", 1)
+    return data.reshape(h, w), maxval
+
+
 def read_pgm(path: str) -> np.ndarray:
     """P5 file -> uint8 array [H, W] of raw sample values."""
-    data, w, h, _ = _read_raster(path, b"P5", 1)
-    return data.reshape(h, w).copy()
+    return read_pgm_raw(path)[0].copy()
 
 
 def encode_pgm(arr: np.ndarray, maxval: int = 255) -> bytes:

@@ -182,6 +182,21 @@ def source_val_iou(params: dict, cfg: RunConfig, root: str) -> float:
     return _mean_iou(params, cfg, samples)
 
 
+class _Images:
+    """The images of a ``Corpus``, each read when the iteration reaches it;
+    ``size`` is the (H, W) of the last one read, so a pass over them learns
+    the size its planes expand to from data it has already read."""
+
+    def __init__(self, corpus):
+        self.corpus = corpus
+        self.size = None
+
+    def __iter__(self):
+        for s in self.corpus:
+            self.size = s.image.shape[-2:]
+            yield s.image
+
+
 def _run_steps(cfg: RunConfig, first: int, last: int, run_step, params: dict,
                tgt_val, log_path: str | None) -> float:
     """Run steps ``first`` to ``last``; ``run_step(step)`` returns the
@@ -261,18 +276,16 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                          params, tgt_val, log_path)
     save_checkpoint(ckpt_out, {**params, **opt.state_tensors()},
                     serialize_config(cfg), cfg.warmup_iterations)
-    tgt = load_corpus(root, "target", split_target_ids(root)[0],
-                      with_label=False)
+    tgt = _Images(load_corpus(root, "target", split_target_ids(root)[0],
+                              with_label=False))
     plabel_dir = ckpt_out + ".plabels"
     os.makedirs(plabel_dir, exist_ok=True)
     lo = 0
     with WriteBehind() as out:
-        for tok, maps, dims in warmup_pseudo_labels(
-                params, enc, dec, (s.image for s in tgt)):
+        for tok, maps, dims in warmup_pseudo_labels(params, enc, dec, tgt):
             del maps                # not held through the next forward
-            size = tgt[lo].image.shape[-2:]
-            for i, h, c in zip(tgt.ids[lo:],
-                               *pseudo_label_planes(tok, dims[0], *size)):
+            for i, h, c in zip(tgt.corpus.ids[lo:], *pseudo_label_planes(
+                    tok, dims[0], *tgt.size)):
                 for path, data in pseudo_label_files(plabel_dir, i, h, c):
                     out.put(path, data)
             lo += len(tok)
@@ -315,12 +328,12 @@ def _target_pass(params, cfg: RunConfig, tgt,
     the target head's token logits: one [N, h0*w0, K] float64 array, a
     ninth of the bytes of the [N, H, W] planes that ``pseudo_label_planes``
     expands them to, with its token ``grid`` (h0, w0) and the images'
-    ``size`` (H, W) that the expansion reads.  When
-    ``correcting``, also the prototype bank seeded from the same forward's
-    augmented features, else ``None``.  The bank reads each chunk's
-    decoded planes, as the steps do, not the softmax."""
+    ``size`` (H, W) that the expansion reads, taken from the images the
+    pass reads.  When ``correcting``, also the prototype bank seeded from
+    the same forward's augmented features, else ``None``.  The bank reads
+    each chunk's decoded planes, as the steps do, not the softmax."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
-    size = tgt[0].image.shape[-2:]
+    images = _Images(tgt)
     tok = grid = None
     bank = PrototypeBank.create(cfg.num_classes,
                                 2 * enc.num_stages * cfg.embed_dim,
@@ -332,8 +345,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
         through the next chunk's forward."""
         nonlocal tok, grid
         lo = 0
-        for t, maps, dims in warmup_pseudo_labels(
-                params, enc, dec, (s.image for s in tgt)):
+        for t, maps, dims in warmup_pseudo_labels(params, enc, dec, images):
             if tok is None:
                 tok, grid = np.empty((len(tgt), *t.shape[1:])), dims[0]
             tok[lo:lo + len(t)] = t
@@ -342,7 +354,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
                 del t, maps
                 continue
             feats = augmented_features(maps, dims)
-            hard, conf = pseudo_label_planes(t, grid, *size)
+            hard, conf = pseudo_label_planes(t, grid, *images.size)
             del t, maps
             for i in range(len(feats)):
                 yield feats[i], grid_probs(decode_pseudo_labels(
@@ -354,7 +366,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
             pass
     else:
         initialize_bank(bank, seeds())
-    return tok, grid, size, bank
+    return tok, grid, images.size, bank
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -388,8 +400,11 @@ def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
         tgt_paths = [image_path(root, "target", i) for i in train_ids]
         pairset = read_pairs(pairs_path, src_paths, tgt_paths)
     else:
-        pairset = pair_two_way((to_grayscale(s.image) for s in src),
-                               (to_grayscale(s.image) for s in tgt))
+        # the pairing reads the source images alone, not their labels
+        pairset = pair_two_way(
+            (to_grayscale(s.image) for s in
+             load_corpus(root, "source", src.ids, with_label=False)),
+            (to_grayscale(s.image) for s in tgt))
     tok, grid, size, bank = _target_pass(
         params, cfg, tgt, cfg.label_correction and cfg.self_training)
     weights = _class_weights(cfg)

@@ -131,6 +131,24 @@ def test_record_holds_runs_probe_and_summary(tmp_path, monkeypatch):
     assert rec["summary"]["w"]["metrics"]["peak_rss_mb"]["verdict"] == "gain"
 
 
+def test_workloads_follow_one_flag_or_several(tmp_path, monkeypatch):
+    """``--workload`` takes several names after one flag, as ``--seeds``
+    does, and repeated flags add theirs, in order."""
+    for side in ("p", "c"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    seen = []
+    monkeypatch.setattr(abab, "run_pairs",
+                        lambda checkouts, workloads, *rest, **kw:
+                        seen.append(workloads) or [])
+    paths = [str(tmp_path / "p"), str(tmp_path / "c")]
+    for flags, want in ((["--workload", "a", "b"], ["a", "b"]),
+                        (["--workload", "a", "--workload", "b", "c"],
+                         ["a", "b", "c"])):
+        assert abab.main(paths + flags + ["--seeds", "1", "2"]) == 0
+        assert seen.pop() == want
+
+
 def test_host_probe_times_both_kernels():
     probe = abab.host_probe()
     assert sorted(probe) == ["gemm_s_min", "loop_s_min"]

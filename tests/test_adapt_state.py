@@ -28,8 +28,8 @@ import numpy as np
 from quadseg import adaptation, cli, objectives, tensor, train
 from quadseg.checkpoint import load_checkpoint
 from quadseg.config import RunConfig, value_text
-from quadseg.dataset import (load_corpus, source_spec, split_target_ids,
-                             target_spec, write_dataset)
+from quadseg.dataset import (Corpus, load_corpus, source_spec,
+                             split_target_ids, target_spec, write_dataset)
 from quadseg.model import INFER_CHUNK
 from quadseg.pnm import read_f64, read_pgm
 
@@ -179,28 +179,62 @@ def test_target_pass_holds_one_chunk_per_forward(warm, monkeypatch,
     assert len(alive) > 1
 
 
+def _reachable_arrays(obj, seen=None) -> list:
+    """Every numpy array reachable from ``obj`` through containers,
+    dataclass fields, ``Tensor.data`` and object attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tensor.Tensor):
+        return _reachable_arrays(obj.data, seen)
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple, set)):
+        items = list(obj)
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        items = list(vars(obj).values())
+    else:
+        return []
+    return [a for item in items for a in _reachable_arrays(item, seen)]
+
+
 def test_adapt_steps_hold_no_full_resolution_planes(warm, tmp_path,
                                                     monkeypatch):
     """The step function ``adapt`` runs holds the pass's token logits and
     no [N, H, W] array: the planes of a step's items are derived in the
-    step and freed with it."""
+    step and freed with it.  Its corpora hold no array, and the only
+    per-image array the step reaches is the token logits: an image is read
+    when a step uses it."""
     data, wck = warm
     n = len(split_target_ids(data)[0])
-    seen = []
+    cells = []
     run = train._run_steps
 
     def inspect(cfg, first, last, run_step, *rest):
-        seen.extend(c.cell_contents for c in run_step.__closure__
-                    if isinstance(c.cell_contents, np.ndarray))
+        cells.extend(c.cell_contents for c in run_step.__closure__)
         return run(cfg, first, last, run_step, *rest)
 
     monkeypatch.setattr(train, "_run_steps", inspect)
     train.adapt(_CFG, data, wck, str(tmp_path / "a.ckpt"))
+    seen = [c for c in cells if isinstance(c, np.ndarray)]
     held = [a for a in seen if a.ndim and a.shape[0] == n]
     assert len(held) == 1
     assert held[0].dtype == np.float64 and held[0].ndim == 3
     assert held[0].shape[2] == _CFG.num_classes
     assert sum(a.nbytes for a in seen) < n * 64 * 64 * 2
+    corpora = [c for c in cells if isinstance(c, Corpus)]
+    assert len(corpora) == 2             # source and target-train
+    assert [_reachable_arrays(c) for c in corpora] == [[]] * len(corpora)
+    # the model's own state: parameters, critic, optimizer moments
+    state = {id(a) for a in _reachable_arrays(
+        [c for c in cells if isinstance(c, (dict, objectives.AdamW))])}
+    per_image = [a for a in _reachable_arrays(cells) if id(a) not in state
+                 and ((a.ndim and a.shape[0] == n)
+                      or a.shape[-2:] == (64, 64))]
+    assert len(per_image) == 1 and per_image[0] is held[0]
 
 
 def test_adapt_frees_checkpoint_and_each_step(warm, tmp_path, monkeypatch):

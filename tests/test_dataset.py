@@ -1,5 +1,5 @@
 """Scene generation, rasterization oracles, augmentation, IoU, PNM I/O and
-the 8-bit corpus."""
+the corpus reader."""
 
 import os
 import tempfile
@@ -38,6 +38,7 @@ from quadseg.pnm import (
     PnmError,
     read_f64,
     read_pgm,
+    read_pgm_raw,
     read_ppm,
     read_ppm_raw,
     write_f64,
@@ -501,7 +502,7 @@ def _read_blob(blob: bytes, magic: bytes):
             fh.write(blob)
         if magic == b"P6":
             return read_ppm_raw(path), read_ppm(path)
-        return read_pgm(path), None
+        return read_pgm(path), read_pgm_raw(path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -514,6 +515,8 @@ def test_pnm_random_files_round_trip(case):
     got, decoded = _read_blob(blob, magic)
     if magic == b"P5":
         np.testing.assert_array_equal(got, raster[:, :, 0])
+        gray, maxval = decoded
+        assert maxval == mv and gray.tobytes() == got.tobytes()
         return
     rgb, maxval = got
     assert rgb.dtype == np.uint8 and maxval == mv
@@ -626,7 +629,7 @@ def test_write_dataset_layout_and_split(tmp_path):
 def test_corpus_decodes_like_load_sample(tmp_path):
     """Every image and label of a written corpus, and a hand-written PPM
     with maxval 100, decode bit-identically to ``load_sample``, while the
-    corpus itself holds only the 8-bit rasters."""
+    corpus itself holds no array: it reads a sample when it is used."""
     root = str(tmp_path / "data")
     write_dataset(root, *_tiny_specs(), n_train=3, n_val=2)
     hand = os.path.join(root, "hand")
@@ -644,7 +647,10 @@ def test_corpus_decodes_like_load_sample(tmp_path):
     for domain, ids, with_label in cases:
         corpus = load_corpus(root, domain, ids, with_label=with_label)
         assert len(corpus) == len(ids) and corpus.ids == ids
-        assert all(r.dtype == np.uint8 for r in corpus.rasters)
+        fields = list(vars(corpus).values())
+        assert not any(isinstance(v, np.ndarray) for v in fields)
+        assert not any(isinstance(x, np.ndarray) for v in fields
+                       if isinstance(v, (list, tuple)) for x in v)
         for k, got in enumerate(corpus):
             want = load_sample(root, domain, ids[k], with_label=with_label)
             assert got.id == want.id
@@ -655,7 +661,9 @@ def test_corpus_decodes_like_load_sample(tmp_path):
                 np.testing.assert_array_equal(got.label, want.label)
             else:
                 assert got.label is None and want.label is None
-    assert load_corpus(root, "hand", [7]).maxvals == [100]
+    hand_image = load_corpus(root, "hand", [7])[0].image
+    assert hand_image.tobytes() == (raster.transpose(2, 0, 1)
+                                    .astype(np.float64) / 100).tobytes()
 
 
 def test_write_dataset_reruns_byte_identical(tmp_path):
@@ -734,6 +742,77 @@ def test_warmup_refuses_a_target_label_without_its_image(tmp_path, capsys):
         f"quadseg: error: target label {label_path(data, 'target', 3)} "
         "has no image\n")
     assert not os.path.exists(ckpt)
+
+
+@pytest.mark.parametrize("maxval", [1, 100, 255])
+def test_labels_read_line_above_half_their_maxval(tmp_path, maxval):
+    """A hand-written label reads as exactly its marked pixels at any
+    maxval: a pixel is line when its value is above half the maxval, so a
+    0/1 mask written with maxval 1 reads as its ones."""
+    root = str(tmp_path)
+    rng = np.random.default_rng(maxval)
+    marked = np.zeros((4, 5), dtype=bool)
+    marked.flat[rng.choice(20, size=5, replace=False)] = True
+    half = maxval // 2
+    values = np.where(marked, rng.integers(half + 1, maxval + 1, (4, 5)),
+                      rng.integers(0, half + 1, (4, 5))).astype(np.uint8)
+    # the values on either side of the threshold both occur
+    values.flat[np.flatnonzero(marked)[0]] = half + 1
+    values.flat[np.flatnonzero(~marked)[0]] = half
+    for path in (image_path(root, "hand", 0), label_path(root, "hand", 0)):
+        os.makedirs(os.path.dirname(path))
+    write_ppm(image_path(root, "hand", 0), np.zeros((3, 4, 5)))
+    with open(label_path(root, "hand", 0), "wb") as fh:
+        fh.write(f"P5\n5 4\n{maxval}\n".encode() + values.tobytes())
+    for got in (load_sample(root, "hand", 0),
+                load_corpus(root, "hand", [0])[0]):
+        assert got.label.dtype == bool
+        np.testing.assert_array_equal(got.label, marked)
+
+
+def test_warmup_refuses_a_label_of_another_size(tmp_path, capsys):
+    """A 32x32 source label beside its 64x64 image stops ``warmup`` at the
+    step that reads it, with one line naming the label, and no checkpoint
+    is written."""
+    data = str(tmp_path / "data")
+    write_dataset(data, *_tiny_specs(), n_train=1, n_val=1)
+    bad = label_path(data, "source", 0)
+    write_pgm(bad, np.zeros((32, 32), dtype=np.uint8))
+    ckpt = str(tmp_path / "w.ckpt")
+    capsys.readouterr()
+    assert cli.main(["warmup", "--data", data, "--out", ckpt, "--set",
+                     "warmup_iterations=1", "--set", "eval_every=1"]) == 1
+    assert capsys.readouterr().err == (
+        f"quadseg: error: {bad}: label is 32x32, its image is 64x64\n")
+    assert not os.path.exists(ckpt)
+
+
+@pytest.mark.parametrize("command", ["warmup", "adapt"])
+def test_a_missing_source_label_stops_the_run_before_it_trains(
+        tmp_path, capsys, command):
+    """A source image whose label is gone makes ``warmup`` and ``adapt``
+    exit 1 with one line naming the label before their first step, whether
+    or not a step would pick that image: the output directory stays
+    empty."""
+    data = str(tmp_path / "data")
+    write_dataset(data, *_tiny_specs(), n_train=3, n_val=1)
+    fast = ["--set", "warmup_iterations=1", "--set", "iterations=1",
+            "--set", "eval_every=1"]
+    wck = str(tmp_path / "w.ckpt")
+    if command == "adapt":
+        assert cli.main(["warmup", "--data", data, "--out", wck] + fast) == 0
+    os.remove(label_path(data, "source", 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    run = {"warmup": ["warmup", "--data", data],
+           "adapt": ["adapt", "--data", data, "--warmup", wck]}[command]
+    capsys.readouterr()
+    assert cli.main(run + ["--out", str(out / "c.ckpt"),
+                           "--log", str(out / "log.csv")] + fast) == 1
+    assert capsys.readouterr().err == (
+        f"quadseg: error: source label {label_path(data, 'source', 1)} "
+        "is missing\n")
+    assert os.listdir(out) == []
 
 
 def _touch(path):

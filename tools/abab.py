@@ -1,7 +1,8 @@
 """Alternating parent/change benchmark runs and their summary.
 
-    python3 tools/abab.py PARENT CHANGE --workload warmup-sourcefree \
-        --seeds 41 42 43 44 45 [--seconds 15] [--record BENCH_x.json]
+    python3 tools/abab.py PARENT CHANGE --workload adapt-paired \
+        warmup-sourcefree --seeds 41 42 43 44 45 [--seconds 15] \
+        [--record BENCH_x.json]
 
 PARENT and CHANGE are two checkouts of the repository.  For each workload
 and seed the tool runs ``perfbench/run.py --trace 0`` once in each
@@ -243,8 +244,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True,
-                        help="a perfbench workload; repeat for several")
+    parser.add_argument("--workload", action="extend", nargs="+",
+                        required=True,
+                        help="perfbench workloads, after one flag or "
+                             "after several")
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--record", metavar="PATH",
