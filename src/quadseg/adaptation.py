@@ -62,22 +62,16 @@ class PrototypeBank:
     initialized: bool = False
 
     @classmethod
-    def create(cls, num_classes: int, dim: int, lam: float = 0.9999):
-        return cls(eta=np.zeros((num_classes, dim)), lam=lam)
+    def create(cls, dim: int, lam: float = 0.9999):
+        """A bank of zero centroids for background and line."""
+        return cls(eta=np.zeros((2, dim)), lam=lam)
 
 
 def class_argmax(scores: np.ndarray) -> np.ndarray:
-    """uint8 class map of finite [..., K, H, W] scores: the index of the
-    largest score along the class axis, the first one on ties, as
-    ``argmax(axis=-3)``.  A running ``>`` over the K class planes avoids
-    the class-last copy and per-pixel argmax of numpy's axis argmax."""
-    best = scores[..., 0, :, :]
-    out = np.zeros(best.shape, np.uint8)
-    for c in range(1, scores.shape[-3]):
-        row = scores[..., c, :, :]
-        out[row > best] = c
-        best = np.maximum(best, row)
-    return out
+    """uint8 class map of finite [..., 2, H, W] scores: 1 where the line
+    scores above the background, 0 elsewhere and on ties, as
+    ``argmax(axis=-3)``, without its class-last copy."""
+    return (scores[..., 1, :, :] > scores[..., 0, :, :]).astype(np.uint8)
 
 
 def class_sums(feats: np.ndarray, probs: np.ndarray):
@@ -215,18 +209,19 @@ def correct_pseudo_labels(labels: PseudoLabels, feats: np.ndarray,
 def warmup_pseudo_labels(params: dict, enc_cfg, dec_cfg, images) -> Iterator:
     """Source-free inference over same-sized [3, H, W] ``images``, read a
     ``stack_chunks`` chunk at a time.  Yields per chunk of n images the
-    target head's token logits [n, h0*w0, K] as a float64 array, with the
-    forward's maps and token grids; ``pseudo_label_planes`` turns the
-    logits into the pseudo-label planes."""
+    target head's token logits [n, h0*w0, 2] as a float64 array, with the
+    forward's maps and token grids and the images' size (H, W);
+    ``pseudo_label_planes`` turns the logits into the pseudo-label planes
+    of that size."""
     for chunk in stack_chunks(images):
         tok, maps, dims = infer_target_tokens(params, enc_cfg, dec_cfg, chunk)
-        yield tok.data, maps, dims
+        yield tok.data, maps, dims, chunk.shape[-2:]
         del tok, maps               # not held through the next forward
 
 
 def pseudo_label_planes(tok: np.ndarray, grid: tuple[int, int], out_h: int,
                         out_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pseudo-label planes of [..., h*w, K] token logits on ``grid``,
+    """The pseudo-label planes of [..., h*w, 2] token logits on ``grid``,
     resampled to [..., out_h, out_w]: the uint8 ``class_argmax`` and the
     float64 max class probability of their softmax.  Every op works item
     by item, so the planes of an item do not depend on which items are
@@ -252,26 +247,34 @@ def save_pseudo_labels(directory: str, sample_id: int, hard: np.ndarray,
         write_bytes(path, data)
 
 
-def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray, num_classes: int,
+def decode_pseudo_labels(hard: np.ndarray, conf: np.ndarray,
                          tau: float) -> PseudoLabels:
-    """Rebuild soft [..., K, H, W] probabilities from the [..., H, W] hard
-    map and its confidence.  Exact for two classes (but a class 1 at
-    confidence exactly 0.5 decodes as a tie, which ``class_argmax`` gives
-    to class 0); for more the non-argmax remainder is spread uniformly."""
-    hot = hard[..., None, :, :] == np.arange(num_classes)[:, None, None]
-    rest = (1.0 - conf) / (num_classes - 1)
-    probs = np.where(hot, conf[..., None, :, :], rest[..., None, :, :])
+    """Rebuild soft [..., 2, H, W] probabilities from the [..., H, W] hard
+    map of 0s and 1s and its confidence: ``conf`` for the hard class and
+    ``1 - conf`` for the other.  Exact, but a line at confidence exactly
+    0.5 decodes as a tie, which ``class_argmax`` gives to the
+    background."""
+    line, rest = hard == 1, 1.0 - conf
+    probs = np.stack([np.where(line, rest, conf), np.where(line, conf, rest)],
+                     axis=-3)
     return PseudoLabels(probs=probs, valid=conf >= tau)
 
 
 def load_pseudo_labels(directory: str, sample_id: int, num_classes: int,
                        tau: float) -> PseudoLabels:
     """``decode_pseudo_labels`` of the planes ``save_pseudo_labels``
-    persisted: the uint8 hard map and the float64 confidence, both [H, W]."""
+    persisted: the uint8 hard map and the float64 confidence, both [H, W].
+    ``num_classes`` must be 2, and ``ValueError`` names a hard map that
+    holds a value other than 0 or 1."""
+    if num_classes != 2:
+        raise ValueError(f"num_classes must be 2 (background and line), "
+                         f"got {num_classes}")
     stem = os.path.join(directory, f"{sample_id:04d}")
     hard = read_pgm(stem + ".pgm")
+    if hard.max(initial=0) > 1:
+        raise ValueError(f"{stem}.pgm: hard label {hard.max()} is not 0 or 1")
     return decode_pseudo_labels(hard, read_f64(stem + ".conf", hard.shape),
-                                num_classes, tau)
+                                tau)
 
 
 # ---------------------------------------------------------------------------

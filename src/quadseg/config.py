@@ -38,7 +38,7 @@ class RunConfig:
     sr_ratios: tuple[int, ...] = (8, 4, 2, 1)
     ffn_expand: int = 4
     share_branch_weights: bool = True
-    # decoder
+    # decoder; the last three are pinned (``_PINNED``)
     embed_dim: int = 64
     num_classes: int = 2
     extra_hidden: bool = False
@@ -82,12 +82,13 @@ class RunConfig:
         for name in ("eval_every", "embed_dim", "ffn_expand"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # the corpus labels line pixels 1 and background 0; the line's class
-        # weight, the target crops' anchor and the 0/255 masks all take the
-        # last class for the line, which is class 1 only when there are two
-        if self.num_classes != 2:
-            raise ValueError(f"num_classes must be 2 (background and line), "
-                             f"got {self.num_classes}")
+        # keys that stay in the config text so that old configs and
+        # checkpoints parse, but that have one value: the model knows one
+        # head of two classes and nothing else
+        for name, (value, why) in _PINNED.items():
+            if getattr(self, name) != value:
+                raise ValueError(f"{name} must be {value_text(value)} ({why}), "
+                                 f"got {value_text(getattr(self, name))}")
         # a nan or inf rate, weight or slope passes every range check below
         # and dies mid-training as a non-finite forward
         for f in dataclasses.fields(self):
@@ -136,10 +137,7 @@ class RunConfig:
                              share_branch_weights=self.share_branch_weights)
 
     def decoder_config(self) -> DecoderConfig:
-        return DecoderConfig(embed_dim=self.embed_dim,
-                             num_classes=self.num_classes,
-                             extra_hidden=self.extra_hidden,
-                             share_heads=self.share_heads)
+        return DecoderConfig(embed_dim=self.embed_dim)
 
     def disc_config(self) -> DiscConfig:
         return DiscConfig(in_channels=self.num_classes,
@@ -148,6 +146,13 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+
+# key -> (the one value it may take, why)
+_PINNED = {
+    "num_classes": (2, "background and line"),
+    "share_heads": (True, "one head serves both domains"),
+    "extra_hidden": (False, "the head is one fuse layer and a classifier"),
+}
 
 
 def value_text(value) -> str:

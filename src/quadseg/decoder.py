@@ -1,7 +1,7 @@
 """All-MLP decoder over the four-stream feature pyramid.
 
 Every stage of a stream is linearly unified to ``embed_dim`` channels at
-its own resolution.  A domain head fuses the self maps with their cross
+its own resolution.  The head fuses the self maps with their cross
 counterparts -- (s, ts) for the source mask, (t, st) for the target mask
 -- through a linear + ReLU fuse layer and a linear classifier.  In the
 paper's terms the fuse input is [phi_a, phi_b], where phi is the stream's
@@ -11,13 +11,14 @@ linear, so the fuse projects each stage before upsampling it
 (``tensor.pyramid_fuse``) and phi is never built on the training or
 inference path; ``augmented_features`` builds [phi_a, phi_b] off the tape
 for the prototype machinery.  Source-free inference feeds (t, t) into the
-target head, which by the encoder's degeneracy property equals the paired
+head, which by the encoder's degeneracy property equals the paired
 forward with the target image in both slots.
 
 Features are [..., N, C] with leading batch dims.  The paired decoder
 unifies each stage's stream stack [4, ..., N, C], rows (s, t, ts, st), as
-one op; the source head reads rows (s, ts), the target head (t, st), and
-shared heads run as one stacked fuse.
+one op; one head serves both domains, reading rows (s, ts) for the source
+and (t, st) for the target in one stacked fuse.  It classifies two
+classes, background 0 and line 1.
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ __all__ = [
 @dataclass(frozen=True)
 class DecoderConfig:
     embed_dim: int = 64          # C_e: common channel width after unification
-    num_classes: int = 2
-    extra_hidden: bool = False   # ablation: one more hidden MLP in the head
-    share_heads: bool = True     # one fuse/classifier serving both domains
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2 (background + line)")
-
-
-def _heads(dec_cfg: DecoderConfig) -> list[str]:
-    return ["head"] if dec_cfg.share_heads else ["head_src", "head_tgt"]
 
 
 def init_decoder_params(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
@@ -73,15 +63,11 @@ def init_decoder_params(enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
     for i, c in enumerate(enc_cfg.channels):
         p[f"dec.unify{i}.w"] = Tensor(trunc_normal(rng, (c, ce)))
         p[f"dec.unify{i}.b"] = Tensor(np.zeros(ce))
-    fuse_in = 2 * enc_cfg.num_stages * ce
-    for h in _heads(dec_cfg):
-        p[f"dec.{h}.fuse.w"] = Tensor(trunc_normal(rng, (fuse_in, ce)))
-        p[f"dec.{h}.fuse.b"] = Tensor(np.zeros(ce))
-        if dec_cfg.extra_hidden:
-            p[f"dec.{h}.hidden.w"] = Tensor(trunc_normal(rng, (ce, ce)))
-            p[f"dec.{h}.hidden.b"] = Tensor(np.zeros(ce))
-        p[f"dec.{h}.cls.w"] = Tensor(trunc_normal(rng, (ce, dec_cfg.num_classes)))
-        p[f"dec.{h}.cls.b"] = Tensor(np.zeros(dec_cfg.num_classes))
+    p["dec.head.fuse.w"] = Tensor(trunc_normal(
+        rng, (2 * enc_cfg.num_stages * ce, ce)))
+    p["dec.head.fuse.b"] = Tensor(np.zeros(ce))
+    p["dec.head.cls.w"] = Tensor(trunc_normal(rng, (ce, 2)))
+    p["dec.head.cls.b"] = Tensor(np.zeros(2))
     return p
 
 
@@ -129,30 +115,27 @@ def augmented_features(maps: tuple[list, ...],
     return out
 
 
-def fuse_and_predict(params: dict, dec_cfg: DecoderConfig, head: str,
-                     self_maps: list[Tensor], cross_maps: list[Tensor],
+def fuse_and_predict(params: dict, self_maps: list[Tensor],
+                     cross_maps: list[Tensor],
                      dims: list[tuple[int, int]]) -> Tensor:
     """Fuse per-stage self and cross maps [..., h_i*w_i, embed_dim] and
-    classify: [..., h0*w0, num_classes] logits.  The fuse projects every
-    stage at its own resolution before upsampling it, which equals the
-    fuse layer over the concatenated [phi_a, phi_b]."""
-    pre = f"dec.{head}"
-    x = relu(pyramid_fuse([*self_maps, *cross_maps], params[f"{pre}.fuse.w"],
-                          params[f"{pre}.fuse.b"], [*dims, *dims], *dims[0]))
-    if dec_cfg.extra_hidden:
-        x = relu(linear(x, params[f"{pre}.hidden.w"], params[f"{pre}.hidden.b"]))
-    return linear(x, params[f"{pre}.cls.w"], params[f"{pre}.cls.b"])
+    classify: [..., h0*w0, 2] logits.  The fuse projects every stage at
+    its own resolution before upsampling it, which equals the fuse layer
+    over the concatenated [phi_a, phi_b]."""
+    x = relu(pyramid_fuse([*self_maps, *cross_maps], params["dec.head.fuse.w"],
+                          params["dec.head.fuse.b"], [*dims, *dims], *dims[0]))
+    return linear(x, params["dec.head.cls.w"], params["dec.head.cls.b"])
 
 
 def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                 feats: list[Tensor], dims: list[tuple[int, int]],
                 use_cross_src: bool = True, use_cross_tgt: bool = True):
-    """Both domain logit maps [..., h0*w0, num_classes] plus the target
-    head's (self, cross) per-stage unified maps as plain arrays, from which
+    """Both domain logit maps [..., h0*w0, 2] plus the target's (self,
+    cross) per-stage unified maps as plain arrays, from which
     ``augmented_features`` builds [phi_t, phi_st]: ``(logits_s, logits_t,
     maps_t)`` from ``encoder_forward``'s per-stage stream stacks, rows (s,
-    t, ts, st).  The source head reads rows (s, ts), the target head (t,
-    st).  The cross toggles substitute a stream's own self map for its
+    t, ts, st).  The head reads rows (s, ts) for the source logits and (t,
+    st) for the target ones.  The cross toggles substitute a stream's own self map for its
     cross map, which is the ablation that disables cross-attention features
     per domain; the stacks then keep only the rows read."""
     keep = [k for k, on in enumerate((True, True, use_cross_src, use_cross_tgt))
@@ -165,30 +148,21 @@ def decode_pair(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                   keep.index(3) if use_cross_tgt else 1)
     maps_t = ([u.data[self_rows[1]] for u in units],
               [u.data[cross_rows[1]] for u in units])
-
-    def pick(rows):
-        return [gather(u, rows) for u in units]
-
-    if dec_cfg.share_heads:
-        logits = fuse_and_predict(params, dec_cfg, "head", pick(self_rows),
-                                  pick(cross_rows), dims)
-        return gather(logits, 0), gather(logits, 1), maps_t
-    return (*(fuse_and_predict(params, dec_cfg, h, pick(a), pick(c), dims)
-              for h, a, c in zip(("head_src", "head_tgt"), self_rows, cross_rows)),
-            maps_t)
+    logits = fuse_and_predict(params, [gather(u, self_rows) for u in units],
+                              [gather(u, cross_rows) for u in units], dims)
+    return gather(logits, 0), gather(logits, 1), maps_t
 
 
 def decode_single(params: dict, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig,
                   feats: list[Tensor], dims: list[tuple[int, int]]):
     """Source-free path: the one-stream case of ``decode_pair``, fusing
-    (phi_t, phi_t) through the target head.  Returns ``(logits, maps)``
+    (phi_t, phi_t) through the head.  Returns ``(logits, maps)``
     shaped like the target outputs of ``decode_pair``."""
     units = _unify(params, enc_cfg, feats, dims)
-    head = "head" if dec_cfg.share_heads else "head_tgt"
     maps = [u.data for u in units]
-    return fuse_and_predict(params, dec_cfg, head, units, units, dims), (maps, maps)
+    return fuse_and_predict(params, units, units, dims), (maps, maps)
 
 
 def mask_probs(logits_grid: Tensor) -> Tensor:
-    """Softmax over the class axis of a [..., K, H, W] logit map."""
+    """Softmax over the class axis of a [..., 2, H, W] logit map."""
     return softmax(logits_grid, axis=-3)

@@ -40,8 +40,8 @@ INFER_CHUNK = 3
 
 @dataclass
 class PairOutput:               # leading batch dims of the images carry through
-    logits_s: Tensor        # [..., num_classes, H, W]
-    logits_t: Tensor        # [..., num_classes, H, W]
+    logits_s: Tensor        # [..., 2, H, W]: background, line
+    logits_t: Tensor        # [..., 2, H, W]
     maps_t: tuple[list, list]   # target head's (self, cross) unified maps,
                                 # arrays [..., h_i*w_i, embed_dim] per stage
     dims: list[tuple[int, int]]     # token grid per stage; dims[0] is the
@@ -75,7 +75,7 @@ def infer_target_tokens(params: dict, enc_cfg: EncoderConfig,
                         dec_cfg: DecoderConfig, img: Tensor):
     """The source-free forward of the target image [..., 3, H, W] up to
     the target head's token logits: single-stream encoder, target head
-    fused on (phi_t, phi_t).  Returns ``(tok [..., h0*w0, K], maps,
+    fused on (phi_t, phi_t).  Returns ``(tok [..., h0*w0, 2], maps,
     dims)``: the head's (self, cross) per-stage unified maps, here the same
     arrays twice, and the token grid per stage."""
     feats, dims = encoder_forward_single(params, enc_cfg, img)
@@ -87,7 +87,7 @@ def infer_target_sourcefree(params: dict, enc_cfg: EncoderConfig,
                             dec_cfg: DecoderConfig, img: Tensor):
     """Predict a target mask from the target image [..., 3, H, W] alone:
     ``infer_target_tokens`` with the token logits resampled to the image.
-    Returns ``(logits [..., K, H, W], maps, dims)``."""
+    Returns ``(logits [..., 2, H, W], maps, dims)``."""
     tok, maps, dims = infer_target_tokens(params, enc_cfg, dec_cfg, img)
     hh, ww = img.shape[-2:]
     return tokens_to_map(tok, dims[0], hh, ww), maps, dims

@@ -94,8 +94,7 @@ LOG_HEADER = "step,l_seg_s,l_seg_t,d_loss,g_loss,lr,target_iou"
 _SOURCE_VAL_IDS = range(200, 220)     # regenerated from spec.txt, never stored
 
 _ARCH_FIELDS = ("channels", "depths", "heads", "sr_ratios", "ffn_expand",
-                "share_branch_weights", "embed_dim", "num_classes",
-                "extra_hidden", "share_heads", "disc_channels")
+                "share_branch_weights", "embed_dim", "disc_channels")
 
 
 def _rng(seed: int, tag: int, step: int) -> np.random.Generator:
@@ -111,9 +110,8 @@ def _check_architecture(stored: RunConfig, cfg: RunConfig) -> None:
 
 
 def _class_weights(cfg: RunConfig) -> np.ndarray:
-    w = np.ones(cfg.num_classes)
-    w[-1] = cfg.class_weight_pl
-    return w
+    """The (background, line) weights of the segmentation loss."""
+    return np.array([1.0, cfg.class_weight_pl])
 
 
 def _restore_params(data, cfg: RunConfig) -> dict[str, Tensor]:
@@ -180,21 +178,6 @@ def source_val_iou(params: dict, cfg: RunConfig, root: str) -> float:
     src_spec, _ = read_scene_specs(os.path.join(root, "spec.txt"))
     samples = [generate_sample(src_spec, i) for i in _SOURCE_VAL_IDS]
     return _mean_iou(params, cfg, samples)
-
-
-class _Images:
-    """The images of a ``Corpus``, each read when the iteration reaches it;
-    ``size`` is the (H, W) of the last one read, so a pass over them learns
-    the size its planes expand to from data it has already read."""
-
-    def __init__(self, corpus):
-        self.corpus = corpus
-        self.size = None
-
-    def __iter__(self):
-        for s in self.corpus:
-            self.size = s.image.shape[-2:]
-            yield s.image
 
 
 def _run_steps(cfg: RunConfig, first: int, last: int, run_step, params: dict,
@@ -276,16 +259,17 @@ def warmup(cfg: RunConfig, root: str, ckpt_out: str,
                          params, tgt_val, log_path)
     save_checkpoint(ckpt_out, {**params, **opt.state_tensors()},
                     serialize_config(cfg), cfg.warmup_iterations)
-    tgt = _Images(load_corpus(root, "target", split_target_ids(root)[0],
-                              with_label=False))
+    tgt = load_corpus(root, "target", split_target_ids(root)[0],
+                      with_label=False)
     plabel_dir = ckpt_out + ".plabels"
     os.makedirs(plabel_dir, exist_ok=True)
     lo = 0
     with WriteBehind() as out:
-        for tok, maps, dims in warmup_pseudo_labels(params, enc, dec, tgt):
+        for tok, maps, dims, size in warmup_pseudo_labels(
+                params, enc, dec, (s.image for s in tgt)):
             del maps                # not held through the next forward
-            for i, h, c in zip(tgt.corpus.ids[lo:], *pseudo_label_planes(
-                    tok, dims[0], *tgt.size)):
+            for i, h, c in zip(tgt.ids[lo:], *pseudo_label_planes(
+                    tok, dims[0], *size)):
                 for path, data in pseudo_label_files(plabel_dir, i, h, c):
                     out.put(path, data)
             lo += len(tok)
@@ -308,8 +292,7 @@ def _target_labels(planes: np.ndarray, maps_t: tuple, dims: list,
     augmented features, after which the prototypes trail the corrections
     item by item.  Plain numpy on arrays and the bank, never a tape; it
     runs before the critic step, so the two working sets never add."""
-    pls = decode_pseudo_labels(planes[:, 0], planes[:, 1], cfg.num_classes,
-                               cfg.tau)
+    pls = decode_pseudo_labels(planes[:, 0], planes[:, 1], cfg.tau)
     if bank is not None:
         feats = augmented_features(maps_t, dims)
         pls = correct_pseudo_labels(pls, feats, dims[0], bank,
@@ -325,27 +308,26 @@ def _target_pass(params, cfg: RunConfig, tgt,
                                             PrototypeBank | None]:
     """The warm-up weights' pseudo-labels for the target-train ``Sample``s
     ``tgt`` (a ``Corpus``), from one ``warmup_pseudo_labels`` pass, held as
-    the target head's token logits: one [N, h0*w0, K] float64 array, a
+    the target head's token logits: one [N, h0*w0, 2] float64 array, a
     ninth of the bytes of the [N, H, W] planes that ``pseudo_label_planes``
     expands them to, with its token ``grid`` (h0, w0) and the images'
-    ``size`` (H, W) that the expansion reads, taken from the images the
-    pass reads.  When ``correcting``, also the prototype bank seeded from
-    the same forward's augmented features, else ``None``.  The bank reads
-    each chunk's decoded planes, as the steps do, not the softmax."""
+    ``size`` (H, W) that the expansion reads, as the pass yields it.  When
+    ``correcting``, also the prototype bank seeded from the same forward's
+    augmented features, else ``None``.  The bank reads each chunk's decoded
+    planes, as the steps do, not the softmax."""
     enc, dec = cfg.encoder_config(), cfg.decoder_config()
-    images = _Images(tgt)
-    tok = grid = None
-    bank = PrototypeBank.create(cfg.num_classes,
-                                2 * enc.num_stages * cfg.embed_dim,
+    tok = grid = size = None
+    bank = PrototypeBank.create(2 * enc.num_stages * cfg.embed_dim,
                                 lam=cfg.lambda_ema) if correcting else None
 
     def seeds():
         """Store each chunk's logits; with a bank, then yield each image's
         (augmented features, token probs).  Nothing of a chunk stays bound
         through the next chunk's forward."""
-        nonlocal tok, grid
+        nonlocal tok, grid, size
         lo = 0
-        for t, maps, dims in warmup_pseudo_labels(params, enc, dec, images):
+        for t, maps, dims, size in warmup_pseudo_labels(
+                params, enc, dec, (s.image for s in tgt)):
             if tok is None:
                 tok, grid = np.empty((len(tgt), *t.shape[1:])), dims[0]
             tok[lo:lo + len(t)] = t
@@ -354,11 +336,11 @@ def _target_pass(params, cfg: RunConfig, tgt,
                 del t, maps
                 continue
             feats = augmented_features(maps, dims)
-            hard, conf = pseudo_label_planes(t, grid, *images.size)
+            hard, conf = pseudo_label_planes(t, grid, *size)
             del t, maps
             for i in range(len(feats)):
                 yield feats[i], grid_probs(decode_pseudo_labels(
-                    hard[i], conf[i], cfg.num_classes, cfg.tau).probs, *grid)
+                    hard[i], conf[i], cfg.tau).probs, *grid)
             del feats, hard, conf
 
     if bank is None:
@@ -366,7 +348,7 @@ def _target_pass(params, cfg: RunConfig, tgt,
             pass
     else:
         initialize_bank(bank, seeds())
-    return tok, grid, images.size, bank
+    return tok, grid, size, bank
 
 
 def adapt(cfg: RunConfig, root: str, warmup_ckpt: str, ckpt_out: str,
@@ -507,12 +489,11 @@ def evaluate(ckpt_path: str, root: str, out_dir: str) -> dict:
     mask_dir = os.path.join(out_dir, "masks")
     os.makedirs(mask_dir, exist_ok=True)
     rows = []
-    scale = 255 // (cfg.num_classes - 1)
     with WriteBehind() as out:
         for s in load_corpus(root, "target", val_ids):
             pred = predict_mask(params, cfg, s.image)
             out.put(os.path.join(mask_dir, f"{s.id:04d}.pgm"),
-                    encode_pgm((pred * scale).astype(np.uint8)))
+                    encode_pgm((pred * 255).astype(np.uint8)))
             rows.append((s.id, iou(pred, s.label.astype(int))))
     mean = float(np.mean([v for _, v in rows])) if rows else 1.0
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:

@@ -183,7 +183,7 @@ def ema_suite(k: int = 10000, seed: int = 4) -> float:
     """Worst gap to the closed form (1 - lam^k) * v from a zero start."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=6)
-    bank = PrototypeBank.create(1, 6)
+    bank = PrototypeBank.create(6)
     for _ in range(k):
         ema_update(bank, 0, v)
     want = (1.0 - bank.lam ** k) * v

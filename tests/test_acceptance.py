@@ -133,7 +133,7 @@ def test_criterion_07_pseudo_label_denoising():
     probs = np.stack([np.where(hard == 0, conf, 1.0 - conf),
                       np.where(hard == 1, conf, 1.0 - conf)])
     labels = PseudoLabels(probs=probs, valid=conf >= 0.9)
-    bank = PrototypeBank.create(2, d)
+    bank = PrototypeBank.create(d)
     initialize_bank(bank, [(feats, probs.reshape(2, -1).T)])
     out = correct_pseudo_labels(labels, feats, (n_side, n_side), bank)
     corrected = out.probs.argmax(axis=0).ravel()

@@ -43,15 +43,14 @@ from quadseg.tensor import interp_matrix
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(), (1,), (2,), (2, 3)]), st.integers(2, 4),
+@given(st.sampled_from([(), (1,), (2,), (2, 3)]),
        st.integers(1, 6), st.integers(1, 6), st.integers(1, 4),
        st.integers(0, 2**16))
-def test_class_argmax_equals_numpy_argmax_with_ties(lead, k, h, w, levels,
-                                                    seed):
-    """The running compare picks numpy's class, the first maximum on ties;
-    few distinct score levels make ties common, and -0.0 ties +0.0."""
+def test_class_argmax_equals_numpy_argmax_with_ties(lead, h, w, levels, seed):
+    """The compare picks numpy's class, the first maximum on ties; few
+    distinct score levels make ties common, and -0.0 ties +0.0."""
     rng = np.random.default_rng(seed)
-    scores = rng.integers(0, levels + 1, size=(*lead, k, h, w)) - levels / 2
+    scores = rng.integers(0, levels + 1, size=(*lead, 2, h, w)) - levels / 2
     scores[rng.random(scores.shape) < 0.2] = -0.0
     got = class_argmax(scores)
     assert got.dtype == np.uint8 and got.shape == (*lead, h, w)
@@ -133,16 +132,14 @@ def test_class_sums_match_a_per_pixel_loop(n, d, k, seed):
 
 
 def test_tracking_leaves_an_absent_class_alone():
-    bank = PrototypeBank.create(3, 2)
-    bank.eta[:] = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    bank = PrototypeBank(eta=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     before = bank.eta.copy()
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8], [0.6, 0.2, 0.2]])
     track_prototypes(bank, feats, probs)            # class 1 is absent
     np.testing.assert_array_equal(bank.eta[1], before[1])
     for c in (0, 2):
-        want = PrototypeBank.create(3, 2)
-        want.eta[:] = before
+        want = PrototypeBank(eta=before.copy())
         ema_update(want, c, batch_prototype(feats, probs, c))
         np.testing.assert_array_equal(bank.eta[c], want.eta[c])
 
@@ -155,8 +152,7 @@ def test_ema_update_over_classes_equals_per_class_calls(k, d, seed, data):
                                  max_size=k, unique=True))
     rng = np.random.default_rng(seed)
     eta, rows = rng.normal(size=(k, d)), rng.normal(size=(len(classes), d))
-    one, each = PrototypeBank.create(k, d), PrototypeBank.create(k, d)
-    one.eta[:] = each.eta[:] = eta
+    one, each = PrototypeBank(eta=eta.copy()), PrototypeBank(eta=eta.copy())
     ema_update(one, np.array(classes), rows)
     for c, row in zip(classes, rows):
         ema_update(each, c, row)
@@ -176,14 +172,14 @@ def test_grid_probs_over_a_batch_equals_per_item():
 
 
 def test_ema_single_step_arithmetic():
-    bank = PrototypeBank.create(2, 3)
+    bank = PrototypeBank.create(3)
     ema_update(bank, 0, np.ones(3))
     np.testing.assert_allclose(bank.eta[0], 0.0001, atol=1e-15)
     np.testing.assert_array_equal(bank.eta[1], 0.0)
 
 
 def test_ema_fixed_point():
-    bank = PrototypeBank.create(1, 2)
+    bank = PrototypeBank.create(2)
     bank.eta[0] = [3.0, -1.0]
     ema_update(bank, 0, np.array([3.0, -1.0]))
     np.testing.assert_array_equal(bank.eta[0], [3.0, -1.0])
@@ -192,7 +188,7 @@ def test_ema_fixed_point():
 def test_ema_closed_form_10000_steps():
     rng = np.random.default_rng(1)
     v = rng.normal(size=5)
-    bank = PrototypeBank.create(1, 5)
+    bank = PrototypeBank.create(5)
     for _ in range(10000):
         ema_update(bank, 0, v)
     want = (1.0 - 0.9999 ** 10000) * v
@@ -203,7 +199,7 @@ def test_ema_closed_form_10000_steps():
 def test_ema_contraction():
     rng = np.random.default_rng(2)
     v = rng.normal(size=4)
-    bank = PrototypeBank.create(1, 4)
+    bank = PrototypeBank.create(4)
     bank.eta[0] = rng.normal(size=4)
     before = np.linalg.norm(bank.eta[0] - v)
     ema_update(bank, 0, v)
@@ -212,7 +208,7 @@ def test_ema_contraction():
 
 
 def test_ema_rejects_nonfinite():
-    bank = PrototypeBank.create(1, 2)
+    bank = PrototypeBank.create(2)
     with pytest.raises(FloatingPointError):
         ema_update(bank, 0, np.array([np.nan, 0.0]))
 
@@ -222,7 +218,7 @@ def test_initialize_bank_global_centroid():
     probs1 = np.array([[1.0, 0.0], [0.5, 0.5]])     # both argmax 0 (tie -> 0)
     feats2 = np.array([[0.0, 2.0]])
     probs2 = np.array([[0.1, 0.9]])
-    bank = PrototypeBank.create(2, 2)
+    bank = PrototypeBank.create(2)
     initialize_bank(bank, [(feats1, probs1), (feats2, probs2)])
     assert bank.initialized
     np.testing.assert_allclose(bank.eta[0],
@@ -246,14 +242,14 @@ def _labels_from_conf(hard, conf):
 
 
 def test_correction_requires_initialized_bank():
-    bank = PrototypeBank.create(2, 4)
+    bank = PrototypeBank.create(4)
     labels = _labels_from_conf(np.zeros((2, 2), dtype=int), np.full((2, 2), 0.95))
     with pytest.raises(ValueError):
         correct_pseudo_labels(labels, np.zeros((4, 4)), (2, 2), bank)
 
 
 def test_correction_pulls_toward_exact_prototype():
-    bank = PrototypeBank.create(2, 2)
+    bank = PrototypeBank.create(2)
     bank.eta = np.array([[1.0, 0.0], [0.0, 1.0]])
     bank.initialized = True
     # one feature sitting exactly on prototype 0 but labeled class 1 softly
@@ -265,7 +261,7 @@ def test_correction_pulls_toward_exact_prototype():
 
 
 def test_correction_uniform_affinity_is_identity():
-    bank = PrototypeBank.create(2, 2)
+    bank = PrototypeBank.create(2)
     bank.eta = np.array([[1.0, 0.0], [-1.0, 0.0]])
     bank.initialized = True
     feats = np.array([[0.0, 5.0]])                 # equidistant from both
@@ -275,7 +271,7 @@ def test_correction_uniform_affinity_is_identity():
 
 
 def test_correction_never_mutates_warmup_probs():
-    bank = PrototypeBank.create(2, 2)
+    bank = PrototypeBank.create(2)
     bank.eta = np.array([[1.0, 0.0], [0.0, 1.0]])
     bank.initialized = True
     labels = _labels_from_conf(np.array([[1, 0]]), np.array([[0.7, 0.95]]))
@@ -311,7 +307,7 @@ def _two_cluster_case(seed, n_side=20, flip_frac=0.2, flip_conf=0.7):
 def test_correction_recovers_flipped_cluster_labels():
     labels, feats, grid, truth, flipped = _two_cluster_case(3)
     probs_flat = labels.probs.reshape(2, -1).T
-    bank = PrototypeBank.create(2, feats.shape[1])
+    bank = PrototypeBank.create(feats.shape[1])
     initialize_bank(bank, [(feats, probs_flat)])
     out = correct_pseudo_labels(labels, feats, grid, bank)
     hard = out.probs.argmax(axis=0).ravel()
@@ -324,7 +320,7 @@ def test_correction_recovers_flipped_cluster_labels():
 
 def test_correction_upsamples_grid_affinity():
     """Features on a 2x2 grid correct an 8x8 label map via bilinear weights."""
-    bank = PrototypeBank.create(2, 2)
+    bank = PrototypeBank.create(2)
     bank.eta = np.array([[1.0, 0.0], [0.0, 1.0]])
     bank.initialized = True
     feats = np.array([[1.0, 0.0]] * 4)
@@ -367,7 +363,7 @@ def test_correction_matches_broadcast_distances_bit_for_bit(k):
     probs = np.exp(logits) / np.exp(logits).sum(axis=0)
     labels = PseudoLabels(probs=probs, valid=probs.max(axis=0) >= 0.6)
     feats = rng.normal(size=(grid[0] * grid[1], d))
-    bank = PrototypeBank.create(k, d)
+    bank = PrototypeBank(eta=np.zeros((k, d)))
     bank.eta[:] = rng.normal(size=(k, d))
     bank.initialized = True
     out = correct_pseudo_labels(labels, feats, grid, bank, 0.7, 0.6)
@@ -383,7 +379,7 @@ def _random_correction_case(rng, lead, k, grid, d, scale=4):
     probs = np.exp(logits) / np.exp(logits).sum(axis=-3, keepdims=True)
     labels = PseudoLabels(probs=probs, valid=probs.max(axis=-3) >= 0.6)
     feats = rng.normal(size=(*lead, grid[0] * grid[1], d))
-    bank = PrototypeBank.create(k, d)
+    bank = PrototypeBank(eta=np.zeros((k, d)))
     bank.eta[:] = rng.normal(size=(k, d))
     bank.initialized = True
     return labels, feats, bank
@@ -466,12 +462,13 @@ def test_warmup_validity_thresholds():
     params["dec.head.cls.w"].data[:] = 0.0
     params["dec.head.cls.b"].data[:] = 0.0
     img = np.random.default_rng(5).random((3, 16, 16))
-    ((tok, _, dims),) = warmup_pseudo_labels(params, enc, dec, [img])
+    ((tok, _, dims, size),) = warmup_pseudo_labels(params, enc, dec, [img])
+    assert tuple(size) == (16, 16)
     hard, conf = pseudo_label_planes(tok, dims[0], 16, 16)
     assert hard.dtype == np.uint8 and hard.shape == conf.shape == (1, 16, 16)
     assert not hard.any() and (conf == 0.5).all()
-    assert not decode_pseudo_labels(hard, conf, 2, tau=0.9).valid.any()
-    pl_all = decode_pseudo_labels(hard, conf, 2, tau=0.5)
+    assert not decode_pseudo_labels(hard, conf, tau=0.9).valid.any()
+    pl_all = decode_pseudo_labels(hard, conf, tau=0.5)
     assert pl_all.valid.all()
     np.testing.assert_array_equal(pl_all.probs.sum(axis=-3), 1.0)
 
@@ -497,10 +494,10 @@ def test_pseudo_label_pass_is_lazy():
             yield rng.random((3, 16, 16))
 
     chunks = warmup_pseudo_labels(params, enc, dec, images())
-    tok, _, dims = next(chunks)
+    tok, _, dims, _ = next(chunks)
     assert tok.shape == (INFER_CHUNK, 4 * 4, 2) and dims[0] == (4, 4)
     assert len(pulled) == INFER_CHUNK
-    assert [len(t) for t, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK]
+    assert [len(t) for t, *_ in chunks] == [INFER_CHUNK, INFER_CHUNK]
     assert len(pulled) == 3 * INFER_CHUNK
 
 
@@ -528,7 +525,8 @@ def test_chunked_inference_matches_per_image():
     rng = np.random.default_rng(8)
     images = [rng.random((3, 32, 32)) for _ in range(2 * INFER_CHUNK + 1)]
     chunks = list(warmup_pseudo_labels(params, enc, dec, images))
-    assert [len(t) for t, _, _ in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
+    assert [len(t) for t, *_ in chunks] == [INFER_CHUNK, INFER_CHUNK, 1]
+    assert all(tuple(size) == (32, 32) for *_, size in chunks)
     want_tok, want_hard, want_conf, feats = [], [], [], []
     for img in images:
         want_tok.append(infer_target_tokens(params, enc, dec, Tensor(img))[0].data)
@@ -536,17 +534,18 @@ def test_chunked_inference_matches_per_image():
         probs = mask_probs(logits).data
         want_hard.append(class_argmax(probs))
         want_conf.append(probs.max(axis=0))
-        held = decode_pseudo_labels(want_hard[-1], want_conf[-1], 2, tau=0.6)
+        held = decode_pseudo_labels(want_hard[-1], want_conf[-1], tau=0.6)
         feats.append((augmented_features(maps, dims),
                       grid_probs(held.probs, *dims[0])))
-    np.testing.assert_array_equal(np.concatenate([t for t, _, _ in chunks]),
+    np.testing.assert_array_equal(np.concatenate([t for t, *_ in chunks]),
                                   want_tok)
-    planes = [pseudo_label_planes(t, dims[0], 32, 32) for t, _, dims in chunks]
+    planes = [pseudo_label_planes(t, dims[0], *size)
+              for t, _, dims, size in chunks]
     np.testing.assert_array_equal(np.concatenate([h for h, _ in planes]),
                                   want_hard)
     np.testing.assert_array_equal(np.concatenate([c for _, c in planes]),
                                   want_conf)
-    chunk_feats = [f for _, maps, dims in chunks
+    chunk_feats = [f for _, maps, dims, _ in chunks
                    for f in augmented_features(maps, dims)]
     for got, (want, _) in zip(chunk_feats, feats, strict=True):
         np.testing.assert_array_equal(got, want)
@@ -555,8 +554,7 @@ def test_chunked_inference_matches_per_image():
     assert tok.dtype == np.float64 and grid == dims[0]
     assert tuple(size) == (32, 32)
     np.testing.assert_array_equal(tok, want_tok)
-    want = PrototypeBank.create(cfg.num_classes, bank.eta.shape[1],
-                                lam=cfg.lambda_ema)
+    want = PrototypeBank.create(bank.eta.shape[1], lam=cfg.lambda_ema)
     initialize_bank(want, feats)
     np.testing.assert_array_equal(bank.eta, want.eta)
     assert bank.initialized
@@ -600,7 +598,7 @@ def test_softmax_planes_decode_to_their_hard_map(pairs, tau):
     whose confidence rounds to exactly 0.5 decodes as a tie, which
     ``class_argmax`` gives to the background."""
     hard, conf = _softmax_planes(np.array(pairs, dtype=np.float64))
-    pl = decode_pseudo_labels(hard, conf, 2, tau)
+    pl = decode_pseudo_labels(hard, conf, tau)
     assert (conf >= 0.5).all()
     np.testing.assert_array_equal(class_argmax(pl.probs),
                                   np.where(conf == 0.5, 0, hard))
@@ -612,7 +610,7 @@ def test_a_one_ulp_line_win_decodes_as_a_background_tie():
     confidence exactly 0.5."""
     hard, conf = _softmax_planes(np.array([[0.3, np.nextafter(0.3, 1.0)]]))
     assert hard.item() == 1 and conf.item() == 0.5
-    assert class_argmax(decode_pseudo_labels(hard, conf, 2, 0.5).probs).item() == 0
+    assert class_argmax(decode_pseudo_labels(hard, conf, 0.5).probs).item() == 0
 
 
 def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
@@ -632,14 +630,13 @@ def test_pseudo_label_roundtrip_exact_two_class(tmp_path):
     np.testing.assert_array_equal(back.valid, probs.max(axis=0) >= 0.9)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
+def test_compact_planes_decode_like_the_persisted_labels(tmp_path):
     """The planes a run holds in memory, (hard map, confidence), are the
     planes the files hold, and decode bit for bit to what
     ``load_pseudo_labels`` rebuilds from the files, with or without
     leading dims."""
-    rng = np.random.default_rng(20 + k)
-    logits = rng.normal(size=(k, 9, 7))
+    rng = np.random.default_rng(22)
+    logits = rng.normal(size=(2, 9, 7))
     probs = np.exp(logits) / np.exp(logits).sum(axis=0)
     hard, conf = class_argmax(probs), probs.max(axis=0)
     save_pseudo_labels(str(tmp_path), 3, hard, conf)
@@ -648,22 +645,47 @@ def test_compact_planes_decode_like_the_persisted_labels(tmp_path, k):
     assert file_hard.dtype == np.uint8 and file_conf.dtype == np.float64
     np.testing.assert_array_equal(file_hard, hard)
     np.testing.assert_array_equal(file_conf, conf)
-    held = decode_pseudo_labels(hard, conf, k, tau=0.5)
-    loaded = load_pseudo_labels(str(tmp_path), 3, k, tau=0.5)
+    held = decode_pseudo_labels(hard, conf, tau=0.5)
+    loaded = load_pseudo_labels(str(tmp_path), 3, 2, tau=0.5)
     np.testing.assert_array_equal(held.probs, loaded.probs)
     np.testing.assert_array_equal(held.valid, loaded.valid)
-    for c in range(k):    # the winner keeps its confidence, the rest share
+    for c in range(2):    # the winner keeps its confidence, the other 1 - it
         np.testing.assert_array_equal(
-            held.probs[c], np.where(hard == c, conf, (1.0 - conf) / (k - 1)))
+            held.probs[c], np.where(hard == c, conf, 1.0 - conf))
     np.testing.assert_array_equal(held.valid, conf >= 0.5)
     batched = decode_pseudo_labels(np.stack([hard, hard[::-1]]),
-                                   np.stack([conf, conf[::-1]]), k, tau=0.5)
-    assert batched.probs.shape == (2, k, 9, 7)
+                                   np.stack([conf, conf[::-1]]), tau=0.5)
+    assert batched.probs.shape == (2, 2, 9, 7)
     np.testing.assert_array_equal(batched.probs[0], held.probs)
     np.testing.assert_array_equal(
         batched.probs[1],
-        decode_pseudo_labels(hard[::-1], conf[::-1], k, tau=0.5).probs)
+        decode_pseudo_labels(hard[::-1], conf[::-1], tau=0.5).probs)
     np.testing.assert_array_equal(batched.valid[0], held.valid)
+
+
+@pytest.mark.parametrize("value", [2, 255])
+def test_load_refuses_a_hard_label_other_than_0_or_1(tmp_path, value):
+    """A hand-written hard-label PGM holding a value past 1 is refused with
+    the file's name; it would otherwise decode as background."""
+    (tmp_path / "0005.pgm").write_bytes(
+        b"P5\n3 2\n255\n" + bytes([0, 1, 0, 1, value, 0]))
+    (tmp_path / "0005.conf").write_bytes(np.full(6, 0.75, "<f8").tobytes())
+    with pytest.raises(ValueError, match="0005.pgm"):
+        load_pseudo_labels(str(tmp_path), 5, 2, tau=0.5)
+    (tmp_path / "0005.pgm").write_bytes(
+        b"P5\n3 2\n255\n" + bytes([0, 1, 0, 1, 1, 0]))
+    back = load_pseudo_labels(str(tmp_path), 5, 2, tau=0.5)
+    np.testing.assert_array_equal(class_argmax(back.probs),
+                                  [[0, 1, 0], [1, 1, 0]])
+    np.testing.assert_array_equal(back.probs.sum(axis=0), 1.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_load_refuses_a_class_count_other_than_two(tmp_path, k):
+    save_pseudo_labels(str(tmp_path), 1, np.zeros((2, 2), np.uint8),
+                       np.ones((2, 2)))
+    with pytest.raises(ValueError, match="num_classes must be 2"):
+        load_pseudo_labels(str(tmp_path), 1, k, tau=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,9 @@ def test_against_the_same_checkout_exits_zero():
 
 def test_sweep_runs_each_case_in_both_checkouts(monkeypatch, capsys):
     """--sweep runs seeds 0, 1, 4 at batch 1-3, seed 1 / batch 2 with
-    each override and seed 1 / batch 3 at crop 64, in both checkouts, and
-    prints one line per case: 15 cases."""
+    each override, seed 1 / batch 3 at crop 64 and seed 1 / batch 2 with
+    each cross toggle off, in both checkouts, and prints one line per
+    case: 17 cases."""
     tool = _tool()
     calls = []
 
@@ -89,14 +90,17 @@ def test_sweep_runs_each_case_in_both_checkouts(monkeypatch, capsys):
         (1, 2, [kv]) for kv in ("share_branch_weights=false",
                                 "label_correction=false", "adversarial=false",
                                 "self_training=false", "crop=64")] + [
-        (1, 3, ["crop=64"])]
-    assert len(cases) == 15
+        (1, 3, ["crop=64"])] + [
+        (1, 2, [kv]) for kv in ("use_cross_src=false", "use_cross_tgt=false")]
+    assert len(cases) == 17
     assert calls == [(side, *case) for case in cases for side in "ab"]
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(cases)
     assert lines[0] == "seed 0 batch 1: 0 of 2 paths differ"
-    assert lines[-2] == "seed 1 batch 2 crop=64: 1 of 2 paths differ out.bin"
-    assert lines[-1] == "seed 1 batch 3 crop=64: 1 of 2 paths differ out.bin"
+    assert lines[-4] == "seed 1 batch 2 crop=64: 1 of 2 paths differ out.bin"
+    assert lines[-3] == "seed 1 batch 3 crop=64: 1 of 2 paths differ out.bin"
+    assert lines[-1] == ("seed 1 batch 2 use_cross_tgt=false: 0 of 2 paths "
+                         "differ")
 
 
 def test_sweep_needs_against(capsys):

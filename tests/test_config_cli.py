@@ -137,7 +137,6 @@ def test_builder_configs_mirror_run_config():
         cfg.disc_config()
     assert enc.channels == cfg.channels and enc.heads == cfg.heads
     assert dec.embed_dim == cfg.embed_dim
-    assert dec.num_classes == cfg.num_classes
     # the critic scores softmax probability maps, one plane per class
     assert disc.in_channels == cfg.num_classes
     assert disc.channels == cfg.disc_channels
@@ -168,8 +167,8 @@ _FIELD_VALUES = {
     "share_branch_weights": st.booleans(),
     "embed_dim": _POSITIVE,
     "num_classes": st.just(2),
-    "extra_hidden": st.booleans(),
-    "share_heads": st.booleans(),
+    "extra_hidden": st.just(False),
+    "share_heads": st.just(True),
     "disc_channels": st.lists(st.integers(1, 256), max_size=4).map(
         lambda c: (*c, 1)),
     "leaky_slope": _ANY_FLOAT,
@@ -399,7 +398,35 @@ def test_num_classes_other_than_two_exits_one(tmp_path, capsys, k):
     assert capsys.readouterr().err == (
         f"quadseg: error: num_classes must be 2 (background and line), "
         f"got {k}\n")
-    assert not os.path.exists(tmp_path / "w.ckpt")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("setting,line", [
+    ("share_heads=false",
+     "share_heads must be true (one head serves both domains), got false"),
+    ("extra_hidden=true", "extra_hidden must be false (the head is one fuse "
+                          "layer and a classifier), got true")])
+def test_a_head_variant_exits_one(tmp_path, capsys, setting, line):
+    """The decoder has one head, shared by both domains, with no hidden
+    layer; the two keys that named other heads are refused like
+    ``num_classes``: one line naming the key, nothing written."""
+    rc = cli.main(["warmup", "--data", str(tmp_path / "none"), "--out",
+                   str(tmp_path / "w.ckpt"), "--set", setting])
+    assert rc == 1
+    assert capsys.readouterr().err == f"quadseg: error: {line}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_default_config_text_keeps_the_pinned_keys():
+    """Checkpoints embed the config text: it still carries the three pinned
+    keys at their one value, so a manifest written before they were pinned
+    and one written after are the same bytes, and each parses back."""
+    text = serialize_config(RunConfig())
+    lines = text.split("\n")
+    for line in ("extra_hidden = false", "num_classes = 2",
+                 "share_heads = true"):
+        assert line in lines
+    assert parse_config(text) == RunConfig()
 
 
 _FLOAT_FIELDS = [f.name for f in dataclasses.fields(RunConfig)

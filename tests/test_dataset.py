@@ -326,8 +326,8 @@ def test_target_augment_matches_the_side_by_side_path(seed, crop, tau):
     got = augment(Sample(s.image, np.stack([hard, conf]), s.id), got_rng,
                   crop=crop, anchor=(hard == 1) & (conf >= tau) & (conf > 0.5))
     want_img, want = _loop_augment_target(
-        s, decode_pseudo_labels(hard, conf, 2, tau), want_rng, crop)
-    labels = decode_pseudo_labels(got.label[0], got.label[1], 2, tau)
+        s, decode_pseudo_labels(hard, conf, tau), want_rng, crop)
+    labels = decode_pseudo_labels(got.label[0], got.label[1], tau)
     assert got.image.tobytes() == want_img.tobytes()
     assert labels.probs.tobytes() == want.probs.tobytes()
     np.testing.assert_array_equal(labels.valid, want.valid)

@@ -72,11 +72,6 @@ def _desk_params(seed=0):
     return init_model_params(DESK_ENC, DESK_DEC, np.random.default_rng(seed))
 
 
-def test_config_rejects_single_class():
-    with pytest.raises(ValueError):
-        DecoderConfig(num_classes=1)
-
-
 def test_phi_shape_desk_config():
     """64x64 input: phi is [256 tokens, 4*C_e]; fused input is 8*C_e."""
     params = _desk_params(1)
@@ -131,7 +126,7 @@ def test_zero_classifier_uniform_softmax():
     rng = np.random.default_rng(11)
     dims = [(4, 4), (2, 2), (1, 1), (1, 1)]
     maps = [Tensor(rng.normal(size=(h * w, DESK_DEC.embed_dim))) for h, w in dims]
-    logits = fuse_and_predict(params, DESK_DEC, "head", maps, maps, dims)
+    logits = fuse_and_predict(params, maps, maps, dims)
     probs = mask_probs(tokens_to_map(logits, (4, 4), 4, 4))
     np.testing.assert_allclose(probs.data, 0.5, atol=1e-15)
 
@@ -206,14 +201,6 @@ def test_cross_toggles_fall_back_to_self_maps():
     np.testing.assert_allclose(ablbase.logits_t.data, sf.data, atol=1e-12)
 
 
-def test_extra_hidden_and_unshared_heads():
-    dec = DecoderConfig(extra_hidden=True, share_heads=False)
-    params = init_model_params(DESK_ENC, dec, np.random.default_rng(22))
-    assert "dec.head_src.hidden.w" in params and "dec.head_tgt.cls.w" in params
-    out = forward_pair(params, DESK_ENC, dec, _img(23), _img(24))
-    assert out.logits_s.shape == (2, 64, 64)
-
-
 def test_fuse_gradient():
     dec = DecoderConfig(embed_dim=4)
     enc = EncoderConfig(channels=(4, 8), depths=(1, 1), heads=(1, 1),
@@ -228,59 +215,48 @@ def test_fuse_gradient():
         def loss(t, k=k):
             trial = list(selfs)
             trial[k] = t
-            return tsum(fuse_and_predict(params, dec, "head", trial, crosses,
-                                         dims) * weight)
+            return tsum(fuse_and_predict(params, trial, crosses, dims)
+                        * weight)
         assert finite_diff_check(loss, selfs[k].copy()) < 1e-6
 
 
-def _composed_head(params, dec, feats, dims, head, self_name, cross_name):
+def _composed_head(params, feats, dims, self_name, cross_name):
     """The concat-then-fuse head: both phi maps upsampled and joined, then
-    the fuse layer, hidden layer and classifier.  Kept as the oracle of the
-    fused head."""
-    pre = f"dec.{head}"
+    the fuse layer and classifier.  Kept as the oracle of the fused head."""
     joined = Tensor(np.concatenate(
         [unify_and_upsample(params, DESK_ENC, feats[n], dims)
          for n in (self_name, cross_name)], axis=-1))
-    x = relu(linear(joined, params[f"{pre}.fuse.w"], params[f"{pre}.fuse.b"]))
-    if dec.extra_hidden:
-        x = relu(linear(x, params[f"{pre}.hidden.w"], params[f"{pre}.hidden.b"]))
-    return linear(x, params[f"{pre}.cls.w"], params[f"{pre}.cls.b"])
+    x = relu(linear(joined, params["dec.head.fuse.w"], params["dec.head.fuse.b"]))
+    return linear(x, params["dec.head.cls.w"], params["dec.head.cls.b"])
 
 
 def _assert_close(got, want):
     assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
 
-@pytest.mark.parametrize("extra_hidden,share_heads,cross_src,cross_tgt", [
-    (False, True, True, True), (True, True, False, True),
-    (False, False, True, False), (True, False, False, False)])
-def test_fused_head_matches_concat_then_fuse(extra_hidden, share_heads,
-                                             cross_src, cross_tgt):
+@pytest.mark.parametrize("cross_src,cross_tgt", [
+    (True, True), (False, True), (True, False), (False, False)])
+def test_fused_head_matches_concat_then_fuse(cross_src, cross_tgt):
     """Paired and source-free heads against the composed head to 1e-12
     relative; the augmented features equal [phi_t, phi_cross] exactly."""
-    dec = DecoderConfig(extra_hidden=extra_hidden, share_heads=share_heads)
     rng = np.random.default_rng(35)
-    params = init_model_params(DESK_ENC, dec, rng)
+    params = init_model_params(DESK_ENC, DESK_DEC, rng)
     img_s, img_t = Tensor(rng.random((2, 3, 32, 32))), Tensor(rng.random((2, 3, 32, 32)))
     feats, dims = encoder_forward(params, DESK_ENC, img_s, img_t)
-    tok_s, tok_t, maps_t = decode_pair(params, DESK_ENC, dec, feats, dims,
+    tok_s, tok_t, maps_t = decode_pair(params, DESK_ENC, DESK_DEC, feats, dims,
                                        cross_src, cross_tgt)
     streams = {n: [gather(f, k) for f in feats]
                for k, n in enumerate(("s", "t", "ts", "st"))}
-    src, tgt = ("head", "head") if share_heads else ("head_src", "head_tgt")
     cross_s, cross_t = "ts" if cross_src else "s", "st" if cross_tgt else "t"
-    _assert_close(tok_s, _composed_head(params, dec, streams, dims, src, "s",
-                                        cross_s))
-    _assert_close(tok_t, _composed_head(params, dec, streams, dims, tgt, "t",
-                                        cross_t))
+    _assert_close(tok_s, _composed_head(params, streams, dims, "s", cross_s))
+    _assert_close(tok_t, _composed_head(params, streams, dims, "t", cross_t))
     np.testing.assert_array_equal(
         augmented_features(maps_t, dims),
         np.concatenate([unify_and_upsample(params, DESK_ENC, streams[n], dims)
                         for n in ("t", cross_t)], axis=-1))
     single, dims = encoder_forward_single(params, DESK_ENC, img_t)
-    tok, _ = decode_single(params, DESK_ENC, dec, single, dims)
-    _assert_close(tok, _composed_head(params, dec, {"t": single}, dims, tgt,
-                                      "t", "t"))
+    tok, _ = decode_single(params, DESK_ENC, DESK_DEC, single, dims)
+    _assert_close(tok, _composed_head(params, {"t": single}, dims, "t", "t"))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +287,7 @@ def _quad_block_per_stream(params, cfg, stage, layer, f_s, f_t, f_ts, f_st,
     )
 
 
-def _pair_per_stream(params, enc, dec, img_s, img_t, cross_src, cross_tgt):
+def _pair_per_stream(params, enc, img_s, img_t, cross_src, cross_tgt):
     """The paired encoder and decoder with the four streams as separate
     tensors: every block and merge stacks them and splits its output again,
     and each head stage restacks the streams it reads.  Kept as the oracle
@@ -335,31 +311,22 @@ def _pair_per_stream(params, enc, dec, img_s, img_t, cross_src, cross_tgt):
     cross_rows = (row.get(2, row[0]), row.get(3, row[1]))
     maps_t = ([u.data[self_rows[1]] for u in units],
               [u.data[cross_rows[1]] for u in units])
-
-    def pick(rows):
-        return [gather(u, rows) for u in units]
-
-    if dec.share_heads:
-        logits = fuse_and_predict(params, dec, "head", pick(self_rows),
-                                  pick(cross_rows), dims)
-        return gather(logits, 0), gather(logits, 1), maps_t
-    return (*(fuse_and_predict(params, dec, h, pick(a), pick(c), dims)
-              for h, a, c in zip(("head_src", "head_tgt"), self_rows, cross_rows)),
-            maps_t)
+    logits = fuse_and_predict(params, [gather(u, self_rows) for u in units],
+                              [gather(u, cross_rows) for u in units], dims)
+    return gather(logits, 0), gather(logits, 1), maps_t
 
 
-@pytest.mark.parametrize("shared,share_heads,cross_src,cross_tgt", [
-    (True, True, True, True), (True, True, False, True),
-    (True, False, True, False), (False, True, True, True),
-    (False, False, False, True), (False, True, True, False)])
-def test_stream_stack_equals_per_stream_composition(shared, share_heads,
-                                                    cross_src, cross_tgt):
+@pytest.mark.parametrize("shared,cross_src,cross_tgt", [
+    (True, True, True), (True, False, True), (True, True, False),
+    (False, True, True), (False, False, True), (False, True, False)])
+def test_stream_stack_equals_per_stream_composition(shared, cross_src,
+                                                    cross_tgt):
     """``encoder_forward`` + ``decode_pair`` against the per-stream
     composition: both logit maps, the target maps and every parameter's
     gradient, as bytes (signed zeros folded by ``+ 0.0``)."""
     enc = EncoderConfig(channels=(4, 8), depths=(2, 1), heads=(1, 2),
                         sr_ratios=(2, 1), share_branch_weights=shared)
-    dec = DecoderConfig(embed_dim=8, share_heads=share_heads)
+    dec = DecoderConfig(embed_dim=8)
     rng = np.random.default_rng(90)
     init = init_model_params(enc, dec, rng)
     for p in init.values():      # past the init scale, so no branch is drowned
@@ -372,7 +339,7 @@ def test_stream_stack_equals_per_stream_composition(shared, share_heads,
         return decode_pair(params, enc, dec, feats, dims, cross_src, cross_tgt)
 
     def per_stream(params, s, t):
-        return _pair_per_stream(params, enc, dec, s, t, cross_src, cross_tgt)
+        return _pair_per_stream(params, enc, s, t, cross_src, cross_tgt)
 
     results = []
     for run in (stacked, per_stream):

@@ -109,8 +109,7 @@ def test_pseudo_label_files_equal_the_synchronous_writers(chain, tmp_path):
     params = train._restore_params(load_checkpoint(wck), _CFG)
     tgt = load_corpus(data, "target", split_target_ids(data)[0],
                       with_label=False)
-    size = tgt[0].image.shape[-2:]
-    planes = [(h, c) for tok, _, dims in warmup_pseudo_labels(
+    planes = [(h, c) for tok, _, dims, size in warmup_pseudo_labels(
         params, _CFG.encoder_config(), _CFG.decoder_config(),
         (s.image for s in tgt))
         for h, c in zip(*pseudo_label_planes(tok, dims[0], *size))]

@@ -22,10 +22,13 @@ only one chain wrote; it exits 1 if there is any.  ``--sweep`` (with
 ``sweep_cases`` instead of one seed and batch: seeds 0, 1 and 4 at batch
 1-3, then seed 1 at batch 2 with each of ``share_branch_weights=false``,
 ``label_correction=false``, ``adversarial=false``, ``self_training=false``
-and ``crop=64``, and seed 1 at batch 3 with ``crop=64`` (the five-layer
-critic at full depth on an odd batch), 15 cases.  The two toggles run
-each half of an adaptation step alone: the pseudo-label job without the
-critic step after it, and the critic step with no job.  It prints one
+and ``crop=64``, seed 1 at batch 3 with ``crop=64`` (the five-layer
+critic at full depth on an odd batch), and seed 1 at batch 2 with each of
+``use_cross_src=false`` and ``use_cross_tgt=false``, 17 cases.  The
+``adversarial`` and ``self_training`` toggles run each half of an
+adaptation step alone: the pseudo-label job without the critic step after
+it, and the critic step with no job.  The cross toggles run the decoder's
+rows without the source's or the target's cross stream.  It prints one
 line per case, with the paths that differ, and exits 1 if any case
 differs.
 """
@@ -108,6 +111,8 @@ def sweep_cases() -> list[tuple[int, int, list[str]]]:
                                       "adversarial=false",
                                       "self_training=false", "crop=64")]
     cases.append((1, 3, ["crop=64"]))
+    cases += [(1, 2, [kv]) for kv in ("use_cross_src=false",
+                                      "use_cross_tgt=false")]
     return cases
 
 
